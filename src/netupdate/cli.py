@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import stats
 from .config import ConfigError, Experiment, config_hash, parse_duration
-from .consistency import classify_packet
 
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
@@ -68,10 +67,10 @@ def _run_to_dict(run, exp_hash: str, reports) -> dict:
             "inconsistency_ns": rep.inconsistency_ns,
             "packets": [
                 {"t_in": t.t_in,
-                 "result": classify_packet(t, run.old_config, run.new_config),
+                 "result": result,
                  "hops": len(t.hops),
                  "delivered": t.delivered}
-                for t in traces],
+                for t, result in zip(traces, rep.classes, strict=True)],
         }
     p = run.params
     return {
@@ -156,8 +155,7 @@ def cmd_analyze_trace(trace_path: str, percentiles, out: Path) -> int:
     meta = {"trace": str(trace_path), "percentiles": list(percentiles)}
     lines = [_meta_line(config_hash(meta), []),
              "label,p,percentile_ns,mean_ns,ratio"]
-    for p in percentiles:
-        value = stats.percentile(trace, p)
+    for p, value in zip(percentiles, stats.percentiles(trace, percentiles)):
         lines.append(f"{trace.label},{p:g},{value},{mean:.3f},{value / mean:.6f}")
     _write_text(out / "trace_stats.csv", lines)
     print(f"wrote {out / 'trace_stats.csv'}")

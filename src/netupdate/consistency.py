@@ -10,7 +10,7 @@ length of the disruption the update caused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ForwardingState, Packet, Schedule, SystemParameters
 
@@ -57,6 +57,7 @@ class InconsistencyReport:
     n_inconsistent: int
     rate_pps: float
     inconsistency_ns: int
+    classes: tuple = field(repr=False)  # per-packet class, in trace order
 
     def csv_row(self) -> str:
         rate = int(self.rate_pps) if float(self.rate_pps).is_integer() else self.rate_pps
@@ -104,9 +105,9 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     traces = run.flow_traces.get(flow.flow_id)
     if traces is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
-    n = sum(1 for t in traces
-            if classify_packet(t, run.old_config, run.new_config) == INCONSISTENT)
-    return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
+    classes = tuple(classify_packet(t, run.old_config, run.new_config) for t in traces)
+    n = classes.count(INCONSISTENT)
+    return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns, classes)
 
 
 def knob_schedule(t1: int, d: int, params: SystemParameters) -> Schedule:

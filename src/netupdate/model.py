@@ -7,7 +7,9 @@ Conventions used throughout the package:
   wildcard that matches any packet tag (including untagged packets), and an
   exact-tag rule always wins over the wildcard;
 * all types are values: mutation happens only through pure functions that
-  return new objects.
+  return new objects. Rule tables are plain dicts shared copy-on-write
+  between forwarding states, so a table must never be mutated once it is
+  part of a state.
 """
 
 from __future__ import annotations
@@ -192,83 +194,81 @@ class SingletonUpdate:
             logger.debug("empty singleton update for %s", self.target)
 
 
+def lookup_rule(table: dict, flow_id: str, tag: str | None, port: int):
+    """Resolve one (packet, port) pair against one rule table.
+
+    Returns (Action, generation): the exact-tag rule for the packet's tag
+    wins, then the wildcard-tag rule, otherwise (DROP, None).
+    """
+    if tag is not None:
+        hit = table.get((flow_id, tag, port))
+        if hit is not None:
+            return hit
+    return table.get((flow_id, None, port), (DROP, None))
+
+
 @dataclass(frozen=True)
 class ForwardingState:
     """Per-switch rule tables; every rule carries a generation label.
+
+    tables maps each switch to its rule dict {RuleKey: (Action, generation)}.
+    The mapping and its tables are frozen by convention: apply copies the
+    outer mapping and the tables it changes, and shares every other table
+    with the state it started from, so no table may ever be mutated.
 
     Lookup is deterministic: the exact-tag rule for the packet's tag wins,
     then the wildcard-tag rule, otherwise the packet is dropped.
     """
 
-    tables: tuple  # tuple of (switch, tuple of (RuleKey, (Action, generation)))
+    tables: dict  # {switch: {RuleKey: (Action, generation)}}, never mutated
 
     @classmethod
     def empty(cls, net: Network) -> "ForwardingState":
-        return cls(tuple((s, ()) for s in net.switches))
+        return cls({s: {} for s in net.switches})
 
     @classmethod
     def from_dict(cls, net: Network, rules: dict, generation: str = GEN_OLD) -> "ForwardingState":
         """Build from {switch: {key: action}}; unlisted switches get empty tables."""
-        tables = []
-        for s in net.switches:
-            entries = rules.get(s, {})
-            tables.append((s, tuple(sorted(
-                ((k, (a, generation)) for k, a in entries.items()),
-                key=lambda item: repr(item[0])))))
-        return cls(tuple(tables))
-
-    @property
-    def _table_map(self) -> dict:
-        # lazy dict view, cached on the frozen instance; treat as read-only
-        cached = self.__dict__.get("_map")
-        if cached is None:
-            cached = {s: dict(entries) for s, entries in self.tables}
-            object.__setattr__(self, "_map", cached)
-        return cached
-
-    def _as_dicts(self) -> dict:
-        return {s: dict(entries) for s, entries in self.tables}
+        return cls({s: {k: (a, generation) for k, a in rules.get(s, {}).items()}
+                    for s in net.switches})
 
     def switch_table(self, switch: str) -> dict:
-        try:
-            return self._table_map[switch]
-        except KeyError:
-            raise KeyError(switch) from None
+        return self.tables[switch]
 
     def has_switch(self, switch: str) -> bool:
-        return switch in self._table_map
+        return switch in self.tables
 
     def lookup(self, switch: str, flow_id: str, tag: str | None, port: int):
         """Resolve one (packet, port) pair to (Action, generation-or-None)."""
-        table = self.switch_table(switch)
-        if tag is not None:
-            hit = table.get((flow_id, tag, port))
-            if hit is not None:
-                return hit
-        hit = table.get((flow_id, None, port))
-        if hit is not None:
-            return hit
-        return (DROP, None)
+        return lookup_rule(self.tables[switch], flow_id, tag, port)
 
-    def apply(self, update: SingletonUpdate) -> "ForwardingState":
-        """Pure application of a singleton update; see apply_singleton."""
-        tables = self._as_dicts()
-        if update.target not in tables:
-            raise ValueError(f"update targets unknown switch {update.target!r}")
-        table = tables[update.target]
-        if update.mode == "install":
-            for key, action in update.entries:
-                table[key] = (action, GEN_NEW)
-        else:
-            for key, _ in update.entries:
-                if key not in table:
-                    logger.warning("garbage collection: rule %r already absent on %s",
-                                   key, update.target)
-                else:
-                    del table[key]
-        return ForwardingState(tuple(
-            (s, tuple(sorted(t.items(), key=lambda item: repr(item[0]))))
-            for s, t in tables.items()))
+    def apply(self, *updates: SingletonUpdate) -> "ForwardingState":
+        """Pure application of singleton updates in order; see apply_singleton.
+
+        Copy-on-write: each changed table is copied once, however many
+        updates target it, so folding a whole procedure costs
+        O(switches + entries).
+        """
+        tables = dict(self.tables)
+        copied = set()
+        for update in updates:
+            if update.target not in tables:
+                raise ValueError(f"update targets unknown switch {update.target!r}")
+            if update.target not in copied:
+                tables[update.target] = dict(tables[update.target])
+                copied.add(update.target)
+            table = tables[update.target]
+            if update.mode == "install":
+                for key, action in update.entries:
+                    table[key] = (action, GEN_NEW)
+            else:
+                for key, _ in update.entries:
+                    if key not in table:
+                        logger.warning("garbage collection: rule %r already absent on %s",
+                                       key, update.target)
+                    else:
+                        del table[key]
+        return ForwardingState(tables)
 
 
 def apply_singleton(state: ForwardingState, update: SingletonUpdate) -> ForwardingState:

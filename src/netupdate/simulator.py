@@ -19,7 +19,6 @@ import numpy as np
 
 from .delays import DelayModel
 from .model import (
-    DROP,
     GEN_NEW,
     ForwardingState,
     Network,
@@ -27,6 +26,7 @@ from .model import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
+    lookup_rule,
 )
 
 
@@ -119,17 +119,6 @@ class Fault:
     detail: str
 
 
-def _lookup_table(table: dict, flow_id: str, tag, port: int):
-    if tag is not None:
-        hit = table.get((flow_id, tag, port))
-        if hit is not None:
-            return hit
-    hit = table.get((flow_id, None, port))
-    if hit is not None:
-        return hit
-    return (DROP, None)
-
-
 class StateTimeline:
     """Per-switch rule tables as a step function of real time."""
 
@@ -161,7 +150,7 @@ class StateTimeline:
 
         A rule change at time t is visible to a packet arriving exactly at t.
         """
-        return _lookup_table(self.table_at(switch, time_ns), flow_id, tag, port)
+        return lookup_rule(self.table_at(switch, time_ns), flow_id, tag, port)
 
 
 @dataclass
@@ -207,10 +196,7 @@ def _finish_run(mode, seed, params, first_send, queue, messages, faults,
         execs.append((time_ns, update))
         messages.append(LogLine(time_ns, "exec", update.target, "-", phase,
                                 f"msg={msg_index} mode={update.mode}"))
-    new_config = initial
-    for j in range(1, proc.num_phases + 1):
-        for u in proc.updates_in_phase(j):
-            new_config = new_config.apply(u)
+    new_config = initial.apply(*(u for _, _, u in _ordered_messages(proc)))
     messages.sort(key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
     return RunResult(
         mode=mode, seed=seed, params=params, first_send_ns=first_send,

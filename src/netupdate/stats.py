@@ -34,13 +34,17 @@ def percentile(trace: DelayTrace, p: float) -> int:
 
     No interpolation; the result is always one of the samples.
     """
+    return percentiles(trace, [p])[0]
+
+
+def percentiles(trace: DelayTrace, ps) -> list:
+    """Nearest-rank percentile for each p in ps, from a single sort of the trace."""
     if not trace.samples:
         raise ValueError("cannot take a percentile of an empty trace")
-    if not 0.0 < p <= 1.0:
+    if any(not 0.0 < p <= 1.0 for p in ps):
         raise ValueError("p must be in (0, 1]")
     ordered = sorted(trace.samples)
-    rank = math.ceil(p * len(ordered))
-    return ordered[rank - 1]
+    return [ordered[math.ceil(p * len(ordered)) - 1] for p in ps]
 
 
 def mean(trace: DelayTrace) -> float:

@@ -157,6 +157,9 @@ class TestMeasureInconsistency:
             lambda proc, p: knob_schedule(1_000 * MS, d, p), D, params)
         rep = measure_inconsistency(run, flow)
         assert abs(rep.inconsistency_ns - 6 * MS) <= flow.spacing_ns
+        # the per-packet classes behind the count, in trace order
+        assert rep.classes == tuple(classify_packet(t, run.old_config, run.new_config)
+                                    for t in run.flow_traces[flow.flow_id])
 
     def test_monotone_non_increasing_in_knob(self):
         D = 10 * MS

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netupdate import (
     DELIVER,
@@ -157,6 +157,72 @@ def test_apply_only_changes_update_domain(table, update_entries, mode):
     assert apply_singleton(out, u) == out
     # exactly one action per lookup, always
     assert out.lookup("S1", "f1", "A", 0) is not None
+
+
+def _reference_fold(state, updates):
+    """Oracle for apply: rebuild every table from scratch for each update.
+
+    Returns the final tables and the expected "already absent" warnings.
+    """
+    tables = {s: dict(t) for s, t in state.tables.items()}
+    warnings = []
+    for u in updates:
+        rebuilt = {s: dict(t) for s, t in tables.items()}
+        table = rebuilt[u.target]
+        for key, action in u.entries:
+            if u.mode == "install":
+                table = {k: v for k, v in table.items() if k != key} | {key: (action, "new")}
+            elif key in table:
+                table = {k: v for k, v in table.items() if k != key}
+            else:
+                warnings.append(f"garbage collection: rule {key!r} already absent on {u.target}")
+        rebuilt[u.target] = table
+        tables = rebuilt
+    return tables, warnings
+
+
+_steps = st.lists(st.tuples(st.sampled_from(["S1", "S2", "S3"]),
+                            st.sampled_from(["install", "remove"]), _tables), max_size=8)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rules=st.dictionaries(st.sampled_from(["S1", "S2", "S3"]), _tables), steps=_steps)
+def test_apply_matches_reference_fold(rules, steps, caplog):
+    net = line_network([10, 10])
+    state = ForwardingState.from_dict(net, rules)
+    before = {s: dict(t) for s, t in state.tables.items()}
+    updates = [SingletonUpdate.install(sw, entries) if mode == "install"
+               else SingletonUpdate.remove(sw, list(entries))
+               for sw, mode, entries in steps]
+    want, want_warnings = _reference_fold(state, updates)
+
+    def stepwise():
+        out = state
+        for u in updates:
+            out = out.apply(u)
+        return out
+
+    for fold in (lambda: state.apply(*updates), stepwise):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="netupdate.model"):
+            out = fold()
+        assert out.tables == want
+        assert [r.getMessage() for r in caplog.records] == want_warnings
+    assert state.tables == before
+
+
+def test_apply_is_copy_on_write():
+    net = line_network([10, 10])
+    key = ("f", "A", 0)
+    state = ForwardingState.from_dict(net, {s: {key: DELIVER} for s in net.switches})
+    out = state.apply(SingletonUpdate.install("S2", {key: Action.forward(2)}))
+    assert out.tables["S1"] is state.tables["S1"]
+    assert out.tables["S3"] is state.tables["S3"]
+    assert out.tables["S2"] is not state.tables["S2"]
+    assert out.lookup("S2", "f", "A", 0) == (Action.forward(2), "new")
+    with pytest.raises(ValueError, match="unknown switch"):
+        state.apply(SingletonUpdate.remove("S2", [key]), SingletonUpdate.remove("S9", [key]))
+    assert state.tables == {s: {key: (DELIVER, "old")} for s in net.switches}
 
 
 class TestUpdateProcedure:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netupdate import DelayModel, DelayTrace, percentile, read_trace, sample, tail_ratio
+from netupdate.stats import percentiles
 
 MS = 1_000_000
 
@@ -25,6 +26,7 @@ class TestPercentile:
         trace = DelayTrace(tuple(int(x) for x in rng.integers(0, 10**6, 500)))
         ps = [0.1, 0.5, 0.9, 0.99, 1.0]
         values = [percentile(trace, p) for p in ps]
+        assert percentiles(trace, ps) == values
         assert values == sorted(values)
         assert values[-1] == max(trace.samples)
 
