@@ -7,8 +7,9 @@ Subcommands:
   analyze-trace  percentile / tail-ratio analysis of a delay trace file
 
 Every CSV starts with a metadata comment line recording the effective
-config hash and seed list, then a header row. Outputs are byte-identical
-across repeated invocations with the same config and seeds.
+config hash, the seed list and the engine version, then a header row.
+Outputs are byte-identical across repeated invocations with the same
+config and seeds.
 
 Exit codes: 0 success (recorded simulation faults are data, not failure),
 2 configuration error, 3 internal invariant violation.
@@ -23,13 +24,15 @@ from pathlib import Path
 
 from . import stats
 from .config import ConfigError, Experiment, config_hash, parse_duration
+from .simulator import ENGINE_VERSION
 
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
 def _meta_line(cfg_hash: str, seeds) -> str:
-    return f"# config={cfg_hash} seeds={','.join(str(s) for s in seeds)}"
+    return (f"# config={cfg_hash} seeds={','.join(str(s) for s in seeds)} "
+            f"engine={ENGINE_VERSION}")
 
 
 def _write_text(path: Path, lines) -> None:
@@ -60,21 +63,24 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
 def _run_to_dict(run, exp_hash: str, reports) -> dict:
     flows = {}
     for rep in reports:
-        traces = run.flow_traces[rep.flow_id]
+        packets = run.flow_traces[rep.flow_id]
         flows[rep.flow_id] = {
             "n_inconsistent": rep.n_inconsistent,
             "rate_pps": rep.rate_pps,
             "inconsistency_ns": rep.inconsistency_ns,
+            "dropped": int(packets.dropped.sum()),
+            "truncated": int(packets.truncated.sum()),
+            "stranded": int(packets.stranded.sum()),
             "packets": [
-                {"t_in": t.t_in,
-                 "result": result,
-                 "hops": len(t.hops),
-                 "delivered": t.delivered}
-                for t, result in zip(traces, rep.classes, strict=True)],
+                {"t_in": t_in, "result": result, "hops": hops, "delivered": delivered}
+                for t_in, result, hops, delivered in zip(
+                    packets.t_in.tolist(), rep.classes, packets.hops.tolist(),
+                    packets.delivered.tolist(), strict=True)],
         }
     p = run.params
     return {
-        "meta": {"config": exp_hash, "seed": run.seed, "mode": run.mode,
+        "meta": {"config": exp_hash, "engine": ENGINE_VERSION, "seed": run.seed,
+                 "mode": run.mode,
                  "params_ns": {"dc": p.d_c, "dn": p.d_n, "delta_msg": p.delta_msg,
                                "delta_sched": p.delta_sched, "tsu": p.t_su}},
         "first_send_ns": run.first_send_ns,

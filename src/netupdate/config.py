@@ -261,21 +261,27 @@ class Experiment:
             for req in ("flow_id", "ingress", "path"):
                 if req not in spec:
                     raise ConfigError(f"{field}.{req}: required")
-            if "rate_pps" in spec:
-                rate = float(spec["rate_pps"])
-            elif "mbps" in spec:
-                rate = float(spec["mbps"]) * 1e6 / (spec.get("packet_bytes", 1000) * 8)
-            else:
+            rate_key = next((k for k in ("rate_pps", "mbps") if k in spec), None)
+            if rate_key is None:
                 raise ConfigError(f"{field}.rate_pps: required (or mbps)")
-            flow = consistency.TestFlow(spec["flow_id"], spec["ingress"],
-                                        topology.INGRESS_PORT, rate)
+            try:
+                rate = float(spec[rate_key])
+                if rate_key == "mbps":
+                    rate = rate * 1e6 / (spec.get("packet_bytes", 1000) * 8)
+                flow = consistency.TestFlow(spec["flow_id"], spec["ingress"],
+                                            topology.INGRESS_PORT, rate)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{field}.{rate_key}: {exc}") from None
             if flow.flow_id in paths:
                 raise ConfigError(f"{field}.flow_id: duplicate id {flow.flow_id!r}")
             if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
                 raise ConfigError(f"{field}.ingress: {spec['ingress']!r} is not an ingress node")
-            path = list(spec["path"])
-            if path[0] != flow.ingress_switch:
-                raise ConfigError(f"{field}.path: must start at the ingress switch")
+            path = spec["path"]
+            if not isinstance(path, list) or not path or path[0] != flow.ingress_switch:
+                raise ConfigError(f"{field}.path: must be a list starting at the ingress switch")
+            for a, b in zip(path, path[1:]):
+                if net.link_between(a, b) is None:
+                    raise ConfigError(f"{field}.path: no link between {a!r} and {b!r}")
             flows.append(flow)
             paths[flow.flow_id] = path
         return flows, paths

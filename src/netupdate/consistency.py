@@ -10,13 +10,17 @@ length of the disruption the update caused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .model import ForwardingState, Packet, Schedule, SystemParameters
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
 INCONSISTENT = "inconsistent"
+_CLASSES = np.array([CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,11 @@ class TestFlow:
     rate_pps: float
 
     def __post_init__(self):
-        if self.rate_pps <= 0:
-            raise ValueError("flow rate must be positive")
+        # NaN fails every comparison, so test for the valid range
+        if not 0 < self.rate_pps < math.inf:
+            raise ValueError("flow rate must be positive and finite")
+        if self.spacing_ns < 1:
+            raise ValueError(f"flow rate {self.rate_pps:g} pps spaces packets below 1 ns")
 
     @property
     def spacing_ns(self) -> int:
@@ -98,15 +105,16 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
 
     Requires the flow to have been simulated against the run (see
     simulator.run_flows) over a window covering the whole update plus drain
-    margins; otherwise the count undershoots.
+    margins; otherwise the count undershoots. The walk already compared
+    every hop with both configurations, so this reads its agreement flags;
+    classify_packet is the per-trace oracle for the same classes.
     """
-    if flow.rate_pps <= 0:
-        raise ValueError("flow rate must be positive")
-    traces = run.flow_traces.get(flow.flow_id)
-    if traces is None:
+    packets = run.flow_traces.get(flow.flow_id)
+    if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
-    classes = tuple(classify_packet(t, run.old_config, run.new_config) for t in traces)
-    n = classes.count(INCONSISTENT)
+    codes = np.where(packets.agrees_old, 0, np.where(packets.agrees_new, 1, 2))
+    n = int(np.count_nonzero(codes == 2))
+    classes = tuple(_CLASSES[codes].tolist())
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns, classes)
 
 

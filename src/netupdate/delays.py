@@ -92,6 +92,25 @@ class DelayModel:
             return self.mean * (1.0 - math.exp(-r) * (r + 1.0)) / (1.0 - math.exp(-r))
         return sum(self.samples) / len(self.samples)
 
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF: the int64 delays for uniforms u in [0, 1), elementwise.
+
+        The data plane maps one uniform per (packet, hop) through this, in
+        bulk and one at a time alike, so every path calls the same numpy
+        functions and gets the same bits.
+        """
+        if self.kind == "constant":
+            return np.full(u.shape, self.value, dtype=np.int64)
+        if self.kind == "uniform":
+            return np.minimum(np.floor(u * (self.hi + 1)).astype(np.int64), self.hi)
+        if self.kind == "exponential":
+            if self.mean == 0:
+                return np.zeros(u.shape, dtype=np.int64)
+            x = -self.mean * np.log1p(-u * (1.0 - math.exp(-self.cap / self.mean)))
+            return np.minimum(np.rint(x).astype(np.int64), self.cap)
+        pool = np.asarray(self.samples, dtype=np.int64)
+        return pool[np.minimum(np.floor(u * len(pool)).astype(np.int64), len(pool) - 1)]
+
     def sample(self, rng: np.random.Generator) -> int:
         if self.kind == "constant":
             return self.value

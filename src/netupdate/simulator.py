@@ -3,10 +3,20 @@
 A run is two stages. The control-plane stage executes the controller and
 switch behaviors (greedy untimed, or scheduled timed) through an event
 queue and produces a state timeline: every switch's rule table as a
-function of real time. The data-plane stage walks injected test-flow
-packets through that timeline hop by hop, sampling link delays. Packets
-never influence switch state, so the split loses nothing and keeps both
-stages reproducible from a single seed.
+function of real time. Packets never influence switch state, so the split
+loses nothing and keeps both stages reproducible from a single seed.
+
+The data-plane stage walks injected test-flow packets through that
+timeline. Each flow's generator draws one uniform per (packet, hop slot),
+an n x |switches| matrix, and a link's delay for packet k leaving hop h is
+the link model's inverse CDF at u[k, h]; a packet's delays therefore do
+not depend on the packets before it. run_flows walks all packets of a
+flow in step, hop by hop: it groups the live packets by (switch, in_port,
+tag), finds each packet's table version by binary search on the switch's
+change times, and resolves and classifies each (group, version) pair once
+against the timeline and both full configurations. forward_packet is the
+one-packet oracle: it draws the same row of uniforms and walks the packet
+alone; a differential test holds the two to identical traces and classes.
 """
 
 from __future__ import annotations
@@ -28,6 +38,10 @@ from .model import (
     UpdateProcedure,
     lookup_rule,
 )
+
+# Version of the simulation engine, written into every output. Bump it when
+# a change moves simulated outputs for an unchanged config and seeds.
+ENGINE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -120,30 +134,37 @@ class Fault:
 
 
 class StateTimeline:
-    """Per-switch rule tables as a step function of real time."""
+    """Per-switch rule tables as a step function of real time.
+
+    Version 0 of a switch's table is its initial table; version v is the
+    table after the switch's v-th executed update.
+    """
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
-        self._base = {s: initial.switch_table(s) for s in net.switches}
         self._times = {s: [] for s in net.switches}
-        self._tables = {s: [] for s in net.switches}
-        current = {s: dict(t) for s, t in self._base.items()}
+        self._tables = {s: [initial.switch_table(s)] for s in net.switches}
         for time_ns, update in execs:
-            table = dict(current[update.target])
+            table = dict(self._tables[update.target][-1])
             if update.mode == "install":
                 for key, action in update.entries:
                     table[key] = (action, GEN_NEW)
             else:
                 for key, _ in update.entries:
                     table.pop(key, None)
-            current[update.target] = table
             self._times[update.target].append(time_ns)
             self._tables[update.target].append(table)
 
+    def versions(self, switch: str, times: np.ndarray) -> np.ndarray:
+        """Table version in force at each of the given instants (bulk table_at)."""
+        return np.searchsorted(self._times[switch], times, side="right")
+
+    def table_version(self, switch: str, version: int) -> dict:
+        return self._tables[switch][version]
+
     def table_at(self, switch: str, time_ns: int) -> dict:
-        if switch not in self._base:
+        if switch not in self._tables:
             raise ValueError(f"unknown switch {switch!r}")
-        idx = bisect_right(self._times[switch], time_ns)
-        return self._base[switch] if idx == 0 else self._tables[switch][idx - 1]
+        return self._tables[switch][bisect_right(self._times[switch], time_ns)]
 
     def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
         """Action and rule generation seen by a packet at this switch and instant.
@@ -169,7 +190,7 @@ class RunResult:
     timeline: StateTimeline
     sched_first_ns: int | None = None
     sched_last_ns: int | None = None
-    flow_traces: dict = field(default_factory=dict)
+    flow_traces: dict = field(default_factory=dict)  # flow_id -> FlowPackets
     flow_windows: dict = field(default_factory=dict)
 
     @property
@@ -379,23 +400,21 @@ class PacketTrace:
     stranded: bool = False
 
 
-def inject_flow(net: Network, flow, window) -> list:
-    """Packet instances of a test flow over [t0, t1): identical packets at
-    exact 1/R spacing from the flow's ingress port."""
+def _injection_times(net: Network, flow, window) -> np.ndarray:
+    """Arrival times of a test flow's packets over [t0, t1) at exact 1/R
+    spacing; a window shorter than one spacing still carries one packet."""
     t0, t1 = window
     if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
         raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
-    spacing = flow.spacing_ns
-    out = []
-    t = t0
-    while t < t1:
-        out.append(PacketInstance(flow.packet, flow.ingress_switch,
-                                  flow.ingress_port, t))
-        t += spacing
-    if not out:
-        out.append(PacketInstance(flow.packet, flow.ingress_switch,
-                                  flow.ingress_port, t0))
-    return out
+    times = np.arange(t0, t1, flow.spacing_ns, dtype=np.int64)
+    return times if times.size else np.array([t0], dtype=np.int64)
+
+
+def inject_flow(net: Network, flow, window) -> list:
+    """Packet instances of a test flow over [t0, t1): identical packets at
+    exact 1/R spacing from the flow's ingress port."""
+    return [PacketInstance(flow.packet, flow.ingress_switch, flow.ingress_port, t)
+            for t in _injection_times(net, flow, window).tolist()]
 
 
 def forward_packet(net: Network, timeline: StateTimeline, pi: PacketInstance,
@@ -403,16 +422,21 @@ def forward_packet(net: Network, timeline: StateTimeline, pi: PacketInstance,
     """Walk one packet through the network, resolving each hop against the
     switch state as of the packet's arrival there.
 
+    The packet draws one row of len(net.switches) uniforms up front; the
+    link it leaves hop h by delays it by the link's inverse CDF at row[h].
     Hops beyond the switch count indicate a forwarding loop (possible in
     mixed-generation states); the trace is truncated and flagged.
+
+    This is the one-packet-at-a-time oracle of run_flows.
     """
     sw, port = pi.ingress_switch, pi.ingress_port
     t = pi.arrival_time
     tag = pi.packet.version_tag
     flow_id = pi.packet.flow_id
+    row = rng.random(len(net.switches))
     hops = []
     delivered = truncated = stranded = False
-    for _ in range(len(net.switches)):
+    for h in range(len(net.switches)):
         action, gen = timeline.lookup(sw, t, flow_id, tag, port)
         hops.append(Hop(t, sw, port, tag, action, gen))
         if action.kind == "deliver":
@@ -426,12 +450,154 @@ def forward_packet(net: Network, timeline: StateTimeline, pi: PacketInstance,
         if peer is None:
             stranded = True
             break
-        t += peer[2].sample(rng)
+        t += int(peer[2].quantile(row[h:h + 1])[0])
         sw, port = peer[0], peer[1]
     else:
         truncated = True
     return PacketTrace(flow_id, pi.arrival_time, tuple(hops), delivered,
                        truncated, stranded)
+
+
+@dataclass(eq=False)
+class FlowPackets:
+    """Per-packet results of one test flow, as arrays in injection order.
+
+    hops, delivered, truncated and stranded describe each packet's walk;
+    agrees_old / agrees_new say whether every realized hop action equals
+    the old / new configuration's action for the packet as it arrived
+    there. hop_times and hop_rows (n x switches) keep each hop's arrival
+    time and an index into rows, the distinct (switch, in_port, tag,
+    action, generation) hops, so that indexing or iterating builds the
+    PacketTrace objects; nothing else needs them.
+    """
+
+    flow_id: str
+    t_in: np.ndarray
+    hops: np.ndarray
+    delivered: np.ndarray
+    truncated: np.ndarray
+    stranded: np.ndarray
+    agrees_old: np.ndarray
+    agrees_new: np.ndarray
+    hop_times: np.ndarray
+    hop_rows: np.ndarray
+    rows: list
+    _traces: list | None = field(default=None, repr=False)
+
+    @property
+    def dropped(self) -> np.ndarray:
+        """Packets that ended on a drop action (a rule or a table miss)."""
+        return ~(self.delivered | self.truncated | self.stranded)
+
+    def traces(self) -> list:
+        if self._traces is None:
+            rows = self.rows
+            self._traces = [
+                PacketTrace(self.flow_id, t_in,
+                            tuple(Hop(t, *rows[r]) for t, r in zip(times[:m], refs[:m])),
+                            delivered, truncated, stranded)
+                for t_in, m, times, refs, delivered, truncated, stranded in zip(
+                    self.t_in.tolist(), self.hops.tolist(), self.hop_times.tolist(),
+                    self.hop_rows.tolist(), self.delivered.tolist(),
+                    self.truncated.tolist(), self.stranded.tolist())]
+        return self._traces
+
+    def __len__(self) -> int:
+        return len(self.t_in)
+
+    def __iter__(self):
+        return iter(self.traces())
+
+    def __getitem__(self, index):
+        return self.traces()[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowPackets):
+            return NotImplemented
+        return (self.traces() == other.traces()
+                and np.array_equal(self.agrees_old, other.agrees_old)
+                and np.array_equal(self.agrees_new, other.agrees_new))
+
+    __hash__ = None
+
+
+def _intern(ids: dict, items: list, item) -> int:
+    """Index of item in items, appending it on first sight."""
+    idx = ids.get(item)
+    if idx is None:
+        idx = ids[item] = len(items)
+        items.append(item)
+    return idx
+
+
+def _walk_flow(net: Network, run: RunResult, flow, t_in: np.ndarray,
+               u: np.ndarray) -> FlowPackets:
+    """Forward all packets of a flow hop by hop in step; packet k's hop h
+    link delay is the link's inverse CDF at u[k, h].
+
+    At each hop the live packets are grouped by (switch, in_port, tag); a
+    group's packets find their table version by binary search on the
+    switch's change times, and each (group, version) pair is resolved and
+    compared against both configurations once.
+    """
+    n, n_hops = u.shape
+    flow_id = flow.flow_id
+    timeline = run.timeline
+    old_tables, new_tables = run.old_config.tables, run.new_config.tables
+    t = t_in.copy()
+    hop_times = np.zeros((n, n_hops), dtype=np.int64)
+    hop_rows = np.zeros((n, n_hops), dtype=np.int64)
+    hops = np.zeros(n, dtype=np.int64)
+    delivered = np.zeros(n, dtype=bool)
+    stranded = np.zeros(n, dtype=bool)
+    truncated = np.zeros(n, dtype=bool)
+    agrees_old = np.ones(n, dtype=bool)
+    agrees_new = np.ones(n, dtype=bool)
+    nodes = [(flow.ingress_switch, flow.ingress_port, flow.packet.version_tag)]
+    node_ids = {nodes[0]: 0}
+    node = np.zeros(n, dtype=np.int64)   # each packet's (switch, in_port, tag)
+    rows, row_ids = [], {}
+    live = np.arange(n)
+    for h in range(n_hops):
+        if not live.size:
+            break
+        hop_times[live, h] = t[live]
+        hops[live] += 1
+        onward = []
+        groups, group_of = np.unique(node[live], return_inverse=True)
+        for g, node_id in enumerate(groups.tolist()):
+            sw, port, tag = nodes[node_id]
+            members = live[group_of == g]
+            old_action = lookup_rule(old_tables[sw], flow_id, tag, port)[0]
+            new_action = lookup_rule(new_tables[sw], flow_id, tag, port)[0]
+            versions, version_of = np.unique(timeline.versions(sw, t[members]),
+                                              return_inverse=True)
+            for v, version in enumerate(versions.tolist()):
+                ks = members[version_of == v] if len(versions) > 1 else members
+                action, gen = lookup_rule(timeline.table_version(sw, version),
+                                          flow_id, tag, port)
+                hop_rows[ks, h] = _intern(row_ids, rows, (sw, port, tag, action, gen))
+                if action != old_action:
+                    agrees_old[ks] = False
+                if action != new_action:
+                    agrees_new[ks] = False
+                if action.kind == "deliver":
+                    delivered[ks] = True
+                    continue
+                if action.kind == "drop":
+                    continue
+                peer = net.peer(sw, action.out_port)
+                if peer is None:
+                    stranded[ks] = True
+                    continue
+                t[ks] += peer[2].quantile(u[ks, h])
+                out_tag = action.new_tag if action.kind == "forward_tagged" else tag
+                node[ks] = _intern(node_ids, nodes, (peer[0], peer[1], out_tag))
+                onward.append(ks)
+        live = np.concatenate(onward) if onward else live[:0]
+    truncated[live] = True
+    return FlowPackets(flow_id, t_in, hops, delivered, truncated, stranded,
+                       agrees_old, agrees_new, hop_times, hop_rows, rows)
 
 
 def default_flow_window(run: RunResult, spacing_ns: int):
@@ -445,16 +611,23 @@ def default_flow_window(run: RunResult, spacing_ns: int):
 
 
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
-    """Inject and forward every test flow, attaching traces to the run.
+    """Inject and forward every test flow, attaching a FlowPackets per flow
+    to run.flow_traces.
 
     Each flow gets an independent generator derived from the run seed and
     the flow's position in flow-id order, so adding a flow never perturbs
-    the packets of another.
+    the packets of another. The generator draws one packets x switches
+    matrix of uniforms, row k for packet k: exactly the rows forward_packet
+    draws when it walks the same packets one by one on the same generator.
     """
+    walk_ns = len(net.switches) * max((link.delay.bound() for link in net.links), default=0)
     for idx, flow in enumerate(sorted(flows, key=lambda f: f.flow_id)):
         w = window or default_flow_window(run, flow.spacing_ns)
+        # hop times are int64 here, where the control plane's Python ints never overflow
+        if max(-w[0], w[1] + walk_ns) >= 2**63:
+            raise ValueError(f"flow {flow.flow_id}: packet times leave the int64 nanosecond range")
         rng = np.random.default_rng([run.seed, 7919 + idx])
-        traces = [forward_packet(net, run.timeline, pi, rng)
-                  for pi in inject_flow(net, flow, w)]
-        run.flow_traces[flow.flow_id] = traces
+        t_in = _injection_times(net, flow, w)
+        u = rng.random((len(t_in), len(net.switches)))
+        run.flow_traces[flow.flow_id] = _walk_flow(net, run, flow, t_in, u)
         run.flow_windows[flow.flow_id] = w

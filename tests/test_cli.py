@@ -5,8 +5,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netupdate.cli import main
+from netupdate import (
+    DELIVER,
+    Action,
+    ForwardingState,
+    SingletonUpdate,
+    SystemParameters,
+    TestFlow,
+    UpdateProcedure,
+    measure_inconsistency,
+    run_flows,
+    run_untimed,
+)
+from netupdate.cli import _run_to_dict, main
 from netupdate.config import ConfigError, Experiment, parse_duration
+from netupdate.simulator import ENGINE_VERSION
+
+from conftest import line_network
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -97,6 +112,44 @@ class TestSimulateCommand:
         assert len(inc) == 2 + 5  # meta + header + five flows
         run = json.loads((out / "run.json").read_text())
         assert set(run["flows"]) == {"f1", "f2", "f3", "f4", "f5"}
+        # the stream behind these bytes is named in both outputs
+        assert inc[0].endswith(f" engine={ENGINE_VERSION}")
+        assert run["meta"]["engine"] == ENGINE_VERSION
+        for flow in run["flows"].values():
+            assert flow["dropped"] + flow["truncated"] + flow["stranded"] <= len(flow["packets"])
+
+
+class TestRunJsonOutcomeCounts:
+    def flow_doc(self, rules):
+        """run.json's entry for ten packets of flow f on a two-switch chain."""
+        net = line_network([1_000])
+        initial = ForwardingState.from_dict(net, rules)
+        unrelated = SingletonUpdate.install("S2", {("x", None, 1): DELIVER})
+        run = run_untimed(net, UpdateProcedure(((unrelated, 1),)),
+                          SystemParameters(1_000, 1_000, 1_000, 0), initial_state=initial)
+        flow = TestFlow("f", "S1", 0, 1e6)
+        run_flows(net, run, [flow], window=(0, 10_000))
+        doc = _run_to_dict(run, "cfg", [measure_inconsistency(run, flow)])["flows"]["f"]
+        # the report and run.json read the walk's arrays; no trace objects are built
+        assert run.flow_traces["f"]._traces is None
+        return doc
+
+    def test_loop_counts_truncated(self):
+        doc = self.flow_doc({
+            "S1": {("f", None, 0): Action.forward(2), ("f", None, 2): Action.forward(2)},
+            "S2": {("f", None, 1): Action.forward(1)},
+        })
+        assert (doc["dropped"], doc["truncated"], doc["stranded"]) == (0, 10, 0)
+        assert {p["hops"] for p in doc["packets"]} == {2}
+
+    def test_unlinked_port_counts_stranded(self):
+        doc = self.flow_doc({"S1": {("f", None, 0): Action.forward(7)}})
+        assert (doc["dropped"], doc["truncated"], doc["stranded"]) == (0, 0, 10)
+
+    def test_table_miss_counts_dropped(self):
+        doc = self.flow_doc({"S1": {("f", None, 0): Action.forward(2)}})
+        assert (doc["dropped"], doc["truncated"], doc["stranded"]) == (10, 0, 0)
+        assert not any(p["delivered"] for p in doc["packets"])
 
 
 class TestSweepCommand:
@@ -162,6 +215,38 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, doc)
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "params.dn" in capsys.readouterr().err
+
+
+def sprint_flow_config(**flow0):
+    """sprint_knob.json with flows[0]'s fields replaced by flow0."""
+    doc = json.loads((CONFIGS / "sprint_knob.json").read_text())
+    doc["topology"]["path"] = str(REPO / "topologies" / "sprint.json")
+    doc["flows"][0] = {"flow_id": "f1", "ingress": "SEA", "path": ["SEA", "SAC", "ANA"],
+                       **flow0}
+    return doc
+
+
+class TestFlowErrors:
+    # 3e9 pps would space packets 0 ns apart and inject forever without the
+    # TestFlow guard; NaN and Infinity are what json.loads makes of them
+    @pytest.mark.parametrize("rate", [0, -5, "abc", 3e9, math.nan, math.inf, None])
+    def test_invalid_rate_pps_exits_two(self, tmp_path, capsys, rate):
+        cfg = write_config(tmp_path, sprint_flow_config(rate_pps=rate))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "flows[0].rate_pps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mbps", [0, "abc", 3e7, -math.inf])
+    def test_invalid_mbps_exits_two(self, tmp_path, capsys, mbps):
+        cfg = write_config(tmp_path, sprint_flow_config(mbps=mbps))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "flows[0].mbps" in capsys.readouterr().err
+
+    def test_non_adjacent_path_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sprint_flow_config(rate_pps=5000,
+                                                        path=["SEA", "ANA"]))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "flows[0].path" in err and "'SEA'" in err and "'ANA'" in err
 
 
 class TestAnalyzeTrace:

@@ -1,20 +1,27 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netupdate import (
     DELIVER,
+    DROP,
     Action,
     DelayModel,
     EventQueue,
     ForwardingState,
+    Link,
+    Network,
     RunDelays,
+    RunResult,
     SingletonUpdate,
     SystemParameters,
     TestFlow,
     TimedUpdateProcedure,
     UpdateProcedure,
+    classify_packet,
     forward_packet,
     inject_flow,
     leaf_spine,
+    measure_inconsistency,
     run_flows,
     run_timed,
     run_untimed,
@@ -257,3 +264,94 @@ class TestRunFlows:
         assert runs[0].flow_traces == runs[1].flow_traces
         assert flow.flow_id in runs[0].flow_traces
         assert len(runs[0].flow_traces[flow.flow_id]) > 10
+
+    def test_times_beyond_int64_rejected(self, testbed_params):
+        net, flow, path, init, proc = line_flow_setup(10_000_000)
+        sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
+        run = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                        seed=0, initial_state=init)
+        # arrivals at the third hop would wrap around
+        with pytest.raises(ValueError, match="int64"):
+            run_flows(net, run, [flow], window=(2**63 - 8_000_000, 2**63 - 6_000_000))
+
+
+# -- the vectorized walk against the one-packet oracle ----------------------
+
+_DELAYS = st.one_of(
+    st.integers(0, 20).map(DelayModel.constant),
+    st.integers(0, 20).map(DelayModel.uniform),
+    st.tuples(st.integers(0, 8), st.integers(1, 40)).map(
+        lambda mc: DelayModel.exponential(*mc)),
+    st.lists(st.integers(0, 20), min_size=1, max_size=4).map(DelayModel.empirical),
+)
+_TAGS = [None, "A", "B"]
+UNLINKED_PORT = 9  # no link behind it: forwarding there strands the packet
+
+
+@st.composite
+def _data_plane_cases(draw):
+    """A random small network, old state, exec timeline and flows.
+
+    Hop times are small integers, so execs often land exactly on a hop;
+    one exec always lands on an injection time.
+    """
+    switches = [f"S{i}" for i in range(1, draw(st.integers(2, 5)) + 1)]
+    next_port = dict.fromkeys(switches, 1)
+    links = []
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(switches), st.sampled_from(switches)),
+                              min_size=1, max_size=6)):
+        pa = next_port[a]
+        next_port[a] += 1
+        pb = next_port[b]
+        next_port[b] += 1
+        links.append(Link((a, pa), (b, pb), draw(_DELAYS)))
+    net = Network(tuple(switches), tuple(links), frozenset({("S1", 0)}))
+
+    def table(sw):
+        ports = sorted(net.ports[sw])
+        outs = ports + [UNLINKED_PORT]
+        # mostly forwarding actions, so that walks get long and loop; None: no rule
+        actions = ([DROP, DELIVER, None] + [Action.forward(p) for p in outs] * 2
+                   + [Action.forward_tagged(p, t) for p in outs for t in ("A", "B")])
+        keys = [(fid, tag, port) for fid in ("f", "g") for tag in _TAGS for port in ports]
+        drawn = draw(st.lists(st.sampled_from(actions), min_size=len(keys),
+                              max_size=len(keys)))
+        return {k: a for k, a in zip(keys, drawn) if a is not None}
+
+    initial = ForwardingState.from_dict(net, {sw: table(sw) for sw in switches})
+    spacing = draw(st.sampled_from([3, 7, 10]))
+    window = (0, draw(st.integers(1, 60)))
+    flows = [TestFlow(fid, "S1", 0, 1e9 / spacing) for fid in ("f", "g")]
+    injections = list(range(window[0], window[1], spacing))
+    updates = []
+    for _ in range(draw(st.integers(0, 6))):
+        sw = draw(st.sampled_from(switches))
+        entries = table(sw)
+        u = (SingletonUpdate.install(sw, entries) if draw(st.booleans())
+             else SingletonUpdate.remove(sw, list(entries)))
+        updates.append((draw(st.integers(0, 120)), u))
+    if updates:
+        updates[0] = (draw(st.sampled_from(injections)), updates[0][1])
+    updates.sort(key=lambda tu: tu[0])
+    return net, initial, updates, flows, window, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_data_plane_cases())
+def test_run_flows_matches_forward_packet_oracle(case):
+    net, initial, updates, flows, window, seed = case
+    run = RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
+                    first_send_ns=0, exec_log=[], messages=[], faults=[],
+                    old_config=initial,
+                    new_config=initial.apply(*(u for _, u in updates)),
+                    timeline=StateTimeline(net, initial, updates))
+    run_flows(net, run, flows, window=window)
+    for idx, flow in enumerate(flows):
+        rng = np.random.default_rng([seed, 7919 + idx])
+        want = [forward_packet(net, run.timeline, pi, rng)
+                for pi in inject_flow(net, flow, window)]
+        got = run.flow_traces[flow.flow_id]
+        assert len(got) == len(want)
+        assert list(got) == want
+        assert measure_inconsistency(run, flow).classes == tuple(
+            classify_packet(t, run.old_config, run.new_config) for t in want)
