@@ -3,9 +3,10 @@
 The package analyzes and executes phased forwarding-rule updates: greedy
 untimed procedures driven by delay bounds, and timed procedures where every
 phase runs at a scheduled clock time. It computes worst-case update
-durations (closed forms cross-checked against PERT longest paths),
-generates worst-case and knob-tuned schedules, simulates runs
-deterministically, and measures the per-packet inconsistency of test flows.
+durations (one closed form per execution mode, cross-checked against PERT
+longest paths), generates worst-case and knob-tuned schedules, simulates
+runs deterministically, and measures the per-packet inconsistency of test
+flows.
 """
 
 from .consistency import (
@@ -34,7 +35,6 @@ from .model import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
-    apply_singleton,
     similar,
 )
 from .planner import (
@@ -45,18 +45,13 @@ from .planner import (
     build_pert_timed_counts,
     build_pert_untimed,
     compare_timed_untimed,
-    gc_tail_duration,
-    kphase_worst_duration,
     longest_path,
-    phase_worst_duration,
-    timed_kphase_worst_duration,
-    timed_twophase_gc_worst_duration,
-    twophase_gc_worst_duration,
+    timed_worst_duration,
+    untimed_worst_duration,
     worst_case_schedule,
 )
 from .simulator import (
     ClockModel,
-    EventQueue,
     RunDelays,
     RunResult,
     StateTimeline,
@@ -66,7 +61,7 @@ from .simulator import (
     run_timed,
     run_untimed,
 )
-from .stats import DelayTrace, percentile, read_trace, sample, tail_ratio
+from .stats import DelayTrace, percentile, read_trace, tail_ratio
 from .topology import (
     haversine_km,
     label_change_update,

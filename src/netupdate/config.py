@@ -16,10 +16,8 @@ from pathlib import Path
 from . import consistency, planner, topology
 from .delays import DelayModel
 from .model import (
-    DELIVER,
     ForwardingState,
     Schedule,
-    SingletonUpdate,
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
@@ -31,6 +29,7 @@ AXES = ("N", "dc", "dn", "delta_sched", "d")
 
 _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ns|us|ms|s)\s*$")
 _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
+MAX_DURATION_NS = 10**18  # about 31.7 years
 
 
 class ConfigError(ValueError):
@@ -38,20 +37,27 @@ class ConfigError(ValueError):
 
 
 def parse_duration(value, field: str = "duration") -> int:
-    """'5.24ms' / '200us' / plain number (nanoseconds) -> integer nanoseconds."""
+    """'5.24ms' / '200us' / plain number (nanoseconds) -> integer nanoseconds.
+
+    Durations must be finite and at most MAX_DURATION_NS, so that sums of a
+    few of them stay far inside the int64 nanosecond range.
+    """
     if isinstance(value, bool):
         raise ConfigError(f"{field}: expected a duration, got {value!r}")
     if isinstance(value, (int, float)):
         if value < 0:
             raise ConfigError(f"{field}: duration must be >= 0")
-        return int(round(value))
-    if isinstance(value, str):
-        m = _DURATION_RE.match(value)
-        if m:
-            return int(round(float(m.group(1)) * _UNIT_NS[m.group(2)]))
-        if value.strip().isdigit():
-            return int(value.strip())
-    raise ConfigError(f"{field}: cannot parse duration {value!r}")
+        ns = value
+    elif isinstance(value, str) and (m := _DURATION_RE.match(value)):
+        ns = float(m.group(1)) * _UNIT_NS[m.group(2)]
+    elif isinstance(value, str) and value.strip().isdigit():
+        ns = int(value.strip())
+    else:
+        raise ConfigError(f"{field}: cannot parse duration {value!r}")
+    # NaN fails every comparison, so test for the valid range
+    if not 0 <= ns <= MAX_DURATION_NS:
+        raise ConfigError(f"{field}: duration {value!r} is not a number of ns in [0, 10^18]")
+    return int(round(ns))
 
 
 def config_hash(doc: dict) -> str:
@@ -104,22 +110,19 @@ class Point:
                     "mode: timed-knob requires a two-phase + garbage-collection procedure")
             return consistency.knob_schedule(self.start_time, self.knob_d, self.params)
         if self.mode == "simultaneous":
-            gc = self.proc.gc_phases()
-            phases = {j: self.start_time
-                      for j in range(1, self.proc.num_phases + 1) if j not in gc}
-            return Schedule.build(phases, {j: self.start_time for j in gc})
+            return Schedule.build(dict.fromkeys(range(1, self.proc.num_phases + 1),
+                                                self.start_time))
         raise ConfigError(f"mode: {self.mode!r} has no schedule")
 
     def plan(self):
         """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point."""
-        gc = self.proc.gc_phases()
-        untimed = planner.longest_path(
-            planner.build_pert_untimed(self.proc, self.params, gc)).worst_case
-        if self.mode in ("timed-worst-case", "timed-knob", "simultaneous"):
+        counts, gc = self.proc.phase_counts(), self.proc.gc_phases()
+        untimed = planner.untimed_worst_duration(counts, self.params, gc)
+        if self.mode in ("timed-knob", "simultaneous"):
             sched = self.schedule()
+            timed = sched.last_time() + self.params.delta_sched - sched.first_time()
         else:
-            sched = planner.worst_case_schedule(self.proc, self.start_time, self.params)
-        timed = sched.last_time() + self.params.delta_sched - sched.first_time()
+            timed = planner.timed_worst_duration(counts, self.params, gc)
         return untimed, timed, timed < untimed
 
     def run(self, seed: int):
@@ -141,23 +144,14 @@ class Point:
 
 
 def _kphase_items(net, phase_sets, gc_phases):
-    items = []
-    state_rules = {}
-    for j, switches in enumerate(phase_sets, start=1):
+    known = set(net.switches)
+    for j, switches in enumerate(phase_sets):
         if not switches:
-            raise ConfigError(f"procedure.phases[{j - 1}]: phase must not be empty")
+            raise ConfigError(f"procedure.phases[{j}]: phase must not be empty")
         for sw in switches:
-            if sw not in set(net.switches):
-                raise ConfigError(f"procedure.phases[{j - 1}]: unknown switch {sw!r}")
-            port = min(net.ports[sw]) if net.ports[sw] else 0
-            key = ("policy", f"v{j}", port)
-            if j in gc_phases:
-                items.append((SingletonUpdate.remove(sw, [key]), j))
-                state_rules.setdefault(sw, {})[key] = DELIVER
-            else:
-                items.append((SingletonUpdate.install(sw, {key: DELIVER}), j))
-    initial = ForwardingState.from_dict(net, state_rules)
-    return UpdateProcedure(tuple(items)), initial
+            if sw not in known:
+                raise ConfigError(f"procedure.phases[{j}]: unknown switch {sw!r}")
+    return topology.stub_update(net, phase_sets, gc_phases)
 
 
 class Experiment:
@@ -264,12 +258,16 @@ class Experiment:
             rate_key = next((k for k in ("rate_pps", "mbps") if k in spec), None)
             if rate_key is None:
                 raise ConfigError(f"{field}.rate_pps: required (or mbps)")
+            packet_bytes = spec.get("packet_bytes", 1000)
+            if rate_key == "mbps" and (isinstance(packet_bytes, bool)
+                                       or not isinstance(packet_bytes, int) or packet_bytes <= 0):
+                raise ConfigError(f"{field}.packet_bytes: expected a positive integer, "
+                                  f"got {packet_bytes!r}")
             try:
-                rate = float(spec[rate_key])
-                if rate_key == "mbps":
-                    rate = rate * 1e6 / (spec.get("packet_bytes", 1000) * 8)
-                flow = consistency.TestFlow(spec["flow_id"], spec["ingress"],
-                                            topology.INGRESS_PORT, rate)
+                args = (spec["flow_id"], spec["ingress"], topology.INGRESS_PORT,
+                        float(spec[rate_key]))
+                flow = (consistency.TestFlow.from_bitrate(*args, packet_bytes)
+                        if rate_key == "mbps" else consistency.TestFlow(*args))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{field}.{rate_key}: {exc}") from None
             if flow.flow_id in paths:

@@ -130,7 +130,7 @@ def knob_schedule(t1: int, d: int, params: SystemParameters) -> Schedule:
         raise ValueError("knob d must be >= 0")
     t2 = t1 + params.delta_sched
     tg = t2 + params.delta_sched + d
-    return Schedule.build({1: t1, 2: t2}, {3: tg}, knob_d=d)
+    return Schedule.build({1: t1, 2: t2, 3: tg})
 
 
 def simultaneous_schedule(t: int) -> Schedule:
@@ -139,4 +139,4 @@ def simultaneous_schedule(t: int) -> Schedule:
     No rule duplication interval at all, at the cost of an inconsistency
     equal to the network traversal time.
     """
-    return Schedule.build({1: t, 2: t}, {3: t})
+    return Schedule.build({1: t, 2: t, 3: t})

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .delays import DelayModel
 
@@ -89,9 +90,6 @@ class Packet:
     flow_id: str
     version_tag: str | None = None
 
-    def with_tag(self, tag: str) -> "Packet":
-        return Packet(self.flow_id, tag)
-
 
 @dataclass(frozen=True)
 class PacketInstance:
@@ -152,11 +150,17 @@ class Network:
         """(peer_switch, peer_port, delay_model) reachable out of ``port``, or None."""
         return self._peer.get((switch, port))
 
-    def link_between(self, a: str, b: str) -> Link | None:
+    @cached_property
+    def _between(self) -> dict:
+        # built on first use: fabrics without flows never look a link up
+        out = {}
         for link in self.links:
-            if {link.a[0], link.b[0]} == {a, b}:
-                return link
-        return None
+            out.setdefault(frozenset((link.a[0], link.b[0])), link)
+        return out
+
+    def link_between(self, a: str, b: str) -> Link | None:
+        """The first link joining switches a and b, in either direction."""
+        return self._between.get(frozenset((a, b)))
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,12 @@ class ForwardingState:
         return lookup_rule(self.tables[switch], flow_id, tag, port)
 
     def apply(self, *updates: SingletonUpdate) -> "ForwardingState":
-        """Pure application of singleton updates in order; see apply_singleton.
+        """Pure application of singleton updates in order.
+
+        Install: the target switch behaves like the update's entries on its
+        domain and as before elsewhere; installed entries carry generation
+        "new". Remove: the listed keys are deleted; deleting an absent key is
+        a warned no-op so garbage collection stays idempotent.
 
         Copy-on-write: each changed table is copied once, however many
         updates target it, so folding a whole procedure costs
@@ -269,17 +278,6 @@ class ForwardingState:
                     else:
                         del table[key]
         return ForwardingState(tables)
-
-
-def apply_singleton(state: ForwardingState, update: SingletonUpdate) -> ForwardingState:
-    """Replace the target switch's behavior on the update's domain.
-
-    Install: the new state behaves like the update's entries on its domain
-    and like ``state`` elsewhere; installed entries carry generation "new".
-    Remove: the listed keys are deleted; deleting an absent key is a warned
-    no-op so garbage collection stays idempotent.
-    """
-    return state.apply(update)
 
 
 @dataclass(frozen=True)
@@ -326,45 +324,36 @@ class UpdateProcedure:
 class Schedule:
     """Clock times for each phase of a timed procedure.
 
-    Regular phases live in phase_times, garbage-collection phases in
-    gc_times; both map phase number to a clock time. Times must be
-    non-decreasing in phase order (equal times model a simultaneous
-    update, which a zero scheduling error makes exact).
+    times is a sorted tuple of (phase, clock time). Times must be
+    non-decreasing in phase order (equal times model a simultaneous update,
+    which a zero scheduling error makes exact). Which phases collect garbage
+    is the procedure's business, not the schedule's.
     """
 
-    phase_times: tuple  # sorted tuple of (phase, time)
-    gc_times: tuple = ()
-    knob_d: int | None = None
+    times: tuple  # sorted tuple of (phase, time)
 
     @classmethod
-    def build(cls, phase_times: dict, gc_times: dict | None = None,
-              knob_d: int | None = None) -> "Schedule":
-        gc_times = gc_times or {}
-        overlap = set(phase_times) & set(gc_times)
-        if overlap:
-            raise ValueError(f"phases {sorted(overlap)} appear in both time maps")
-        sched = cls(tuple(sorted(phase_times.items())),
-                    tuple(sorted(gc_times.items())), knob_d)
-        merged = sched.times_by_phase()
-        ordered = [merged[p] for p in sorted(merged)]
+    def build(cls, times: dict) -> "Schedule":
+        sched = cls(tuple(sorted(times.items())))
+        ordered = [t for _, t in sched.times]
         if any(b < a for a, b in zip(ordered, ordered[1:])):
             raise ValueError("schedule times must be non-decreasing in phase order")
         return sched
 
     def times_by_phase(self) -> dict:
-        return dict(self.phase_times) | dict(self.gc_times)
+        return dict(self.times)
 
     def time_for_phase(self, phase: int) -> int:
-        merged = self.times_by_phase()
-        if phase not in merged:
-            raise KeyError(f"no scheduled time for phase {phase}")
-        return merged[phase]
+        for p, t in self.times:
+            if p == phase:
+                return t
+        raise KeyError(f"no scheduled time for phase {phase}")
 
     def first_time(self) -> int:
-        return min(self.times_by_phase().values())
+        return self.times[0][1]
 
     def last_time(self) -> int:
-        return max(self.times_by_phase().values())
+        return self.times[-1][1]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Worst-case analysis of update procedures.
 
 Two routes to every worst-case duration: an explicit PERT graph whose
-longest path is the answer, and closed-form formulas. The graph is the
-oracle; the formulas must agree with it exactly (integer arithmetic), and
-the test suite holds them to that.
+longest path is the answer, and one closed form per execution mode
+(untimed_worst_duration, timed_worst_duration) over the phase counts and
+the garbage-collection phases. The closed forms are what the package
+uses; the graph is their oracle, which they must match exactly (integer
+arithmetic), and the test suite holds them to that.
 
 Untimed graphs model a greedy controller: within a phase consecutive
 message sends are at most delta_msg apart; after the last message of a
@@ -92,6 +94,16 @@ def longest_path(graph: PertGraph, source: str = C_START, sink: str = C_FIN) -> 
     return DurationReport(dist[sink], tuple(path))
 
 
+def _phase_counts(phase_counts) -> list:
+    """The per-phase update counts as a list; every phase needs an update."""
+    counts = list(phase_counts)
+    if not counts:
+        raise ValueError("procedure must have at least one phase")
+    if any(n < 1 for n in counts):
+        raise ValueError("every phase must contain at least one update")
+    return counts
+
+
 def build_pert_counts(phase_counts, params: SystemParameters,
                       gc_phases=frozenset()) -> PertGraph:
     """Untimed greedy PERT graph from per-phase message counts.
@@ -100,11 +112,7 @@ def build_pert_counts(phase_counts, params: SystemParameters,
     The boundary into a garbage-collection phase waits for the network to
     drain, hence the d_n term in its weight.
     """
-    counts = list(phase_counts)
-    if not counts:
-        raise ValueError("procedure must have at least one phase")
-    if any(n < 1 for n in counts):
-        raise ValueError("every phase must contain at least one update")
+    counts = _phase_counts(phase_counts)
     gc_phases = frozenset(gc_phases)
 
     nodes = [C_START, C_FIN]
@@ -140,11 +148,7 @@ def build_pert_untimed(proc: UpdateProcedure, params: SystemParameters,
 def build_pert_timed_counts(phase_counts, params: SystemParameters,
                             gc_phases=frozenset()) -> PertGraph:
     """Timed PERT graph: scheduled phase instants X[j] plus execution windows."""
-    counts = list(phase_counts)
-    if not counts:
-        raise ValueError("procedure must have at least one phase")
-    if any(n < 1 for n in counts):
-        raise ValueError("every phase must contain at least one update")
+    counts = _phase_counts(phase_counts)
     gc_phases = frozenset(gc_phases)
 
     nodes = [C_START, C_FIN]
@@ -176,56 +180,30 @@ def build_pert_timed(proc: UpdateProcedure, params: SystemParameters,
 # closed forms
 
 
-def phase_worst_duration(n_j: int, params: SystemParameters) -> int:
-    """Worst case for one phase of n_j updates: (n_j - 1) * delta_msg + d_c."""
-    if n_j < 1:
-        raise ValueError("phase must contain at least one update")
-    return (n_j - 1) * params.delta_msg + params.d_c
+def untimed_worst_duration(phase_counts, params: SystemParameters,
+                           gc_phases=frozenset()) -> int:
+    """Worst case of an untimed greedy procedure with N_j updates in phase j:
+
+        sum_j (N_j - 1) * delta_msg
+        + sum_{j=2..k} max(delta_msg, d_c + [j in gc] * d_n)
+        + d_c
+
+    the message gaps, one wait per phase boundary (a garbage-collection
+    phase also waits for the network to drain) and the last message's d_c.
+    """
+    counts = _phase_counts(phase_counts)
+    waits = sum(max(params.delta_msg, params.d_c + (params.d_n if j in gc_phases else 0))
+                for j in range(2, len(counts) + 1))
+    return sum(n - 1 for n in counts) * params.delta_msg + waits + params.d_c
 
 
-def kphase_worst_duration(phase_counts, params: SystemParameters) -> int:
-    """Worst case for an untimed greedy k-phase procedure without garbage collection."""
-    counts = list(phase_counts)
-    if not counts:
-        raise ValueError("procedure must have at least one phase")
-    if any(n < 1 for n in counts):
-        raise ValueError("every phase must contain at least one update")
-    k = len(counts)
-    return (sum(n - 1 for n in counts) * params.delta_msg
-            + (k - 1) * max(params.delta_msg, params.d_c)
-            + params.d_c)
-
-
-def gc_tail_duration(ng_j: int, params: SystemParameters) -> int:
-    """Worst case from the last pre-GC message until garbage collection finishes."""
-    if ng_j < 1:
-        raise ValueError("garbage collection phase must contain at least one update")
-    return (max(params.delta_msg, params.d_c + params.d_n)
-            + (ng_j - 1) * params.delta_msg
-            + params.d_c)
-
-
-def twophase_gc_worst_duration(n1: int, n2: int, ng1: int,
-                               params: SystemParameters) -> int:
-    """Worst case for an untimed two-phase procedure with a garbage-collection phase."""
-    if min(n1, n2, ng1) < 1:
-        raise ValueError("all phase counts must be >= 1")
-    return ((n1 + n2 + ng1 - 3) * params.delta_msg
-            + max(params.delta_msg, params.d_c)
-            + max(params.delta_msg, params.d_c + params.d_n)
-            + params.d_c)
-
-
-def timed_kphase_worst_duration(k: int, params: SystemParameters) -> int:
-    """Worst case for a timed k-phase procedure under a worst-case schedule: k * delta_sched."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k * params.delta_sched
-
-
-def timed_twophase_gc_worst_duration(params: SystemParameters) -> int:
-    """Worst case for a timed two-phase + garbage collection procedure: d_n + 3 * delta_sched."""
-    return params.d_n + 3 * params.delta_sched
+def timed_worst_duration(phase_counts, params: SystemParameters,
+                         gc_phases=frozenset()) -> int:
+    """Worst case of a timed k-phase procedure under its worst-case schedule:
+    k * delta_sched, plus d_n in front of every garbage-collection phase
+    other than phase 1."""
+    k = len(_phase_counts(phase_counts))
+    return k * params.delta_sched + params.d_n * len(set(gc_phases) & set(range(2, k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +216,14 @@ def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters
 
     Consecutive phases are delta_sched apart; a garbage-collection phase
     additionally waits d_n after its predecessor so en-route packets carrying
-    the superseded tag drain before their rules disappear. gc times are keyed
-    by the garbage-collection phase's own number in the procedure.
+    the superseded tag drain before their rules disappear.
     """
     if gc_phases is None:
         gc_phases = proc.gc_phases()
-    phase_times, gc_times = {}, {}
-    t_prev = None
-    for j in range(1, proc.num_phases + 1):
-        if j == 1:
-            t = t1
-        elif j in gc_phases:
-            t = t_prev + params.delta_sched + params.d_n
-        else:
-            t = t_prev + params.delta_sched
-        (gc_times if j in gc_phases else phase_times)[j] = t
-        t_prev = t
-    return Schedule.build(phase_times, gc_times)
+    times = {1: t1}
+    for j in range(2, proc.num_phases + 1):
+        times[j] = times[j - 1] + params.delta_sched + (params.d_n if j in gc_phases else 0)
+    return Schedule.build(times)
 
 
 @dataclass(frozen=True)
@@ -273,6 +242,7 @@ def compare_timed_untimed(proc: UpdateProcedure, params: SystemParameters,
     """
     if gc_phases is None:
         gc_phases = proc.gc_phases()
-    untimed = longest_path(build_pert_untimed(proc, params, gc_phases)).worst_case
-    timed = longest_path(build_pert_timed(proc, params, gc_phases)).worst_case
+    counts = proc.phase_counts()
+    untimed = untimed_worst_duration(counts, params, gc_phases)
+    timed = timed_worst_duration(counts, params, gc_phases)
     return TimedUntimedComparison(timed, untimed, timed < untimed)

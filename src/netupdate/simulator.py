@@ -1,10 +1,11 @@
 """Deterministic discrete-event execution of update procedures.
 
 A run is two stages. The control-plane stage executes the controller and
-switch behaviors (greedy untimed, or scheduled timed) through an event
-queue and produces a state timeline: every switch's rule table as a
-function of real time. Packets never influence switch state, so the split
-loses nothing and keeps both stages reproducible from a single seed.
+switch behaviors (greedy untimed, or scheduled timed), orders the
+executions by (time, message index) and produces a state timeline: every
+switch's rule table as a function of real time. Packets never influence
+switch state, so the split loses nothing and keeps both stages
+reproducible from a single seed.
 
 The data-plane stage walks injected test-flow packets through that
 timeline. Each flow's generator draws one uniform per (packet, hop slot),
@@ -21,7 +22,6 @@ alone; a differential test holds the two to identical traces and classes.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -29,7 +29,6 @@ import numpy as np
 
 from .delays import DelayModel
 from .model import (
-    GEN_NEW,
     ForwardingState,
     Network,
     PacketInstance,
@@ -78,29 +77,6 @@ class RunDelays:
         return cls(DelayModel.uniform(params.d_c), DelayModel.uniform(params.delta_msg))
 
 
-class EventQueue:
-    """Min-priority queue on (time, insertion sequence).
-
-    Events with equal timestamps dequeue in insertion order, which pins down
-    the one source of nondeterminism a heap would otherwise introduce.
-    """
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-
-    def push(self, time_ns: int, payload) -> None:
-        heapq.heappush(self._heap, (time_ns, self._seq, payload))
-        self._seq += 1
-
-    def pop(self):
-        time_ns, seq, payload = heapq.heappop(self._heap)
-        return time_ns, seq, payload
-
-    def __len__(self):
-        return len(self._heap)
-
-
 @dataclass(frozen=True)
 class ExecRecord:
     """One singleton update taking effect on a switch."""
@@ -137,22 +113,18 @@ class StateTimeline:
     """Per-switch rule tables as a step function of real time.
 
     Version 0 of a switch's table is its initial table; version v is the
-    table after the switch's v-th executed update.
+    table after the switch's v-th executed update, folded in execution
+    order through ForwardingState.apply.
     """
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
         self._times = {s: [] for s in net.switches}
         self._tables = {s: [initial.switch_table(s)] for s in net.switches}
+        state = initial
         for time_ns, update in execs:
-            table = dict(self._tables[update.target][-1])
-            if update.mode == "install":
-                for key, action in update.entries:
-                    table[key] = (action, GEN_NEW)
-            else:
-                for key, _ in update.entries:
-                    table.pop(key, None)
+            state = state.apply(update)
             self._times[update.target].append(time_ns)
-            self._tables[update.target].append(table)
+            self._tables[update.target].append(state.switch_table(update.target))
 
     def versions(self, switch: str, times: np.ndarray) -> np.ndarray:
         """Table version in force at each of the given instants (bulk table_at)."""
@@ -207,23 +179,24 @@ class RunResult:
         return self.last_exec_ns - self.first_exec_ns
 
 
-def _finish_run(mode, seed, params, first_send, queue, messages, faults,
+def _finish_run(mode, seed, params, first_send, execs, messages, faults,
                 net, initial, proc, sched_first=None, sched_last=None) -> RunResult:
-    exec_log = []
-    execs = []
-    while len(queue):
-        time_ns, _, (update, phase, msg_index) = queue.pop()
-        exec_log.append(ExecRecord(time_ns, update.target, phase, update.mode, msg_index))
-        execs.append((time_ns, update))
-        messages.append(LogLine(time_ns, "exec", update.target, "-", phase,
-                                f"msg={msg_index} mode={update.mode}"))
+    """Order the (time, msg_index, phase, update) executions and fold them.
+
+    Executions at equal times take effect in message order, which pins down
+    the run; the new configuration folds the whole procedure in message order.
+    """
+    execs = sorted(execs, key=lambda e: e[:2])
+    exec_log = [ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs]
+    messages += [LogLine(t, "exec", u.target, "-", phase, f"msg={idx} mode={u.mode}")
+                 for t, idx, phase, u in execs]
     new_config = initial.apply(*(u for _, _, u in _ordered_messages(proc)))
     messages.sort(key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
     return RunResult(
         mode=mode, seed=seed, params=params, first_send_ns=first_send,
         exec_log=exec_log, messages=messages, faults=faults,
         old_config=initial, new_config=new_config,
-        timeline=StateTimeline(net, initial, execs),
+        timeline=StateTimeline(net, initial, [(t, u) for t, _, _, u in execs]),
         sched_first_ns=sched_first, sched_last_ns=sched_last)
 
 
@@ -261,8 +234,7 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
     if gc_phases is None:
         gc_phases = proc.gc_phases()
     rng = np.random.default_rng(seed)
-    queue = EventQueue()
-    messages, faults = [], []
+    execs, messages, faults = [], [], []
 
     t = start_time
     prev_send, prev_phase = None, None
@@ -289,10 +261,10 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
                                 f"ctrl delay {ctrl} > d_c {params.d_c}"))
         messages.append(LogLine(t, "send", "ctrl", update.target, phase,
                                 f"msg={idx} mode={update.mode}"))
-        queue.push(t + ctrl, (update, phase, idx))
+        execs.append((t + ctrl, idx, phase, update))
         prev_send, prev_phase = t, phase
 
-    return _finish_run("untimed", seed, params, start_time, queue, messages,
+    return _finish_run("untimed", seed, params, start_time, execs, messages,
                        faults, net, initial, proc)
 
 
@@ -319,8 +291,7 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
     if clock.sync_err + clock.exec_err != params.delta_sched:
         raise ValueError("clock error budget must sum to delta_sched")
     rng = np.random.default_rng(seed)
-    queue = EventQueue()
-    messages, faults = [], []
+    execs, messages, faults = [], [], []
 
     msgs = _ordered_messages(proc)
     count = len(msgs)
@@ -369,9 +340,9 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
             exec_time = planned
         messages.append(LogLine(t, "send", "ctrl", update.target, phase,
                                 f"msg={idx} mode={update.mode} sched={sched_t}"))
-        queue.push(exec_time, (update, phase, idx))
+        execs.append((exec_time, idx, phase, update))
 
-    return _finish_run("timed", seed, params, send_time, queue, messages, faults,
+    return _finish_run("timed", seed, params, send_time, execs, messages, faults,
                        net, initial, proc,
                        sched_first=sched_first, sched_last=schedule.last_time())
 

@@ -12,10 +12,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .delays import DelayModel
-
 
 @dataclass(frozen=True)
 class DelayTrace:
@@ -59,11 +55,6 @@ def tail_ratio(trace: DelayTrace, p: float) -> float:
     if m <= 0:
         raise ValueError("tail ratio undefined for zero-mean trace")
     return percentile(trace, p) / m
-
-
-def sample(model: DelayModel, rng: np.random.Generator) -> int:
-    """Draw one delay from the model, advancing the generator deterministically."""
-    return model.sample(rng)
 
 
 def read_trace(path) -> DelayTrace:

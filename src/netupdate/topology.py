@@ -135,15 +135,10 @@ def _hop_plan(net: Network, ingress_port: int, path):
             plan.append((sw, in_port, None))
             break
         nxt = path[pos + 1]
-        out_port = None
-        for port in sorted(net.ports[sw]):
-            peer = net.peer(sw, port)
-            if peer and peer[0] == nxt:
-                out_port = port
-                next_in = peer[1]
-                break
-        if out_port is None:
+        link = net.link_between(sw, nxt)
+        if link is None:
             raise ValueError(f"no link between {sw!r} and {nxt!r}")
+        (_, out_port), (_, next_in) = (link.a, link.b) if link.a[0] == sw else (link.b, link.a)
         plan.append((sw, in_port, out_port))
         in_port = next_in
     return plan
@@ -244,41 +239,49 @@ def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
     return initial, UpdateProcedure(tuple(items))
 
 
+def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None,
+                flow_id: str = "policy"):
+    """Procedure of one-rule stub updates, for duration experiments where
+    only message counts matter, and the initial state it starts from.
+
+    Phase j gives each of its switches one DELIVER rule keyed
+    (flow_id, tags[j-1], the switch's lowest port or 0); tags default to
+    "v1", "v2", .... A garbage-collection phase removes that rule, so the
+    initial state holds it; every other phase installs it.
+
+    Returns (UpdateProcedure, initial ForwardingState).
+    """
+    tags = tags or [f"v{j}" for j in range(1, len(phase_sets) + 1)]
+    items, initial = [], {}
+    for j, (switches, tag) in enumerate(zip(phase_sets, tags), start=1):
+        for sw in switches:
+            key = (flow_id, tag, min(net.ports[sw], default=0))
+            if j in gc_phases:
+                items.append((SingletonUpdate.remove(sw, [key]), j))
+                initial.setdefault(sw, {})[key] = DELIVER
+            else:
+                items.append((SingletonUpdate.install(sw, {key: DELIVER}), j))
+    return UpdateProcedure(tuple(items)), ForwardingState.from_dict(net, initial)
+
+
 def policy_update(net: Network, phase2_switches=None, with_gc: bool = True,
                   flow_id: str = "policy") -> UpdateProcedure:
     """Generic fabric-wide policy update in the two-phase + GC shape.
 
-    Phase 1 touches every switch, phase 2 the given subset (defaults to the
-    leaf switches for a leaf-spine fabric), and the garbage-collection phase
-    again touches every switch. Used for duration experiments where only
-    message counts matter, so the installed entries are a minimal stub.
+    Phase 1 installs the new-tag ("B") stub on every switch, phase 2 the
+    wildcard stub on the given subset (defaults to the leaf switches for a
+    leaf-spine fabric), and the garbage-collection phase removes the old-tag
+    ("A") stub from every switch again.
     """
     if phase2_switches is None:
         phase2_switches = leaf_switches(net)
         if not phase2_switches:
             raise ValueError("phase2_switches required for non-leaf-spine networks")
-    def port_of(sw):
-        ports = net.ports[sw]
-        return min(ports) if ports else 0
-
-    items = []
-    for sw in net.switches:
-        items.append((SingletonUpdate.install(
-            sw, {(flow_id, "B", port_of(sw)): DELIVER}), 1))
-    for sw in phase2_switches:
-        items.append((SingletonUpdate.install(
-            sw, {(flow_id, None, port_of(sw)): DELIVER}), 2))
-    if with_gc:
-        for sw in net.switches:
-            items.append((SingletonUpdate.remove(
-                sw, [(flow_id, "A", port_of(sw))]), 3))
-    return UpdateProcedure(tuple(items))
+    phases = [net.switches, phase2_switches] + ([net.switches] if with_gc else [])
+    return stub_update(net, phases, {3}, ["B", None, "A"], flow_id)[0]
 
 
 def policy_initial_state(net: Network, flow_id: str = "policy") -> ForwardingState:
-    """Pre-update state matching policy_update, so garbage collection has rules to remove."""
-    rules = {}
-    for sw in net.switches:
-        port = min(net.ports[sw]) if net.ports[sw] else 0
-        rules[sw] = {(flow_id, "A", port): DELIVER, (flow_id, None, port): DELIVER}
-    return ForwardingState.from_dict(net, rules)
+    """Pre-update state matching policy_update, so garbage collection has rules
+    to remove: the old-tag and the wildcard stub on every switch."""
+    return stub_update(net, [net.switches] * 2, {1, 2}, ["A", None], flow_id)[1]

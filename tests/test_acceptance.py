@@ -20,22 +20,18 @@ from netupdate import (
     build_pert_counts,
     build_pert_timed_counts,
     compare_timed_untimed,
-    gc_tail_duration,
-    kphase_worst_duration,
     knob_schedule,
     leaf_spine,
     load_topology,
     longest_path,
     measure_inconsistency,
-    phase_worst_duration,
     run_flows,
     run_timed,
     run_untimed,
     simultaneous_schedule,
     tail_ratio,
-    timed_kphase_worst_duration,
-    timed_twophase_gc_worst_duration,
-    twophase_gc_worst_duration,
+    timed_worst_duration,
+    untimed_worst_duration,
     worst_case_schedule,
 )
 from netupdate.cli import main as cli_main
@@ -83,20 +79,20 @@ def test_criterion_1_formula_oracle_equivalence():
         counts = [rng.randint(1, 10) for _ in range(k)]
         p = random_params(rng)
 
-        assert (phase_worst_duration(counts[0], p)
+        assert (untimed_worst_duration([counts[0]], p)
                 == longest_path(build_pert_counts([counts[0]], p)).worst_case)
-        assert (kphase_worst_duration(counts, p)
+        assert (untimed_worst_duration(counts, p)
                 == longest_path(build_pert_counts(counts, p)).worst_case)
         ng = rng.randint(1, 10)
-        assert (gc_tail_duration(ng, p)
+        assert (untimed_worst_duration([1, ng], p, {2})
                 == longest_path(build_pert_counts([1, ng], p, gc_phases={2})).worst_case)
         n1, n2, ng1 = (rng.randint(1, 10) for _ in range(3))
-        assert (twophase_gc_worst_duration(n1, n2, ng1, p)
+        assert (untimed_worst_duration([n1, n2, ng1], p, {3})
                 == longest_path(build_pert_counts([n1, n2, ng1], p,
                                                   gc_phases={3})).worst_case)
-        assert (timed_kphase_worst_duration(k, p)
+        assert (timed_worst_duration(counts, p)
                 == longest_path(build_pert_timed_counts(counts, p)).worst_case)
-        assert (timed_twophase_gc_worst_duration(p)
+        assert (timed_worst_duration([n1, n2, ng1], p, {3})
                 == longest_path(build_pert_timed_counts([n1, n2, ng1], p,
                                                         gc_phases={3})).worst_case)
     elapsed = time.monotonic() - started
@@ -131,9 +127,9 @@ def test_criterion_3_simulation_bound_compliance():
     net = leaf_spine(12)
     proc = policy_update(net)
     init = policy_initial_state(net)
-    untimed_worst = twophase_gc_worst_duration(12, 8, 12, TABLE_PARAMS)
+    untimed_worst = untimed_worst_duration([12, 8, 12], TABLE_PARAMS, {3})
     assert untimed_worst == 167_305_000
-    timed_worst = timed_twophase_gc_worst_duration(TABLE_PARAMS)
+    timed_worst = timed_worst_duration([12, 8, 12], TABLE_PARAMS, {3})
     assert timed_worst == 4_153_000
     sched = worst_case_schedule(proc, 1_000 * MS, TABLE_PARAMS)
     tproc = TimedUpdateProcedure(proc, sched)
@@ -223,9 +219,9 @@ def test_criterion_7_duration_tradeoff_figures():
     scheduling error fixed at 100 ms, the timed/untimed crossover sits exactly
     where the closed-form inequality flips."""
     grid = [6, 12, 24, 36, 48]
-    untimed = [twophase_gc_worst_duration(n, 2 * n // 3, n, TABLE_PARAMS)
+    untimed = [untimed_worst_duration([n, 2 * n // 3, n], TABLE_PARAMS, {3})
                for n in grid]
-    timed = [timed_twophase_gc_worst_duration(TABLE_PARAMS) for _ in grid]
+    timed = [timed_worst_duration([n, 2 * n // 3, n], TABLE_PARAMS, {3}) for n in grid]
     assert all(b > a for a, b in zip(untimed, untimed[1:]))
     assert set(timed) == {4_153_000}
     slope, intercept = np.polyfit(grid, untimed, 1)
@@ -243,7 +239,7 @@ def test_criterion_7_duration_tradeoff_figures():
         p = SystemParameters(d_c=dc_ms * MS, d_n=DN_NS, delta_msg=DELTA_NS,
                              delta_sched=100 * MS)
         lhs = p.d_n + 3 * p.delta_sched
-        rhs = twophase_gc_worst_duration(12, 8, 12, p)
+        rhs = untimed_worst_duration([12, 8, 12], p, {3})
         out = compare_timed_untimed(proc, p)
         assert out.timed == lhs and out.untimed == rhs
         assert out.timed_wins == (lhs < rhs), dc_ms

@@ -59,6 +59,15 @@ class TestParseDuration:
         with pytest.raises(ConfigError):
             parse_duration(bad, "field")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**18 + 1, 1e19,
+                                     "2000000000s", "1000000000000000001"])
+    def test_non_finite_and_beyond_cap_rejected(self, bad):
+        with pytest.raises(ConfigError, match="field"):
+            parse_duration(bad, "field")
+
+    def test_cap_itself_accepted(self):
+        assert parse_duration(10**18) == parse_duration("1000000000s") == 10**18
+
 
 class TestPlanCommand:
     def test_n_sweep_columns(self, tmp_path):
@@ -241,12 +250,36 @@ class TestFlowErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "flows[0].mbps" in capsys.readouterr().err
 
+    # 0 used to divide by zero (exit 3); -8 and "abc" named flows[0].mbps
+    @pytest.mark.parametrize("packet_bytes", [0, -8, "abc", True, 1.5])
+    def test_invalid_packet_bytes_exits_two(self, tmp_path, capsys, packet_bytes):
+        cfg = write_config(tmp_path, sprint_flow_config(mbps=40, packet_bytes=packet_bytes))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "flows[0].packet_bytes" in capsys.readouterr().err
+
     def test_non_adjacent_path_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sprint_flow_config(rate_pps=5000,
                                                         path=["SEA", "ANA"]))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "flows[0].path" in err and "'SEA'" in err and "'ANA'" in err
+
+
+class TestDurationErrors:
+    # json.loads reads NaN as nan and 1e400 as infinity; all three used to
+    # exit 3 (ValueError, OverflowError, the int64 guard of run_flows)
+    @pytest.mark.parametrize("field,literal", [
+        ("params.dc", "NaN"), ("params.dc", "1e400"), ("start_time", "9.3e18")])
+    def test_out_of_range_duration_exits_two(self, tmp_path, capsys, field, literal):
+        doc = sprint_flow_config(rate_pps=5000)
+        if field == "start_time":
+            doc["start_time"] = "@"
+        else:
+            doc["params"]["dc"] = "@"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', literal))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestAnalyzeTrace:

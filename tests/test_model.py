@@ -16,7 +16,6 @@ from netupdate import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
-    apply_singleton,
     similar,
 )
 
@@ -93,7 +92,7 @@ class TestForwardingState:
         net = two_switch_net()
         state = ForwardingState.from_dict(net, {"S1": {("f1", None, 0): Action.forward(3)}})
         u = SingletonUpdate.install("S1", {("f1", None, 0): Action.forward(2)})
-        out = apply_singleton(state, u)
+        out = state.apply(u)
         assert out.lookup("S1", "f1", None, 0) == (Action.forward(2), "new")
         # original untouched (pure function)
         assert state.lookup("S1", "f1", None, 0) == (Action.forward(3), "old")
@@ -101,28 +100,28 @@ class TestForwardingState:
     def test_empty_update_is_identity(self):
         net = two_switch_net()
         state = ForwardingState.from_dict(net, {"S1": {("f", None, 0): DELIVER}})
-        assert apply_singleton(state, SingletonUpdate.install("S1", {})) == state
+        assert state.apply(SingletonUpdate.install("S1", {})) == state
 
     def test_remove_then_lookup_drops(self):
         net = two_switch_net()
         key = ("f", "A", 0)
         state = ForwardingState.from_dict(net, {"S1": {key: DELIVER}})
-        out = apply_singleton(state, SingletonUpdate.remove("S1", [key]))
+        out = state.apply(SingletonUpdate.remove("S1", [key]))
         assert out.lookup("S1", "f", "A", 0) == (DROP, None)
 
     def test_remove_missing_is_warned_noop(self, caplog):
         net = two_switch_net()
         state = ForwardingState.empty(net)
         with caplog.at_level(logging.WARNING, logger="netupdate.model"):
-            out = apply_singleton(state, SingletonUpdate.remove("S1", [("f", "A", 0)]))
+            out = state.apply(SingletonUpdate.remove("S1", [("f", "A", 0)]))
         assert out == state
         assert any("already absent" in r.message for r in caplog.records)
 
     def test_install_idempotent(self):
         net = two_switch_net()
         u = SingletonUpdate.install("S1", {("f", "A", 0): DELIVER})
-        once = apply_singleton(ForwardingState.empty(net), u)
-        assert apply_singleton(once, u) == once
+        once = ForwardingState.empty(net).apply(u)
+        assert once.apply(u) == once
 
 
 # random small states and updates for the purity/idempotence properties
@@ -142,7 +141,7 @@ def test_apply_only_changes_update_domain(table, update_entries, mode):
         u = SingletonUpdate.install("S1", update_entries)
     else:
         u = SingletonUpdate.remove("S1", list(update_entries))
-    out = apply_singleton(state, u)
+    out = state.apply(u)
     domain = {k for k, _ in u.entries}
     for key in set(table) | domain:
         flow, tag, port = key
@@ -154,7 +153,7 @@ def test_apply_only_changes_update_domain(table, update_entries, mode):
         else:
             assert out.switch_table("S1").get(key) == state.switch_table("S1").get(key)
     # applying twice equals applying once
-    assert apply_singleton(out, u) == out
+    assert out.apply(u) == out
     # exactly one action per lookup, always
     assert out.lookup("S1", "f1", "A", 0) is not None
 
@@ -250,12 +249,15 @@ class TestSchedule:
             Schedule.build({1: 10, 2: 5})
 
     def test_equal_times_allowed(self):
-        s = Schedule.build({1: 10, 2: 10}, {3: 10})
+        s = Schedule.build({1: 10, 2: 10, 3: 10})
         assert s.first_time() == s.last_time() == 10
 
-    def test_phase_cannot_be_in_both_maps(self):
-        with pytest.raises(ValueError, match="both"):
-            Schedule.build({1: 0, 2: 1}, {2: 2})
+    def test_one_sorted_map(self):
+        s = Schedule.build({3: 9, 1: 0, 2: 2})
+        assert s.times == ((1, 0), (2, 2), (3, 9))
+        assert s.time_for_phase(3) == 9
+        with pytest.raises(KeyError):
+            s.time_for_phase(4)
 
     def test_timed_procedure_needs_full_coverage(self):
         u = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})

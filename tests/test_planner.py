@@ -13,13 +13,9 @@ from netupdate import (
     build_pert_timed_counts,
     build_pert_untimed,
     compare_timed_untimed,
-    gc_tail_duration,
-    kphase_worst_duration,
     longest_path,
-    phase_worst_duration,
-    timed_kphase_worst_duration,
-    timed_twophase_gc_worst_duration,
-    twophase_gc_worst_duration,
+    timed_worst_duration,
+    untimed_worst_duration,
     worst_case_schedule,
 )
 
@@ -100,49 +96,59 @@ class TestLongestPath:
 
 class TestClosedForms:
     def test_phase_single_message_is_dc(self):
-        assert phase_worst_duration(1, params()) == DC_NS
+        assert untimed_worst_duration([1], params()) == DC_NS
 
     def test_phase_examples_match_pert_oracle(self):
         p = params()
         for n, expect in [(3, 15_345_000), (12, 62_505_000)]:
-            assert phase_worst_duration(n, p) == expect
+            assert untimed_worst_duration([n], p) == expect
             assert longest_path(build_pert_counts([n], p)).worst_case == expect
 
     def test_phase_zero_rejected(self):
         with pytest.raises(ValueError):
-            phase_worst_duration(0, params())
+            untimed_worst_duration([0], params())
+        with pytest.raises(ValueError):
+            timed_worst_duration([2, 0], params())
 
     def test_kphase_reduces_to_single_phase(self):
         p = params()
-        assert kphase_worst_duration([4], p) == phase_worst_duration(4, p)
+        assert untimed_worst_duration([4], p) == 3 * p.delta_msg + p.d_c
 
     def test_kphase_examples(self):
-        assert kphase_worst_duration([3, 3], params()) == 31_065_000
+        assert untimed_worst_duration([3, 3], params()) == 31_065_000
         # delta below d_c exercises the other max() branch
-        assert kphase_worst_duration([3, 3, 3], params(dc=10, dn=0, delta=1, dsched=0)) == 36
+        assert untimed_worst_duration([3, 3, 3], params(dc=10, dn=0, delta=1, dsched=0)) == 36
 
     def test_kphase_empty_rejected(self):
         with pytest.raises(ValueError):
-            kphase_worst_duration([], params())
+            untimed_worst_duration([], params())
+        with pytest.raises(ValueError):
+            timed_worst_duration([], params())
 
     def test_gc_tail_max_branches(self):
-        assert gc_tail_duration(1, params(dc=2, dn=3, delta=10)) == 10 + 2
-        assert gc_tail_duration(1, params(dc=2, dn=3, delta=0)) == 2 + 3 + 2
-        assert gc_tail_duration(12, params()) == 67_745_000
+        assert untimed_worst_duration([1, 1], params(dc=2, dn=3, delta=10), {2}) == 10 + 2
+        assert untimed_worst_duration([1, 1], params(dc=2, dn=3, delta=0), {2}) == 2 + 3 + 2
+        assert untimed_worst_duration([1, 12], params(), {2}) == 67_745_000
 
     def test_twophase_gc_examples(self):
         p0 = params(dc=7, dn=3, delta=0)
-        assert twophase_gc_worst_duration(1, 1, 1, p0) == 7 + (7 + 3) + 7
-        assert twophase_gc_worst_duration(12, 8, 12, params()) == 167_305_000
-        assert twophase_gc_worst_duration(3, 1, 3, params(dc=2, dn=5, delta=1)) == 15
+        assert untimed_worst_duration([1, 1, 1], p0, {3}) == 7 + (7 + 3) + 7
+        assert untimed_worst_duration([12, 8, 12], params(), {3}) == 167_305_000
+        assert untimed_worst_duration([3, 1, 3], params(dc=2, dn=5, delta=1), {3}) == 15
+
+    def test_gc_at_phase_one_adds_no_wait(self):
+        p = params()
+        assert untimed_worst_duration([3, 2], p, {1}) == untimed_worst_duration([3, 2], p)
+        assert timed_worst_duration([3, 2], p, {1}) == timed_worst_duration([3, 2], p)
 
     def test_timed_examples(self):
-        assert timed_kphase_worst_duration(3, params()) == 3_891_000
-        assert timed_kphase_worst_duration(5, params(dsched=0)) == 0
-        assert timed_kphase_worst_duration(2, params(dsched=5)) == 10
-        assert timed_twophase_gc_worst_duration(params()) == 4_153_000
-        assert timed_twophase_gc_worst_duration(params(dsched=0)) == DN_NS
-        assert timed_twophase_gc_worst_duration(params(dn=0, dsched=1)) == 3
+        assert timed_worst_duration([1, 1, 1], params()) == 3_891_000
+        assert timed_worst_duration([1] * 5, params(dsched=0)) == 0
+        assert timed_worst_duration([4, 4], params(dsched=5)) == 10
+        assert timed_worst_duration([12, 8, 12], params(), {3}) == 4_153_000
+        assert timed_worst_duration([1, 1, 1], params(dsched=0), {3}) == DN_NS
+        assert timed_worst_duration([1, 1, 1], params(dn=0, dsched=1), {3}) == 3
+        assert timed_worst_duration([1, 1, 1], params(dn=5, dsched=0), {2, 3}) == 10
 
 
 class TestPertBuilders:
@@ -161,7 +167,7 @@ class TestPertBuilders:
         proc = synth_proc([3, 3, 3], gc_phases={3})
         p = params()
         assert (longest_path(build_pert_untimed(proc, p)).worst_case
-                == twophase_gc_worst_duration(3, 3, 3, p))
+                == untimed_worst_duration([3, 3, 3], p, {3}))
 
     def test_two_phase_matches_corollary(self):
         p = params()
@@ -175,7 +181,6 @@ class TestWorstCaseSchedule:
         sched = worst_case_schedule(proc, 100 * MS, params())
         assert sched.time_for_phase(2) == 101_297_000
         assert sched.time_for_phase(3) == 102_856_000  # gc slot: T2 + dsched + dn
-        assert dict(sched.gc_times) == {3: 102_856_000}
 
     def test_zero_sched_error_collapses_phases(self):
         proc = synth_proc([2, 2])
@@ -235,48 +240,35 @@ _param_st = st.builds(
     delta=st.integers(0, 10**7), dsched=st.integers(0, 10**7))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(counts=st.lists(st.integers(1, 10), min_size=1, max_size=5), p=_param_st,
        data=st.data())
 def test_closed_forms_equal_pert_longest_path(counts, p, data):
-    k = len(counts)
-    assert (kphase_worst_duration(counts, p)
-            == longest_path(build_pert_counts(counts, p)).worst_case)
-    assert (phase_worst_duration(counts[0], p)
-            == longest_path(build_pert_counts([counts[0]], p)).worst_case)
-    ng = data.draw(st.integers(1, 10))
-    assert (gc_tail_duration(ng, p)
-            == longest_path(build_pert_counts([1, ng], p, gc_phases={2})).worst_case)
-    if k >= 3:
-        n1, n2, ng1 = counts[0], counts[1], counts[2]
-        assert (twophase_gc_worst_duration(n1, n2, ng1, p)
-                == longest_path(build_pert_counts([n1, n2, ng1], p,
-                                                  gc_phases={3})).worst_case)
-        assert (timed_twophase_gc_worst_duration(p)
-                == longest_path(build_pert_timed_counts([n1, n2, ng1], p,
-                                                        gc_phases={3})).worst_case)
-    assert (timed_kphase_worst_duration(k, p)
-            == longest_path(build_pert_timed_counts(counts, p)).worst_case)
+    gc = data.draw(st.sets(st.integers(1, len(counts))), label="gc_phases")
+    assert (untimed_worst_duration(counts, p, gc)
+            == longest_path(build_pert_counts(counts, p, gc)).worst_case)
+    assert (timed_worst_duration(counts, p, gc)
+            == longest_path(build_pert_timed_counts(counts, p, gc)).worst_case)
 
 
 @settings(max_examples=100, deadline=None)
 @given(counts=st.lists(st.integers(1, 10), min_size=1, max_size=5), p=_param_st)
 def test_worst_case_monotonic_in_every_parameter(counts, p):
-    base = kphase_worst_duration(counts, p)
+    base = untimed_worst_duration(counts, p)
     bumped = [
-        kphase_worst_duration([n + 1 for n in counts], p),
-        kphase_worst_duration(counts + [1], p),
-        kphase_worst_duration(counts, params(p.d_c, p.d_n, p.delta_msg + 1, p.delta_sched)),
-        kphase_worst_duration(counts, params(p.d_c + 1, p.d_n, p.delta_msg, p.delta_sched)),
+        untimed_worst_duration([n + 1 for n in counts], p),
+        untimed_worst_duration(counts + [1], p),
+        untimed_worst_duration(counts, params(p.d_c, p.d_n, p.delta_msg + 1, p.delta_sched)),
+        untimed_worst_duration(counts, params(p.d_c + 1, p.d_n, p.delta_msg, p.delta_sched)),
     ]
     assert all(b >= base for b in bumped)
-    t = timed_kphase_worst_duration(len(counts), p)
-    assert timed_kphase_worst_duration(len(counts) + 1, p) >= t
-    assert timed_kphase_worst_duration(
-        len(counts), params(p.d_c, p.d_n, p.delta_msg, p.delta_sched + 1)) >= t
-    g = twophase_gc_worst_duration(2, 2, 2, p)
-    assert twophase_gc_worst_duration(2, 2, 2, params(p.d_c, p.d_n + 1, p.delta_msg,
-                                                      p.delta_sched)) >= g
+    t = timed_worst_duration(counts, p)
+    assert timed_worst_duration(counts + [1], p) >= t
+    assert timed_worst_duration(
+        counts, params(p.d_c, p.d_n, p.delta_msg, p.delta_sched + 1)) >= t
+    g = untimed_worst_duration([2, 2, 2], p, {3})
+    assert untimed_worst_duration([2, 2, 2], params(p.d_c, p.d_n + 1, p.delta_msg,
+                                                    p.delta_sched), {3}) >= g
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,7 +6,6 @@ from netupdate import (
     DROP,
     Action,
     DelayModel,
-    EventQueue,
     ForwardingState,
     Link,
     Network,
@@ -25,7 +24,8 @@ from netupdate import (
     run_flows,
     run_timed,
     run_untimed,
-    twophase_gc_worst_duration,
+    simultaneous_schedule,
+    untimed_worst_duration,
     worst_case_schedule,
 )
 from netupdate.model import PacketInstance
@@ -43,19 +43,56 @@ def single_switch_setup():
     return net, UpdateProcedure(((u, 1),))
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(5, "b")
-        q.push(3, "a")
-        assert q.pop()[0] == 3
-        assert q.pop()[0] == 5
+class TestExecOrder:
+    def test_orders_by_time(self, testbed_params):
+        net = leaf_spine(6)
+        proc = policy_update(net)
+        sched = worst_case_schedule(proc, 10**9, testbed_params)
+        for seed in range(5):
+            for run in (run_untimed(net, proc, testbed_params, seed=seed),
+                        run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                                  seed=seed)):
+                keys = [(e.time_ns, e.msg_index) for e in run.exec_log]
+                assert keys == sorted(keys) and len(keys) == 16
 
-    def test_equal_times_dequeue_in_insertion_order(self):
-        q = EventQueue()
-        for name in "abc":
-            q.push(7, name)
-        assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
+    def test_equal_exec_times_keep_message_order(self):
+        # simultaneous schedule, zero scheduling error: all 16 updates on the
+        # 6 switches take effect at the same instant
+        params = SystemParameters(d_c=1_000_000, d_n=262_000, delta_msg=1_000_000,
+                                  delta_sched=0)
+        net = leaf_spine(6)
+        proc = policy_update(net)
+        run = run_timed(net, TimedUpdateProcedure(proc, simultaneous_schedule(10**9)),
+                        params, seed=3, initial_state=policy_initial_state(net))
+        assert not run.faults
+        assert {e.time_ns for e in run.exec_log} == {10**9}
+        assert len({e.switch for e in run.exec_log}) == 6
+        assert [e.msg_index for e in run.exec_log] == list(range(16))
+        execs = [m.detail.split()[0] for m in run.messages if m.kind == "exec"]
+        assert execs == [f"msg={i}" for i in range(16)]
+
+
+class TestStateTimeline:
+    @pytest.mark.parametrize("mode", ["untimed", "timed"])
+    def test_versions_fold_the_switch_updates_through_apply(self, testbed_params, mode):
+        net = leaf_spine(6)
+        proc = policy_update(net)
+        init = policy_initial_state(net)
+        if mode == "untimed":
+            run = run_untimed(net, proc, testbed_params, seed=2, initial_state=init)
+        else:
+            sched = worst_case_schedule(proc, 10**9, testbed_params)
+            run = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                            seed=2, initial_state=init)
+        by_msg = [u for j in range(1, proc.num_phases + 1) for u in proc.updates_in_phase(j)]
+        for sw in net.switches:
+            mine = [by_msg[e.msg_index] for e in run.exec_log if e.switch == sw]
+            assert mine
+            for v in range(len(mine) + 1):
+                assert (run.timeline.table_version(sw, v)
+                        == init.apply(*mine[:v]).switch_table(sw)), (sw, v)
+            assert (run.timeline.table_version(sw, len(mine))
+                    == run.new_config.switch_table(sw))
 
 
 class TestRunUntimed:
@@ -74,13 +111,13 @@ class TestRunUntimed:
         init = policy_initial_state(net)
         run = run_untimed(net, proc, testbed_params, seed=9, initial_state=init,
                           pin_worst_case=True)
-        assert run.update_duration_ns == twophase_gc_worst_duration(6, 4, 6, testbed_params)
+        assert run.update_duration_ns == untimed_worst_duration([6, 4, 6], testbed_params, {3})
 
     def test_random_seeds_stay_below_closed_form(self, testbed_params):
         net = leaf_spine(6)
         proc = policy_update(net)
         init = policy_initial_state(net)
-        bound = twophase_gc_worst_duration(6, 4, 6, testbed_params)
+        bound = untimed_worst_duration([6, 4, 6], testbed_params, {3})
         for seed in range(50):
             run = run_untimed(net, proc, testbed_params, seed=seed, initial_state=init)
             assert run.update_duration_ns <= bound

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netupdate import DelayModel, DelayTrace, percentile, read_trace, sample, tail_ratio
+from netupdate import DelayModel, DelayTrace, percentile, read_trace, tail_ratio
 from netupdate.stats import percentiles
 
 MS = 1_000_000
@@ -69,13 +69,13 @@ class TestSample:
     def test_constant(self):
         rng = np.random.default_rng(0)
         model = DelayModel.constant(42)
-        assert [sample(model, rng) for _ in range(5)] == [42] * 5
+        assert [model.sample(rng) for _ in range(5)] == [42] * 5
 
     def test_uniform_mean_and_bound(self):
         rng = np.random.default_rng(0)
         h = 1 * MS
         model = DelayModel.uniform(h)
-        xs = [sample(model, rng) for _ in range(100_000)]
+        xs = [model.sample(rng) for _ in range(100_000)]
         assert max(xs) <= h
         assert sum(xs) / len(xs) == pytest.approx(h / 2, rel=0.02)
 
@@ -86,7 +86,7 @@ class TestSample:
         model = DelayModel.exponential(m, cap=10 * m)
         expect = m * (1 - math.exp(-10) * 11) / (1 - math.exp(-10))
         rng = np.random.default_rng(7)
-        xs = [sample(model, rng) for _ in range(100_000)]
+        xs = [model.sample(rng) for _ in range(100_000)]
         assert max(xs) <= 10 * m
         assert sum(xs) / len(xs) == pytest.approx(expect, rel=0.02)
         assert model.mean_value() == pytest.approx(expect)
@@ -95,13 +95,13 @@ class TestSample:
         pool = (1, 5, 9)
         rng = np.random.default_rng(2)
         model = DelayModel.empirical(pool)
-        assert set(sample(model, rng) for _ in range(200)) == set(pool)
+        assert set(model.sample(rng) for _ in range(200)) == set(pool)
         assert model.bound() == 9
 
     def test_same_seed_same_sequence(self):
         model = DelayModel.exponential(3 * MS)
-        a = [sample(model, np.random.default_rng(11))]
-        b = [sample(model, np.random.default_rng(11))]
+        a = [model.sample(np.random.default_rng(11))]
+        b = [model.sample(np.random.default_rng(11))]
         assert a == b
 
 
