@@ -16,6 +16,7 @@ from pathlib import Path
 from . import consistency, planner, topology
 from .delays import DelayModel
 from .model import (
+    MAX_DURATION_NS,
     ForwardingState,
     Schedule,
     SystemParameters,
@@ -29,7 +30,6 @@ AXES = ("N", "dc", "dn", "delta_sched", "d")
 
 _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ns|us|ms|s)\s*$")
 _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
-MAX_DURATION_NS = 10**18  # about 31.7 years
 
 
 class ConfigError(ValueError):
@@ -143,14 +143,19 @@ class Point:
         return run, reports
 
 
-def _kphase_items(net, phase_sets, gc_phases):
+def _check_switches(net, switches, field):
+    """A ConfigError naming field unless switches is a non-empty list of known switches."""
+    if not isinstance(switches, list) or not switches:
+        raise ConfigError(f"{field}: expected a non-empty list of switches, got {switches!r}")
     known = set(net.switches)
+    for sw in switches:
+        if isinstance(sw, (list, dict)) or sw not in known:
+            raise ConfigError(f"{field}: unknown switch {sw!r}")
+
+
+def _kphase_items(net, phase_sets, gc_phases):
     for j, switches in enumerate(phase_sets):
-        if not switches:
-            raise ConfigError(f"procedure.phases[{j}]: phase must not be empty")
-        for sw in switches:
-            if sw not in known:
-                raise ConfigError(f"procedure.phases[{j}]: unknown switch {sw!r}")
+        _check_switches(net, switches, f"procedure.phases[{j}]")
     return topology.stub_update(net, phase_sets, gc_phases)
 
 
@@ -241,11 +246,14 @@ class Experiment:
                 path = self.base_dir / path
             if not path.exists():
                 raise ConfigError(f"topology.path: file not found: {path}")
-            return topology.load_topology(
-                path,
-                propagation_us_per_km=spec.get("propagation_us_per_km", 5.0),
-                delay_mode=spec.get("delay_mode", "constant"),
-                cap_factor=spec.get("cap_factor", 10.0))
+            try:
+                return topology.load_topology(
+                    path,
+                    propagation_us_per_km=spec.get("propagation_us_per_km", 5.0),
+                    delay_mode=spec.get("delay_mode", "constant"),
+                    cap_factor=spec.get("cap_factor", 10.0))
+            except ValueError as exc:
+                raise ConfigError(f"topology: {exc}") from None
         raise ConfigError(f"topology.kind: unknown kind {kind!r}")
 
     def _build_flows(self, net):
@@ -297,6 +305,8 @@ class Experiment:
                         (u, p) for u, p in proc.items if p <= 2))
                 return proc, initial
             phase2 = spec.get("phase2_switches")
+            if phase2 is not None:
+                _check_switches(net, phase2, "procedure.phase2_switches")
             try:
                 proc = topology.policy_update(net, phase2, with_gc=with_gc)
             except ValueError as exc:

@@ -23,6 +23,8 @@ from .delays import DelayModel
 
 logger = logging.getLogger(__name__)
 
+MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or traced duration
+
 GEN_OLD = "old"
 GEN_NEW = "new"
 

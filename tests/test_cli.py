@@ -226,6 +226,45 @@ class TestConfigErrors:
         assert "params.dn" in capsys.readouterr().err
 
 
+class TestProcedureErrors:
+    # an unknown switch and a string used to exit 3 (KeyError 'nope' / 'L')
+    @pytest.mark.parametrize("phase2", [["nope"], "L1", [], [["L1"]], {"L1": 1}, 3])
+    def test_bad_phase2_switches_exit_two(self, tmp_path, capsys, phase2):
+        cfg = write_config(tmp_path, base_config(
+            procedure={"kind": "two-phase+gc", "phase2_switches": phase2}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "procedure.phase2_switches" in capsys.readouterr().err
+
+    def test_known_phase2_switches_accepted(self, tmp_path):
+        leaf = sorted(Experiment(base_config()).materialize().net.switches)[0]
+        cfg = write_config(tmp_path, base_config(
+            procedure={"kind": "two-phase+gc", "phase2_switches": [leaf]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("phases", [[["nope"]], [[]], ["L1"], [[["L1"]]]])
+    def test_bad_kphase_phases_exit_two(self, tmp_path, capsys, phases):
+        cfg = write_config(tmp_path, base_config(
+            procedure={"kind": "k-phase", "phases": phases}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "procedure.phases[0]" in capsys.readouterr().err
+
+
+class TestTopologyErrors:
+    # used to exit 3: ValueError: link A-B: no delay_ns and missing coordinates
+    def test_link_without_delay_or_coordinates_exits_two(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({
+            "nodes": [{"id": "A"}, {"id": "B", "lat": 1.0, "lon": 2.0}],
+            "links": [{"a": "A", "b": "B"}],
+            "ingress": [{"node": "A"}]}))
+        cfg = write_config(tmp_path, base_config(
+            topology={"kind": "file", "path": str(topo)},
+            procedure={"kind": "k-phase", "phases": [["A"], ["B"]]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: topology: link A-B" in err
+
+
 def sprint_flow_config(**flow0):
     """sprint_knob.json with flows[0]'s fields replaced by flow0."""
     doc = json.loads((CONFIGS / "sprint_knob.json").read_text())
@@ -305,3 +344,26 @@ class TestAnalyzeTrace:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["analyze-trace", str(tmp_path / "ghost.txt"),
                      "--out", str(tmp_path)]) == 2
+
+    # inf and 1e400 used to exit 3 (OverflowError), nan exited 2 without a
+    # line number and 1e13 ms (10^19 ns) was accepted
+    @pytest.mark.parametrize("value,reason", [
+        ("inf", "must be finite"), ("-inf", "must be finite"), ("1e400", "must be finite"),
+        ("nan", "must be finite"), ("1e13", "above 1000000000000 ms"),
+        ("1000000000000.001", "above 1000000000000 ms"), ("-0.5", "negative delay"),
+        ("1.5 2.5", "not a number"), ("1.5ms", "not a number")])
+    def test_bad_value_exits_two_naming_the_line(self, tmp_path, capsys, value, reason):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"# header\n1.5\n{value}  # bad\n2.5\n")
+        assert main(["analyze-trace", str(trace), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: trace: {trace}:3: " in err and reason in err
+        assert not (tmp_path / "trace_stats.csv").exists()
+
+    def test_cap_itself_accepted(self, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("1000000000000\n0\n")
+        assert main(["analyze-trace", str(trace), "--out", str(tmp_path),
+                     "--percentiles", "1"]) == 0
+        row = (tmp_path / "trace_stats.csv").read_text().splitlines()[2].split(",")
+        assert row[2] == str(10**18) and row[3] == f"{10**18 / 2:.3f}"

@@ -1,6 +1,7 @@
-"""Byte-identity gate: plan, simulate and sweep on every shipped config.
+"""Byte-identity gate: plan, simulate and sweep on every shipped config,
+and analyze-trace on a trace written from a fixed seed.
 
-tests/golden.json pins, for each (command, config) pair, the exit code, the
+tests/golden.json pins, for each (command, input) pair, the exit code, the
 text on stderr and the sha256 of every output file. stdout is left out
 because it echoes the output path. A refactor must leave all of it as it is.
 
@@ -14,6 +15,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -24,18 +27,47 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
 CONFIGS = sorted((REPO / "configs").glob("*.json"))
 COMMANDS = ("plan", "simulate", "sweep")
+TRACE = "rtt_golden.txt"
 CASES = [f"{command} {cfg.name}" for cfg in CONFIGS for command in COMMANDS]
+CASES.append(f"analyze-trace {TRACE}")
+
+
+def write_trace(path: Path) -> None:
+    """A 5,000-sample lognormal RTT trace (ms) with comments and blank lines."""
+    rng = random.Random(20150501)
+    lines = ["# round-trip times in ms, lognormal around 30 ms", ""]
+    for i in range(5_000):
+        ms = f"{rng.lognormvariate(3.4, 0.6):.6f}"
+        if i % 997 == 0:
+            lines.append(f"{ms}  # inline comment")
+        elif i % 499 == 0:
+            lines.extend(["", f"  {ms}  "])
+        else:
+            lines.append(ms)
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(lines) + "\n# end of trace\n")
 
 
 def run_case(case: str, workdir: Path) -> dict:
-    """Run one `<command> <config>` pair in-process; its pinned fingerprint."""
+    """Run one `<command> <input>` pair in-process; its pinned fingerprint."""
     from netupdate.cli import main
 
     command, name = case.split()
     out = workdir / name / command
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(REPO / "configs" / name), "--out", str(out)])
+        if command == "analyze-trace":
+            # The trace path enters the config hash, so it is given relative to its directory.
+            write_trace(out.parent / "in" / name)
+            cwd = os.getcwd()
+            os.chdir(out.parent / "in")
+            try:
+                code = main([command, name, "--percentiles", "0.5,0.9,0.99,0.999,1",
+                             "--out", str(out)])
+            finally:
+                os.chdir(cwd)
+        else:
+            code = main([command, "--config", str(REPO / "configs" / name), "--out", str(out)])
     files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(out.rglob("*")) if p.is_file()}
     return {"exit": code, "stderr": err.getvalue(), "files": files}
