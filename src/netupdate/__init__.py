@@ -28,17 +28,13 @@ from .model import (
     ForwardingState,
     Link,
     Network,
-    Packet,
-    PacketInstance,
     Schedule,
     SingletonUpdate,
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
-    similar,
 )
 from .planner import (
-    DurationReport,
     PertGraph,
     build_pert_counts,
     build_pert_timed,
@@ -51,7 +47,6 @@ from .planner import (
     worst_case_schedule,
 )
 from .simulator import (
-    ClockModel,
     RunDelays,
     RunResult,
     StateTimeline,
@@ -70,7 +65,6 @@ from .topology import (
     path_link_bound_ns,
     policy_initial_state,
     policy_update,
-    update_for_path_change,
 )
 
 __version__ = "0.1.0"

@@ -156,7 +156,11 @@ def _check_switches(net, switches, field):
 def _kphase_items(net, phase_sets, gc_phases):
     for j, switches in enumerate(phase_sets):
         _check_switches(net, switches, f"procedure.phases[{j}]")
-    return topology.stub_update(net, phase_sets, gc_phases)
+    if not isinstance(gc_phases, list) or not all(
+            type(j) is int and 1 <= j <= len(phase_sets) for j in gc_phases):
+        raise ConfigError(f"procedure.gc_phases: expected a list of phase numbers "
+                          f"in 1..{len(phase_sets)}, got {gc_phases!r}")
+    return topology.stub_update(net, phase_sets, frozenset(gc_phases))
 
 
 class Experiment:
@@ -170,20 +174,30 @@ class Experiment:
         self.mode = doc.get("mode", "untimed-greedy")
         if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}; expected one of {MODES}")
-        self.seeds = list(doc.get("seeds", [0]))
-        if not self.seeds:
-            raise ConfigError("seeds: at least one seed required")
+        self._set_seeds(doc.get("seeds", [0]))
         sweep = doc.get("sweep")
         if sweep is not None:
-            self.axis = sweep.get("axis")
-            if self.axis not in AXES:
-                raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}; expected one of {AXES}")
-            self.grid = list(sweep.get("grid", []))
-            if not self.grid:
-                raise ConfigError("sweep.grid: at least one value required")
+            self._set_sweep(sweep)
         else:
             self.axis, self.grid = None, []
         self.hash = config_hash(doc)
+
+    def _set_seeds(self, seeds) -> None:
+        if not isinstance(seeds, list) or not seeds or not all(
+                type(s) is int and s >= 0 for s in seeds):
+            raise ConfigError(
+                f"seeds: expected a non-empty list of non-negative integers, got {seeds!r}")
+        self.seeds = seeds
+
+    def _set_sweep(self, sweep) -> None:
+        if not isinstance(sweep, dict):
+            raise ConfigError(f"sweep: expected an object, got {sweep!r}")
+        self.axis = sweep.get("axis")
+        if self.axis not in AXES:
+            raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}; expected one of {AXES}")
+        self.grid = sweep.get("grid")
+        if not isinstance(self.grid, list) or not self.grid:
+            raise ConfigError(f"sweep.grid: expected a non-empty list, got {self.grid!r}")
 
     @classmethod
     def load(cls, path) -> "Experiment":
@@ -198,19 +212,16 @@ class Experiment:
 
     def override(self, seeds=None, axis=None, grid=None) -> None:
         if seeds is not None:
-            self.seeds = seeds
+            self._set_seeds(seeds)
             self.doc["seeds"] = seeds
         if axis is not None or grid is not None:
-            sweep = dict(self.doc.get("sweep", {}))
+            sweep = dict(self.doc.get("sweep") or {})
             if axis is not None:
                 sweep["axis"] = axis
             if grid is not None:
                 sweep["grid"] = grid
+            self._set_sweep(sweep)
             self.doc["sweep"] = sweep
-            self.axis = sweep.get("axis")
-            if self.axis not in AXES:
-                raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}")
-            self.grid = list(sweep.get("grid", []))
         self.hash = config_hash(self.doc)
 
     # -- materialization ---------------------------------------------------
@@ -316,8 +327,7 @@ class Experiment:
             phase_sets = spec.get("phases")
             if not phase_sets:
                 raise ConfigError("procedure.phases: required for k-phase procedures")
-            gc = frozenset(spec.get("gc_phases", []))
-            return _kphase_items(net, phase_sets, gc)
+            return _kphase_items(net, phase_sets, spec.get("gc_phases", []))
         raise ConfigError(f"procedure.kind: unknown kind {kind!r}")
 
     def materialize(self, axis_value=None) -> Point:

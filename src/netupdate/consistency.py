@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ForwardingState, Packet, Schedule, SystemParameters
+from .model import ForwardingState, Schedule, SystemParameters
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
@@ -25,7 +25,10 @@ _CLASSES = np.array([CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT], dtype=object
 
 @dataclass(frozen=True)
 class TestFlow:
-    """Identical packets at a constant rate from one ingress port."""
+    """Identical packets at a constant rate from one ingress port.
+
+    Packets enter untagged; the ingress switch stamps the version tag.
+    """
 
     __test__ = False  # probe-traffic type, not a pytest case
 
@@ -44,11 +47,6 @@ class TestFlow:
     @property
     def spacing_ns(self) -> int:
         return int(round(1e9 / self.rate_pps))
-
-    @property
-    def packet(self) -> Packet:
-        # version tag unset at ingress; the ingress switch stamps it
-        return Packet(self.flow_id, None)
 
     @classmethod
     def from_bitrate(cls, flow_id: str, ingress_switch: str, ingress_port: int,
@@ -82,7 +80,7 @@ def classify_packet(trace, old_config: ForwardingState,
     """
     for config in (old_config, new_config):
         for hop in trace.hops:
-            if not config.has_switch(hop.switch):
+            if hop.switch not in config.tables:
                 raise ValueError(
                     f"trace visits switch {hop.switch!r} absent from the configuration")
 

@@ -1,4 +1,4 @@
-"""Core domain types: networks, packets, forwarding rules, and update procedures.
+"""Core domain types: networks, forwarding rules, and update procedures.
 
 Conventions used throughout the package:
 
@@ -27,9 +27,6 @@ MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or tra
 
 GEN_OLD = "old"
 GEN_NEW = "new"
-
-# (flow_id, tag-or-None, in_port)
-RuleKey = tuple
 
 
 @dataclass(frozen=True)
@@ -83,24 +80,6 @@ class Action:
 
 DROP = Action("drop")
 DELIVER = Action("deliver")
-
-
-@dataclass(frozen=True)
-class Packet:
-    """Forwarding-relevant packet content: a flow match key plus a version tag."""
-
-    flow_id: str
-    version_tag: str | None = None
-
-
-@dataclass(frozen=True)
-class PacketInstance:
-    """A packet arriving from the outside world at an ingress port."""
-
-    packet: Packet
-    ingress_switch: str
-    ingress_port: int
-    arrival_time: int
 
 
 @dataclass(frozen=True)
@@ -174,7 +153,7 @@ class SingletonUpdate:
     """
 
     target: str
-    entries: tuple   # sorted tuple of (RuleKey, Action-or-None)
+    entries: tuple   # sorted tuple of (rule key, Action-or-None)
     mode: str        # "install" | "remove"
 
     @staticmethod
@@ -217,7 +196,7 @@ def lookup_rule(table: dict, flow_id: str, tag: str | None, port: int):
 class ForwardingState:
     """Per-switch rule tables; every rule carries a generation label.
 
-    tables maps each switch to its rule dict {RuleKey: (Action, generation)}.
+    tables maps each switch to its rule dict {rule key: (Action, generation)}.
     The mapping and its tables are frozen by convention: apply copies the
     outer mapping and the tables it changes, and shares every other table
     with the state it started from, so no table may ever be mutated.
@@ -226,7 +205,7 @@ class ForwardingState:
     then the wildcard-tag rule, otherwise the packet is dropped.
     """
 
-    tables: dict  # {switch: {RuleKey: (Action, generation)}}, never mutated
+    tables: dict  # {switch: {rule key: (Action, generation)}}, never mutated
 
     @classmethod
     def empty(cls, net: Network) -> "ForwardingState":
@@ -237,12 +216,6 @@ class ForwardingState:
         """Build from {switch: {key: action}}; unlisted switches get empty tables."""
         return cls({s: {k: (a, generation) for k, a in rules.get(s, {}).items()}
                     for s in net.switches})
-
-    def switch_table(self, switch: str) -> dict:
-        return self.tables[switch]
-
-    def has_switch(self, switch: str) -> bool:
-        return switch in self.tables
 
     def lookup(self, switch: str, flow_id: str, tag: str | None, port: int):
         """Resolve one (packet, port) pair to (Action, generation-or-None)."""
@@ -342,9 +315,6 @@ class Schedule:
             raise ValueError("schedule times must be non-decreasing in phase order")
         return sched
 
-    def times_by_phase(self) -> dict:
-        return dict(self.times)
-
     def time_for_phase(self, phase: int) -> int:
         for p, t in self.times:
             if p == phase:
@@ -366,13 +336,8 @@ class TimedUpdateProcedure:
     schedule: Schedule
 
     def __post_init__(self):
-        have = set(self.schedule.times_by_phase())
+        have = {phase for phase, _ in self.schedule.times}
         need = set(range(1, self.procedure.num_phases + 1))
         missing = need - have
         if missing:
             raise ValueError(f"schedule lacks times for phases {sorted(missing)}")
-
-
-def similar(timed: TimedUpdateProcedure, untimed: UpdateProcedure) -> bool:
-    """True iff both carry the same multiset of (singleton update, phase) pairs."""
-    return Counter(timed.procedure.items) == Counter(untimed.items)

@@ -210,16 +210,14 @@ def timed_worst_duration(phase_counts, params: SystemParameters,
 # schedules and comparison
 
 
-def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters,
-                        gc_phases=None) -> Schedule:
+def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters) -> Schedule:
     """Tightest schedule that still guarantees consistency under the bounds.
 
     Consecutive phases are delta_sched apart; a garbage-collection phase
     additionally waits d_n after its predecessor so en-route packets carrying
     the superseded tag drain before their rules disappear.
     """
-    if gc_phases is None:
-        gc_phases = proc.gc_phases()
+    gc_phases = proc.gc_phases()
     times = {1: t1}
     for j in range(2, proc.num_phases + 1):
         times[j] = times[j - 1] + params.delta_sched + (params.d_n if j in gc_phases else 0)

@@ -31,7 +31,6 @@ from .delays import DelayModel
 from .model import (
     ForwardingState,
     Network,
-    PacketInstance,
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
@@ -41,28 +40,6 @@ from .model import (
 # Version of the simulation engine, written into every output. Bump it when
 # a change moves simulated outputs for an unchanged config and seeds.
 ENGINE_VERSION = 2
-
-
-@dataclass(frozen=True)
-class ClockModel:
-    """Scheduling-accuracy decomposition: fixed per-switch clock offset in
-    [0, sync_err] plus per-command execution jitter in [0, exec_err].
-
-    sync_err + exec_err must equal the declared scheduling error bound, so a
-    command scheduled for clock time T runs at real time within [T, T + bound].
-    """
-
-    sync_err: int
-    exec_err: int
-
-    def __post_init__(self):
-        if self.sync_err < 0 or self.exec_err < 0:
-            raise ValueError("clock error terms must be >= 0")
-
-    @classmethod
-    def default(cls, params: SystemParameters) -> "ClockModel":
-        # perfect sync, all of the error budget in execution jitter
-        return cls(0, params.delta_sched)
 
 
 @dataclass(frozen=True)
@@ -119,31 +96,29 @@ class StateTimeline:
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
         self._times = {s: [] for s in net.switches}
-        self._tables = {s: [initial.switch_table(s)] for s in net.switches}
+        self._tables = {s: [initial.tables[s]] for s in net.switches}
         state = initial
         for time_ns, update in execs:
             state = state.apply(update)
             self._times[update.target].append(time_ns)
-            self._tables[update.target].append(state.switch_table(update.target))
+            self._tables[update.target].append(state.tables[update.target])
 
     def versions(self, switch: str, times: np.ndarray) -> np.ndarray:
-        """Table version in force at each of the given instants (bulk table_at)."""
+        """Table version in force at each of the given instants (bulk lookup)."""
         return np.searchsorted(self._times[switch], times, side="right")
 
     def table_version(self, switch: str, version: int) -> dict:
         return self._tables[switch][version]
-
-    def table_at(self, switch: str, time_ns: int) -> dict:
-        if switch not in self._tables:
-            raise ValueError(f"unknown switch {switch!r}")
-        return self._tables[switch][bisect_right(self._times[switch], time_ns)]
 
     def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
         """Action and rule generation seen by a packet at this switch and instant.
 
         A rule change at time t is visible to a packet arriving exactly at t.
         """
-        return lookup_rule(self.table_at(switch, time_ns), flow_id, tag, port)
+        if switch not in self._tables:
+            raise ValueError(f"unknown switch {switch!r}")
+        table = self._tables[switch][bisect_right(self._times[switch], time_ns)]
+        return lookup_rule(table, flow_id, tag, port)
 
 
 @dataclass
@@ -161,9 +136,7 @@ class RunResult:
     new_config: ForwardingState
     timeline: StateTimeline
     sched_first_ns: int | None = None
-    sched_last_ns: int | None = None
     flow_traces: dict = field(default_factory=dict)  # flow_id -> FlowPackets
-    flow_windows: dict = field(default_factory=dict)
 
     @property
     def first_exec_ns(self) -> int:
@@ -180,7 +153,7 @@ class RunResult:
 
 
 def _finish_run(mode, seed, params, first_send, execs, messages, faults,
-                net, initial, proc, sched_first=None, sched_last=None) -> RunResult:
+                net, initial, proc, sched_first=None) -> RunResult:
     """Order the (time, msg_index, phase, update) executions and fold them.
 
     Executions at equal times take effect in message order, which pins down
@@ -197,24 +170,19 @@ def _finish_run(mode, seed, params, first_send, execs, messages, faults,
         exec_log=exec_log, messages=messages, faults=faults,
         old_config=initial, new_config=new_config,
         timeline=StateTimeline(net, initial, [(t, u) for t, _, _, u in execs]),
-        sched_first_ns=sched_first, sched_last_ns=sched_last)
+        sched_first_ns=sched_first)
 
 
 def _ordered_messages(proc: UpdateProcedure):
-    out = []
-    idx = 0
-    for j in range(1, proc.num_phases + 1):
-        for u in proc.updates_in_phase(j):
-            out.append((idx, j, u))
-            idx += 1
-    return out
+    """(message index, phase, update) in send order: phase by phase, and in
+    procedure order within a phase (the sort is stable)."""
+    return [(idx, j, u) for idx, (u, j) in enumerate(sorted(proc.items, key=lambda it: it[1]))]
 
 
 def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
                 delays: RunDelays | None = None, seed: int = 0,
                 initial_state: ForwardingState | None = None,
-                start_time: int = 0, gc_phases=None,
-                pin_worst_case: bool = False) -> RunResult:
+                start_time: int = 0, pin_worst_case: bool = False) -> RunResult:
     """Greedy untimed execution: each message goes out at the earliest time
     that still guarantees phase ordering under the declared bounds.
 
@@ -231,8 +199,7 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
     """
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
-    if gc_phases is None:
-        gc_phases = proc.gc_phases()
+    gc_phases = proc.gc_phases()
     rng = np.random.default_rng(seed)
     execs, messages, faults = [], [], []
 
@@ -271,15 +238,15 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
 def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameters,
               delays: RunDelays | None = None, seed: int = 0,
               initial_state: ForwardingState | None = None,
-              send_time: int | None = None, clock: ClockModel | None = None,
               pin_worst_case: bool = False) -> RunResult:
-    """Timed execution: the controller ships every message up front; each
-    switch runs its update when its local clock reaches the scheduled time.
+    """Timed execution: the controller ships every message t_su before the
+    first scheduled time; each switch runs its update when its clock
+    reaches the scheduled time.
 
-    Real execution time is scheduled time + clock offset + execution jitter,
-    always within [T, T + delta_sched]. A message that arrives after its
-    planned execution instant is executed immediately on arrival and recorded
-    as a missed_schedule fault.
+    Real execution time is scheduled time + execution jitter, always within
+    [T, T + delta_sched]. A message that arrives after its planned execution
+    instant is executed immediately on arrival and recorded as a
+    missed_schedule fault.
 
     pin_worst_case stretches every jitter to the bound except the
     earliest-scheduled update, which executes exactly on time.
@@ -287,33 +254,21 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
     proc, schedule = tproc.procedure, tproc.schedule
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
-    clock = clock or ClockModel.default(params)
-    if clock.sync_err + clock.exec_err != params.delta_sched:
-        raise ValueError("clock error budget must sum to delta_sched")
     rng = np.random.default_rng(seed)
     execs, messages, faults = [], [], []
 
     msgs = _ordered_messages(proc)
-    count = len(msgs)
     t_su = params.t_su if params.t_su is not None else (
-        params.d_c + params.delta_msg * count)
+        params.d_c + params.delta_msg * len(msgs))
     sched_first = schedule.first_time()
-    if send_time is None:
-        send_time = sched_first - t_su
-    if sched_first < send_time:
-        raise ValueError("schedule starts before messages are sent")
-
-    if pin_worst_case:
-        offsets = {s: 0 for s in net.switches}
-        pin_first = min(msgs, key=lambda m: (schedule.time_for_phase(m[1]), m[0]))[0]
-    else:
-        offsets = {s: int(rng.integers(0, clock.sync_err, endpoint=True))
-                   for s in net.switches}
-        pin_first = None
+    send_time = sched_first - t_su
+    pin_first = (min(msgs, key=lambda m: (schedule.time_for_phase(m[1]), m[0]))[0]
+                 if pin_worst_case else None)
 
     t = send_time
+    switches = set(net.switches)
     for idx, phase, update in msgs:
-        if update.target not in offsets:
+        if update.target not in switches:
             raise ValueError(f"procedure targets unknown switch {update.target!r}")
         if idx > 0:
             gap = params.delta_msg if pin_worst_case else delays.gap.sample(rng)
@@ -330,8 +285,8 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
         if pin_worst_case:
             jitter = 0 if idx == pin_first else params.delta_sched
         else:
-            jitter = int(rng.integers(0, clock.exec_err, endpoint=True))
-        planned = sched_t + offsets[update.target] + jitter
+            jitter = int(rng.integers(0, params.delta_sched, endpoint=True))
+        planned = sched_t + jitter
         if arrival > planned:
             faults.append(Fault(arrival, "missed_schedule", update.target,
                                 f"arrival {arrival} > planned exec {planned}"))
@@ -343,8 +298,7 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
         execs.append((exec_time, idx, phase, update))
 
     return _finish_run("timed", seed, params, send_time, execs, messages, faults,
-                       net, initial, proc,
-                       sched_first=sched_first, sched_last=schedule.last_time())
+                       net, initial, proc, sched_first=sched_first)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +325,9 @@ class PacketTrace:
     stranded: bool = False
 
 
-def _injection_times(net: Network, flow, window) -> np.ndarray:
-    """Arrival times of a test flow's packets over [t0, t1) at exact 1/R
-    spacing; a window shorter than one spacing still carries one packet."""
+def inject_flow(net: Network, flow, window) -> np.ndarray:
+    """Arrival times (int64) of a test flow's packets over [t0, t1) at exact
+    1/R spacing; a window shorter than one spacing still carries one packet."""
     t0, t1 = window
     if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
         raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
@@ -381,17 +335,11 @@ def _injection_times(net: Network, flow, window) -> np.ndarray:
     return times if times.size else np.array([t0], dtype=np.int64)
 
 
-def inject_flow(net: Network, flow, window) -> list:
-    """Packet instances of a test flow over [t0, t1): identical packets at
-    exact 1/R spacing from the flow's ingress port."""
-    return [PacketInstance(flow.packet, flow.ingress_switch, flow.ingress_port, t)
-            for t in _injection_times(net, flow, window).tolist()]
-
-
-def forward_packet(net: Network, timeline: StateTimeline, pi: PacketInstance,
+def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
                    rng: np.random.Generator) -> PacketTrace:
-    """Walk one packet through the network, resolving each hop against the
-    switch state as of the packet's arrival there.
+    """Walk one packet of a flow, entering untagged at the flow's ingress at
+    t_in, through the network, resolving each hop against the switch state
+    as of the packet's arrival there.
 
     The packet draws one row of len(net.switches) uniforms up front; the
     link it leaves hop h by delays it by the link's inverse CDF at row[h].
@@ -400,10 +348,8 @@ def forward_packet(net: Network, timeline: StateTimeline, pi: PacketInstance,
 
     This is the one-packet-at-a-time oracle of run_flows.
     """
-    sw, port = pi.ingress_switch, pi.ingress_port
-    t = pi.arrival_time
-    tag = pi.packet.version_tag
-    flow_id = pi.packet.flow_id
+    sw, port = flow.ingress_switch, flow.ingress_port
+    t, tag, flow_id = t_in, None, flow.flow_id
     row = rng.random(len(net.switches))
     hops = []
     delivered = truncated = stranded = False
@@ -425,8 +371,7 @@ def forward_packet(net: Network, timeline: StateTimeline, pi: PacketInstance,
         sw, port = peer[0], peer[1]
     else:
         truncated = True
-    return PacketTrace(flow_id, pi.arrival_time, tuple(hops), delivered,
-                       truncated, stranded)
+    return PacketTrace(flow_id, t_in, tuple(hops), delivered, truncated, stranded)
 
 
 @dataclass(eq=False)
@@ -438,7 +383,7 @@ class FlowPackets:
     the old / new configuration's action for the packet as it arrived
     there. hop_times and hop_rows (n x switches) keep each hop's arrival
     time and an index into rows, the distinct (switch, in_port, tag,
-    action, generation) hops, so that indexing or iterating builds the
+    action, generation) hops, so that iterating builds the
     PacketTrace objects; nothing else needs them.
     """
 
@@ -478,9 +423,6 @@ class FlowPackets:
 
     def __iter__(self):
         return iter(self.traces())
-
-    def __getitem__(self, index):
-        return self.traces()[index]
 
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
@@ -524,7 +466,7 @@ def _walk_flow(net: Network, run: RunResult, flow, t_in: np.ndarray,
     truncated = np.zeros(n, dtype=bool)
     agrees_old = np.ones(n, dtype=bool)
     agrees_new = np.ones(n, dtype=bool)
-    nodes = [(flow.ingress_switch, flow.ingress_port, flow.packet.version_tag)]
+    nodes = [(flow.ingress_switch, flow.ingress_port, None)]   # packets enter untagged
     node_ids = {nodes[0]: 0}
     node = np.zeros(n, dtype=np.int64)   # each packet's (switch, in_port, tag)
     rows, row_ids = [], {}
@@ -598,7 +540,6 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         if max(-w[0], w[1] + walk_ns) >= 2**63:
             raise ValueError(f"flow {flow.flow_id}: packet times leave the int64 nanosecond range")
         rng = np.random.default_rng([run.seed, 7919 + idx])
-        t_in = _injection_times(net, flow, w)
+        t_in = inject_flow(net, flow, w)
         u = rng.random((len(t_in), len(net.switches)))
         run.flow_traces[flow.flow_id] = _walk_flow(net, run, flow, t_in, u)
-        run.flow_windows[flow.flow_id] = w

@@ -22,6 +22,7 @@ from .model import (
 
 EARTH_RADIUS_KM = 6371.0
 INGRESS_PORT = 0  # ingress ports are numbered separately from link ports
+POLICY_FLOW_ID = "policy"  # flow id of the stub rules in policy and k-phase updates
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -33,14 +34,15 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-def leaf_spine(n: int, link_delay: DelayModel | None = None) -> Network:
-    """Leaf-spine fabric of n switches: 2n/3 leaves, n/3 spines, full bipartite links.
+def leaf_spine(n: int) -> Network:
+    """Leaf-spine fabric of n switches: 2n/3 leaves, n/3 spines, full bipartite
+    links of zero delay.
 
     Each leaf carries one ingress port (port 0). n must be divisible by 3.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"switch count must be a positive multiple of 3, got {n}")
-    delay = link_delay or DelayModel.constant(0)
+    delay = DelayModel.constant(0)
     n_leaf, n_spine = 2 * n // 3, n // 3
     leaves = [f"leaf{i}" for i in range(1, n_leaf + 1)]
     spines = [f"spine{j}" for j in range(1, n_spine + 1)]
@@ -55,6 +57,13 @@ def leaf_spine(n: int, link_delay: DelayModel | None = None) -> Network:
 
 def leaf_switches(net: Network) -> list:
     return [s for s in net.switches if s.startswith("leaf")]
+
+
+def _required(entry, key: str, where: str):
+    """entry[key], or a ValueError naming where.key."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"{where}.{key}: required")
+    return entry[key]
 
 
 def load_topology(source, propagation_us_per_km: float = 5.0,
@@ -79,16 +88,19 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
 
     coords = {}
     node_ids = []
-    for node in doc.get("nodes", []):
-        nid = node["id"]
+    for i, node in enumerate(doc.get("nodes", [])):
+        nid = _required(node, "id", f"nodes[{i}]")
         node_ids.append(nid)
         if "lat" in node and "lon" in node:
             coords[nid] = (float(node["lat"]), float(node["lon"]))
 
     next_port = {nid: 1 for nid in node_ids}
     links = []
-    for entry in doc.get("links", []):
-        a, b = entry["a"], entry["b"]
+    for i, entry in enumerate(doc.get("links", [])):
+        a, b = (_required(entry, end, f"links[{i}]") for end in "ab")
+        for end in (a, b):
+            if end not in next_port:
+                raise ValueError(f"links[{i}]: unknown node {end!r}")
         if "delay_ns" in entry:
             delay_ns = int(entry["delay_ns"])
         else:
@@ -163,43 +175,6 @@ def path_rules(net: Network, flow_id: str, ingress_port: int, path, tag: str) ->
     return rules
 
 
-def update_for_path_change(net: Network, flow, old_path, new_path,
-                           old_tag: str = "A", new_tag: str = "B") -> UpdateProcedure:
-    """Two-phase + garbage-collection procedure moving one flow between paths.
-
-    Phase 1 installs new-tag rules on every switch of the new path, phase 2
-    re-stamps the version tag at the ingress, and the final phase removes
-    the old-tag rules along the old path. Old and new paths may be equal
-    (a pure label change).
-    """
-    if not old_path or not new_path:
-        raise ValueError("paths must be non-empty")
-    if old_path[0] != new_path[0]:
-        raise ValueError("old and new paths must share the ingress switch")
-    if old_path[-1] != new_path[-1]:
-        raise ValueError("old and new paths must share the egress switch")
-    if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
-        raise ValueError("flow ingress is not an ingress port of the network")
-    if flow.ingress_switch != old_path[0]:
-        raise ValueError("paths must start at the flow ingress switch")
-
-    fid, iport = flow.flow_id, flow.ingress_port
-    new_rules = path_rules(net, fid, iport, new_path, new_tag)
-    old_rules = path_rules(net, fid, iport, old_path, old_tag)
-
-    items = []
-    for sw in new_path:
-        tagged = {k: a for k, a in new_rules[sw].items() if k[1] == new_tag}
-        items.append((SingletonUpdate.install(sw, tagged), 1))
-    stamp_key = (fid, None, iport)
-    items.append((SingletonUpdate.install(
-        new_path[0], {stamp_key: new_rules[new_path[0]][stamp_key]}), 2))
-    for sw in old_path:
-        keys = [k for k in old_rules[sw] if k[1] == old_tag]
-        items.append((SingletonUpdate.remove(sw, keys), 3))
-    return UpdateProcedure(tuple(items))
-
-
 def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
                         new_tag: str = "B"):
     """Initial state and procedure for re-tagging several flows at once.
@@ -239,13 +214,12 @@ def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
     return initial, UpdateProcedure(tuple(items))
 
 
-def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None,
-                flow_id: str = "policy"):
+def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None):
     """Procedure of one-rule stub updates, for duration experiments where
     only message counts matter, and the initial state it starts from.
 
     Phase j gives each of its switches one DELIVER rule keyed
-    (flow_id, tags[j-1], the switch's lowest port or 0); tags default to
+    (POLICY_FLOW_ID, tags[j-1], the switch's lowest port or 0); tags default to
     "v1", "v2", .... A garbage-collection phase removes that rule, so the
     initial state holds it; every other phase installs it.
 
@@ -255,7 +229,7 @@ def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None,
     items, initial = [], {}
     for j, (switches, tag) in enumerate(zip(phase_sets, tags), start=1):
         for sw in switches:
-            key = (flow_id, tag, min(net.ports[sw], default=0))
+            key = (POLICY_FLOW_ID, tag, min(net.ports[sw], default=0))
             if j in gc_phases:
                 items.append((SingletonUpdate.remove(sw, [key]), j))
                 initial.setdefault(sw, {})[key] = DELIVER
@@ -264,8 +238,8 @@ def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None,
     return UpdateProcedure(tuple(items)), ForwardingState.from_dict(net, initial)
 
 
-def policy_update(net: Network, phase2_switches=None, with_gc: bool = True,
-                  flow_id: str = "policy") -> UpdateProcedure:
+def policy_update(net: Network, phase2_switches=None,
+                  with_gc: bool = True) -> UpdateProcedure:
     """Generic fabric-wide policy update in the two-phase + GC shape.
 
     Phase 1 installs the new-tag ("B") stub on every switch, phase 2 the
@@ -278,10 +252,10 @@ def policy_update(net: Network, phase2_switches=None, with_gc: bool = True,
         if not phase2_switches:
             raise ValueError("phase2_switches required for non-leaf-spine networks")
     phases = [net.switches, phase2_switches] + ([net.switches] if with_gc else [])
-    return stub_update(net, phases, {3}, ["B", None, "A"], flow_id)[0]
+    return stub_update(net, phases, {3}, ["B", None, "A"])[0]
 
 
-def policy_initial_state(net: Network, flow_id: str = "policy") -> ForwardingState:
+def policy_initial_state(net: Network) -> ForwardingState:
     """Pre-update state matching policy_update, so garbage collection has rules
     to remove: the old-tag and the wildcard stub on every switch."""
-    return stub_update(net, [net.switches] * 2, {1, 2}, ["A", None], flow_id)[1]
+    return stub_update(net, [net.switches] * 2, {1, 2}, ["A", None])[1]

@@ -218,6 +218,45 @@ class TestConfigErrors:
                      "--axis", "bananas", "--grid", "1,2"]) == 2
         assert "sweep.axis" in capsys.readouterr().err
 
+    # used to write header-only CSVs and exit 0
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_axis_override_without_sweep_block_exits_two(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, base_config())
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path),
+                     "--axis", "dc"]) == 2
+        assert "sweep.grid" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("sweep,field", [
+        ("x", "sweep:"), ({"axis": "dc"}, "sweep.grid"), ({"axis": "dc", "grid": "1ms"}, "sweep.grid"),
+        ({"axis": "dc", "grid": []}, "sweep.grid"), ({"grid": [1]}, "sweep.axis")])
+    def test_bad_sweep_block_exits_two(self, tmp_path, capsys, sweep, field):
+        cfg = write_config(tmp_path, base_config(sweep=sweep))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    # used to exit 3 (TypeError from dict(None))
+    def test_overrides_fill_a_null_sweep_block(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(sweep=None))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path),
+                     "--axis", "dc", "--grid", "1ms,2ms"]) == 0
+        assert len((tmp_path / "plan.csv").read_text().splitlines()) == 4
+
+    # null exited 3 (TypeError), "x" ran as seed "x"
+    @pytest.mark.parametrize("seeds", [None, "x", [], [-1], [True], [1.5], ["0"], [[0]], 3])
+    def test_bad_seeds_exit_two(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, base_config(seeds=seeds))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: seeds:" in capsys.readouterr().err
+
+    # -1 exited 3 (numpy ValueError)
+    def test_negative_seed_override_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                     "--seeds=-1"]) == 2
+        assert "config error: seeds:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_dn_auto_without_flows(self, tmp_path, capsys):
         doc = base_config()
         doc["params"]["dn"] = "auto"
@@ -248,6 +287,21 @@ class TestProcedureErrors:
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "procedure.phases[0]" in capsys.readouterr().err
 
+    # [[2]] exited 3 (TypeError: unhashable), out-of-range phases were ignored
+    @pytest.mark.parametrize("gc", [[[2]], [0], [3], [True], ["2"], 2, None])
+    def test_bad_gc_phases_exit_two(self, tmp_path, capsys, gc):
+        leaves = sorted(Experiment(base_config()).materialize().net.switches)[:2]
+        cfg = write_config(tmp_path, base_config(
+            procedure={"kind": "k-phase", "phases": [leaves, leaves], "gc_phases": gc}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "procedure.gc_phases" in capsys.readouterr().err
+
+    def test_gc_phases_accepted(self, tmp_path):
+        leaves = sorted(Experiment(base_config()).materialize().net.switches)[:2]
+        cfg = write_config(tmp_path, base_config(
+            procedure={"kind": "k-phase", "phases": [leaves, leaves], "gc_phases": [2]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
 
 class TestTopologyErrors:
     # used to exit 3: ValueError: link A-B: no delay_ns and missing coordinates
@@ -263,6 +317,21 @@ class TestTopologyErrors:
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error: topology: link A-B" in err
+
+    # both used to exit 3 (KeyError 'b' / 'id')
+    @pytest.mark.parametrize("nodes,links,message", [
+        ([{"id": "A"}, {"id": "B"}], [{"a": "A", "delay_ns": 5}], "links[0].b: required"),
+        ([{"id": "A"}, {"lat": 1.0}], [], "nodes[1].id: required"),
+        ([{"id": "A"}], [{"a": "A", "b": "Z", "delay_ns": 5}], "links[0]: unknown node 'Z'")])
+    def test_missing_topology_fields_exit_two(self, tmp_path, capsys, nodes, links, message):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": nodes, "links": links,
+                                    "ingress": [{"node": "A"}]}))
+        cfg = write_config(tmp_path, base_config(
+            topology={"kind": "file", "path": str(topo)},
+            procedure={"kind": "k-phase", "phases": [["A"]]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: topology: {message}" in capsys.readouterr().err
 
 
 def sprint_flow_config(**flow0):

@@ -197,12 +197,12 @@ class TestKnobSchedule:
         _, _, _, _, proc = line_flow_setup(2 * MS)
         wc = worst_case_schedule(proc, 500, testbed_params)
         kn = knob_schedule(500, testbed_params.d_n, testbed_params)
-        assert kn.times_by_phase() == wc.times_by_phase()
+        assert kn.times == wc.times
 
     def test_simultaneous_at_zero(self):
         params = SystemParameters(d_c=1, d_n=1, delta_msg=1, delta_sched=0)
         sched = knob_schedule(42, 0, params)
-        assert set(sched.times_by_phase().values()) == {42}
+        assert {t for _, t in sched.times} == {42}
 
     def test_explicit_arithmetic(self):
         params = SystemParameters(d_c=0, d_n=0, delta_msg=0, delta_sched=2)

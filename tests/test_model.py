@@ -16,7 +16,6 @@ from netupdate import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
-    similar,
 )
 
 from conftest import line_network
@@ -147,11 +146,11 @@ def test_apply_only_changes_update_domain(table, update_entries, mode):
         flow, tag, port = key
         if key in domain:
             if mode == "install":
-                assert out.switch_table("S1")[key] == (update_entries[key], "new")
+                assert out.tables["S1"][key] == (update_entries[key], "new")
             else:
-                assert key not in out.switch_table("S1")
+                assert key not in out.tables["S1"]
         else:
-            assert out.switch_table("S1").get(key) == state.switch_table("S1").get(key)
+            assert out.tables["S1"].get(key) == state.tables["S1"].get(key)
     # applying twice equals applying once
     assert out.apply(u) == out
     # exactly one action per lookup, always
@@ -264,31 +263,3 @@ class TestSchedule:
         proc = proc_of((u, 1), (u, 2))
         with pytest.raises(ValueError, match="lacks times"):
             TimedUpdateProcedure(proc, Schedule.build({1: 0}))
-
-
-class TestSimilar:
-    def setup_method(self):
-        self.u1 = SingletonUpdate.install("S1", {("f", "B", 0): DELIVER})
-        self.u2 = SingletonUpdate.install("S2", {("f", "B", 1): DELIVER})
-        self.untimed = proc_of((self.u1, 1), (self.u2, 2))
-
-    def timed(self, proc):
-        return TimedUpdateProcedure(proc, Schedule.build({1: 0, 2: 5}))
-
-    def test_identical_modulo_schedule(self):
-        assert similar(self.timed(self.untimed), self.untimed)
-
-    def test_phase_number_differs(self):
-        other = proc_of((self.u1, 1), (self.u2, 1))
-        assert not similar(self.timed(other), self.untimed)
-
-    def test_extra_singleton_differs(self):
-        extra = proc_of((self.u1, 1), (self.u1, 1), (self.u2, 2))
-        assert not similar(self.timed(extra), self.untimed)
-
-    def test_multiset_oracle_on_duplicates(self):
-        # two copies of the same (update, phase) pair must both be present
-        dup = proc_of((self.u1, 1), (self.u1, 1), (self.u2, 2))
-        also_dup = proc_of((self.u1, 1), (self.u1, 1), (self.u2, 2))
-        assert similar(self.timed(dup), also_dup)
-        assert not similar(self.timed(self.untimed), dup)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,6 @@ from netupdate import (
     untimed_worst_duration,
     worst_case_schedule,
 )
-from netupdate.model import PacketInstance
 from netupdate.simulator import StateTimeline
 from netupdate.topology import policy_initial_state, policy_update
 
@@ -90,9 +91,9 @@ class TestStateTimeline:
             assert mine
             for v in range(len(mine) + 1):
                 assert (run.timeline.table_version(sw, v)
-                        == init.apply(*mine[:v]).switch_table(sw)), (sw, v)
+                        == init.apply(*mine[:v]).tables[sw]), (sw, v)
             assert (run.timeline.table_version(sw, len(mine))
-                    == run.new_config.switch_table(sw))
+                    == run.new_config.tables[sw])
 
 
 class TestRunUntimed:
@@ -169,7 +170,7 @@ class TestRunTimed:
         net = leaf_spine(6)
         proc = policy_update(net)
         sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
-        times = sched.times_by_phase()
+        times = dict(sched.times)
         for seed in range(30):
             run = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
                             seed=seed, initial_state=policy_initial_state(net))
@@ -183,29 +184,22 @@ class TestRunTimed:
 
     def test_missed_schedule_fault_when_tsu_too_small(self, testbed_params):
         net, proc = single_switch_setup()
-        sched = worst_case_schedule(proc, 1_000_000, testbed_params)
+        params = dataclasses.replace(testbed_params, t_su=10)  # far below d_c lead
+        sched = worst_case_schedule(proc, 1_000_000, params)
         delays = RunDelays(DelayModel.constant(DC_NS), DelayModel.constant(0))
-        run = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
-                        delays, seed=0, send_time=1_000_000 - 10)  # far below d_c lead
+        run = run_timed(net, TimedUpdateProcedure(proc, sched), params, delays, seed=0)
         assert any(f.kind == "missed_schedule" for f in run.faults)
         # executed on arrival instead
         assert run.first_exec_ns == 1_000_000 - 10 + DC_NS
-
-    def test_schedule_before_send_rejected(self, testbed_params):
-        net, proc = single_switch_setup()
-        sched = worst_case_schedule(proc, 100, testbed_params)
-        with pytest.raises(ValueError, match="before"):
-            run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
-                      seed=0, send_time=200)
 
 
 class TestInjectFlow:
     def test_rate_and_window_arithmetic(self):
         net = line_network([1000])
         flow = TestFlow("f", "S1", 0, 1000.0)  # 1 ms spacing
-        pis = inject_flow(net, flow, (0, 10_000_000))
-        assert len(pis) == 10
-        assert [p.arrival_time for p in pis[:3]] == [0, 1_000_000, 2_000_000]
+        times = inject_flow(net, flow, (0, 10_000_000))
+        assert len(times) == 10
+        assert times[:3].tolist() == [0, 1_000_000, 2_000_000]
 
     def test_window_shorter_than_spacing_yields_one(self):
         net = line_network([1000])
@@ -229,6 +223,8 @@ class TestInjectFlow:
 
 
 class TestForwardPacket:
+    flow = TestFlow("f", "S1", 0, 100.0)
+
     def make_timeline(self, net, rules):
         return StateTimeline(net, ForwardingState.from_dict(net, rules), [])
 
@@ -240,8 +236,7 @@ class TestForwardPacket:
             "S3": {("f", "A", 1): DELIVER},
         }
         tl = self.make_timeline(net, rules)
-        pi = PacketInstance(TestFlow("f", "S1", 0, 100.0).packet, "S1", 0, 100)
-        trace = forward_packet(net, tl, pi, np.random.default_rng(0))
+        trace = forward_packet(net, tl, self.flow, 100, np.random.default_rng(0))
         assert [h.switch for h in trace.hops] == ["S1", "S2", "S3"]
         assert [h.time_ns for h in trace.hops] == [100, 2_100, 5_100]  # prefix sums
         assert [h.tag for h in trace.hops] == [None, "A", "A"]
@@ -256,8 +251,7 @@ class TestForwardPacket:
         # S1 re-installed at t=500; packet passes S1 after, S2 before any change
         u = SingletonUpdate.install("S1", {("f", None, 0): Action.forward(2)})
         tl = StateTimeline(net, initial, [(500, u)])
-        pi = PacketInstance(TestFlow("f", "S1", 0, 100.0).packet, "S1", 0, 600)
-        trace = forward_packet(net, tl, pi, np.random.default_rng(0))
+        trace = forward_packet(net, tl, self.flow, 600, np.random.default_rng(0))
         assert [h.generation for h in trace.hops] == ["new", "old"]
 
     def test_forwarding_loop_truncated_and_flagged(self):
@@ -267,16 +261,14 @@ class TestForwardPacket:
             "S2": {("f", None, 1): Action.forward(1)},
         }
         tl = self.make_timeline(net, rules)
-        pi = PacketInstance(TestFlow("f", "S1", 0, 100.0).packet, "S1", 0, 0)
-        trace = forward_packet(net, tl, pi, np.random.default_rng(0))
+        trace = forward_packet(net, tl, self.flow, 0, np.random.default_rng(0))
         assert trace.truncated
         assert len(trace.hops) == len(net.switches)
 
     def test_table_miss_drops(self):
         net = line_network([1_000])
         tl = self.make_timeline(net, {})
-        pi = PacketInstance(TestFlow("f", "S1", 0, 100.0).packet, "S1", 0, 0)
-        trace = forward_packet(net, tl, pi, np.random.default_rng(0))
+        trace = forward_packet(net, tl, self.flow, 0, np.random.default_rng(0))
         assert not trace.delivered
         assert trace.hops[0].action.kind == "drop"
 
@@ -385,8 +377,8 @@ def test_run_flows_matches_forward_packet_oracle(case):
     run_flows(net, run, flows, window=window)
     for idx, flow in enumerate(flows):
         rng = np.random.default_rng([seed, 7919 + idx])
-        want = [forward_packet(net, run.timeline, pi, rng)
-                for pi in inject_flow(net, flow, window)]
+        want = [forward_packet(net, run.timeline, flow, t, rng)
+                for t in inject_flow(net, flow, window).tolist()]
         got = run.flow_traces[flow.flow_id]
         assert len(got) == len(want)
         assert list(got) == want

@@ -10,7 +10,6 @@ from netupdate import (
     leaf_spine,
     load_topology,
     path_link_bound_ns,
-    update_for_path_change,
 )
 from netupdate.topology import INGRESS_PORT, label_change_update, leaf_switches
 
@@ -115,14 +114,14 @@ class TestLoadTopology:
             assert net.ingress_ports
 
 
-class TestUpdateForPathChange:
+class TestLabelChangeUpdate:
     def setup_method(self):
         self.net = leaf_spine(6)
         self.flow = TestFlow("f1", "leaf1", INGRESS_PORT, 1000.0)
 
     def test_label_only_change_same_path(self):
         path = ["leaf1", "spine1", "leaf2"]
-        proc = update_for_path_change(self.net, self.flow, path, path)
+        _, proc = label_change_update(self.net, [(self.flow, path)])
         assert proc.phase_counts() == [3, 1, 3]
         assert proc.gc_phases() == frozenset({3})
         # same switches, different tags, still a valid procedure
@@ -130,29 +129,16 @@ class TestUpdateForPathChange:
         gc = {u.target for u in proc.updates_in_phase(3)}
         assert phase1 == gc == set(path)
 
-    def test_disjoint_interiors(self):
-        old = ["leaf1", "spine1", "leaf2"]
-        new = ["leaf1", "spine2", "leaf2"]
-        proc = update_for_path_change(self.net, self.flow, old, new)
-        assert {u.target for u in proc.updates_in_phase(1)} == set(new)
-        assert {u.target for u in proc.updates_in_phase(2)} == {"leaf1"}
-        assert {u.target for u in proc.updates_in_phase(3)} == set(old)
-
     def test_two_hop_counts(self):
-        path = ["leaf1", "spine1"]
-        proc = update_for_path_change(self.net, self.flow, path, path)
+        _, proc = label_change_update(self.net, [(self.flow, ["leaf1", "spine1"])])
         assert proc.phase_counts() == [2, 1, 2]
 
     def test_mismatched_ingress_rejected(self):
         with pytest.raises(ValueError, match="ingress"):
-            update_for_path_change(self.net, self.flow,
-                                   ["leaf2", "spine1", "leaf3"],
-                                   ["leaf2", "spine2", "leaf3"])
+            label_change_update(self.net, [(self.flow, ["leaf2", "spine1", "leaf3"])])
 
     def test_procedure_validity_invariants(self):
-        old = ["leaf1", "spine1", "leaf3"]
-        new = ["leaf1", "spine2", "leaf3"]
-        proc = update_for_path_change(self.net, self.flow, old, new)
+        _, proc = label_change_update(self.net, [(self.flow, ["leaf1", "spine2", "leaf3"])])
         assert isinstance(proc, UpdateProcedure)  # constructor enforces phases
         # remove-mode entries only in the gc phase
         for u in proc.updates_in_phase(1) + proc.updates_in_phase(2):
