@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import stats
@@ -60,23 +61,12 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
     return 0
 
 
-def _run_to_dict(run, exp_hash: str, reports) -> dict:
-    flows = {}
-    for rep in reports:
-        packets = run.flow_traces[rep.flow_id]
-        flows[rep.flow_id] = {
-            "n_inconsistent": rep.n_inconsistent,
-            "rate_pps": rep.rate_pps,
-            "inconsistency_ns": rep.inconsistency_ns,
-            "dropped": int(packets.dropped.sum()),
-            "truncated": int(packets.truncated.sum()),
-            "stranded": int(packets.stranded.sum()),
-            "packets": [
-                {"t_in": t_in, "result": result, "hops": hops, "delivered": delivered}
-                for t_in, result, hops, delivered in zip(
-                    packets.t_in.tolist(), rep.classes, packets.hops.tolist(),
-                    packets.delivered.tolist(), strict=True)],
-        }
+PACKET_BLOCK = 1024  # packets formatted per write when streaming run.json
+_JSON_BOOL = ("false", "true")
+
+
+def _run_header(run, exp_hash: str) -> dict:
+    """run.json's fields other than "flows"."""
     p = run.params
     return {
         "meta": {"config": exp_hash, "engine": ENGINE_VERSION, "seed": run.seed,
@@ -89,8 +79,91 @@ def _run_to_dict(run, exp_hash: str, reports) -> dict:
         "update_duration_ns": run.update_duration_ns,
         "faults": [{"time_ns": f.time_ns, "kind": f.kind, "where": f.where,
                     "detail": f.detail} for f in run.faults],
-        "flows": flows,
     }
+
+
+def _flow_summary(rep, packets) -> dict:
+    """One flow's fields in run.json other than "packets"."""
+    return {
+        "n_inconsistent": rep.n_inconsistent,
+        "rate_pps": rep.rate_pps,
+        "inconsistency_ns": rep.inconsistency_ns,
+        "dropped": int(packets.dropped.sum()),
+        "truncated": int(packets.truncated.sum()),
+        "stranded": int(packets.stranded.sum()),
+    }
+
+
+def _run_to_dict(run, exp_hash: str, reports) -> dict:
+    """run.json as one document with a dict per packet: the oracle of _write_run."""
+    flows = {}
+    for rep in reports:
+        packets = run.flow_traces[rep.flow_id]
+        flows[rep.flow_id] = {
+            **_flow_summary(rep, packets),
+            "packets": [
+                {"t_in": t_in, "result": result, "hops": hops, "delivered": delivered}
+                for t_in, result, hops, delivered in zip(
+                    packets.t_in.tolist(), rep.classes, packets.hops.tolist(),
+                    packets.delivered.tolist(), strict=True)],
+        }
+    return {**_run_header(run, exp_hash), "flows": flows}
+
+
+def _write_object(fh, fields: dict, level: int) -> None:
+    """Write fields as json.dump(indent=2, sort_keys=True) lays out an object
+    nested `level` deep. A callable value writes itself, given its level."""
+    if not fields:
+        fh.write("{}")
+        return
+    pad = "\n" + "  " * (level + 1)
+    for i, key in enumerate(sorted(fields)):
+        # json writes a non-string key as the text of its JSON value
+        name = json.dumps(key if isinstance(key, str) else json.dumps(key))
+        fh.write(("," if i else "{") + f"{pad}{name}: ")
+        value = fields[key]
+        if callable(value):
+            value(level + 1)
+        else:
+            # a JSON string never holds a raw newline, so this only re-indents
+            fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
+    fh.write("\n" + "  " * level + "}")
+
+
+def _write_packets(fh, packets, classes, level: int) -> None:
+    """One flow's packet list, formatted from the walk's arrays PACKET_BLOCK
+    packets per write, keys in sorted order."""
+    if not len(packets.t_in):
+        fh.write("[]")
+        return
+    pad = "\n" + "  " * (level + 1)
+    key = pad + "  "
+    result = {c: json.dumps(c) for c in set(classes)}
+    fh.write("[")
+    for start in range(0, len(packets.t_in), PACKET_BLOCK):
+        stop = start + PACKET_BLOCK
+        block = ",".join(
+            f'{pad}{{{key}"delivered": {_JSON_BOOL[delivered]},{key}"hops": {hops},'
+            f'{key}"result": {result[cls]},{key}"t_in": {t_in}{pad}}}'
+            for delivered, hops, cls, t_in in zip(
+                packets.delivered[start:stop].tolist(), packets.hops[start:stop].tolist(),
+                classes[start:stop], packets.t_in[start:stop].tolist(), strict=True))
+        fh.write(f",{block}" if start else block)
+    fh.write("\n" + "  " * level + "]")
+
+
+def _write_run(fh, run, exp_hash: str, reports) -> None:
+    """Stream run.json to fh, byte-equal to json.dump(_run_to_dict(...), fh,
+    indent=2, sort_keys=True), without a dict per packet or the whole text."""
+    def write_flow(rep, level):
+        packets = run.flow_traces[rep.flow_id]
+        _write_object(fh, {**_flow_summary(rep, packets),
+                           "packets": partial(_write_packets, fh, packets, rep.classes)},
+                      level)
+
+    flows = {rep.flow_id: partial(write_flow, rep) for rep in reports}
+    _write_object(fh, {**_run_header(run, exp_hash),
+                       "flows": partial(_write_object, fh, flows)}, 0)
 
 
 def cmd_simulate(exp: Experiment, out: Path) -> int:
@@ -104,10 +177,9 @@ def cmd_simulate(exp: Experiment, out: Path) -> int:
         point = exp.materialize()
     run, reports = point.run(seed)
 
-    run_doc = _run_to_dict(run, exp.hash, reports)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "run.json", "w", newline="\n") as fh:
-        json.dump(run_doc, fh, indent=2, sort_keys=True)
+        _write_run(fh, run, exp.hash, reports)
         fh.write("\n")
 
     lines = [_meta_line(exp.hash, [seed]),
@@ -175,6 +247,16 @@ def _parse_seeds(text: str):
         raise ConfigError(f"--seeds: cannot parse {text!r}") from None
 
 
+def _parse_percentiles(text: str):
+    try:
+        values = [float(p) for p in text.split(",") if p]
+    except ValueError:
+        raise ConfigError(f"--percentiles: cannot parse {text!r}") from None
+    if not values or any(not 0 < p <= 1 for p in values):
+        raise ConfigError("--percentiles: fractions must be in (0, 1]")
+    return values
+
+
 def _parse_grid(text: str):
     values = []
     for tok in text.replace(",", " ").split():
@@ -217,10 +299,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         if args.command == "analyze-trace":
-            percentiles = [float(p) for p in args.percentiles.split(",") if p]
-            if not percentiles or any(not 0 < p <= 1 for p in percentiles):
-                raise ConfigError("--percentiles: fractions must be in (0, 1]")
-            return cmd_analyze_trace(args.trace, percentiles, out)
+            return cmd_analyze_trace(args.trace, _parse_percentiles(args.percentiles), out)
         exp = Experiment.load(args.config)
         exp.override(seeds=_parse_seeds(args.seeds) if args.seeds else None,
                      axis=args.axis,

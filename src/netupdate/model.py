@@ -221,13 +221,14 @@ class ForwardingState:
         """Resolve one (packet, port) pair to (Action, generation-or-None)."""
         return lookup_rule(self.tables[switch], flow_id, tag, port)
 
-    def apply(self, *updates: SingletonUpdate) -> "ForwardingState":
+    def apply(self, *updates: SingletonUpdate, warn: bool = True) -> "ForwardingState":
         """Pure application of singleton updates in order.
 
         Install: the target switch behaves like the update's entries on its
         domain and as before elsewhere; installed entries carry generation
         "new". Remove: the listed keys are deleted; deleting an absent key is
-        a warned no-op so garbage collection stays idempotent.
+        a no-op, warned unless warn is false, so garbage collection stays
+        idempotent.
 
         Copy-on-write: each changed table is copied once, however many
         updates target it, so folding a whole procedure costs
@@ -247,11 +248,11 @@ class ForwardingState:
                     table[key] = (action, GEN_NEW)
             else:
                 for key, _ in update.entries:
-                    if key not in table:
+                    if key in table:
+                        del table[key]
+                    elif warn:
                         logger.warning("garbage collection: rule %r already absent on %s",
                                        key, update.target)
-                    else:
-                        del table[key]
         return ForwardingState(tables)
 
 

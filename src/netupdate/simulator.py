@@ -157,13 +157,14 @@ def _finish_run(mode, seed, params, first_send, execs, messages, faults,
     """Order the (time, msg_index, phase, update) executions and fold them.
 
     Executions at equal times take effect in message order, which pins down
-    the run; the new configuration folds the whole procedure in message order.
+    the run; the new configuration folds the whole procedure in message order,
+    quietly, since the timeline's fold already warns of each absent rule.
     """
     execs = sorted(execs, key=lambda e: e[:2])
     exec_log = [ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs]
     messages += [LogLine(t, "exec", u.target, "-", phase, f"msg={idx} mode={u.mode}")
                  for t, idx, phase, u in execs]
-    new_config = initial.apply(*(u for _, _, u in _ordered_messages(proc)))
+    new_config = initial.apply(*(u for _, _, u in _ordered_messages(proc)), warn=False)
     messages.sort(key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
     return RunResult(
         mode=mode, seed=seed, params=params, first_send_ns=first_send,

@@ -60,10 +60,21 @@ def leaf_switches(net: Network) -> list:
 
 
 def _required(entry, key: str, where: str):
-    """entry[key], or a ValueError naming where.key."""
+    """entry[key] as a node name, or a ValueError naming where.key."""
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"{where}.{key}: required")
-    return entry[key]
+    name = entry[key]
+    if isinstance(name, (list, dict)):
+        raise ValueError(f"{where}.{key}: expected a node name, got {name!r}")
+    return name
+
+
+def _entries(doc, key: str) -> list:
+    """doc[key] (empty if absent), or a ValueError naming key if not a list."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{key}: expected a list, got {entries!r}")
+    return entries
 
 
 def load_topology(source, propagation_us_per_km: float = 5.0,
@@ -83,12 +94,14 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
         doc = json.loads(Path(source).read_text())
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected an object, got {type(doc).__name__}")
     if delay_mode not in ("constant", "exponential"):
         raise ValueError(f"unknown delay_mode {delay_mode!r}")
 
     coords = {}
     node_ids = []
-    for i, node in enumerate(doc.get("nodes", [])):
+    for i, node in enumerate(_entries(doc, "nodes")):
         nid = _required(node, "id", f"nodes[{i}]")
         node_ids.append(nid)
         if "lat" in node and "lon" in node:
@@ -96,7 +109,7 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
 
     next_port = {nid: 1 for nid in node_ids}
     links = []
-    for i, entry in enumerate(doc.get("links", [])):
+    for i, entry in enumerate(_entries(doc, "links")):
         a, b = (_required(entry, end, f"links[{i}]") for end in "ab")
         for end in (a, b):
             if end not in next_port:
@@ -119,8 +132,9 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
         links.append(Link((a, pa), (b, pb), model))
 
     ingress = []
-    for entry in doc.get("ingress", []):
-        node = entry["node"] if isinstance(entry, dict) else entry
+    for i, entry in enumerate(_entries(doc, "ingress")):
+        node = _required(entry if isinstance(entry, dict) else {"node": entry},
+                         "node", f"ingress[{i}]")
         ingress.append((node, INGRESS_PORT))
     return Network(tuple(node_ids), tuple(links), frozenset(ingress))
 

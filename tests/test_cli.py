@@ -1,9 +1,13 @@
+import dataclasses
+import functools
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netupdate import (
     DELIVER,
@@ -17,9 +21,9 @@ from netupdate import (
     run_flows,
     run_untimed,
 )
-from netupdate.cli import _run_to_dict, main
+from netupdate.cli import PACKET_BLOCK, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
-from netupdate.simulator import ENGINE_VERSION
+from netupdate.simulator import ENGINE_VERSION, Fault
 
 from conftest import line_network
 
@@ -159,6 +163,94 @@ class TestRunJsonOutcomeCounts:
         doc = self.flow_doc({"S1": {("f", None, 0): Action.forward(2)}})
         assert (doc["dropped"], doc["truncated"], doc["stranded"]) == (10, 0, 0)
         assert not any(p["delivered"] for p in doc["packets"])
+
+
+@functools.lru_cache(maxsize=1)
+def _writer_base_run():
+    """A run whose one flow "f" has 3,100 packets of every class, delivered
+    or not, ending after one or two hops: phase 1 re-tags at S1 and removes
+    S2's rule at independent random times, phase 2 removes S1's rule."""
+    net = line_network([1_000])
+    initial = ForwardingState.from_dict(net, {"S1": {("f", None, 0): Action.forward(2)},
+                                              "S2": {("f", None, 1): DELIVER}})
+    proc = UpdateProcedure((
+        (SingletonUpdate.install("S1", {("f", None, 0): Action.forward_tagged(2, "B")}), 1),
+        (SingletonUpdate.remove("S2", [("f", None, 1)]), 1),
+        (SingletonUpdate.remove("S1", [("f", None, 0)]), 2)))
+    run = run_untimed(net, proc, SystemParameters(1_000_000, 1_000, 1_000, 0),
+                      initial_state=initial, start_time=500_000)
+    run_flows(net, run, [TestFlow("f", "S1", 0, 1e6)], window=(0, 3_100_000))
+    return run
+
+
+_ODD_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é€😀'),
+                              st.characters()), max_size=6)
+_COUNTS = st.one_of(  # empty, one packet, and around the block boundaries
+    st.sampled_from([0, 1, PACKET_BLOCK, PACKET_BLOCK + 1, 2 * PACKET_BLOCK + 1]),
+    st.integers(0, 40))
+_RATES = st.one_of(st.integers(1, 2 * 10**9), st.floats(1e-3, 2e9))
+
+
+@st.composite
+def _writer_cases(draw):
+    ids = draw(st.one_of(st.lists(_ODD_TEXT, unique=True, max_size=3),
+                         st.lists(st.integers(-5, 10**6), unique=True, max_size=3)))
+    return {
+        "flows": [(fid, draw(_COUNTS), draw(st.integers(0, 1_000)), draw(_RATES))
+                  for fid in ids],
+        "faults": draw(st.lists(st.tuples(st.integers(0, 10**18), _ODD_TEXT, _ODD_TEXT,
+                                          _ODD_TEXT), max_size=2)),
+        "tsu": draw(st.one_of(st.none(), st.integers(0, 10**18))),
+        "hash": draw(_ODD_TEXT),
+    }
+
+
+class TestRunJsonStreamedWriter:
+    """cmd_simulate streams run.json; json.dump of _run_to_dict is its oracle."""
+
+    @staticmethod
+    def case_run(case):
+        """The base run with the case's faults and t_su, and one flow per
+        (id, packet count, offset, rate), cut from "f"'s packets."""
+        base = _writer_base_run()
+        f = base.flow_traces["f"]
+        flow_traces = {}
+        for fid, n, offset, rate in case["flows"]:
+            cut = slice(offset, offset + n)
+            packets = dataclasses.replace(
+                f, flow_id=fid, **{name: getattr(f, name)[cut] for name in (
+                    "t_in", "hops", "delivered", "truncated", "stranded",
+                    "agrees_old", "agrees_new", "hop_times", "hop_rows")})
+            assert len(packets.t_in) == n
+            flow_traces[fid] = packets
+        run = dataclasses.replace(
+            base, flow_traces=flow_traces,
+            params=dataclasses.replace(base.params, t_su=case["tsu"]),
+            faults=[Fault(*fault) for fault in case["faults"]])
+        reports = [measure_inconsistency(run, TestFlow(fid, "S1", 0, rate))
+                   for fid, _, _, rate in case["flows"]]
+        return run, reports
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_writer_cases())
+    @example(case={"flows": [], "faults": [], "tsu": None, "hash": "h"})
+    @example(case={"flows": [("a", 0, 0, 5000), ("b", 2 * PACKET_BLOCK + 1, 900, 5000.5)],
+                   "faults": [(7, "missed_schedule", 'S"1', "late\n\\")],
+                   "tsu": 1_000, "hash": "h"})
+    def test_streamed_bytes_equal_the_oracle(self, case):
+        run, reports = self.case_run(case)
+        buf = io.StringIO()
+        _write_run(buf, run, case["hash"], reports)
+        assert buf.getvalue() == json.dumps(_run_to_dict(run, case["hash"], reports),
+                                            indent=2, sort_keys=True)
+
+    def test_base_run_has_every_outcome(self):
+        f = _writer_base_run().flow_traces["f"]
+        report = measure_inconsistency(_writer_base_run(), TestFlow("f", "S1", 0, 1e6))
+        assert len(f.t_in) >= 2 * PACKET_BLOCK + 1 + 1_000
+        assert set(report.classes) == {"consistent_old", "consistent_new", "inconsistent"}
+        assert set(f.delivered.tolist()) == {True, False}
+        assert set(f.hops.tolist()) == {1, 2}
 
 
 class TestSweepCommand:
@@ -333,6 +425,33 @@ class TestTopologyErrors:
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config error: topology: {message}" in capsys.readouterr().err
 
+    # used to exit 3: TypeError (unhashable list, int not iterable), KeyError 'node'
+    @pytest.mark.parametrize("change,message", [
+        ({"links": [{"a": ["A"], "b": "B", "delay_ns": 5}]},
+         "links[0].a: expected a node name, got ['A']"),
+        ({"nodes": 3}, "nodes: expected a list, got 3"),
+        ({"ingress": [{"label": "src-a"}]}, "ingress[0].node: required"),
+        ({"ingress": [["A"]]}, "ingress[0].node: expected a node name, got ['A']"),
+        ({"nodes": [{"id": {"x": 1}}]}, "nodes[0].id: expected a node name"),
+        ({"links": {"a": "A"}}, "links: expected a list, got {'a': 'A'}")])
+    def test_malformed_topology_fields_exit_two(self, tmp_path, capsys, change, message):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": [{"id": "A"}, {"id": "B"}],
+                                    "links": [{"a": "A", "b": "B", "delay_ns": 5}],
+                                    "ingress": [{"node": "A"}], **change}))
+        cfg = write_config(tmp_path, base_config(
+            topology={"kind": "file", "path": str(topo)},
+            procedure={"kind": "k-phase", "phases": [["A"]]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: topology: {message}" in capsys.readouterr().err
+
+    def test_non_object_topology_file_exits_two(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text("[]")
+        cfg = write_config(tmp_path, base_config(topology={"kind": "file", "path": str(topo)}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: topology: expected an object, got list" in capsys.readouterr().err
+
 
 def sprint_flow_config(**flow0):
     """sprint_knob.json with flows[0]'s fields replaced by flow0."""
@@ -427,6 +546,19 @@ class TestAnalyzeTrace:
         assert main(["analyze-trace", str(trace), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: trace: {trace}:3: " in err and reason in err
+        assert not (tmp_path / "trace_stats.csv").exists()
+
+    # unparsable ones used to exit 3: ValueError: could not convert string to float
+    @pytest.mark.parametrize("text,reason", [
+        ("abc", "cannot parse 'abc'"), ("0.5,,x", "cannot parse '0.5,,x'"),
+        ("0.5,1.5", "fractions must be in (0, 1]"), (",", "fractions must be in (0, 1]"),
+        ("nan", "fractions must be in (0, 1]")])
+    def test_bad_percentiles_exit_two(self, tmp_path, capsys, text, reason):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("1.5\n2.5\n")
+        assert main(["analyze-trace", str(trace), "--out", str(tmp_path),
+                     f"--percentiles={text}"]) == 2
+        assert capsys.readouterr().err == f"config error: --percentiles: {reason}\n"
         assert not (tmp_path / "trace_stats.csv").exists()
 
     def test_cap_itself_accepted(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,15 @@ class TestRunUntimed:
         delays = RunDelays(DelayModel.constant(2 * DC_NS), DelayModel.constant(0))
         run = run_untimed(net, proc, testbed_params, delays, seed=0)
         assert any(f.kind == "bound_violation" for f in run.faults)
+
+    # used to warn twice: from the timeline's fold and from new_config's
+    def test_remove_of_absent_rule_warns_once(self, testbed_params, caplog):
+        proc = UpdateProcedure(((SingletonUpdate.remove("S1", [("f", None, 0)]), 1),))
+        with caplog.at_level(logging.WARNING, logger="netupdate.model"):
+            run = run_untimed(line_network([]), proc, testbed_params)
+        assert [r.getMessage() for r in caplog.records] == [
+            "garbage collection: rule ('f', None, 0) already absent on S1"]
+        assert run.new_config.tables == run.old_config.tables == {"S1": {}}
 
     def test_determinism(self, testbed_params):
         net = leaf_spine(6)
