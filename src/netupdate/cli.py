@@ -77,8 +77,7 @@ def _run_header(run, exp_hash: str) -> dict:
         "first_exec_ns": run.first_exec_ns,
         "last_exec_ns": run.last_exec_ns,
         "update_duration_ns": run.update_duration_ns,
-        "faults": [{"time_ns": f.time_ns, "kind": f.kind, "where": f.where,
-                    "detail": f.detail} for f in run.faults],
+        "faults": [f._asdict() for f in run.faults],
     }
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import consistency, planner, topology
 from .delays import DelayModel
@@ -86,8 +86,7 @@ def _parse_delay_model(spec, field: str) -> DelayModel:
     raise ConfigError(f"{field}.kind: unknown delay model {kind!r}")
 
 
-@dataclass
-class Point:
+class Point(NamedTuple):
     """One fully materialized experiment point (a single sweep position)."""
 
     net: object

@@ -11,11 +11,11 @@ length of the disruption the update caused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ForwardingState, Schedule, SystemParameters
+from .model import ForwardingState, Schedule, SystemParameters, validated
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
@@ -23,8 +23,8 @@ INCONSISTENT = "inconsistent"
 _CLASSES = np.array([CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT], dtype=object)
 
 
-@dataclass(frozen=True)
-class TestFlow:
+@validated
+class TestFlow(NamedTuple):
     """Identical packets at a constant rate from one ingress port.
 
     Packets enter untagged; the ingress switch stamps the version tag.
@@ -37,7 +37,7 @@ class TestFlow:
     ingress_port: int
     rate_pps: float
 
-    def __post_init__(self):
+    def _validate(self):
         # NaN fails every comparison, so test for the valid range
         if not 0 < self.rate_pps < math.inf:
             raise ValueError("flow rate must be positive and finite")
@@ -56,13 +56,16 @@ class TestFlow:
                    mbps * 1e6 / (packet_bytes * 8))
 
 
-@dataclass(frozen=True)
-class InconsistencyReport:
+class InconsistencyReport(NamedTuple):
     flow_id: str
     n_inconsistent: int
     rate_pps: float
     inconsistency_ns: int
-    classes: tuple = field(repr=False)  # per-packet class, in trace order
+    classes: tuple  # per-packet class, in trace order
+
+    def __repr__(self) -> str:  # every field but classes, which has one entry per packet
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({shown})"
 
     def csv_row(self) -> str:
         rate = int(self.rate_pps) if float(self.rate_pps).is_integer() else self.rate_pps

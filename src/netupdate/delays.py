@@ -8,15 +8,14 @@ truncation, empirical by its largest sample. Lower bounds are always zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_EXP_CAP_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class DelayModel:
+class DelayModel(NamedTuple):
     """A sampleable non-negative delay distribution with a known upper bound.
 
     kind is one of "constant", "uniform", "exponential", "empirical".
@@ -28,7 +27,7 @@ class DelayModel:
     hi: int = 0                    # uniform upper bound
     mean: int = 0                  # exponential mean
     cap: int = 0                   # exponential truncation point
-    samples: tuple = field(default=())  # empirical pool
+    samples: tuple = ()            # empirical pool
 
     @classmethod
     def constant(cls, value: int) -> "DelayModel":

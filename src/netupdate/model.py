@@ -14,14 +14,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .delays import DelayModel
-
-logger = logging.getLogger(__name__)
 
 MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or traced duration
 
@@ -29,8 +26,30 @@ GEN_OLD = "old"
 GEN_NEW = "new"
 
 
-@dataclass(frozen=True)
-class SystemParameters:
+def _log(level: str, msg: str, *args) -> None:
+    """Log to the netupdate.model logger; logging is imported by the first message."""
+    import logging
+
+    getattr(logging.getLogger(__name__), level)(msg, *args)
+
+
+def validated(record):
+    """Make every construction path of the NamedTuple record run record._validate:
+    the constructor, _make, _replace (which calls _make), copy and pickle."""
+    new = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    record.__new__ = staticmethod(__new__)
+    record._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return record
+
+
+@validated
+class SystemParameters(NamedTuple):
     """Delay and accuracy bounds that drive planning and simulation.
 
     d_c        upper bound on controller-to-switch delay, install included
@@ -48,7 +67,7 @@ class SystemParameters:
     delta_sched: int
     t_su: int | None = None
 
-    def __post_init__(self):
+    def _validate(self):
         for name in ("d_c", "d_n", "delta_msg", "delta_sched"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -56,8 +75,7 @@ class SystemParameters:
             raise ValueError("t_su must be >= 0 or None")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """What a switch does with a matched packet.
 
     kind is "forward", "forward_tagged", "drop", or "deliver".
@@ -82,8 +100,7 @@ DROP = Action("drop")
 DELIVER = Action("deliver")
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Bidirectional link between two (switch, port) endpoints."""
 
     a: tuple
@@ -91,7 +108,6 @@ class Link:
     delay: DelayModel
 
 
-@dataclass
 class Network:
     """Switches, ports, links, and the ingress ports facing the outside world.
 
@@ -99,33 +115,38 @@ class Network:
     and ingress declarations; a port belongs to at most one of those roles.
     """
 
-    switches: tuple
-    links: tuple
-    ingress_ports: frozenset
-
-    def __post_init__(self):
-        self.switches = tuple(self.switches)
-        self.links = tuple(self.links)
-        self.ingress_ports = frozenset(self.ingress_ports)
+    def __init__(self, switches, links, ingress_ports):
+        self.switches = tuple(switches)
+        self.links = tuple(links)
+        self.ingress_ports = frozenset(ingress_ports)
         known = set(self.switches)
         if len(known) != len(self.switches):
             raise ValueError("duplicate switch ids")
-        self._peer = {}
+        self._peer = {a: (b[0], b[1], delay) for a, b, delay in self.links}
+        self._peer.update({b: (a[0], a[1], delay) for a, b, delay in self.links})
+        ends = (*self._peer, *self.ingress_ports)
+        # a repeated port shrinks the map; _check finds the first bad entry
+        if (len(self._peer) != 2 * len(self.links) or not known.issuperset([sw for sw, _ in ends])
+                or not self.ingress_ports.isdisjoint(self._peer)):
+            self._check(known)
         self.ports = {s: set() for s in self.switches}
-        for link in self.links:
-            for (sw, port), (psw, pport) in ((link.a, link.b), (link.b, link.a)):
-                if sw not in known:
-                    raise ValueError(f"link endpoint references unknown switch {sw!r}")
-                if (sw, port) in self._peer:
-                    raise ValueError(f"port ({sw!r}, {port}) used by more than one link")
-                self._peer[(sw, port)] = (psw, pport, link.delay)
-                self.ports[sw].add(port)
+        for sw, port in ends:
+            self.ports[sw].add(port)
+
+    def _check(self, known):
+        """Raise the error of the first bad link endpoint or ingress port."""
+        seen = set()
+        for sw, port in (end for link in self.links for end in (link.a, link.b)):
+            if sw not in known:
+                raise ValueError(f"link endpoint references unknown switch {sw!r}")
+            if (sw, port) in seen:
+                raise ValueError(f"port ({sw!r}, {port}) used by more than one link")
+            seen.add((sw, port))
         for sw, port in self.ingress_ports:
             if sw not in known:
                 raise ValueError(f"ingress port references unknown switch {sw!r}")
-            if (sw, port) in self._peer:
+            if (sw, port) in seen:
                 raise ValueError(f"ingress port ({sw!r}, {port}) is also a link endpoint")
-            self.ports[sw].add(port)
 
     def peer(self, switch: str, port: int):
         """(peer_switch, peer_port, delay_model) reachable out of ``port``, or None."""
@@ -144,8 +165,8 @@ class Network:
         return self._between.get(frozenset((a, b)))
 
 
-@dataclass(frozen=True)
-class SingletonUpdate:
+@validated
+class SingletonUpdate(NamedTuple):
     """A rule-table change for exactly one switch.
 
     install mode writes the listed entries (generation "new"); remove mode
@@ -172,11 +193,11 @@ class SingletonUpdate:
     def remove(cls, target: str, keys) -> "SingletonUpdate":
         return cls(target, cls._normalize((k, None) for k in keys), "remove")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.mode not in ("install", "remove"):
             raise ValueError(f"unknown update mode {self.mode!r}")
         if not self.entries:
-            logger.debug("empty singleton update for %s", self.target)
+            _log("debug", "empty singleton update for %s", self.target)
 
 
 def lookup_rule(table: dict, flow_id: str, tag: str | None, port: int):
@@ -192,8 +213,7 @@ def lookup_rule(table: dict, flow_id: str, tag: str | None, port: int):
     return table.get((flow_id, None, port), (DROP, None))
 
 
-@dataclass(frozen=True)
-class ForwardingState:
+class ForwardingState(NamedTuple):
     """Per-switch rule tables; every rule carries a generation label.
 
     tables maps each switch to its rule dict {rule key: (Action, generation)}.
@@ -251,13 +271,13 @@ class ForwardingState:
                     if key in table:
                         del table[key]
                     elif warn:
-                        logger.warning("garbage collection: rule %r already absent on %s",
-                                       key, update.target)
+                        _log("warning", "garbage collection: rule %r already absent on %s",
+                             key, update.target)
         return ForwardingState(tables)
 
 
-@dataclass(frozen=True)
-class UpdateProcedure:
+@validated
+class UpdateProcedure(NamedTuple):
     """Singleton updates grouped into phases 1..k.
 
     Every update of phase j must take effect before any update of phase
@@ -267,7 +287,7 @@ class UpdateProcedure:
 
     items: tuple  # tuple of (SingletonUpdate, phase)
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.items:
             raise ValueError("update procedure must contain at least one singleton update")
         phases = sorted({phase for _, phase in self.items})
@@ -296,8 +316,7 @@ class UpdateProcedure:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Clock times for each phase of a timed procedure.
 
     times is a sorted tuple of (phase, clock time). Times must be
@@ -329,14 +348,14 @@ class Schedule:
         return self.times[-1][1]
 
 
-@dataclass(frozen=True)
-class TimedUpdateProcedure:
+@validated
+class TimedUpdateProcedure(NamedTuple):
     """An update procedure plus the clock times at which its phases run."""
 
     procedure: UpdateProcedure
     schedule: Schedule
 
-    def __post_init__(self):
+    def _validate(self):
         have = {phase for phase, _ in self.schedule.times}
         need = set(range(1, self.procedure.num_phases + 1))
         missing = need - have

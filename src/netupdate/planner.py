@@ -18,22 +18,22 @@ phase) with a delta_sched execution window per switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import Schedule, SystemParameters, UpdateProcedure
+from .model import Schedule, SystemParameters, UpdateProcedure, validated
 
 C_START = "C_start"
 C_FIN = "C_fin"
 
 
-@dataclass(frozen=True)
-class PertGraph:
+@validated
+class PertGraph(NamedTuple):
     """Weighted DAG of controller/switch events; edges are activities."""
 
     nodes: tuple
     edges: tuple  # (from, to, weight)
 
-    def __post_init__(self):
+    def _validate(self):
         known = set(self.nodes)
         for u, v, w in self.edges:
             if u not in known or v not in known:
@@ -48,8 +48,7 @@ class PertGraph:
         return out
 
 
-@dataclass(frozen=True)
-class DurationReport:
+class DurationReport(NamedTuple):
     worst_case: int
     critical_path: tuple
 
@@ -224,8 +223,7 @@ def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters
     return Schedule.build(times)
 
 
-@dataclass(frozen=True)
-class TimedUntimedComparison:
+class TimedUntimedComparison(NamedTuple):
     timed: int
     untimed: int
     timed_wins: bool

@@ -23,7 +23,7 @@ alone; a differential test holds the two to identical traces and classes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .model import (
 ENGINE_VERSION = 2
 
 
-@dataclass(frozen=True)
-class RunDelays:
+class RunDelays(NamedTuple):
     """Delay models for the controller channel and the inter-message gap."""
 
     ctrl: DelayModel
@@ -54,8 +53,7 @@ class RunDelays:
         return cls(DelayModel.uniform(params.d_c), DelayModel.uniform(params.delta_msg))
 
 
-@dataclass(frozen=True)
-class ExecRecord:
+class ExecRecord(NamedTuple):
     """One singleton update taking effect on a switch."""
 
     time_ns: int
@@ -65,8 +63,7 @@ class ExecRecord:
     msg_index: int
 
 
-@dataclass(frozen=True)
-class LogLine:
+class LogLine(NamedTuple):
     time_ns: int
     kind: str
     src: str
@@ -78,8 +75,7 @@ class LogLine:
         return f"{self.time_ns} {self.kind} {self.src} {self.dst} {self.phase} {self.detail}"
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     time_ns: int
     kind: str   # "missed_schedule" | "bound_violation"
     where: str
@@ -121,22 +117,18 @@ class StateTimeline:
         return lookup_rule(table, flow_id, tag, port)
 
 
-@dataclass
 class RunResult:
     """Everything observable about one simulated update."""
 
-    mode: str
-    seed: int
-    params: SystemParameters
-    first_send_ns: int
-    exec_log: list
-    messages: list
-    faults: list
-    old_config: ForwardingState
-    new_config: ForwardingState
-    timeline: StateTimeline
-    sched_first_ns: int | None = None
-    flow_traces: dict = field(default_factory=dict)  # flow_id -> FlowPackets
+    def __init__(self, mode: str, seed: int, params: SystemParameters, first_send_ns: int,
+                 exec_log: list, messages: list, faults: list, old_config: ForwardingState,
+                 new_config: ForwardingState, timeline: StateTimeline,
+                 sched_first_ns: int | None = None, flow_traces: dict | None = None):
+        self.mode, self.seed, self.params, self.first_send_ns = mode, seed, params, first_send_ns
+        self.exec_log, self.messages, self.faults = exec_log, messages, faults
+        self.old_config, self.new_config, self.timeline = old_config, new_config, timeline
+        self.sched_first_ns = sched_first_ns
+        self.flow_traces = {} if flow_traces is None else flow_traces  # flow_id -> FlowPackets
 
     @property
     def first_exec_ns(self) -> int:
@@ -306,8 +298,7 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
 # data plane
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     time_ns: int
     switch: str
     in_port: int
@@ -316,8 +307,7 @@ class Hop:
     generation: str | None
 
 
-@dataclass(frozen=True)
-class PacketTrace:
+class PacketTrace(NamedTuple):
     flow_id: str
     t_in: int
     hops: tuple
@@ -375,7 +365,6 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
     return PacketTrace(flow_id, t_in, tuple(hops), delivered, truncated, stranded)
 
 
-@dataclass(eq=False)
 class FlowPackets:
     """Per-packet results of one test flow, as arrays in injection order.
 
@@ -388,18 +377,15 @@ class FlowPackets:
     PacketTrace objects; nothing else needs them.
     """
 
-    flow_id: str
-    t_in: np.ndarray
-    hops: np.ndarray
-    delivered: np.ndarray
-    truncated: np.ndarray
-    stranded: np.ndarray
-    agrees_old: np.ndarray
-    agrees_new: np.ndarray
-    hop_times: np.ndarray
-    hop_rows: np.ndarray
-    rows: list
-    _traces: list | None = field(default=None, repr=False)
+    def __init__(self, flow_id: str, t_in: np.ndarray, hops: np.ndarray,
+                 delivered: np.ndarray, truncated: np.ndarray, stranded: np.ndarray,
+                 agrees_old: np.ndarray, agrees_new: np.ndarray, hop_times: np.ndarray,
+                 hop_rows: np.ndarray, rows: list):
+        self.flow_id, self.t_in, self.hops = flow_id, t_in, hops
+        self.delivered, self.truncated, self.stranded = delivered, truncated, stranded
+        self.agrees_old, self.agrees_new = agrees_old, agrees_new
+        self.hop_times, self.hop_rows, self.rows = hop_times, hop_rows, rows
+        self._traces = None
 
     @property
     def dropped(self) -> np.ndarray:

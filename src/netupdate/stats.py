@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ MAX_DELAY_MS = MAX_DURATION_NS // NS_PER_MS  # 10^12 ms
 _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-@dataclass(frozen=True, eq=False)
 class DelayTrace:
     """A labelled array of non-negative delay samples (integer nanoseconds).
 
@@ -32,17 +30,16 @@ class DelayTrace:
     integers is converted on construction.
     """
 
-    samples: np.ndarray
-    label: str = ""
+    __slots__ = ("samples", "label")
 
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.int64).view()
+    def __init__(self, samples, label: str = ""):
+        samples = np.asarray(samples, dtype=np.int64).view()
         if samples.ndim != 1:
             raise ValueError("delay samples must be one-dimensional")
         if (samples < 0).any():
             raise ValueError("delay samples must be >= 0")
         samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        self.samples, self.label = samples, label
 
 
 def percentile(trace: DelayTrace, p: float) -> int:

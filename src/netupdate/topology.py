@@ -12,6 +12,7 @@ from pathlib import Path
 from .delays import DEFAULT_EXP_CAP_FACTOR, DelayModel
 from .model import (
     DELIVER,
+    MAX_DURATION_NS,
     Action,
     ForwardingState,
     Link,
@@ -46,27 +47,37 @@ def leaf_spine(n: int) -> Network:
     n_leaf, n_spine = 2 * n // 3, n // 3
     leaves = [f"leaf{i}" for i in range(1, n_leaf + 1)]
     spines = [f"spine{j}" for j in range(1, n_spine + 1)]
-    links = []
-    for i, leaf in enumerate(leaves):
-        for j, spine in enumerate(spines):
-            # leaf port j+1 faces spine j; spine port i+1 faces leaf i
-            links.append(Link((leaf, j + 1), (spine, i + 1), delay))
+    # leaf port j faces spine j; spine port i faces leaf i (both 1-based)
+    links = [Link((leaf, j), (spine, i), delay)
+             for i, leaf in enumerate(leaves, 1) for j, spine in enumerate(spines, 1)]
     ingress = [(leaf, INGRESS_PORT) for leaf in leaves]
-    return Network(tuple(leaves + spines), tuple(links), frozenset(ingress))
+    return Network(leaves + spines, links, ingress)
 
 
 def leaf_switches(net: Network) -> list:
     return [s for s in net.switches if s.startswith("leaf")]
 
 
+def _checked(entry: dict, key: str, where: str, ok, expected: str):
+    """entry[key] if ok(entry[key]), or a ValueError naming where.key."""
+    value = entry[key]
+    if not ok(value):
+        raise ValueError(f"{where}.{key}: expected {expected}, got {value!r}")
+    return value
+
+
 def _required(entry, key: str, where: str):
     """entry[key] as a node name, or a ValueError naming where.key."""
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"{where}.{key}: required")
-    name = entry[key]
-    if isinstance(name, (list, dict)):
-        raise ValueError(f"{where}.{key}: expected a node name, got {name!r}")
-    return name
+    return _checked(entry, key, where, lambda v: not isinstance(v, (list, dict)), "a node name")
+
+
+def _coordinate(node: dict, key: str, where: str, limit: int) -> float:
+    """node[key] as a number in [-limit, limit] (NaN, infinities and bools fail)."""
+    return float(_checked(node, key, where,
+                          lambda v: type(v) in (int, float) and -limit <= v <= limit,
+                          f"a number in [-{limit}, {limit}]"))
 
 
 def _entries(doc, key: str) -> list:
@@ -105,7 +116,8 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
         nid = _required(node, "id", f"nodes[{i}]")
         node_ids.append(nid)
         if "lat" in node and "lon" in node:
-            coords[nid] = (float(node["lat"]), float(node["lon"]))
+            coords[nid] = (_coordinate(node, "lat", f"nodes[{i}]", 90),
+                           _coordinate(node, "lon", f"nodes[{i}]", 180))
 
     next_port = {nid: 1 for nid in node_ids}
     links = []
@@ -115,7 +127,9 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
             if end not in next_port:
                 raise ValueError(f"links[{i}]: unknown node {end!r}")
         if "delay_ns" in entry:
-            delay_ns = int(entry["delay_ns"])
+            delay_ns = _checked(entry, "delay_ns", f"links[{i}]",
+                                lambda v: type(v) is int and 0 <= v <= MAX_DURATION_NS,
+                                "an integer number of ns in [0, 10^18]")
         else:
             if a not in coords or b not in coords:
                 raise ValueError(
@@ -135,6 +149,8 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
     for i, entry in enumerate(_entries(doc, "ingress")):
         node = _required(entry if isinstance(entry, dict) else {"node": entry},
                          "node", f"ingress[{i}]")
+        if node not in next_port:
+            raise ValueError(f"ingress[{i}]: unknown node {node!r}")
         ingress.append((node, INGRESS_PORT))
     return Network(tuple(node_ids), tuple(links), frozenset(ingress))
 

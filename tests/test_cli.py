@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import functools
 import io
 import json
@@ -23,7 +23,7 @@ from netupdate import (
 )
 from netupdate.cli import PACKET_BLOCK, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
-from netupdate.simulator import ENGINE_VERSION, Fault
+from netupdate.simulator import ENGINE_VERSION, Fault, FlowPackets
 
 from conftest import line_network
 
@@ -217,16 +217,15 @@ class TestRunJsonStreamedWriter:
         flow_traces = {}
         for fid, n, offset, rate in case["flows"]:
             cut = slice(offset, offset + n)
-            packets = dataclasses.replace(
-                f, flow_id=fid, **{name: getattr(f, name)[cut] for name in (
-                    "t_in", "hops", "delivered", "truncated", "stranded",
-                    "agrees_old", "agrees_new", "hop_times", "hop_rows")})
+            packets = FlowPackets(fid, *(getattr(f, name)[cut] for name in (
+                "t_in", "hops", "delivered", "truncated", "stranded",
+                "agrees_old", "agrees_new", "hop_times", "hop_rows")), f.rows)
             assert len(packets.t_in) == n
             flow_traces[fid] = packets
-        run = dataclasses.replace(
-            base, flow_traces=flow_traces,
-            params=dataclasses.replace(base.params, t_su=case["tsu"]),
-            faults=[Fault(*fault) for fault in case["faults"]])
+        run = copy.copy(base)
+        run.flow_traces = flow_traces
+        run.params = base.params._replace(t_su=case["tsu"])
+        run.faults = [Fault(*fault) for fault in case["faults"]]
         reports = [measure_inconsistency(run, TestFlow(fid, "S1", 0, rate))
                    for fid, _, _, rate in case["flows"]]
         return run, reports
@@ -433,7 +432,10 @@ class TestTopologyErrors:
         ({"ingress": [{"label": "src-a"}]}, "ingress[0].node: required"),
         ({"ingress": [["A"]]}, "ingress[0].node: expected a node name, got ['A']"),
         ({"nodes": [{"id": {"x": 1}}]}, "nodes[0].id: expected a node name"),
-        ({"links": {"a": "A"}}, "links: expected a list, got {'a': 'A'}")])
+        ({"links": {"a": "A"}}, "links: expected a list, got {'a': 'A'}"),
+        # named whichever unknown node its frozenset gave first, and no field
+        ({"ingress": [{"node": "A"}, {"node": "Y"}, {"node": "Z"}]},
+         "ingress[1]: unknown node 'Y'")])
     def test_malformed_topology_fields_exit_two(self, tmp_path, capsys, change, message):
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps({"nodes": [{"id": "A"}, {"id": "B"}],
@@ -444,6 +446,37 @@ class TestTopologyErrors:
             procedure={"kind": "k-phase", "phases": [["A"]]}))
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config error: topology: {message}" in capsys.readouterr().err
+
+    @staticmethod
+    def plan_geo_topology(tmp_path, where, value):
+        """Exit code and stderr of plan on A-B with coordinates, where set to value."""
+        nodes = [{"id": "A", "lat": 0.0, "lon": 0.0}, {"id": "B", "lat": 1.0, "lon": 2.0}]
+        link = {"a": "A", "b": "B"}
+        part, key = where.split(".")
+        (link if part == "links[0]" else nodes[1])[key] = value
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": nodes, "links": [link],
+                                    "ingress": [{"node": "A"}]}))
+        cfg = write_config(tmp_path, base_config(
+            topology={"kind": "file", "path": str(topo)},
+            procedure={"kind": "k-phase", "phases": [["A"]]}))
+        return main(["plan", "--config", str(cfg), "--out", str(tmp_path)])
+
+    # null exited 3 (TypeError); "x", -5, NaN and -inf exited 2 without naming
+    # the field; true and 1.7 were taken as 1 ns, 10^19 and 91 were accepted
+    @pytest.mark.parametrize("where,value", [
+        *(("links[0].delay_ns", v) for v in (None, "x", -5, True, 1.7, 10**19)),
+        *(("nodes[1].lat", v) for v in (None, "x", math.nan, 91, False)),
+        *(("nodes[1].lon", v) for v in (None, "12.5", -math.inf, 180.5))])
+    def test_bad_link_delay_or_coordinate_exits_two(self, tmp_path, capsys, where, value):
+        assert self.plan_geo_topology(tmp_path, where, value) == 2
+        assert (f"config error: topology: {where}: expected " in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("where,value", [
+        ("links[0].delay_ns", 0), ("links[0].delay_ns", 10**18),
+        ("nodes[1].lat", -90), ("nodes[1].lon", 180.0)])
+    def test_link_delay_and_coordinate_bounds_accepted(self, tmp_path, where, value):
+        assert self.plan_geo_topology(tmp_path, where, value) == 0
 
     def test_non_object_topology_file_exits_two(self, tmp_path, capsys):
         topo = tmp_path / "topo.json"

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netupdate import (
     DELIVER,
@@ -69,6 +69,77 @@ class TestNetwork:
                  Link(("A", 1), ("C", 1), DelayModel.constant(0)))
         with pytest.raises(ValueError, match="more than one link"):
             Network(("A", "B", "C"), links, frozenset())
+
+
+def _reference_network(switches, links, ingress_ports):
+    """The per-link loop that Network's bulk build replaced: (peer map, ports),
+    or its ValueError."""
+    known = set(switches)
+    if len(known) != len(switches):
+        raise ValueError("duplicate switch ids")
+    peer, ports = {}, {s: set() for s in switches}
+    for link in links:
+        for (sw, port), (psw, pport) in ((link.a, link.b), (link.b, link.a)):
+            if sw not in known:
+                raise ValueError(f"link endpoint references unknown switch {sw!r}")
+            if (sw, port) in peer:
+                raise ValueError(f"port ({sw!r}, {port}) used by more than one link")
+            peer[(sw, port)] = (psw, pport, link.delay)
+            ports[sw].add(port)
+    for sw, port in ingress_ports:
+        if sw not in known:
+            raise ValueError(f"ingress port references unknown switch {sw!r}")
+        if (sw, port) in peer:
+            raise ValueError(f"ingress port ({sw!r}, {port}) is also a link endpoint")
+        ports[sw].add(port)
+    return peer, ports
+
+
+@st.composite
+def _net_cases(draw):
+    """(switches, links, ingress ports): endpoints mostly on known switches and
+    free ports, sometimes on "E" (never a switch), a reused port or a
+    duplicate switch id."""
+    switches = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        switches.append(switches[0])
+    ends = st.tuples(st.sampled_from(switches * 10 + ["E"]), st.integers(0, 7))
+    links = draw(st.lists(st.tuples(ends, ends, st.integers(0, 2)), max_size=6))
+    ingress = draw(st.lists(ends, max_size=3))
+    return (tuple(switches),
+            tuple(Link(a, b, DelayModel.constant(d)) for a, b, d in links),
+            frozenset(ingress))
+
+
+def _link(a, b):
+    return Link(a, b, DelayModel.constant(0))
+
+
+class TestNetworkBulkBuild:
+    """Network builds its maps in bulk; the per-link loop is its oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(args=_net_cases())
+    @example(args=(("A", "B", "A"), (), frozenset()))                          # duplicate id
+    @example(args=(("A", "B"), (_link(("A", 1), ("E", 1)),), frozenset()))     # unknown end
+    @example(args=(("A", "B"), (_link(("A", 1), ("B", 1)), _link(("B", 2), ("A", 1))),
+                   frozenset()))                                                # port twice
+    @example(args=(("A", "B"), (_link(("A", 1), ("A", 1)),), frozenset()))     # self-link
+    @example(args=(("A", "B"), (_link(("A", 1), ("B", 1)),), frozenset({("B", 1)})))
+    @example(args=(("A", "B"), (_link(("A", 1), ("B", 1)),), frozenset({("E", 0)})))
+    def test_matches_per_link_loop(self, args):
+        try:
+            peer, ports = _reference_network(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Network(*args)
+            assert str(got.value) == str(exc)
+            return
+        net = Network(*args)
+        assert net.ports == ports
+        for sw, sw_ports in ports.items():
+            for port in sw_ports | {4}:
+                assert net.peer(sw, port) == peer.get((sw, port))
 
 
 class TestForwardingState:

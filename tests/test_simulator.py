@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 
 import pytest
@@ -194,7 +193,7 @@ class TestRunTimed:
 
     def test_missed_schedule_fault_when_tsu_too_small(self, testbed_params):
         net, proc = single_switch_setup()
-        params = dataclasses.replace(testbed_params, t_su=10)  # far below d_c lead
+        params = testbed_params._replace(t_su=10)  # far below d_c lead
         sched = worst_case_schedule(proc, 1_000_000, params)
         delays = RunDelays(DelayModel.constant(DC_NS), DelayModel.constant(0))
         run = run_timed(net, TimedUpdateProcedure(proc, sched), params, delays, seed=0)
