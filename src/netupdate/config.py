@@ -23,7 +23,14 @@ from .model import (
     TimedUpdateProcedure,
     UpdateProcedure,
 )
-from .simulator import RunDelays, run_flows, run_timed, run_untimed
+from .simulator import (
+    PacketCapError,
+    RunDelays,
+    TimeRangeError,
+    run_flows,
+    run_timed,
+    run_untimed,
+)
 
 MODES = ("untimed-greedy", "timed-worst-case", "timed-knob", "simultaneous")
 AXES = ("N", "dc", "dn", "delta_sched", "d")
@@ -95,6 +102,7 @@ class Point(NamedTuple):
     initial_state: ForwardingState
     flows: list
     flow_paths: dict
+    rate_fields: dict   # flow_id -> the config field of its rate, e.g. "flows[0].rate_pps"
     mode: str
     knob_d: int | None
     start_time: int
@@ -136,7 +144,12 @@ class Point(NamedTuple):
                             seed=seed, initial_state=self.initial_state)
         reports = []
         if self.flows:
-            run_flows(self.net, run, self.flows)
+            try:
+                run_flows(self.net, run, self.flows)
+            except PacketCapError as exc:
+                raise ConfigError(f"{self.rate_fields[exc.flow_id]}: {exc}") from None
+            except TimeRangeError as exc:
+                raise ConfigError(f"topology: {exc}") from None
             reports = [consistency.measure_inconsistency(run, f)
                        for f in sorted(self.flows, key=lambda f: f.flow_id)]
         return run, reports
@@ -267,12 +280,19 @@ class Experiment:
         raise ConfigError(f"topology.kind: unknown kind {kind!r}")
 
     def _build_flows(self, net):
-        flows, paths = [], {}
-        for i, spec in enumerate(self.doc.get("flows", [])):
+        flows, paths, rate_fields = [], {}, {}
+        specs = self.doc.get("flows", [])
+        if not isinstance(specs, list):
+            raise ConfigError(f"flows: expected a list, got {specs!r}")
+        for i, spec in enumerate(specs):
             field = f"flows[{i}]"
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{field}: expected an object, got {spec!r}")
             for req in ("flow_id", "ingress", "path"):
                 if req not in spec:
                     raise ConfigError(f"{field}.{req}: required")
+            if not isinstance(spec["flow_id"], str):
+                raise ConfigError(f"{field}.flow_id: expected a string, got {spec['flow_id']!r}")
             rate_key = next((k for k in ("rate_pps", "mbps") if k in spec), None)
             if rate_key is None:
                 raise ConfigError(f"{field}.rate_pps: required (or mbps)")
@@ -290,17 +310,19 @@ class Experiment:
                 raise ConfigError(f"{field}.{rate_key}: {exc}") from None
             if flow.flow_id in paths:
                 raise ConfigError(f"{field}.flow_id: duplicate id {flow.flow_id!r}")
-            if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
+            if (isinstance(flow.ingress_switch, (list, dict))
+                    or (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports):
                 raise ConfigError(f"{field}.ingress: {spec['ingress']!r} is not an ingress node")
             path = spec["path"]
             if not isinstance(path, list) or not path or path[0] != flow.ingress_switch:
                 raise ConfigError(f"{field}.path: must be a list starting at the ingress switch")
             for a, b in zip(path, path[1:]):
-                if net.link_between(a, b) is None:
+                if isinstance(b, (list, dict)) or net.link_between(a, b) is None:
                     raise ConfigError(f"{field}.path: no link between {a!r} and {b!r}")
             flows.append(flow)
             paths[flow.flow_id] = path
-        return flows, paths
+            rate_fields[flow.flow_id] = f"{field}.{rate_key}"
+        return flows, paths, rate_fields
 
     def _build_procedure(self, net, flows, paths, old_tag, new_tag):
         spec = self.doc.get("procedure", {"kind": "two-phase+gc"})
@@ -331,7 +353,7 @@ class Experiment:
 
     def materialize(self, axis_value=None) -> Point:
         net = self._build_network(axis_value)
-        flows, paths = self._build_flows(net)
+        flows, paths, rate_fields = self._build_flows(net)
         pspec = self.doc.get("params")
         if not isinstance(pspec, dict):
             raise ConfigError("params: required object")
@@ -379,7 +401,8 @@ class Experiment:
 
         start_time = parse_duration(self.doc.get("start_time", "1s"), "start_time")
         return Point(net=net, params=params, proc=proc, initial_state=initial,
-                     flows=flows, flow_paths=paths, mode=self.mode, knob_d=knob_d,
+                     flows=flows, flow_paths=paths, rate_fields=rate_fields,
+                     mode=self.mode, knob_d=knob_d,
                      start_time=start_time, delays=delays)
 
     def points(self):

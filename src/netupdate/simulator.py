@@ -9,15 +9,17 @@ reproducible from a single seed.
 
 The data-plane stage walks injected test-flow packets through that
 timeline. Each flow's generator draws one uniform per (packet, hop slot),
-an n x |switches| matrix, and a link's delay for packet k leaving hop h is
-the link model's inverse CDF at u[k, h]; a packet's delays therefore do
-not depend on the packets before it. run_flows walks all packets of a
-flow in step, hop by hop: it groups the live packets by (switch, in_port,
-tag), finds each packet's table version by binary search on the switch's
-change times, and resolves and classifies each (group, version) pair once
-against the timeline and both full configurations. forward_packet is the
-one-packet oracle: it draws the same row of uniforms and walks the packet
-alone; a differential test holds the two to identical traces and classes.
+an n x |switches| matrix drawn WALK_BLOCK rows at a time, and a link's
+delay for packet k leaving hop h is the link model's inverse CDF at
+u[k, h]; a packet's delays therefore do not depend on the packets before
+it. run_flows walks a block of a flow's packets in step, hop by hop: it
+groups the live packets by (switch, in_port, tag), finds each packet's
+table version by binary search on the switch's change times, and resolves
+and classifies each (group, version) pair once against the timeline and
+both full configurations. It keeps per-packet vectors only.
+forward_packet is the one-packet oracle: it draws the same row of
+uniforms and walks the packet alone; it alone builds PacketTraces, and a
+differential test holds the walk's vectors to its traces and classes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,26 @@ from .model import (
 # Version of the simulation engine, written into every output. Bump it when
 # a change moves simulated outputs for an unchanged config and seeds.
 ENGINE_VERSION = 2
+
+# Packets the data plane walks at a time: a walk's uniforms are WALK_BLOCK x
+# |switches| and its grouping scratch O(WALK_BLOCK), whatever the flow's rate.
+WALK_BLOCK = 2**16
+# Most packets a run's flows may inject in all (injection window / spacing,
+# summed over flows); the per-packet arrays of run_flows are O(MAX_PACKETS).
+MAX_PACKETS = 2**22
+
+
+class PacketCapError(ValueError):
+    """A run's flows would inject more than MAX_PACKETS packets; flow_id
+    names the flow with the most."""
+
+    def __init__(self, flow_id, message: str):
+        super().__init__(message)
+        self.flow_id = flow_id
+
+
+class TimeRangeError(ValueError):
+    """A flow's packet times could leave the int64 nanosecond range."""
 
 
 class RunDelays(NamedTuple):
@@ -316,14 +338,20 @@ class PacketTrace(NamedTuple):
     stranded: bool = False
 
 
+def _packet_count(window, spacing_ns: int) -> int:
+    """Packets over [t0, t1) at spacing_ns, ceil((t1 - t0) / spacing_ns),
+    but at least one."""
+    t0, t1 = window
+    return max(1, -((t0 - t1) // spacing_ns))
+
+
 def inject_flow(net: Network, flow, window) -> np.ndarray:
     """Arrival times (int64) of a test flow's packets over [t0, t1) at exact
     1/R spacing; a window shorter than one spacing still carries one packet."""
-    t0, t1 = window
     if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
         raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
-    times = np.arange(t0, t1, flow.spacing_ns, dtype=np.int64)
-    return times if times.size else np.array([t0], dtype=np.int64)
+    n = _packet_count(window, flow.spacing_ns)
+    return window[0] + flow.spacing_ns * np.arange(n, dtype=np.int64)
 
 
 def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
@@ -366,138 +394,130 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 
 
 class FlowPackets:
-    """Per-packet results of one test flow, as arrays in injection order.
+    """Per-packet results of one test flow, as arrays of length n in
+    injection order (the names in ARRAYS); nothing is kept per hop.
 
-    hops, delivered, truncated and stranded describe each packet's walk;
-    agrees_old / agrees_new say whether every realized hop action equals
-    the old / new configuration's action for the packet as it arrived
-    there. hop_times and hop_rows (n x switches) keep each hop's arrival
-    time and an index into rows, the distinct (switch, in_port, tag,
-    action, generation) hops, so that iterating builds the
-    PacketTrace objects; nothing else needs them.
+    hops, t_last (the arrival time at the last hop), delivered, truncated
+    and stranded describe each packet's walk; agrees_old / agrees_new say
+    whether every realized hop action equals the old / new configuration's
+    action for the packet as it arrived there. Iterating re-walks the
+    packets with the oracle forward_packet on a fresh copy of the flow's
+    generator, from net, timeline, flow, seed and index (the flow's
+    position in flow-id order), and yields their PacketTraces.
     """
 
-    def __init__(self, flow_id: str, t_in: np.ndarray, hops: np.ndarray,
+    ARRAYS = ("t_in", "hops", "t_last", "delivered", "truncated", "stranded",
+              "agrees_old", "agrees_new")
+
+    def __init__(self, net: Network, timeline: StateTimeline, flow, seed: int, index: int,
+                 t_in: np.ndarray, hops: np.ndarray, t_last: np.ndarray,
                  delivered: np.ndarray, truncated: np.ndarray, stranded: np.ndarray,
-                 agrees_old: np.ndarray, agrees_new: np.ndarray, hop_times: np.ndarray,
-                 hop_rows: np.ndarray, rows: list):
-        self.flow_id, self.t_in, self.hops = flow_id, t_in, hops
+                 agrees_old: np.ndarray, agrees_new: np.ndarray):
+        self.net, self.timeline, self.flow, self.seed, self.index = (
+            net, timeline, flow, seed, index)
+        self.t_in, self.hops, self.t_last = t_in, hops, t_last
         self.delivered, self.truncated, self.stranded = delivered, truncated, stranded
         self.agrees_old, self.agrees_new = agrees_old, agrees_new
-        self.hop_times, self.hop_rows, self.rows = hop_times, hop_rows, rows
-        self._traces = None
 
     @property
     def dropped(self) -> np.ndarray:
         """Packets that ended on a drop action (a rule or a table miss)."""
         return ~(self.delivered | self.truncated | self.stranded)
 
-    def traces(self) -> list:
-        if self._traces is None:
-            rows = self.rows
-            self._traces = [
-                PacketTrace(self.flow_id, t_in,
-                            tuple(Hop(t, *rows[r]) for t, r in zip(times[:m], refs[:m])),
-                            delivered, truncated, stranded)
-                for t_in, m, times, refs, delivered, truncated, stranded in zip(
-                    self.t_in.tolist(), self.hops.tolist(), self.hop_times.tolist(),
-                    self.hop_rows.tolist(), self.delivered.tolist(),
-                    self.truncated.tolist(), self.stranded.tolist())]
-        return self._traces
-
     def __len__(self) -> int:
         return len(self.t_in)
 
     def __iter__(self):
-        return iter(self.traces())
+        rng = _flow_rng(self.seed, self.index)
+        return (forward_packet(self.net, self.timeline, self.flow, t_in, rng)
+                for t_in in self.t_in.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
-        return (self.traces() == other.traces()
-                and np.array_equal(self.agrees_old, other.agrees_old)
-                and np.array_equal(self.agrees_new, other.agrees_new))
+        return self.flow == other.flow and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.ARRAYS)
 
     __hash__ = None
 
 
-def _intern(ids: dict, items: list, item) -> int:
-    """Index of item in items, appending it on first sight."""
-    idx = ids.get(item)
-    if idx is None:
-        idx = ids[item] = len(items)
-        items.append(item)
-    return idx
+def _flow_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of the flow at this position in flow-id order."""
+    return np.random.default_rng([seed, 7919 + index])
 
 
-def _walk_flow(net: Network, run: RunResult, flow, t_in: np.ndarray,
-               u: np.ndarray) -> FlowPackets:
-    """Forward all packets of a flow hop by hop in step; packet k's hop h
-    link delay is the link's inverse CDF at u[k, h].
+def _walk_flow(net: Network, run: RunResult, flow, index: int,
+               t_in: np.ndarray) -> FlowPackets:
+    """Forward all packets of a flow hop by hop in step, WALK_BLOCK packets
+    at a time; packet k's hop h link delay is the link's inverse CDF at
+    u[k, h], row k of the packets x switches uniforms that the flow's
+    generator draws block by block.
 
-    At each hop the live packets are grouped by (switch, in_port, tag); a
-    group's packets find their table version by binary search on the
-    switch's change times, and each (group, version) pair is resolved and
-    compared against both configurations once.
+    At each hop a block's live packets are grouped by (switch, in_port,
+    tag); a group's packets find their table version by binary search on
+    the switch's change times, and each (group, version) pair is resolved
+    and compared against both configurations once.
     """
-    n, n_hops = u.shape
+    n, n_hops = len(t_in), len(net.switches)
     flow_id = flow.flow_id
     timeline = run.timeline
     old_tables, new_tables = run.old_config.tables, run.new_config.tables
+    rng = _flow_rng(run.seed, index)
     t = t_in.copy()
-    hop_times = np.zeros((n, n_hops), dtype=np.int64)
-    hop_rows = np.zeros((n, n_hops), dtype=np.int64)
     hops = np.zeros(n, dtype=np.int64)
     delivered = np.zeros(n, dtype=bool)
     stranded = np.zeros(n, dtype=bool)
     truncated = np.zeros(n, dtype=bool)
     agrees_old = np.ones(n, dtype=bool)
     agrees_new = np.ones(n, dtype=bool)
-    nodes = [(flow.ingress_switch, flow.ingress_port, None)]   # packets enter untagged
-    node_ids = {nodes[0]: 0}
-    node = np.zeros(n, dtype=np.int64)   # each packet's (switch, in_port, tag)
-    rows, row_ids = [], {}
-    live = np.arange(n)
-    for h in range(n_hops):
-        if not live.size:
-            break
-        hop_times[live, h] = t[live]
-        hops[live] += 1
-        onward = []
-        groups, group_of = np.unique(node[live], return_inverse=True)
-        for g, node_id in enumerate(groups.tolist()):
-            sw, port, tag = nodes[node_id]
-            members = live[group_of == g]
-            old_action = lookup_rule(old_tables[sw], flow_id, tag, port)[0]
-            new_action = lookup_rule(new_tables[sw], flow_id, tag, port)[0]
-            versions, version_of = np.unique(timeline.versions(sw, t[members]),
-                                              return_inverse=True)
-            for v, version in enumerate(versions.tolist()):
-                ks = members[version_of == v] if len(versions) > 1 else members
-                action, gen = lookup_rule(timeline.table_version(sw, version),
-                                          flow_id, tag, port)
-                hop_rows[ks, h] = _intern(row_ids, rows, (sw, port, tag, action, gen))
-                if action != old_action:
-                    agrees_old[ks] = False
-                if action != new_action:
-                    agrees_new[ks] = False
-                if action.kind == "deliver":
-                    delivered[ks] = True
-                    continue
-                if action.kind == "drop":
-                    continue
-                peer = net.peer(sw, action.out_port)
-                if peer is None:
-                    stranded[ks] = True
-                    continue
-                t[ks] += peer[2].quantile(u[ks, h])
-                out_tag = action.new_tag if action.kind == "forward_tagged" else tag
-                node[ks] = _intern(node_ids, nodes, (peer[0], peer[1], out_tag))
-                onward.append(ks)
-        live = np.concatenate(onward) if onward else live[:0]
-    truncated[live] = True
-    return FlowPackets(flow_id, t_in, hops, delivered, truncated, stranded,
-                       agrees_old, agrees_new, hop_times, hop_rows, rows)
+    # each packet's (switch, in_port, tag), numbered in order of first sight;
+    # packets enter untagged
+    node_ids = {(flow.ingress_switch, flow.ingress_port, None): 0}
+    node = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, WALK_BLOCK):
+        # successive draws continue the stream, so this is rows start.. of one matrix
+        u = rng.random((min(WALK_BLOCK, n - start), n_hops))
+        live = np.arange(start, start + len(u))
+        for h in range(n_hops):
+            if not live.size:
+                break
+            hops[live] += 1
+            nodes = list(node_ids)
+            onward = []
+            groups, group_of = np.unique(node[live], return_inverse=True)
+            for g, node_id in enumerate(groups.tolist()):
+                sw, port, tag = nodes[node_id]
+                members = live[group_of == g]
+                old_action = lookup_rule(old_tables[sw], flow_id, tag, port)[0]
+                new_action = lookup_rule(new_tables[sw], flow_id, tag, port)[0]
+                versions, version_of = np.unique(timeline.versions(sw, t[members]),
+                                                  return_inverse=True)
+                for v, version in enumerate(versions.tolist()):
+                    ks = members[version_of == v] if len(versions) > 1 else members
+                    action = lookup_rule(timeline.table_version(sw, version),
+                                         flow_id, tag, port)[0]
+                    if action != old_action:
+                        agrees_old[ks] = False
+                    if action != new_action:
+                        agrees_new[ks] = False
+                    if action.kind == "deliver":
+                        delivered[ks] = True
+                        continue
+                    if action.kind == "drop":
+                        continue
+                    peer = net.peer(sw, action.out_port)
+                    if peer is None:
+                        stranded[ks] = True
+                        continue
+                    if h + 1 < n_hops:   # past the last hop the packet is truncated
+                        t[ks] += peer[2].quantile(u[ks - start, h])
+                    out_tag = action.new_tag if action.kind == "forward_tagged" else tag
+                    node[ks] = node_ids.setdefault((peer[0], peer[1], out_tag), len(node_ids))
+                    onward.append(ks)
+            live = np.concatenate(onward) if onward else live[:0]
+        truncated[live] = True
+    return FlowPackets(net, timeline, flow, run.seed, index, t_in, hops, t, delivered,
+                       truncated, stranded, agrees_old, agrees_new)
 
 
 def default_flow_window(run: RunResult, spacing_ns: int):
@@ -517,16 +537,30 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     Each flow gets an independent generator derived from the run seed and
     the flow's position in flow-id order, so adding a flow never perturbs
     the packets of another. The generator draws one packets x switches
-    matrix of uniforms, row k for packet k: exactly the rows forward_packet
-    draws when it walks the same packets one by one on the same generator.
+    matrix of uniforms, WALK_BLOCK rows at a time, row k for packet k:
+    exactly the rows forward_packet draws when it walks the same packets
+    one by one on the same generator.
+
+    Before anything is drawn or allocated, a flow whose packet times could
+    leave the int64 range raises TimeRangeError, and flows that would
+    inject more than MAX_PACKETS packets in all raise PacketCapError.
     """
-    walk_ns = len(net.switches) * max((link.delay.bound() for link in net.links), default=0)
-    for idx, flow in enumerate(sorted(flows, key=lambda f: f.flow_id)):
-        w = window or default_flow_window(run, flow.spacing_ns)
+    flows = sorted(flows, key=lambda f: f.flow_id)
+    windows = [window or default_flow_window(run, f.spacing_ns) for f in flows]
+    bound = max((link.delay.bound() for link in net.links), default=0)
+    for flow, (t0, t1) in zip(flows, windows):
         # hop times are int64 here, where the control plane's Python ints never overflow
-        if max(-w[0], w[1] + walk_ns) >= 2**63:
-            raise ValueError(f"flow {flow.flow_id}: packet times leave the int64 nanosecond range")
-        rng = np.random.default_rng([run.seed, 7919 + idx])
-        t_in = inject_flow(net, flow, w)
-        u = rng.random((len(t_in), len(net.switches)))
-        run.flow_traces[flow.flow_id] = _walk_flow(net, run, flow, t_in, u)
+        if max(-t0, t1 + len(net.switches) * bound) >= 2**63:
+            raise TimeRangeError(
+                f"flow {flow.flow_id}: packet times leave the int64 nanosecond range "
+                f"(injected over [{t0}, {t1}) ns, then up to {len(net.switches)} hops "
+                f"of up to {bound} ns each)")
+    counts = [_packet_count(w, f.spacing_ns) for f, w in zip(flows, windows)]
+    if sum(counts) > MAX_PACKETS:
+        most = max(range(len(flows)), key=counts.__getitem__)
+        raise PacketCapError(flows[most].flow_id, (
+            f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
+            f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
+    for index, (flow, w) in enumerate(zip(flows, windows)):
+        run.flow_traces[flow.flow_id] = _walk_flow(net, run, flow, index,
+                                                   inject_flow(net, flow, w))

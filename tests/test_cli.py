@@ -3,12 +3,18 @@ import functools
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import netupdate
 from netupdate import (
     DELIVER,
     Action,
@@ -23,6 +29,7 @@ from netupdate import (
 )
 from netupdate.cli import PACKET_BLOCK, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
+from netupdate import simulator
 from netupdate.simulator import ENGINE_VERSION, Fault, FlowPackets
 
 from conftest import line_network
@@ -141,11 +148,11 @@ class TestRunJsonOutcomeCounts:
         run = run_untimed(net, UpdateProcedure(((unrelated, 1),)),
                           SystemParameters(1_000, 1_000, 1_000, 0), initial_state=initial)
         flow = TestFlow("f", "S1", 0, 1e6)
-        run_flows(net, run, [flow], window=(0, 10_000))
-        doc = _run_to_dict(run, "cfg", [measure_inconsistency(run, flow)])["flows"]["f"]
         # the report and run.json read the walk's arrays; no trace objects are built
-        assert run.flow_traces["f"]._traces is None
-        return doc
+        with mock.patch.object(simulator, "forward_packet",
+                               side_effect=AssertionError("a PacketTrace was built")):
+            run_flows(net, run, [flow], window=(0, 10_000))
+            return _run_to_dict(run, "cfg", [measure_inconsistency(run, flow)])["flows"]["f"]
 
     def test_loop_counts_truncated(self):
         doc = self.flow_doc({
@@ -217,9 +224,8 @@ class TestRunJsonStreamedWriter:
         flow_traces = {}
         for fid, n, offset, rate in case["flows"]:
             cut = slice(offset, offset + n)
-            packets = FlowPackets(fid, *(getattr(f, name)[cut] for name in (
-                "t_in", "hops", "delivered", "truncated", "stranded",
-                "agrees_old", "agrees_new", "hop_times", "hop_rows")), f.rows)
+            packets = FlowPackets(f.net, f.timeline, f.flow._replace(flow_id=fid), f.seed,
+                                  f.index, *(getattr(f, name)[cut] for name in f.ARRAYS))
             assert len(packets.t_in) == n
             flow_traces[fid] = packets
         run = copy.copy(base)
@@ -523,6 +529,97 @@ class TestFlowErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "flows[0].path" in err and "'SEA'" in err and "'ANA'" in err
+
+
+    # each exited 3: a TypeError from iterating, indexing or sorting the
+    # flows, or an unhashable ingress
+    @pytest.mark.parametrize("flows,field", [(3, "flows"), ([3], "flows[0]")])
+    def test_flows_of_the_wrong_type_exit_two(self, tmp_path, capsys, flows, field):
+        doc = sprint_flow_config(rate_pps=5000)
+        doc["flows"] = flows
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path)]) == 2
+        assert f"config error: {field}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("flow_id", 7), ("flow_id", None), ("ingress", []), ("ingress", {}),
+        ("path", ["SEA", ["SAC"]]), ("path", ["SEA", {}])])
+    def test_flow_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, sprint_flow_config(rate_pps=5000, **{field: value}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: flows[0].{field}: " in capsys.readouterr().err
+
+
+def simulate_in_child(doc, tmp_path):
+    """`simulate` on doc in a fresh interpreter limited to 1 GiB of address
+    space: (exit code, stderr, peak RSS in MB)."""
+    cfg = write_config(tmp_path, doc)
+    code = ("import resource, sys\n"
+            "from netupdate.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+    *err, maxrss_kib = proc.stderr.splitlines()
+    return proc.returncode, "\n".join(err), int(maxrss_kib) / 1024
+
+
+def sprint_at_rate(**rate):
+    """sprint_knob.json as one point (knob_d 20ms) with every flow at this rate."""
+    doc = sprint_flow_config()
+    del doc["sweep"]
+    doc["knob_d"] = "20ms"
+    for flow in doc["flows"]:
+        flow.pop("rate_pps", None)
+        flow.update(rate)
+    return doc
+
+
+class TestDataPlaneLimits:
+    # exited 3: 11 hops of up to 10^18 ns pass the int64 range of packet times
+    def test_link_delay_past_the_time_range_exits_two(self, tmp_path, capsys):
+        topo = json.loads((REPO / "topologies" / "sprint.json").read_text())
+        assert (topo["links"][1]["a"], topo["links"][1]["b"]) == ("SEA", "CHI")  # on no flow path
+        topo["links"][1]["delay_ns"] = 10**18
+        (tmp_path / "sprint.json").write_text(json.dumps(topo))
+        doc = sprint_flow_config(rate_pps=5000)
+        doc["topology"]["path"] = str(tmp_path / "sprint.json")
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: topology: flow f1: packet times leave the int64" in err
+        assert "11 hops of up to 1000000000000000000 ns" in err
+
+    def test_dense_flows_stay_within_a_memory_bound(self, tmp_path):
+        # 269,000 packets in all: the walk held two packets x switches int64
+        # arrays per flow, 97 MB at peak; per-packet vectors take 53 MB
+        code, err, peak_mb = simulate_in_child(sprint_at_rate(rate_pps=10**6), tmp_path)
+        assert code == 0, err
+        assert peak_mb < 75
+
+    # one flow at 10^9 pps injects 54 million packets
+    @pytest.mark.parametrize("index,rate", [(0, {"rate_pps": 10**9}),
+                                            (3, {"rate_pps": 10**9}),
+                                            (2, {"mbps": 8e6, "packet_bytes": 1000})])
+    def test_rate_past_the_packet_cap_exits_two(self, tmp_path, index, rate):
+        doc = sprint_at_rate(rate_pps=5000)
+        doc["flows"][index].pop("rate_pps")
+        doc["flows"][index].update(rate)
+        code, err, peak_mb = simulate_in_child(doc, tmp_path)
+        assert code == 2
+        assert f"config error: flows[{index}].{next(iter(rate))}: " in err
+        assert "more than the cap of 4194304" in err
+        assert peak_mb < 75
 
 
 class TestDurationErrors:

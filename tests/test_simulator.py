@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,14 @@ from netupdate import (
     untimed_worst_duration,
     worst_case_schedule,
 )
-from netupdate.simulator import StateTimeline
+from netupdate import simulator
+from netupdate.simulator import (
+    MAX_PACKETS,
+    FlowPackets,
+    PacketCapError,
+    StateTimeline,
+    _packet_count,
+)
 from netupdate.topology import policy_initial_state, policy_update
 
 from conftest import DC_NS, line_network, line_flow_setup, testbed_params
@@ -312,6 +320,58 @@ class TestRunFlows:
         with pytest.raises(ValueError, match="int64"):
             run_flows(net, run, [flow], window=(2**63 - 8_000_000, 2**63 - 6_000_000))
 
+    def test_stored_state_is_per_packet_vectors(self, testbed_params):
+        net, flow, path, init, proc = line_flow_setup(10_000_000)
+        sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
+        fast, blocked = (run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                                   seed=3, initial_state=init) for _ in range(2))
+        run_flows(net, fast, [flow])
+        with mock.patch.object(simulator, "WALK_BLOCK", 7):
+            run_flows(net, blocked, [flow])
+        for run in (fast, blocked):
+            packets = run.flow_traces[flow.flow_id]
+            arrays = {name: v for name, v in vars(packets).items() if isinstance(v, np.ndarray)}
+            assert set(arrays) == set(FlowPackets.ARRAYS)
+            assert {v.shape for v in arrays.values()} == {(len(packets),)}
+        assert len(fast.flow_traces[flow.flow_id]) > 3 * 7
+        # a flow walked in many blocks gives what one block gives
+        assert blocked.flow_traces == fast.flow_traces
+
+
+class TestPacketCap:
+    def test_count_arithmetic_at_the_cap(self):
+        assert _packet_count((0, MAX_PACKETS * 7), 7) == MAX_PACKETS
+        assert _packet_count((0, MAX_PACKETS * 7 + 1), 7) == MAX_PACKETS + 1
+        assert _packet_count((5, 5 + (MAX_PACKETS - 1) * 7 + 1), 7) == MAX_PACKETS
+        # no packet count is computed in a fixed width
+        assert _packet_count((-2**63, 2**63), 1) == 2**64
+        assert _packet_count((10, 3), 7) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(t0=st.integers(-10**6, 10**6), width=st.integers(-50, 500),
+           spacing=st.integers(1, 60))
+    def test_count_matches_the_injected_times(self, t0, width, spacing):
+        net = line_network([1000])
+        flow = TestFlow("f", "S1", 0, 1e9 / spacing)
+        assert flow.spacing_ns == spacing
+        times = inject_flow(net, flow, (t0, t0 + width)).tolist()
+        assert times == (list(range(t0, t0 + width, spacing)) or [t0])
+        assert _packet_count((t0, t0 + width), spacing) == len(times)
+
+    def test_run_refused_past_the_cap_before_walking(self, testbed_params):
+        net, flow, path, init, proc = line_flow_setup(10_000_000)
+        flows = [flow, flow._replace(flow_id="g", rate_pps=flow.rate_pps / 2)]
+        window = (0, 10 * flow.spacing_ns)   # 10 packets of flow, 5 of g
+        run = run_untimed(net, proc, testbed_params, initial_state=init)
+        with mock.patch.object(simulator, "MAX_PACKETS", 14):
+            with pytest.raises(PacketCapError, match="15 in all") as exc:
+                run_flows(net, run, flows, window=window)
+            assert exc.value.flow_id == flow.flow_id   # the flow with the most packets
+            assert run.flow_traces == {}
+        with mock.patch.object(simulator, "MAX_PACKETS", 15):
+            run_flows(net, run, flows, window=window)
+        assert [len(run.flow_traces[f.flow_id]) for f in flows] == [10, 5]
+
 
 # -- the vectorized walk against the one-packet oracle ----------------------
 
@@ -383,13 +443,21 @@ def test_run_flows_matches_forward_packet_oracle(case):
                     old_config=initial,
                     new_config=initial.apply(*(u for _, u in updates)),
                     timeline=StateTimeline(net, initial, updates))
-    run_flows(net, run, flows, window=window)
+    # blocks of 2 packets: two thirds of the flows here span several
+    with mock.patch.object(simulator, "WALK_BLOCK", 2):
+        run_flows(net, run, flows, window=window)
     for idx, flow in enumerate(flows):
         rng = np.random.default_rng([seed, 7919 + idx])
         want = [forward_packet(net, run.timeline, flow, t, rng)
                 for t in inject_flow(net, flow, window).tolist()]
         got = run.flow_traces[flow.flow_id]
-        assert len(got) == len(want)
-        assert list(got) == want
+        # the walk's own arrays against the oracle's traces
+        assert got.t_in.tolist() == [t.t_in for t in want]
+        assert got.hops.tolist() == [len(t.hops) for t in want]
+        assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
+        for name in ("delivered", "truncated", "stranded"):
+            assert getattr(got, name).tolist() == [getattr(t, name) for t in want]
         assert measure_inconsistency(run, flow).classes == tuple(
             classify_packet(t, run.old_config, run.new_config) for t in want)
+        # iterating re-walks the packets on the flow's own stream
+        assert list(got) == want
