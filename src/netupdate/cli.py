@@ -167,13 +167,10 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
 
 def cmd_simulate(exp: Experiment, out: Path) -> int:
     seed = exp.seeds[0]
-    if exp.axis is not None:
-        # a simulate on a sweep config runs its first grid point
-        axis_value = exp.grid[0]
+    # a simulate on a sweep config runs its first grid point
+    axis_value, point = next(exp.points())
+    if axis_value is not None:
         print(f"simulating single point {exp.axis}={axis_value}")
-        point = exp.materialize(axis_value)
-    else:
-        point = exp.materialize()
     run, reports = point.run(seed)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -299,10 +296,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze-trace":
             return cmd_analyze_trace(args.trace, _parse_percentiles(args.percentiles), out)
-        exp = Experiment.load(args.config)
-        exp.override(seeds=_parse_seeds(args.seeds) if args.seeds else None,
-                     axis=args.axis,
-                     grid=_parse_grid(args.grid) if args.grid else None)
+        exp = Experiment.load(args.config,
+                              seeds=_parse_seeds(args.seeds) if args.seeds else None,
+                              axis=args.axis,
+                              grid=_parse_grid(args.grid) if args.grid else None)
         if args.command == "plan":
             return cmd_plan(exp, out)
         if args.command == "simulate":

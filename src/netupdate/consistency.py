@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ForwardingState, Schedule, SystemParameters, validated
+from .model import MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, validated
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
@@ -41,8 +41,9 @@ class TestFlow(NamedTuple):
         # NaN fails every comparison, so test for the valid range
         if not 0 < self.rate_pps < math.inf:
             raise ValueError("flow rate must be positive and finite")
-        if self.spacing_ns < 1:
-            raise ValueError(f"flow rate {self.rate_pps:g} pps spaces packets below 1 ns")
+        if not 1 <= self.spacing_ns <= MAX_DURATION_NS:
+            raise ValueError(f"flow rate {self.rate_pps:g} pps spaces packets "
+                             f"{self.spacing_ns} ns apart, outside [1, 10^18]")
 
     @property
     def spacing_ns(self) -> int:

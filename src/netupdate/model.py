@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import re
 from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
@@ -21,6 +23,19 @@ from typing import NamedTuple
 from .delays import DelayModel
 
 MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or traced duration
+
+_DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ns|us|ms|s)\s*$")
+_UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
+_REQUIRED = object()
+_KINDS = {  # kind -> (what a value of it is, its test)
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "non-empty list": ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "node": ("a node name", lambda v: not isinstance(v, (list, dict))),
+    "int": ("an integer", lambda v: type(v) is int),
+    "number": ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+}
 
 GEN_OLD = "old"
 GEN_NEW = "new"
@@ -31,6 +46,65 @@ def _log(level: str, msg: str, *args) -> None:
     import logging
 
     getattr(logging.getLogger(__name__), level)(msg, *args)
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration or topology file; the message names the field."""
+
+
+def parse_duration(value, field: str = "duration") -> int:
+    """'5.24ms' / '200us' / a number of ns, or its digits -> integer nanoseconds.
+
+    Durations must be finite and at most MAX_DURATION_NS, so that sums of a
+    few of them stay far inside the int64 nanosecond range.
+    """
+    ns = math.nan
+    if type(value) in (int, float):
+        ns = value
+    elif isinstance(value, str) and (m := _DURATION_RE.match(value)):
+        ns = float(m.group(1)) * _UNIT_NS[m.group(2)]
+    elif isinstance(value, str) and value.strip().isdecimal():  # "²" is a digit, not decimal
+        ns = int(value.strip())
+    # NaN fails every comparison, so test for the valid range
+    if not 0 <= ns <= MAX_DURATION_NS:
+        raise ConfigError(f"{field}: expected a duration in [0, 10^18] ns, got {value!r}")
+    return int(round(ns))
+
+
+def field(container, key, path: str, kind, lo=None, hi=None, default=_REQUIRED):
+    """container[key] if it holds a kind: the one reader of config and topology fields.
+
+    path names container ("" for a document's top level); key None reads
+    container itself, under the name path. kind is a key of _KINDS,
+    "duration" (read as parse_duration's ns), or a collection of the allowed
+    values; lo and hi bound a number. An absent key reads as default, and is
+    an error without one; null is a value like any other. The ConfigError
+    starts with the field's full path: "{path}: required" or
+    "{path}: expected {what}, got {value!r}".
+    """
+    name = path if key is None else f"{path}[{key}]" if type(key) is int else (
+        f"{path}.{key}" if path else key)
+    try:
+        value = raw = container if key is None else container[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name}: required") from None
+        return default
+    if kind == "duration":
+        what, ok, value = "a duration", True, parse_duration(raw, name)
+    elif isinstance(kind, str):
+        what, test = _KINDS[kind]
+        ok = test(value)
+    else:
+        shown = ", ".join(map(repr, list(kind)[:5])) + (", ..." if len(kind) > 5 else "")
+        what, ok = f"one of {shown}", not isinstance(value, (list, dict)) and value in kind
+    if lo is not None or hi is not None:
+        what += (f" in [{lo}, {hi}]" if lo is not None and hi is not None
+                 else f" >= {lo}" if lo is not None else f" <= {hi}")
+        ok = ok and (lo is None or lo <= value) and (hi is None or value <= hi)
+    if not ok:
+        raise ConfigError(f"{name}: expected {what}, got {raw!r}")
+    return value
 
 
 def validated(record):

@@ -19,11 +19,14 @@ from .model import (
     Network,
     SingletonUpdate,
     UpdateProcedure,
+    field,
 )
 
 EARTH_RADIUS_KM = 6371.0
 INGRESS_PORT = 0  # ingress ports are numbered separately from link ports
 POLICY_FLOW_ID = "policy"  # flow id of the stub rules in policy and k-phase updates
+MAX_LEAF_SPINE_N = 768  # the largest fabric: 512 leaves x 256 spines = 2^17 links
+DELAY_MODES = ("constant", "exponential")
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -39,10 +42,12 @@ def leaf_spine(n: int) -> Network:
     """Leaf-spine fabric of n switches: 2n/3 leaves, n/3 spines, full bipartite
     links of zero delay.
 
-    Each leaf carries one ingress port (port 0). n must be divisible by 3.
+    Each leaf carries one ingress port (port 0). n must be a multiple of 3
+    in [3, MAX_LEAF_SPINE_N].
     """
-    if n < 3 or n % 3 != 0:
-        raise ValueError(f"switch count must be a positive multiple of 3, got {n}")
+    if not 3 <= n <= MAX_LEAF_SPINE_N or n % 3 != 0:
+        raise ValueError(f"switch count must be a multiple of 3 in [3, {MAX_LEAF_SPINE_N}], "
+                         f"got {n}")
     delay = DelayModel.constant(0)
     n_leaf, n_spine = 2 * n // 3, n // 3
     leaves = [f"leaf{i}" for i in range(1, n_leaf + 1)]
@@ -55,37 +60,7 @@ def leaf_spine(n: int) -> Network:
 
 
 def leaf_switches(net: Network) -> list:
-    return [s for s in net.switches if s.startswith("leaf")]
-
-
-def _checked(entry: dict, key: str, where: str, ok, expected: str):
-    """entry[key] if ok(entry[key]), or a ValueError naming where.key."""
-    value = entry[key]
-    if not ok(value):
-        raise ValueError(f"{where}.{key}: expected {expected}, got {value!r}")
-    return value
-
-
-def _required(entry, key: str, where: str):
-    """entry[key] as a node name, or a ValueError naming where.key."""
-    if not isinstance(entry, dict) or key not in entry:
-        raise ValueError(f"{where}.{key}: required")
-    return _checked(entry, key, where, lambda v: not isinstance(v, (list, dict)), "a node name")
-
-
-def _coordinate(node: dict, key: str, where: str, limit: int) -> float:
-    """node[key] as a number in [-limit, limit] (NaN, infinities and bools fail)."""
-    return float(_checked(node, key, where,
-                          lambda v: type(v) in (int, float) and -limit <= v <= limit,
-                          f"a number in [-{limit}, {limit}]"))
-
-
-def _entries(doc, key: str) -> list:
-    """doc[key] (empty if absent), or a ValueError naming key if not a list."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise ValueError(f"{key}: expected a list, got {entries!r}")
-    return entries
+    return [s for s in net.switches if str(s).startswith("leaf")]
 
 
 def load_topology(source, propagation_us_per_km: float = 5.0,
@@ -107,30 +82,31 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
         doc = source
     if not isinstance(doc, dict):
         raise ValueError(f"expected an object, got {type(doc).__name__}")
-    if delay_mode not in ("constant", "exponential"):
+    if delay_mode not in DELAY_MODES:
         raise ValueError(f"unknown delay_mode {delay_mode!r}")
 
-    coords = {}
-    node_ids = []
-    for i, node in enumerate(_entries(doc, "nodes")):
-        nid = _required(node, "id", f"nodes[{i}]")
-        node_ids.append(nid)
+    coords, next_port = {}, {}
+    nodes = field(doc, "nodes", "", "non-empty list")
+    for i in range(len(nodes)):
+        node, where = field(nodes, i, "nodes", "object"), f"nodes[{i}]"
+        nid = field(node, "id", where, "node")
+        if nid in next_port:
+            raise ValueError(f"{where}.id: duplicate node {nid!r}")
+        next_port[nid] = 1
         if "lat" in node and "lon" in node:
-            coords[nid] = (_coordinate(node, "lat", f"nodes[{i}]", 90),
-                           _coordinate(node, "lon", f"nodes[{i}]", 180))
+            coords[nid] = (field(node, "lat", where, "number", lo=-90, hi=90),
+                           field(node, "lon", where, "number", lo=-180, hi=180))
 
-    next_port = {nid: 1 for nid in node_ids}
     links = []
-    for i, entry in enumerate(_entries(doc, "links")):
-        a, b = (_required(entry, end, f"links[{i}]") for end in "ab")
+    entries = field(doc, "links", "", "non-empty list", default=[])
+    for i in range(len(entries)):
+        entry, where = field(entries, i, "links", "object"), f"links[{i}]"
+        a, b = (field(entry, end, where, "node") for end in "ab")
         for end in (a, b):
             if end not in next_port:
-                raise ValueError(f"links[{i}]: unknown node {end!r}")
-        if "delay_ns" in entry:
-            delay_ns = _checked(entry, "delay_ns", f"links[{i}]",
-                                lambda v: type(v) is int and 0 <= v <= MAX_DURATION_NS,
-                                "an integer number of ns in [0, 10^18]")
-        else:
+                raise ValueError(f"{where}: unknown node {end!r}")
+        delay_ns = field(entry, "delay_ns", where, "int", lo=0, hi=MAX_DURATION_NS, default=None)
+        if delay_ns is None:
             if a not in coords or b not in coords:
                 raise ValueError(
                     f"link {a}-{b}: no delay_ns and missing coordinates on an endpoint")
@@ -146,13 +122,14 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
         links.append(Link((a, pa), (b, pb), model))
 
     ingress = []
-    for i, entry in enumerate(_entries(doc, "ingress")):
-        node = _required(entry if isinstance(entry, dict) else {"node": entry},
-                         "node", f"ingress[{i}]")
+    entries = field(doc, "ingress", "", "non-empty list", default=[])
+    for i in range(len(entries)):
+        entry = entries[i] if isinstance(entries[i], dict) else {"node": entries[i]}
+        node = field(entry, "node", f"ingress[{i}]", "node")
         if node not in next_port:
             raise ValueError(f"ingress[{i}]: unknown node {node!r}")
         ingress.append((node, INGRESS_PORT))
-    return Network(tuple(node_ids), tuple(links), frozenset(ingress))
+    return Network(tuple(next_port), tuple(links), frozenset(ingress))
 
 
 def path_link_bound_ns(net: Network, path) -> int:
@@ -234,11 +211,11 @@ def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
 
     initial = ForwardingState.from_dict(net, old_by_switch)
     items = []
-    for sw in sorted(new_by_switch):
+    for sw in sorted(new_by_switch, key=str):  # a file's node names may mix types
         items.append((SingletonUpdate.install(sw, new_by_switch[sw]), 1))
-    for sw in sorted(stamps):
+    for sw in sorted(stamps, key=str):
         items.append((SingletonUpdate.install(sw, stamps[sw]), 2))
-    for sw in sorted(old_by_switch):
+    for sw in sorted(old_by_switch, key=str):
         keys = [k for k in old_by_switch[sw] if k[1] == old_tag]
         items.append((SingletonUpdate.remove(sw, keys), 3))
     return initial, UpdateProcedure(tuple(items))

@@ -29,7 +29,7 @@ from netupdate import (
 )
 from netupdate.cli import PACKET_BLOCK, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
-from netupdate import simulator
+from netupdate import simulator, topology
 from netupdate.simulator import ENGINE_VERSION, Fault, FlowPackets
 
 from conftest import line_network
@@ -65,7 +65,8 @@ class TestParseDuration:
     def test_accepted_forms(self, text, ns):
         assert parse_duration(text) == ns
 
-    @pytest.mark.parametrize("bad", ["5.24", "ms", "-3ms", "fast", None])
+    # "²" passed str.isdigit and exited 3 (ValueError from int)
+    @pytest.mark.parametrize("bad", ["5.24", "ms", "-3ms", "fast", None, "²"])
     def test_rejected_forms(self, bad):
         with pytest.raises(ConfigError):
             parse_duration(bad, "field")
@@ -344,15 +345,49 @@ class TestConfigErrors:
     def test_bad_seeds_exit_two(self, tmp_path, capsys, seeds):
         cfg = write_config(tmp_path, base_config(seeds=seeds))
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "config error: seeds:" in capsys.readouterr().err
+        # a bad entry is named by its index, anything else by the list
+        field = "seeds[0]" if isinstance(seeds, list) and seeds else "seeds"
+        assert f"config error: {field}: expected " in capsys.readouterr().err
 
     # -1 exited 3 (numpy ValueError)
     def test_negative_seed_override_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
                      "--seeds=-1"]) == 2
-        assert "config error: seeds:" in capsys.readouterr().err
+        assert "config error: seeds[0]: expected " in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    # a bad d or dc entry was blamed on knob_d or "sweep.grid(dc)", a bad N
+    # entry on topology.n
+    @pytest.mark.parametrize("mode,axis,value", [
+        ("timed-knob", "d", None), ("timed-knob", "d", "x"), ("timed-knob", "d", -1),
+        ("untimed-greedy", "dc", "fast"), ("untimed-greedy", "N", 7),
+        ("untimed-greedy", "N", "x"), ("untimed-greedy", "N", 1.5)])
+    def test_bad_sweep_grid_entry_names_it(self, tmp_path, capsys, mode, axis, value):
+        first = 6 if axis == "N" else "1ms"
+        cfg = write_config(tmp_path, base_config(mode=mode, sweep={"axis": axis,
+                                                                   "grid": [first, value]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: sweep.grid[1]: " in capsys.readouterr().err
+
+    # each exited 3: AttributeError, an unhashable tag, a non-string path,
+    # TypeError or OverflowError from the topology's numbers
+    @pytest.mark.parametrize("path,value", [
+        ("procedure", None), ("procedure", []), ("delays", "x"), ("procedure.old_tag", []),
+        ("procedure.new_tag", {"a": 1}), ("topology.path", 3), ("topology.path", None),
+        ("topology.cap_factor", "x"), ("topology.cap_factor", math.inf),
+        ("topology.propagation_us_per_km", None), ("topology.propagation_us_per_km", math.inf),
+        # these exited 2 naming only "topology"
+        ("topology.cap_factor", -1), ("topology.cap_factor", 0),
+        ("topology.propagation_us_per_km", -1), ("topology.delay_mode", "x")])
+    def test_field_of_the_wrong_type_names_it(self, tmp_path, capsys, path, value):
+        doc = sprint_flow_config(rate_pps=5000)
+        doc["topology"]["delay_mode"] = "exponential"
+        *parents, key = path.split(".")
+        functools.reduce(dict.__getitem__, parents, doc)[key] = value
+        assert main(["plan", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path)]) == 2
+        assert f"config error: {path}: expected " in capsys.readouterr().err
 
     def test_dn_auto_without_flows(self, tmp_path, capsys):
         doc = base_config()
@@ -434,11 +469,11 @@ class TestTopologyErrors:
     @pytest.mark.parametrize("change,message", [
         ({"links": [{"a": ["A"], "b": "B", "delay_ns": 5}]},
          "links[0].a: expected a node name, got ['A']"),
-        ({"nodes": 3}, "nodes: expected a list, got 3"),
+        ({"nodes": 3}, "nodes: expected a non-empty list, got 3"),
         ({"ingress": [{"label": "src-a"}]}, "ingress[0].node: required"),
         ({"ingress": [["A"]]}, "ingress[0].node: expected a node name, got ['A']"),
         ({"nodes": [{"id": {"x": 1}}]}, "nodes[0].id: expected a node name"),
-        ({"links": {"a": "A"}}, "links: expected a list, got {'a': 'A'}"),
+        ({"links": {"a": "A"}}, "links: expected a non-empty list, got {'a': 'A'}"),
         # named whichever unknown node its frozenset gave first, and no field
         ({"ingress": [{"node": "A"}, {"node": "Y"}, {"node": "Z"}]},
          "ingress[1]: unknown node 'Y'")])
@@ -483,6 +518,28 @@ class TestTopologyErrors:
         ("nodes[1].lat", -90), ("nodes[1].lon", 180.0)])
     def test_link_delay_and_coordinate_bounds_accepted(self, tmp_path, where, value):
         assert self.plan_geo_topology(tmp_path, where, value) == 0
+
+    # both exited 3: sorting str and int switch names (TypeError), and
+    # int.startswith when looking for leaf switches (AttributeError)
+    @pytest.mark.parametrize("with_flows", [True, False])
+    def test_node_names_that_are_numbers(self, tmp_path, capsys, with_flows):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({
+            "nodes": [{"id": 1}, {"id": "B"}, {"id": 2.5}],
+            "links": [{"a": 1, "b": "B", "delay_ns": 5}, {"a": "B", "b": 2.5, "delay_ns": 5}],
+            "ingress": [{"node": 1}]}))
+        doc = base_config(topology={"kind": "file", "path": str(topo)})
+        if with_flows:
+            doc["flows"] = [{"flow_id": "f", "ingress": 1, "rate_pps": 1000, "path": [1, "B", 2.5]}]
+        cfg = write_config(tmp_path, doc)
+        for command in ("plan", "simulate"):
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+            if with_flows:
+                assert code == 0
+            else:  # a flowless two-phase update needs leaf switches or phase2_switches
+                assert code == 2
+                assert "config error: procedure: phase2_switches required" in (
+                    capsys.readouterr().err)
 
     def test_non_object_topology_file_exits_two(self, tmp_path, capsys):
         topo = tmp_path / "topo.json"
@@ -547,11 +604,63 @@ class TestFlowErrors:
     def test_flow_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, sprint_flow_config(rate_pps=5000, **{field: value}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert f"config error: flows[0].{field}: " in capsys.readouterr().err
+        named = f"flows[0].{field}" + ("[1]" if field == "path" else "")  # the bad entry
+        assert f"config error: {named}: " in capsys.readouterr().err
 
 
-def simulate_in_child(doc, tmp_path):
-    """`simulate` on doc in a fresh interpreter limited to 1 GiB of address
+    # 1e-12 pps spaces packets 10^21 ns apart; it was reported as the
+    # topology's int64 range (exit 2 naming no flow field)
+    def test_rate_spacing_packets_past_the_duration_cap_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sprint_flow_config(rate_pps=1e-12))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: flows[0].rate_pps: " in capsys.readouterr().err
+
+    def test_rate_spacing_packets_at_the_duration_cap_runs(self, tmp_path):
+        # 1e-9 pps spaces packets 10^18 ns apart
+        cfg = write_config(tmp_path, sprint_flow_config(rate_pps=1e-9))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        t_in = [p["t_in"] for p in run["flows"]["f1"]["packets"]]
+        assert t_in and {b - a for a, b in zip(t_in, t_in[1:])} <= {10**18}
+
+
+def sprint_point_config(**delays):
+    """sprint_knob.json as one point (knob_d 20ms) with these delay models."""
+    doc = sprint_flow_config(rate_pps=5000)
+    del doc["sweep"]
+    doc.update(knob_d="20ms", delays=delays)
+    return doc
+
+
+class TestDelayModelErrors:
+    # "12" was split into characters and read as 1 ns and 2 ns; [] and a cap
+    # of 0 exited 3 (ValueError from DelayModel)
+    @pytest.mark.parametrize("model,field", [
+        ({"kind": "empirical", "samples": "12"}, "delays.ctrl.samples"),
+        ({"kind": "empirical", "samples": []}, "delays.ctrl.samples"),
+        ({"kind": "empirical", "samples": ["1ms", "x"]}, "delays.ctrl.samples[1]"),
+        ({"kind": "exponential", "mean": "1ms", "cap": 0}, "delays.ctrl.cap"),
+        ({"kind": "exponential", "mean": "1ms", "cap": "0ms"}, "delays.ctrl.cap"),
+        ({"kind": "gamma"}, "delays.ctrl.kind"),
+        ({"hi": "1ms"}, "delays.ctrl.kind"),
+        ({"kind": "uniform"}, "delays.ctrl.hi"),
+        ("1ms", "delays.ctrl")])
+    def test_bad_delay_model_exits_two(self, tmp_path, capsys, model, field):
+        cfg = write_config(tmp_path, sprint_point_config(ctrl=model))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "exponential", "mean": 0, "cap": 0},
+        {"kind": "exponential", "mean": "1ms", "cap": 1},
+        {"kind": "empirical", "samples": ["1ms", 0]}])
+    def test_delay_model_bounds_accepted(self, tmp_path, model):
+        cfg = write_config(tmp_path, sprint_point_config(ctrl=model))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def run_in_child(doc, tmp_path, command="simulate"):
+    """command on doc in a fresh interpreter limited to 1 GiB of address
     space: (exit code, stderr, peak RSS in MB)."""
     cfg = write_config(tmp_path, doc)
     code = ("import resource, sys\n"
@@ -567,7 +676,7 @@ def simulate_in_child(doc, tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     proc = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--config", str(cfg),
+        [sys.executable, "-c", code, command, "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
     *err, maxrss_kib = proc.stderr.splitlines()
@@ -603,7 +712,7 @@ class TestDataPlaneLimits:
     def test_dense_flows_stay_within_a_memory_bound(self, tmp_path):
         # 269,000 packets in all: the walk held two packets x switches int64
         # arrays per flow, 97 MB at peak; per-packet vectors take 53 MB
-        code, err, peak_mb = simulate_in_child(sprint_at_rate(rate_pps=10**6), tmp_path)
+        code, err, peak_mb = run_in_child(sprint_at_rate(rate_pps=10**6), tmp_path)
         assert code == 0, err
         assert peak_mb < 75
 
@@ -615,11 +724,37 @@ class TestDataPlaneLimits:
         doc = sprint_at_rate(rate_pps=5000)
         doc["flows"][index].pop("rate_pps")
         doc["flows"][index].update(rate)
-        code, err, peak_mb = simulate_in_child(doc, tmp_path)
+        code, err, peak_mb = run_in_child(doc, tmp_path)
         assert code == 2
         assert f"config error: flows[{index}].{next(iter(rate))}: " in err
         assert "more than the cap of 4194304" in err
         assert peak_mb < 75
+
+
+class TestFabricLimit:
+    # n = 300,000,000 grew memory without bound; 4,800 exited 3 (MemoryError)
+    # under a 1 GiB address-space limit
+    @pytest.mark.parametrize("n", [300_000_000, topology.MAX_LEAF_SPINE_N + 3])
+    def test_fabric_past_the_cap_exits_two_before_building(self, tmp_path, n):
+        code, err, peak_mb = run_in_child(base_config(topology={"kind": "leaf_spine", "n": n}),
+                                          tmp_path, "plan")
+        assert code == 2
+        assert err.startswith(f"config error: topology.n: expected an integer in [3, "
+                              f"{topology.MAX_LEAF_SPINE_N}], got {n}")
+        assert peak_mb < 75
+
+    def test_swept_fabric_past_the_cap_exits_two(self, tmp_path):
+        doc = base_config(sweep={"axis": "N", "grid": [6, 300_000_000]})
+        code, err, peak_mb = run_in_child(doc, tmp_path, "plan")
+        assert code == 2 and err.startswith("config error: sweep.grid[1]: expected an integer")
+        assert peak_mb < 75
+
+    def test_fabric_at_the_cap_is_planned(self, tmp_path):
+        doc = base_config(mode="timed-worst-case",
+                          topology={"kind": "leaf_spine", "n": topology.MAX_LEAF_SPINE_N})
+        code, err, _ = run_in_child(doc, tmp_path, "plan")
+        assert code == 0, err
+        assert (tmp_path / "out" / "plan.csv").read_text().splitlines()[2].startswith("-,")
 
 
 class TestDurationErrors:
