@@ -37,9 +37,7 @@ from .model import (
 from .planner import (
     PertGraph,
     build_pert_counts,
-    build_pert_timed,
     build_pert_timed_counts,
-    build_pert_untimed,
     compare_timed_untimed,
     longest_path,
     timed_worst_duration,

@@ -91,15 +91,14 @@ class Point(NamedTuple):
         raise ConfigError(f"mode: {self.mode!r} has no schedule")
 
     def plan(self):
-        """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point."""
-        counts, gc = self.proc.phase_counts(), self.proc.gc_phases()
-        untimed = planner.untimed_worst_duration(counts, self.params, gc)
+        """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point; the
+        configured schedule of timed-knob and simultaneous sets timed_worst_ns."""
+        timed, untimed, wins = planner.compare_timed_untimed(self.proc, self.params)
         if self.mode in ("timed-knob", "simultaneous"):
             sched = self.schedule()
             timed = sched.last_time() + self.params.delta_sched - sched.first_time()
-        else:
-            timed = planner.timed_worst_duration(counts, self.params, gc)
-        return untimed, timed, timed < untimed
+            wins = timed < untimed
+        return untimed, timed, wins
 
     def run(self, seed: int):
         """Simulate this point under one seed; returns (RunResult, reports)."""
@@ -157,6 +156,7 @@ class Experiment:
         self.axis = None if sweep is None else field(sweep, "axis", "sweep", AXES)
         self.grid = [] if sweep is None else field(sweep, "grid", "sweep", "non-empty list")
         self.hash = config_hash(doc)
+        self._net = None   # the network, once materialize has built it
 
     @classmethod
     def load(cls, path, **overrides) -> "Experiment":
@@ -260,13 +260,16 @@ class Experiment:
         return proc, topology.policy_initial_state(net)
 
     def materialize(self, axis_value=None, axis_field: str = "sweep.grid") -> Point:
-        """The Point with the swept field set to axis_value, which errors name axis_field."""
+        """The Point with the swept field set to axis_value, which errors name
+        axis_field. The network is built once and reused unless the axis is N."""
         def read(axis, container, key, path, kind, **bounds):
             if self.axis == axis:
                 return field(axis_value, None, axis_field, kind, **bounds)
             return field(container, key, path, kind, **bounds)
 
-        net = self._build_network(read, axis_field)
+        if self.axis == "N" or self._net is None:
+            self._net = self._build_network(read, axis_field)
+        net = self._net
         flows, paths, rate_fields = self._build_flows(net)
         pspec = field(self.doc, "params", "", "object")
         dn_auto = self.axis != "dn" and pspec.get("dn") == "auto"

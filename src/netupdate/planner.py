@@ -133,17 +133,6 @@ def build_pert_counts(phase_counts, params: SystemParameters,
     return PertGraph(tuple(nodes), tuple(edges))
 
 
-def build_pert_untimed(proc: UpdateProcedure, params: SystemParameters,
-                       gc_phases=None) -> PertGraph:
-    """Untimed greedy PERT graph for a concrete procedure.
-
-    gc_phases defaults to the procedure's remove-only phases.
-    """
-    if gc_phases is None:
-        gc_phases = proc.gc_phases()
-    return build_pert_counts(proc.phase_counts(), params, gc_phases)
-
-
 def build_pert_timed_counts(phase_counts, params: SystemParameters,
                             gc_phases=frozenset()) -> PertGraph:
     """Timed PERT graph: scheduled phase instants X[j] plus execution windows."""
@@ -166,13 +155,6 @@ def build_pert_timed_counts(phase_counts, params: SystemParameters,
             edges.append((x, s, params.delta_sched))
             edges.append((s, C_FIN, 0))
     return PertGraph(tuple(nodes), tuple(edges))
-
-
-def build_pert_timed(proc: UpdateProcedure, params: SystemParameters,
-                     gc_phases=None) -> PertGraph:
-    if gc_phases is None:
-        gc_phases = proc.gc_phases()
-    return build_pert_timed_counts(proc.phase_counts(), params, gc_phases)
 
 
 # ---------------------------------------------------------------------------

@@ -166,32 +166,68 @@ class RunResult:
         return self.last_exec_ns - self.first_exec_ns
 
 
-def _finish_run(mode, seed, params, first_send, execs, messages, faults,
-                net, initial, proc, sched_first=None) -> RunResult:
-    """Order the (time, msg_index, phase, update) executions and fold them.
+def _ordered_messages(proc: UpdateProcedure):
+    """(message index, phase, update) in send order: phase by phase, and in
+    procedure order within a phase (the sort is stable)."""
+    return [(idx, j, u) for idx, (u, j) in enumerate(sorted(proc.items, key=lambda it: it[1]))]
+
+
+def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_worst_case,
+                   first_send, guards, first_ctrl, execute, sched_first=None) -> RunResult:
+    """Send proc's messages in _ordered_messages order, the first at
+    first_send, and fold the executions they cause into a RunResult.
+
+    Consecutive sends are a sampled gap apart, and the first send of phase j
+    waits at least guards.get(j, 0) after the send before it. Each message
+    reaches its switch after a sampled controller delay. pin_worst_case
+    takes every gap at delta_msg and every controller delay at d_c, except
+    message 0's, which is first_ctrl. A gap or delay beyond its bound is a
+    bound_violation fault. execute(arrival, rng, idx, phase, target, faults)
+    returns when the update takes effect and a note for its send line.
 
     Executions at equal times take effect in message order, which pins down
     the run; the new configuration folds the whole procedure in message order,
     quietly, since the timeline's fold already warns of each absent rule.
     """
-    execs = sorted(execs, key=lambda e: e[:2])
+    delays = delays or RunDelays.default(params)
+    initial = initial_state or ForwardingState.empty(net)
+    rng = np.random.default_rng(seed)
+    execs, messages, faults = [], [], []
+    t, prev_phase = first_send, None
+    switches = set(net.switches)
+    for idx, phase, update in _ordered_messages(proc):
+        if update.target not in switches:
+            raise ValueError(f"procedure targets unknown switch {update.target!r}")
+        if idx > 0:
+            gap = params.delta_msg if pin_worst_case else delays.gap.sample(rng)
+            if gap > params.delta_msg:
+                faults.append(Fault(t, "bound_violation", "ctrl",
+                                    f"gap {gap} > delta_msg {params.delta_msg}"))
+            t += max(gap, guards.get(phase, 0) if phase != prev_phase else 0)
+        if pin_worst_case:
+            ctrl = params.d_c if idx > 0 else first_ctrl
+        else:
+            ctrl = delays.ctrl.sample(rng)
+        if ctrl > params.d_c:
+            faults.append(Fault(t, "bound_violation", update.target,
+                                f"ctrl delay {ctrl} > d_c {params.d_c}"))
+        exec_time, note = execute(t + ctrl, rng, idx, phase, update.target, faults)
+        messages.append(LogLine(t, "send", "ctrl", update.target, phase,
+                                f"msg={idx} mode={update.mode}{note}"))
+        execs.append((exec_time, idx, phase, update))
+        prev_phase = phase
+
+    execs.sort(key=lambda e: e[:2])
     exec_log = [ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs]
     messages += [LogLine(t, "exec", u.target, "-", phase, f"msg={idx} mode={u.mode}")
                  for t, idx, phase, u in execs]
-    new_config = initial.apply(*(u for _, _, u in _ordered_messages(proc)), warn=False)
     messages.sort(key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
     return RunResult(
         mode=mode, seed=seed, params=params, first_send_ns=first_send,
-        exec_log=exec_log, messages=messages, faults=faults,
-        old_config=initial, new_config=new_config,
+        exec_log=exec_log, messages=messages, faults=faults, old_config=initial,
+        new_config=initial.apply(*(u for _, _, u in _ordered_messages(proc)), warn=False),
         timeline=StateTimeline(net, initial, [(t, u) for t, _, _, u in execs]),
         sched_first_ns=sched_first)
-
-
-def _ordered_messages(proc: UpdateProcedure):
-    """(message index, phase, update) in send order: phase by phase, and in
-    procedure order within a phase (the sort is stable)."""
-    return [(idx, j, u) for idx, (u, j) in enumerate(sorted(proc.items, key=lambda it: it[1]))]
 
 
 def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
@@ -212,42 +248,12 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
     which takes the zero lower bound so the duration measurement starts at
     the earliest possible instant.
     """
-    delays = delays or RunDelays.default(params)
-    initial = initial_state or ForwardingState.empty(net)
     gc_phases = proc.gc_phases()
-    rng = np.random.default_rng(seed)
-    execs, messages, faults = [], [], []
-
-    t = start_time
-    prev_send, prev_phase = None, None
-    switches = set(net.switches)
-    for idx, phase, update in _ordered_messages(proc):
-        if update.target not in switches:
-            raise ValueError(f"procedure targets unknown switch {update.target!r}")
-        if prev_send is not None:
-            gap = params.delta_msg if pin_worst_case else delays.gap.sample(rng)
-            if gap > params.delta_msg:
-                faults.append(Fault(prev_send, "bound_violation", "ctrl",
-                                    f"gap {gap} > delta_msg {params.delta_msg}"))
-            if phase != prev_phase:
-                guard = params.d_c + (params.d_n if phase in gc_phases else 0)
-                t = prev_send + max(gap, guard)
-            else:
-                t = prev_send + gap
-        if pin_worst_case:
-            ctrl = 0 if idx == 0 else params.d_c
-        else:
-            ctrl = delays.ctrl.sample(rng)
-        if ctrl > params.d_c:
-            faults.append(Fault(t, "bound_violation", update.target,
-                                f"ctrl delay {ctrl} > d_c {params.d_c}"))
-        messages.append(LogLine(t, "send", "ctrl", update.target, phase,
-                                f"msg={idx} mode={update.mode}"))
-        execs.append((t + ctrl, idx, phase, update))
-        prev_send, prev_phase = t, phase
-
-    return _finish_run("untimed", seed, params, start_time, execs, messages,
-                       faults, net, initial, proc)
+    guards = {j: params.d_c + (params.d_n if j in gc_phases else 0)
+              for j in range(1, proc.num_phases + 1)}
+    return _control_plane("untimed", net, proc, params, delays, seed, initial_state,
+                          pin_worst_case, start_time, guards, 0,
+                          lambda arrival, *_: (arrival, ""))
 
 
 def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameters,
@@ -264,56 +270,29 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
     missed_schedule fault.
 
     pin_worst_case stretches every jitter to the bound except the
-    earliest-scheduled update, which executes exactly on time.
+    earliest-scheduled update, message 0 (schedules are non-decreasing in
+    phase order), which executes exactly on time.
     """
     proc, schedule = tproc.procedure, tproc.schedule
-    delays = delays or RunDelays.default(params)
-    initial = initial_state or ForwardingState.empty(net)
-    rng = np.random.default_rng(seed)
-    execs, messages, faults = [], [], []
-
-    msgs = _ordered_messages(proc)
     t_su = params.t_su if params.t_su is not None else (
-        params.d_c + params.delta_msg * len(msgs))
+        params.d_c + params.delta_msg * len(proc.items))
     sched_first = schedule.first_time()
-    send_time = sched_first - t_su
-    pin_first = (min(msgs, key=lambda m: (schedule.time_for_phase(m[1]), m[0]))[0]
-                 if pin_worst_case else None)
 
-    t = send_time
-    switches = set(net.switches)
-    for idx, phase, update in msgs:
-        if update.target not in switches:
-            raise ValueError(f"procedure targets unknown switch {update.target!r}")
-        if idx > 0:
-            gap = params.delta_msg if pin_worst_case else delays.gap.sample(rng)
-            if gap > params.delta_msg:
-                faults.append(Fault(t, "bound_violation", "ctrl",
-                                    f"gap {gap} > delta_msg {params.delta_msg}"))
-            t += gap
-        ctrl = params.d_c if pin_worst_case else delays.ctrl.sample(rng)
-        if ctrl > params.d_c:
-            faults.append(Fault(t, "bound_violation", update.target,
-                                f"ctrl delay {ctrl} > d_c {params.d_c}"))
-        arrival = t + ctrl
+    def execute(arrival, rng, idx, phase, target, faults):
         sched_t = schedule.time_for_phase(phase)
         if pin_worst_case:
-            jitter = 0 if idx == pin_first else params.delta_sched
+            jitter = params.delta_sched if idx > 0 else 0
         else:
             jitter = int(rng.integers(0, params.delta_sched, endpoint=True))
         planned = sched_t + jitter
         if arrival > planned:
-            faults.append(Fault(arrival, "missed_schedule", update.target,
+            faults.append(Fault(arrival, "missed_schedule", target,
                                 f"arrival {arrival} > planned exec {planned}"))
-            exec_time = arrival
-        else:
-            exec_time = planned
-        messages.append(LogLine(t, "send", "ctrl", update.target, phase,
-                                f"msg={idx} mode={update.mode} sched={sched_t}"))
-        execs.append((exec_time, idx, phase, update))
+        return max(arrival, planned), f" sched={sched_t}"
 
-    return _finish_run("timed", seed, params, send_time, execs, messages, faults,
-                       net, initial, proc, sched_first=sched_first)
+    return _control_plane("timed", net, proc, params, delays, seed, initial_state,
+                          pin_worst_case, sched_first - t_su, {}, params.d_c, execute,
+                          sched_first=sched_first)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ class TestPlanCommand:
         assert untimed == sorted(untimed) and untimed[0] < untimed[-1]
         assert {r[3] for r in rows} == {"true"}
 
+    # every sweep point used to read the topology file again
+    def test_sweep_reads_topology_once_unless_axis_is_n(self, tmp_path):
+        with mock.patch.object(topology, "load_topology",
+                               wraps=topology.load_topology) as load:
+            assert main(["plan", "--config", str(CONFIGS / "netrail_knob.json"),
+                         "--out", str(tmp_path)]) == 0
+        assert load.call_count == 1
+        cfg = write_config(tmp_path, base_config(sweep={"axis": "N", "grid": [6, 12, 24]}))
+        with mock.patch.object(topology, "leaf_spine", wraps=topology.leaf_spine) as build:
+            assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert [c.args for c in build.call_args_list] == [(6,), (12,), (24,)]
+
     def test_dsched_sweep_timed_linear(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
             mode="timed-worst-case",

@@ -11,7 +11,6 @@ from netupdate import (
     UpdateProcedure,
     build_pert_counts,
     build_pert_timed_counts,
-    build_pert_untimed,
     compare_timed_untimed,
     longest_path,
     timed_worst_duration,
@@ -166,7 +165,8 @@ class TestPertBuilders:
     def test_procedure_wrapper_uses_remove_phases(self):
         proc = synth_proc([3, 3, 3], gc_phases={3})
         p = params()
-        assert (longest_path(build_pert_untimed(proc, p)).worst_case
+        graph = build_pert_counts(proc.phase_counts(), p, proc.gc_phases())
+        assert (longest_path(graph).worst_case
                 == untimed_worst_duration([3, 3, 3], p, {3}))
 
     def test_two_phase_matches_corollary(self):

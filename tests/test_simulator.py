@@ -1,4 +1,6 @@
+import hashlib
 import logging
+import random
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ from netupdate import (
     Network,
     RunDelays,
     RunResult,
+    Schedule,
     SingletonUpdate,
     SystemParameters,
     TestFlow,
@@ -39,7 +42,7 @@ from netupdate.simulator import (
     StateTimeline,
     _packet_count,
 )
-from netupdate.topology import policy_initial_state, policy_update
+from netupdate.topology import policy_initial_state, policy_update, stub_update
 
 from conftest import DC_NS, line_network, line_flow_setup, testbed_params
 
@@ -461,3 +464,51 @@ def test_run_flows_matches_forward_packet_oracle(case):
             classify_packet(t, run.old_config, run.new_config) for t in want)
         # iterating re-walks the packets on the flow's own stream
         assert list(got) == want
+
+
+# sha256 of every control-plane run below, faults included; whatever moves a
+# draw, a send or execution time, a fault or the execution order moves it
+CONTROL_PLANE_DIGEST = "ea080cb79c09358230edda695993b204e78c4ef43b3a9aa9d4f6433f9f4054be"
+
+
+def _control_plane_cases():
+    """(net, proc, initial, params, delays, start, schedules) per seeded case:
+    stub procedures of 1-4 phases, random GC phases, empirical delays that
+    overshoot d_c / delta_msg, and a t_su that is sometimes too short."""
+    for case in range(100):
+        rng = random.Random(case)
+        net = leaf_spine(rng.choice((3, 6, 9, 12)))
+        k = rng.randint(1, 4)
+        sets = [rng.sample(net.switches, rng.randint(1, len(net.switches))) for _ in range(k)]
+        gc = frozenset(j for j in range(1, k + 1) if rng.random() < 0.3)
+        proc, initial = stub_update(net, sets, gc)
+        d_c, delta = rng.randint(1, 5000), rng.randint(0, 5000)
+        t_su = rng.choice((None, rng.randint(0, d_c)))
+        params = SystemParameters(d_c=d_c, d_n=rng.randint(0, 3000), delta_msg=delta,
+                                  delta_sched=rng.randint(0, 3000), t_su=t_su)
+        delays = RunDelays(
+            DelayModel.empirical([rng.randint(0, 2 * d_c) for _ in range(5)]),
+            DelayModel.empirical([rng.randint(0, 2 * delta + 1) for _ in range(5)]))
+        start = rng.randint(0, 10**9)
+        times, t = {}, start
+        for j in range(1, k + 1):
+            times[j] = t = t + rng.randint(0, 4000) * (j > 1)
+        schedules = (worst_case_schedule(proc, start, params), Schedule.build(times))
+        yield net, proc, initial, params, delays, start, schedules
+
+
+def test_control_plane_pinned_to_digest():
+    digest = hashlib.sha256()
+    for case, (net, proc, initial, params, delays, start, schedules) in enumerate(
+            _control_plane_cases()):
+        runs = []
+        for pin in (False, True):
+            runs.append(run_untimed(net, proc, params, delays, seed=case, initial_state=initial,
+                                    start_time=start, pin_worst_case=pin))
+            runs += [run_timed(net, TimedUpdateProcedure(proc, sched), params, delays,
+                               seed=case, initial_state=initial, pin_worst_case=pin)
+                     for sched in schedules]
+        for run in runs:
+            digest.update(repr((run.mode, run.first_send_ns, run.sched_first_ns, run.exec_log,
+                                run.messages, run.faults, run.new_config.tables)).encode())
+    assert digest.hexdigest() == CONTROL_PLANE_DIGEST
