@@ -18,6 +18,7 @@ Exit codes: 0 success (recorded simulation faults are data, not failure),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import partial
@@ -316,4 +317,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # What the imports built lives until exit; freezing it spares every
+    # collection, the one at exit included, a rescan of it. Only the process
+    # entry freezes: tests and tracers call main() in a process they go on
+    # using, and a freeze would outlive the call.
+    gc.freeze()
     sys.exit(main())

@@ -18,6 +18,7 @@ import math
 import re
 from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .delays import DelayModel
@@ -187,6 +188,9 @@ class Network:
 
     Treated as immutable after construction. Ports are collected from links
     and ingress declarations; a port belongs to at most one of those roles.
+    The constructor checks that on the set of link endpoints; the peer and
+    link maps behind peer() and link_between() are built on first use, since
+    a run without flows never looks a link up.
     """
 
     def __init__(self, switches, links, ingress_ports):
@@ -196,15 +200,16 @@ class Network:
         known = set(self.switches)
         if len(known) != len(self.switches):
             raise ValueError("duplicate switch ids")
-        self._peer = {a: (b[0], b[1], delay) for a, b, delay in self.links}
-        self._peer.update({b: (a[0], a[1], delay) for a, b, delay in self.links})
-        ends = (*self._peer, *self.ingress_ports)
-        # a repeated port shrinks the map; _check finds the first bad entry
-        if (len(self._peer) != 2 * len(self.links) or not known.issuperset([sw for sw, _ in ends])
-                or not self.ingress_ports.isdisjoint(self._peer)):
+        a_ends = [a for a, _, _ in self.links]
+        b_ends = [b for _, b, _ in self.links]
+        link_ends = {*a_ends, *b_ends}
+        # a repeated port shrinks the set; _check finds the first bad entry
+        if (len(link_ends) != 2 * len(self.links)
+                or not known.issuperset([sw for sw, _ in chain(link_ends, self.ingress_ports)])
+                or not self.ingress_ports.isdisjoint(link_ends)):
             self._check(known)
         self.ports = {s: set() for s in self.switches}
-        for sw, port in ends:
+        for sw, port in chain(a_ends, b_ends, self.ingress_ports):
             self.ports[sw].add(port)
 
     def _check(self, known):
@@ -222,13 +227,18 @@ class Network:
             if (sw, port) in seen:
                 raise ValueError(f"ingress port ({sw!r}, {port}) is also a link endpoint")
 
+    @cached_property
+    def _peer(self) -> dict:
+        peer = {a: (b[0], b[1], delay) for a, b, delay in self.links}
+        peer.update({b: (a[0], a[1], delay) for a, b, delay in self.links})
+        return peer
+
     def peer(self, switch: str, port: int):
         """(peer_switch, peer_port, delay_model) reachable out of ``port``, or None."""
         return self._peer.get((switch, port))
 
     @cached_property
     def _between(self) -> dict:
-        # built on first use: fabrics without flows never look a link up
         out = {}
         for link in self.links:
             out.setdefault(frozenset((link.a[0], link.b[0])), link)
@@ -316,17 +326,13 @@ class ForwardingState(NamedTuple):
         return lookup_rule(self.tables[switch], flow_id, tag, port)
 
     def apply(self, *updates: SingletonUpdate, warn: bool = True) -> "ForwardingState":
-        """Pure application of singleton updates in order.
+        """Pure application of singleton updates in order, each through apply_update.
 
-        Install: the target switch behaves like the update's entries on its
-        domain and as before elsewhere; installed entries carry generation
-        "new". Remove: the listed keys are deleted; deleting an absent key is
-        a no-op, warned unless warn is false, so garbage collection stays
-        idempotent.
-
-        Copy-on-write: each changed table is copied once, however many
-        updates target it, so folding a whole procedure costs
-        O(switches + entries).
+        Copy-on-write: the outer mapping and each changed table are copied
+        once, however many updates target it, so folding a whole procedure
+        in one call costs O(switches + entries). A call per update copies
+        the whole mapping each time; a fold that keeps every intermediate
+        table copies only the target's table instead, as StateTimeline does.
         """
         tables = dict(self.tables)
         copied = set()
@@ -336,18 +342,29 @@ class ForwardingState(NamedTuple):
             if update.target not in copied:
                 tables[update.target] = dict(tables[update.target])
                 copied.add(update.target)
-            table = tables[update.target]
-            if update.mode == "install":
-                for key, action in update.entries:
-                    table[key] = (action, GEN_NEW)
-            else:
-                for key, _ in update.entries:
-                    if key in table:
-                        del table[key]
-                    elif warn:
-                        _log("warning", "garbage collection: rule %r already absent on %s",
-                             key, update.target)
+            apply_update(tables[update.target], update, warn)
         return ForwardingState(tables)
+
+
+def apply_update(table: dict, update: SingletonUpdate, warn: bool = True) -> None:
+    """Apply one singleton update in place to its target's table, a copy the
+    caller owns.
+
+    Install: the table behaves like the update's entries on its domain and
+    as before elsewhere; installed entries carry generation "new". Remove:
+    the listed keys are deleted; deleting an absent key is a no-op, warned
+    unless warn is false, so garbage collection stays idempotent.
+    """
+    if update.mode == "install":
+        for key, action in update.entries:
+            table[key] = (action, GEN_NEW)
+        return
+    for key, _ in update.entries:
+        if key in table:
+            del table[key]
+        elif warn:
+            _log("warning", "garbage collection: rule %r already absent on %s",
+                 key, update.target)
 
 
 @validated

@@ -36,6 +36,7 @@ from .model import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
+    apply_update,
     lookup_rule,
 )
 
@@ -108,18 +109,24 @@ class StateTimeline:
     """Per-switch rule tables as a step function of real time.
 
     Version 0 of a switch's table is its initial table; version v is the
-    table after the switch's v-th executed update, folded in execution
-    order through ForwardingState.apply.
+    table after the switch's v-th executed update. The executions are folded
+    in order, per switch: each copies its target's latest table, not the
+    whole switch map, and applies itself through apply_update, the step
+    ForwardingState.apply takes, so each absent rule is warned of in
+    execution order, as a fold through ForwardingState.apply would.
     """
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
         self._times = {s: [] for s in net.switches}
         self._tables = {s: [initial.tables[s]] for s in net.switches}
-        state = initial
         for time_ns, update in execs:
-            state = state.apply(update)
+            versions = self._tables.get(update.target)
+            if versions is None:
+                raise ValueError(f"update targets unknown switch {update.target!r}")
+            table = dict(versions[-1])
+            apply_update(table, update)
+            versions.append(table)
             self._times[update.target].append(time_ns)
-            self._tables[update.target].append(state.tables[update.target])
 
     def versions(self, switch: str, times: np.ndarray) -> np.ndarray:
         """Table version in force at each of the given instants (bulk lookup)."""

@@ -12,11 +12,13 @@ regenerates the file:
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -80,6 +82,39 @@ def test_golden_covers_every_shipped_config():
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_are_byte_identical(case, tmp_path):
     assert run_case(case, tmp_path) == json.loads(GOLDEN.read_text())[case]
+
+
+def test_large_fabric_sweep_is_byte_identical(tmp_path):
+    """sweep.csv on fabrics of 192 and 384 switches, past every shipped grid."""
+    from netupdate.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", str(REPO / "configs" / "leafspine_sweep.json"),
+                     "--grid", "192,384", "--seeds", "0,1", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+        "22e7f4744d1f5ecd8c509dc27e69965f7a503cf683e72bc953f9bcd3709c84e3")
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert run_case("plan leafspine_sweep.json", tmp_path)["exit"] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_writes_the_golden_plan(tmp_path):
+    """python -m netupdate.cli freezes the heap before main(); the bytes stay."""
+    import netupdate
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "netupdate.cli", "plan",
+         "--config", str(REPO / "configs" / "leafspine_sweep.json"), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert {"exit": proc.returncode, "stderr": proc.stderr, "files": files} == (
+        json.loads(GOLDEN.read_text())["plan leafspine_sweep.json"])
 
 
 def regenerate() -> None:

@@ -1,5 +1,7 @@
 import logging
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -17,8 +19,12 @@ from netupdate import (
     TimedUpdateProcedure,
     UpdateProcedure,
 )
+from netupdate.simulator import StateTimeline
+from netupdate.topology import leaf_spine, load_topology
 
 from conftest import line_network
+
+TOPOLOGIES = Path(__file__).resolve().parents[1] / "topologies"
 
 
 def two_switch_net():
@@ -140,6 +146,25 @@ class TestNetworkBulkBuild:
         for sw, sw_ports in ports.items():
             for port in sw_ports | {4}:
                 assert net.peer(sw, port) == peer.get((sw, port))
+
+
+class TestLazyPeerMap:
+    """The constructor checks links on their endpoints; the peer map waits for peer()."""
+
+    def test_built_on_first_peer_call(self):
+        net = leaf_spine(768)
+        assert "_peer" not in vars(net)
+        assert net.peer("leaf1", 2) == ("spine2", 1, DelayModel.constant(0))
+        assert len(vars(net)["_peer"]) == 2 * len(net.links)
+
+    @pytest.mark.parametrize("name", ["leaf_spine(12)", "netrail", "sprint", "compuserve"])
+    def test_equals_the_eager_map(self, name):
+        net = leaf_spine(12) if name == "leaf_spine(12)" else load_topology(
+            TOPOLOGIES / f"{name}.json")
+        peer, ports = _reference_network(net.switches, net.links, net.ingress_ports)
+        assert net.ports == ports
+        assert {end: net.peer(*end) for end in peer} == peer
+        assert vars(net)["_peer"] == peer
 
 
 class TestForwardingState:
@@ -278,6 +303,43 @@ def test_apply_matches_reference_fold(rules, steps, caplog):
         assert out.tables == want
         assert [r.getMessage() for r in caplog.records] == want_warnings
     assert state.tables == before
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rules=st.dictionaries(st.sampled_from(["S1", "S2", "S3"]), _tables), steps=_steps,
+       times=st.lists(st.integers(0, 3), min_size=8, max_size=8))
+def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
+    """StateTimeline folds per switch; the whole-state fold through
+    ForwardingState.apply, one update at a time, is its oracle: the same
+    table at every version and instant, the same warnings in the same order."""
+    net = line_network([10, 10])
+    state = ForwardingState.from_dict(net, rules)
+    updates = [SingletonUpdate.install(sw, entries) if mode == "install"
+               else SingletonUpdate.remove(sw, list(entries))
+               for sw, mode, entries in steps]
+    execs = list(zip(sorted(times), updates))  # few distinct times: many are equal
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="netupdate.model"):
+        timeline = StateTimeline(net, state, execs)
+        timeline_warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        folds = [state]
+        for u in updates:
+            folds.append(folds[-1].apply(u))
+    want, want_warnings = _reference_fold(state, updates)
+    assert folds[-1].tables == want
+    assert timeline_warnings == [r.getMessage() for r in caplog.records] == want_warnings
+
+    version = dict.fromkeys(net.switches, 0)
+    for fold, u in zip(folds[1:], updates):
+        version[u.target] += 1
+        assert timeline.table_version(u.target, version[u.target]) == fold.tables[u.target]
+    for t in range(5):
+        fold = folds[sum(1 for time_ns, _ in execs if time_ns <= t)]
+        for sw in net.switches:
+            in_force = timeline.versions(sw, np.array([t]))[0]
+            assert timeline.table_version(sw, in_force) == fold.tables[sw]
+            assert timeline.lookup(sw, t, "f1", "A", 0) == fold.lookup(sw, "f1", "A", 0)
 
 
 def test_apply_is_copy_on_write():

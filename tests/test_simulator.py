@@ -106,6 +106,13 @@ class TestStateTimeline:
             assert (run.timeline.table_version(sw, len(mine))
                     == run.new_config.tables[sw])
 
+    def test_unknown_target_names_the_switch(self):
+        net = line_network([10])
+        known = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
+        unknown = SingletonUpdate.install("S9", {("f", None, 0): DELIVER})
+        with pytest.raises(ValueError, match="update targets unknown switch 'S9'"):
+            StateTimeline(net, ForwardingState.empty(net), [(0, known), (5, unknown)])
+
 
 class TestRunUntimed:
     def test_single_switch_duration_zero_latency_c(self, testbed_params):
