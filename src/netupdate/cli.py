@@ -21,7 +21,6 @@ import argparse
 import gc
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import stats
@@ -44,10 +43,11 @@ def _write_text(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
-def _axis_cell(value) -> str:
-    if isinstance(value, str):
-        return str(parse_duration(value, "sweep.grid"))
-    return str(value)
+def _axis_cell(axis, value) -> str:
+    """A sweep point's axis value as the point ran it: ns for a duration axis."""
+    if axis is None:
+        return "-"
+    return str(value) if axis == "N" else str(parse_duration(value, "sweep.grid"))
 
 
 def cmd_plan(exp: Experiment, out: Path) -> int:
@@ -55,8 +55,8 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
              "axis_value,untimed_worst_ns,timed_worst_ns,timed_wins"]
     for axis_value, point in exp.points():
         untimed, timed, wins = point.plan()
-        cell = _axis_cell(axis_value) if axis_value is not None else "-"
-        lines.append(f"{cell},{untimed},{timed},{'true' if wins else 'false'}")
+        lines.append(f"{_axis_cell(exp.axis, axis_value)},{untimed},{timed},"
+                     f"{'true' if wins else 'false'}")
     _write_text(out / "plan.csv", lines)
     print(f"wrote {out / 'plan.csv'}")
     return 0
@@ -64,10 +64,23 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
 
 PACKET_BLOCK = 1024  # packets formatted per write when streaming run.json
 _JSON_BOOL = ("false", "true")
+_PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
 
 
-def _run_header(run, exp_hash: str) -> dict:
-    """run.json's fields other than "flows"."""
+def _run_doc(run, exp_hash: str, reports) -> dict:
+    """run.json with each flow's "packets" NaN, a value no other field can take."""
+    flows = {}
+    for rep in reports:
+        packets = run.flow_traces[rep.flow_id]
+        flows[rep.flow_id] = {
+            "n_inconsistent": rep.n_inconsistent,
+            "rate_pps": rep.rate_pps,
+            "inconsistency_ns": rep.inconsistency_ns,
+            "dropped": int(packets.dropped.sum()),
+            "truncated": int(packets.truncated.sum()),
+            "stranded": int(packets.stranded.sum()),
+            "packets": float("nan"),
+        }
     p = run.params
     return {
         "meta": {"config": exp_hash, "engine": ENGINE_VERSION, "seed": run.seed,
@@ -79,91 +92,44 @@ def _run_header(run, exp_hash: str) -> dict:
         "last_exec_ns": run.last_exec_ns,
         "update_duration_ns": run.update_duration_ns,
         "faults": [f._asdict() for f in run.faults],
-    }
-
-
-def _flow_summary(rep, packets) -> dict:
-    """One flow's fields in run.json other than "packets"."""
-    return {
-        "n_inconsistent": rep.n_inconsistent,
-        "rate_pps": rep.rate_pps,
-        "inconsistency_ns": rep.inconsistency_ns,
-        "dropped": int(packets.dropped.sum()),
-        "truncated": int(packets.truncated.sum()),
-        "stranded": int(packets.stranded.sum()),
+        "flows": flows,
     }
 
 
 def _run_to_dict(run, exp_hash: str, reports) -> dict:
     """run.json as one document with a dict per packet: the oracle of _write_run."""
-    flows = {}
+    doc = _run_doc(run, exp_hash, reports)
     for rep in reports:
         packets = run.flow_traces[rep.flow_id]
-        flows[rep.flow_id] = {
-            **_flow_summary(rep, packets),
-            "packets": [
-                {"t_in": t_in, "result": result, "hops": hops, "delivered": delivered}
-                for t_in, result, hops, delivered in zip(
-                    packets.t_in.tolist(), rep.classes, packets.hops.tolist(),
-                    packets.delivered.tolist(), strict=True)],
-        }
-    return {**_run_header(run, exp_hash), "flows": flows}
-
-
-def _write_object(fh, fields: dict, level: int) -> None:
-    """Write fields as json.dump(indent=2, sort_keys=True) lays out an object
-    nested `level` deep. A callable value writes itself, given its level."""
-    if not fields:
-        fh.write("{}")
-        return
-    pad = "\n" + "  " * (level + 1)
-    for i, key in enumerate(sorted(fields)):
-        # json writes a non-string key as the text of its JSON value
-        name = json.dumps(key if isinstance(key, str) else json.dumps(key))
-        fh.write(("," if i else "{") + f"{pad}{name}: ")
-        value = fields[key]
-        if callable(value):
-            value(level + 1)
-        else:
-            # a JSON string never holds a raw newline, so this only re-indents
-            fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
-    fh.write("\n" + "  " * level + "}")
-
-
-def _write_packets(fh, packets, classes, level: int) -> None:
-    """One flow's packet list, formatted from the walk's arrays PACKET_BLOCK
-    packets per write, keys in sorted order."""
-    if not len(packets.t_in):
-        fh.write("[]")
-        return
-    pad = "\n" + "  " * (level + 1)
-    key = pad + "  "
-    result = {c: json.dumps(c) for c in set(classes)}
-    fh.write("[")
-    for start in range(0, len(packets.t_in), PACKET_BLOCK):
-        stop = start + PACKET_BLOCK
-        block = ",".join(
-            f'{pad}{{{key}"delivered": {_JSON_BOOL[delivered]},{key}"hops": {hops},'
-            f'{key}"result": {result[cls]},{key}"t_in": {t_in}{pad}}}'
-            for delivered, hops, cls, t_in in zip(
-                packets.delivered[start:stop].tolist(), packets.hops[start:stop].tolist(),
-                classes[start:stop], packets.t_in[start:stop].tolist(), strict=True))
-        fh.write(f",{block}" if start else block)
-    fh.write("\n" + "  " * level + "]")
+        doc["flows"][rep.flow_id]["packets"] = [
+            {"t_in": t_in, "result": result, "hops": hops, "delivered": delivered}
+            for t_in, result, hops, delivered in zip(
+                packets.t_in.tolist(), rep.classes, packets.hops.tolist(),
+                packets.delivered.tolist(), strict=True)]
+    return doc
 
 
 def _write_run(fh, run, exp_hash: str, reports) -> None:
-    """Stream run.json to fh, byte-equal to json.dump(_run_to_dict(...), fh,
-    indent=2, sort_keys=True), without a dict per packet or the whole text."""
-    def write_flow(rep, level):
+    """Stream run.json to fh, byte-equal to json.dumps(_run_to_dict(...),
+    indent=2, sort_keys=True), without a dict per packet or the whole text.
+    The text is json's of _run_doc, split at its "packets" fields (a quote in
+    a JSON string is written \\"), each gap filled, in json's sorted flow
+    order, with PACKET_BLOCK packets per write from the walk's arrays."""
+    head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
+                              sort_keys=True).split('"packets": NaN')
+    fh.write(head)
+    for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
-        _write_object(fh, {**_flow_summary(rep, packets),
-                           "packets": partial(_write_packets, fh, packets, rep.classes)},
-                      level)
-
-    flows = {rep.flow_id: partial(write_flow, rep) for rep in reports}
-    _write_object(fh, {**_run_header(run, exp_hash),
-                       "flows": partial(_write_object, fh, flows)}, 0)
+        fh.write('"packets": [')
+        for start in range(0, len(packets.t_in), PACKET_BLOCK):
+            stop = start + PACKET_BLOCK
+            fh.write(("," if start else "") + ",".join(
+                f'{_PAD}{{{_KEY}"delivered": {_JSON_BOOL[delivered]},{_KEY}"hops": {hops},'
+                f'{_KEY}"result": "{cls}",{_KEY}"t_in": {t_in}{_PAD}}}'
+                for delivered, hops, cls, t_in in zip(
+                    packets.delivered[start:stop].tolist(), packets.hops[start:stop].tolist(),
+                    rep.classes[start:stop], packets.t_in[start:stop].tolist(), strict=True)))
+        fh.write(("\n      ]" if len(packets.t_in) else "]") + tail)
 
 
 def cmd_simulate(exp: Experiment, out: Path) -> int:
@@ -196,7 +162,7 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
                  "axis_value,flow_id,seed_count,i_mean_ns,i_min_ns,i_max_ns"]
     have_flows = False
     for axis_value, point in exp.points():
-        cell = _axis_cell(axis_value) if axis_value is not None else "-"
+        cell = _axis_cell(exp.axis, axis_value)
         untimed_worst, timed_worst, _ = point.plan()
         plan_worst = untimed_worst if point.mode == "untimed-greedy" else timed_worst
         durations = []
@@ -316,10 +282,14 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
-    # What the imports built lives until exit; freezing it spares every
-    # collection, the one at exit included, a rescan of it. Only the process
-    # entry freezes: tests and tracers call main() in a process they go on
-    # using, and a freeze would outlive the call.
+def entry() -> int:
+    """main() as the process entry, of `python -m netupdate.cli` and of the
+    installed script. It first freezes what the imports built, which lives
+    until exit, so no collection rescans it. main() does not freeze: tests
+    and tracers call it in a process that goes on, which a freeze would outlive."""
     gc.freeze()
-    sys.exit(main())
+    return main()
+
+
+if __name__ == "__main__":
+    sys.exit(entry())

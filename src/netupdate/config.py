@@ -86,8 +86,7 @@ class Point(NamedTuple):
                     "mode: timed-knob requires a two-phase + garbage-collection procedure")
             return consistency.knob_schedule(self.start_time, self.knob_d, self.params)
         if self.mode == "simultaneous":
-            return Schedule.build(dict.fromkeys(range(1, self.proc.num_phases + 1),
-                                                self.start_time))
+            return consistency.simultaneous_schedule(self.start_time, self.proc.num_phases)
         raise ConfigError(f"mode: {self.mode!r} has no schedule")
 
     def plan(self):
@@ -295,8 +294,9 @@ class Experiment:
         delays = None
         dspec = field(self.doc, "delays", "", "object", default=None)
         if dspec is not None:
-            delays = RunDelays(ctrl=_delay_model(dspec, "ctrl", DelayModel.uniform(params.d_c)),
-                               gap=_delay_model(dspec, "gap", DelayModel.uniform(params.delta_msg)))
+            default = RunDelays.default(params)
+            delays = RunDelays(ctrl=_delay_model(dspec, "ctrl", default.ctrl),
+                               gap=_delay_model(dspec, "gap", default.gap))
 
         start_time = field(self.doc, "start_time", "", "duration", default=10**9)
         return Point(net=net, params=params, proc=proc, initial_state=initial,

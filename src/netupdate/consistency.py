@@ -135,10 +135,11 @@ def knob_schedule(t1: int, d: int, params: SystemParameters) -> Schedule:
     return Schedule.build({1: t1, 2: t2, 3: tg})
 
 
-def simultaneous_schedule(t: int) -> Schedule:
-    """All three phases of a two-phase + GC procedure at the same instant.
+def simultaneous_schedule(t: int, num_phases: int = 3) -> Schedule:
+    """All phases of a procedure at the same instant; by default the three
+    of a two-phase + GC procedure.
 
     No rule duplication interval at all, at the cost of an inconsistency
     equal to the network traversal time.
     """
-    return Schedule.build({1: t, 2: t, 3: t})
+    return Schedule.build(dict.fromkeys(range(1, num_phases + 1), t))

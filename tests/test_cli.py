@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -120,6 +121,23 @@ class TestPlanCommand:
         timed = [int(r[2]) for r in rows]
         # d_n + 3 * dsched: affine in the scheduling error
         assert timed[1] - timed[0] == timed[2] - timed[1] == 3_000_000
+
+    # a number on a duration axis was written as given (1500000.7, 2000000.0),
+    # not as the ns the point ran with
+    @pytest.mark.parametrize("command,out_file,worst_col", [
+        ("plan", "plan.csv", 2), ("sweep", "sweep.csv", 6)])
+    def test_numeric_duration_grid_writes_the_ns_it_ran(self, tmp_path, command, out_file,
+                                                        worst_col):
+        doc = json.loads((CONFIGS / "netrail_knob.json").read_text())
+        doc["topology"]["path"] = str(REPO / "topologies" / "netrail.json")
+        doc["sweep"]["grid"] = [1500000.7, 2e6, "3ms", 4000000]
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line
+                in (tmp_path / out_file).read_text().splitlines()[2:]]
+        assert [r[0] for r in rows] == ["1500001", "2000000", "3000000", "4000000"]
+        # a timed-knob update spans d + 3 delta_sched
+        assert {int(r[worst_col]) - int(r[0]) for r in rows} == {3 * 1_297_000}
 
 
 class TestSimulateCommand:
@@ -255,6 +273,15 @@ class TestRunJsonStreamedWriter:
     @example(case={"flows": [("a", 0, 0, 5000), ("b", 2 * PACKET_BLOCK + 1, 900, 5000.5)],
                    "faults": [(7, "missed_schedule", 'S"1', "late\n\\")],
                    "tsu": 1_000, "hash": "h"})
+    # _write_run splits json's text at '"packets": NaN': no string may cut it
+    @example(case={"flows": [('"packets": NaN', 3, 0, 5000), ("f", 2, 5, 5000)],
+                   "faults": [(7, "bound_violation", '"packets": NaN', '": NaN')],
+                   "tsu": None, "hash": '"packets": NaN'})
+    @example(case={"flows": [('": NaN', 2, 0, 2.5)],
+                   "faults": [(7, "missed_schedule", '": NaN', '"packets": NaN')],
+                   "tsu": None, "hash": '": NaN'})
+    @example(case={"flows": [("a", 3, 0, 5000), ("b", 0, 0, 5000), ("c", 2, 9, 5000)],
+                   "faults": [], "tsu": None, "hash": "h"})
     def test_streamed_bytes_equal_the_oracle(self, case):
         run, reports = self.case_run(case)
         buf = io.StringIO()
@@ -671,6 +698,14 @@ class TestDelayModelErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
+def child_env():
+    """os.environ with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_in_child(doc, tmp_path, command="simulate"):
     """command on doc in a fresh interpreter limited to 1 GiB of address
     space: (exit code, stderr, peak RSS in MB)."""
@@ -680,9 +715,6 @@ def run_in_child(doc, tmp_path, command="simulate"):
             "code = main(sys.argv[1:])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
             "sys.exit(code)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -690,9 +722,31 @@ def run_in_child(doc, tmp_path, command="simulate"):
     proc = subprocess.run(
         [sys.executable, "-c", code, command, "--config", str(cfg),
          "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+        env=child_env(), capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
     *err, maxrss_kib = proc.stderr.splitlines()
     return proc.returncode, "\n".join(err), int(maxrss_kib) / 1024
+
+
+# the installed script ran main() without the freeze that python -m applies
+@pytest.mark.parametrize("launch", [
+    "from {module} import {func}; code = {func}()",
+    "import runpy\ntry:\n    runpy.run_module('netupdate.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n    code = exc.code",
+], ids=["installed-script", "python-m"])
+def test_process_entries_freeze_the_heap_and_write_mains_plan(tmp_path, launch):
+    module, func = re.search(r'^netupdate = "([\w.]+):(\w+)"$',
+                             (REPO / "pyproject.toml").read_text(), re.M).groups()
+    code = ("import gc, sys\n" + launch.format(module=module, func=func) + "\n"
+            "print(gc.get_freeze_count() > 0)\nsys.exit(code)\n")
+    cfg = str(CONFIGS / "leafspine_sweep.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "plan", "--config", cfg, "--out", str(tmp_path / "child")],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()[-1]) == (0, "", "True")
+    with mock.patch("sys.stdout", io.StringIO()):
+        assert main(["plan", "--config", cfg, "--out", str(tmp_path / "main")]) == 0
+    assert ((tmp_path / "child" / "plan.csv").read_bytes()
+            == (tmp_path / "main" / "plan.csv").read_bytes())
 
 
 def sprint_at_rate(**rate):

@@ -138,7 +138,7 @@ class TestMeasureInconsistency:
         D = 10 * MS
         params = SystemParameters(d_c=1 * MS, d_n=D, delta_msg=1 * MS, delta_sched=0)
         run, flow = run_with_schedule(
-            lambda proc, p: simultaneous_schedule(1_000 * MS), D, params)
+            lambda proc, p: simultaneous_schedule(1_000 * MS, proc.num_phases), D, params)
         rep = measure_inconsistency(run, flow)
         assert abs(rep.inconsistency_ns - D) <= flow.spacing_ns
         assert rep.inconsistency_ns == rep.n_inconsistent * flow.spacing_ns
