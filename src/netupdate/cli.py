@@ -20,12 +20,16 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import stats
-from .config import ConfigError, Experiment, config_hash, parse_duration
-from .simulator import ENGINE_VERSION
+from .model import ENGINE_VERSION, ConfigError, config_hash, parse_duration
+
+if TYPE_CHECKING:
+    from .config import Experiment
 
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
@@ -188,6 +192,8 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
 
 
 def cmd_analyze_trace(trace_path: str, percentiles, out: Path) -> int:
+    from . import stats
+
     try:
         trace = stats.read_trace(trace_path)
     except (OSError, ValueError) as exc:
@@ -220,13 +226,21 @@ def _parse_percentiles(text: str):
     return values
 
 
-def _parse_grid(text: str):
-    values = []
-    for tok in text.replace(",", " ").split():
+def _grid_value(tok: str):
+    """tok as the config's JSON grid would hold it: an int, another finite
+    number, or else a string (a duration with a unit, read at materialization)."""
+    for number in (int, float):
         try:
-            values.append(int(tok))
+            value = number(tok)
         except ValueError:
-            values.append(tok)  # duration string; validated at materialization
+            continue
+        if math.isfinite(value):
+            return value
+    return tok
+
+
+def _parse_grid(text: str):
+    values = [_grid_value(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise ConfigError("--grid: at least one value required")
     return values
@@ -263,6 +277,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze-trace":
             return cmd_analyze_trace(args.trace, _parse_percentiles(args.percentiles), out)
+        from .config import Experiment
+
         exp = Experiment.load(args.config,
                               seeds=_parse_seeds(args.seeds) if args.seeds else None,
                               axis=args.axis,
@@ -284,9 +300,12 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """main() as the process entry, of `python -m netupdate.cli` and of the
-    installed script. It first freezes what the imports built, which lives
-    until exit, so no collection rescans it. main() does not freeze: tests
-    and tracers call it in a process that goes on, which a freeze would outlive."""
+    installed script. It first imports the layers the command runs (stats for
+    analyze-trace, config and all it loads for the others), then freezes what
+    the imports built, which lives until exit, so no collection rescans it.
+    main() does not freeze: tests and tracers call it in a process that goes
+    on, which a freeze would outlive."""
+    import_module(".stats" if sys.argv[1:2] == ["analyze-trace"] else ".config", __package__)
     gc.freeze()
     return main()
 

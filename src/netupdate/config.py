@@ -8,7 +8,6 @@ the field in its error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import NamedTuple
@@ -22,6 +21,7 @@ from .model import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
+    config_hash,
     field,
     parse_duration,  # noqa: F401 - part of this module's API
 )
@@ -37,11 +37,6 @@ from .simulator import (
 MODES = ("untimed-greedy", "timed-worst-case", "timed-knob", "simultaneous")
 AXES = ("N", "dc", "dn", "delta_sched", "d")
 PROCEDURES = ("two-phase", "two-phase+gc", "ordered", "k-phase")
-
-
-def config_hash(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _delay_model(dspec: dict, key: str, default: DelayModel) -> DelayModel:

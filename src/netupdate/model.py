@@ -1,4 +1,6 @@
-"""Core domain types: networks, forwarding rules, and update procedures.
+"""Core domain types: networks, forwarding rules, and update procedures;
+the config field reader and the provenance (engine version, config hash)
+that every output records.
 
 Conventions used throughout the package:
 
@@ -14,6 +16,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -24,6 +28,10 @@ from typing import NamedTuple
 from .delays import DelayModel
 
 MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or traced duration
+
+# Version of the simulation engine, written into every output. Bump it when
+# a change moves simulated outputs for an unchanged config and seeds.
+ENGINE_VERSION = 2
 
 _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ns|us|ms|s)\s*$")
 _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
@@ -51,6 +59,12 @@ def _log(level: str, msg: str, *args) -> None:
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or topology file; the message names the field."""
+
+
+def config_hash(doc: dict) -> str:
+    """The 12-hex-digit digest of doc that every output's metadata records."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def parse_duration(value, field: str = "duration") -> int:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .delays import DelayModel
 from .model import (
+    ENGINE_VERSION,  # noqa: F401 - part of this module's API
     ForwardingState,
     Network,
     SystemParameters,
@@ -39,10 +40,6 @@ from .model import (
     apply_update,
     lookup_rule,
 )
-
-# Version of the simulation engine, written into every output. Bump it when
-# a change moves simulated outputs for an unchanged config and seeds.
-ENGINE_VERSION = 2
 
 # Packets the data plane walks at a time: a walk's uniforms are WALK_BLOCK x
 # |switches| and its grouping scratch O(WALK_BLOCK), whatever the flow's rate.

@@ -1,7 +1,11 @@
 """Shared fixtures: canonical parameters, small networks, and flow setups."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import netupdate
 from netupdate import (
     DelayModel,
     Link,
@@ -24,6 +28,14 @@ MS = 1_000_000
 def testbed_params():
     return SystemParameters(d_c=DC_NS, d_n=DN_NS, delta_msg=DELTA_NS,
                             delta_sched=DSCHED_NS)
+
+
+def child_env():
+    """os.environ with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def line_network(link_delays_ns, ingress_port=0):

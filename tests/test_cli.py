@@ -3,7 +3,6 @@ import functools
 import io
 import json
 import math
-import os
 import re
 import resource
 import subprocess
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import netupdate
 from netupdate import (
     DELIVER,
     Action,
@@ -33,7 +31,7 @@ from netupdate.config import ConfigError, Experiment, parse_duration
 from netupdate import simulator, topology
 from netupdate.simulator import ENGINE_VERSION, Fault, FlowPackets
 
-from conftest import line_network
+from conftest import child_env, line_network
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -49,6 +47,13 @@ def base_config(**overrides):
         "seeds": [0, 1],
     }
     doc.update(overrides)
+    return doc
+
+
+def netrail_knob_doc():
+    """configs/netrail_knob.json with its topology path made absolute."""
+    doc = json.loads((CONFIGS / "netrail_knob.json").read_text())
+    doc["topology"]["path"] = str(REPO / "topologies" / "netrail.json")
     return doc
 
 
@@ -128,8 +133,7 @@ class TestPlanCommand:
         ("plan", "plan.csv", 2), ("sweep", "sweep.csv", 6)])
     def test_numeric_duration_grid_writes_the_ns_it_ran(self, tmp_path, command, out_file,
                                                         worst_col):
-        doc = json.loads((CONFIGS / "netrail_knob.json").read_text())
-        doc["topology"]["path"] = str(REPO / "topologies" / "netrail.json")
+        doc = netrail_knob_doc()
         doc["sweep"]["grid"] = [1500000.7, 2e6, "3ms", 4000000]
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -138,6 +142,29 @@ class TestPlanCommand:
         assert [r[0] for r in rows] == ["1500001", "2000000", "3000000", "4000000"]
         # a timed-knob update spans d + 3 delta_sched
         assert {int(r[worst_col]) - int(r[0]) for r in rows} == {3 * 1_297_000}
+
+    # --grid 2e6 exited 2 (parse_duration read the token as a string), while
+    # the same number in the config's JSON grid planned 2000000
+    def test_numeric_grid_flag_plans_as_the_json_grid(self, tmp_path):
+        doc = netrail_knob_doc()
+        flag_cfg = write_config(tmp_path, doc, "flag.json")
+        doc["sweep"]["grid"] = [2e6, 1500000.7]
+        json_cfg = write_config(tmp_path, doc, "grid.json")
+        assert main(["plan", "--config", str(flag_cfg), "--grid", "2e6,1500000.7",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["plan", "--config", str(json_cfg), "--out", str(tmp_path / "grid")]) == 0
+        assert ((tmp_path / "flag" / "plan.csv").read_bytes()
+                == (tmp_path / "grid" / "plan.csv").read_bytes())
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_grid_flag_names_its_grid_entry(self, tmp_path, capsys, bad):
+        doc = netrail_knob_doc()
+        cfg = write_config(tmp_path, doc)
+        assert main(["plan", "--config", str(cfg), "--grid", f"2e6,{bad}",
+                     "--out", str(tmp_path)]) == 2
+        assert f"sweep.grid[1]: expected a duration in [0, 10^18] ns, got '{bad}'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "plan.csv").exists()
 
 
 class TestSimulateCommand:
@@ -698,14 +725,6 @@ class TestDelayModelErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
-def child_env():
-    """os.environ with this package's source first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def run_in_child(doc, tmp_path, command="simulate"):
     """command on doc in a fresh interpreter limited to 1 GiB of address
     space: (exit code, stderr, peak RSS in MB)."""
@@ -727,16 +746,25 @@ def run_in_child(doc, tmp_path, command="simulate"):
     return proc.returncode, "\n".join(err), int(maxrss_kib) / 1024
 
 
-# the installed script ran main() without the freeze that python -m applies
-@pytest.mark.parametrize("launch", [
+# a child's code that runs a process entry and sets code to its exit code:
+# the target of pyproject.toml's netupdate script, or python -m through runpy
+PROCESS_ENTRIES = pytest.mark.parametrize("launch", [
     "from {module} import {func}; code = {func}()",
     "import runpy\ntry:\n    runpy.run_module('netupdate.cli', run_name='__main__')\n"
     "except SystemExit as exc:\n    code = exc.code",
 ], ids=["installed-script", "python-m"])
-def test_process_entries_freeze_the_heap_and_write_mains_plan(tmp_path, launch):
+
+
+def entry_launch(launch: str) -> str:
     module, func = re.search(r'^netupdate = "([\w.]+):(\w+)"$',
                              (REPO / "pyproject.toml").read_text(), re.M).groups()
-    code = ("import gc, sys\n" + launch.format(module=module, func=func) + "\n"
+    return launch.format(module=module, func=func) + "\n"
+
+
+# the installed script ran main() without the freeze that python -m applies
+@PROCESS_ENTRIES
+def test_process_entries_freeze_the_heap_and_write_mains_plan(tmp_path, launch):
+    code = ("import gc, sys\n" + entry_launch(launch) +
             "print(gc.get_freeze_count() > 0)\nsys.exit(code)\n")
     cfg = str(CONFIGS / "leafspine_sweep.json")
     proc = subprocess.run(
@@ -747,6 +775,43 @@ def test_process_entries_freeze_the_heap_and_write_mains_plan(tmp_path, launch):
         assert main(["plan", "--config", cfg, "--out", str(tmp_path / "main")]) == 0
     assert ((tmp_path / "child" / "plan.csv").read_bytes()
             == (tmp_path / "main" / "plan.csv").read_bytes())
+
+
+# config and the layers it imports, which analyze-trace does not run
+CONFIG_LAYERS = {"netupdate.config", "netupdate.simulator", "netupdate.planner",
+                 "netupdate.topology", "netupdate.consistency"}
+
+
+# analyze-trace loaded the planner and the simulator, and the other commands stats
+@PROCESS_ENTRIES
+@pytest.mark.parametrize("command", ["analyze-trace", "plan", "simulate", "sweep"])
+def test_process_entries_load_only_the_commands_layers_before_the_freeze(
+        tmp_path, launch, command):
+    code = ("import gc, json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('netupdate.'))\n"
+            "at_freeze, freeze = [], gc.freeze\n"
+            "def recording_freeze():\n"
+            "    at_freeze.append(loaded())\n"
+            "    freeze()\n"
+            "gc.freeze = recording_freeze\n" + entry_launch(launch) +
+            "print(json.dumps([code, at_freeze, loaded()]))\n")
+    if command == "analyze-trace":
+        (tmp_path / "rtt.txt").write_text("1.5\n2\n40\n")
+        args = [str(tmp_path / "rtt.txt")]
+    else:
+        args = ["--config", str(write_config(tmp_path, base_config()))]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, *args, "--out", str(tmp_path / "out")],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, at_freeze, at_exit = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0 and len(at_freeze) == 1
+    assert at_exit == at_freeze[0]  # the command imported nothing after the freeze
+    if command == "analyze-trace":
+        assert "netupdate.stats" in at_exit and not CONFIG_LAYERS & set(at_exit)
+    else:
+        assert CONFIG_LAYERS <= set(at_exit) and "netupdate.stats" not in at_exit
 
 
 def sprint_at_rate(**rate):

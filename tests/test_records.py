@@ -2,16 +2,13 @@
 that NamedTuples and plain classes keep out of set-up."""
 
 import copy
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import netupdate
 from netupdate import (
     DELIVER,
     DelayTrace,
@@ -23,6 +20,8 @@ from netupdate import (
     TimedUpdateProcedure,
     UpdateProcedure,
 )
+
+from conftest import child_env
 
 _UPDATE = SingletonUpdate.install("S1", {("f", None, 1): DELIVER})
 _PROC = UpdateProcedure(((_UPDATE, 1), (_UPDATE, 2)))
@@ -85,10 +84,7 @@ def test_cli_import_loads_neither_dataclasses_nor_logging():
             "import netupdate.cli\n"
             "from netupdate.config import Experiment\n"
             "print(sorted({'dataclasses', 'logging'} & set(sys.modules)))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
