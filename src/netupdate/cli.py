@@ -102,13 +102,15 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
 
 def _run_to_dict(run, exp_hash: str, reports) -> dict:
     """run.json as one document with a dict per packet: the oracle of _write_run."""
+    from .consistency import CLASSES, class_codes
+
     doc = _run_doc(run, exp_hash, reports)
     for rep in reports:
         packets = run.flow_traces[rep.flow_id]
         doc["flows"][rep.flow_id]["packets"] = [
-            {"t_in": t_in, "result": result, "hops": hops, "delivered": delivered}
-            for t_in, result, hops, delivered in zip(
-                packets.t_in.tolist(), rep.classes, packets.hops.tolist(),
+            {"t_in": t_in, "result": CLASSES[code], "hops": hops, "delivered": delivered}
+            for t_in, code, hops, delivered in zip(
+                packets.t_in.tolist(), class_codes(packets).tolist(), packets.hops.tolist(),
                 packets.delivered.tolist(), strict=True)]
     return doc
 
@@ -119,20 +121,23 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
     The text is json's of _run_doc, split at its "packets" fields (a quote in
     a JSON string is written \\"), each gap filled, in json's sorted flow
     order, with PACKET_BLOCK packets per write from the walk's arrays."""
+    from .consistency import CLASSES, class_codes
+
     head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
                               sort_keys=True).split('"packets": NaN')
     fh.write(head)
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
+        codes = class_codes(packets)
         fh.write('"packets": [')
         for start in range(0, len(packets.t_in), PACKET_BLOCK):
             stop = start + PACKET_BLOCK
             fh.write(("," if start else "") + ",".join(
                 f'{_PAD}{{{_KEY}"delivered": {_JSON_BOOL[delivered]},{_KEY}"hops": {hops},'
-                f'{_KEY}"result": "{cls}",{_KEY}"t_in": {t_in}{_PAD}}}'
-                for delivered, hops, cls, t_in in zip(
+                f'{_KEY}"result": "{CLASSES[code]}",{_KEY}"t_in": {t_in}{_PAD}}}'
+                for delivered, hops, code, t_in in zip(
                     packets.delivered[start:stop].tolist(), packets.hops[start:stop].tolist(),
-                    rep.classes[start:stop], packets.t_in[start:stop].tolist(), strict=True)))
+                    codes[start:stop].tolist(), packets.t_in[start:stop].tolist(), strict=True)))
         fh.write(("\n      ]" if len(packets.t_in) else "]") + tail)
 
 
@@ -199,6 +204,8 @@ def cmd_analyze_trace(trace_path: str, percentiles, out: Path) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"trace: {exc}") from None
     mean = stats.mean(trace)
+    if not mean:
+        raise ConfigError(f"trace: {trace_path}: every sample is 0 ns, so no ratio to the mean")
     meta = {"trace": str(trace_path), "percentiles": list(percentiles)}
     lines = [_meta_line(config_hash(meta), []),
              "label,p,percentile_ns,mean_ns,ratio"]
@@ -280,9 +287,9 @@ def main(argv=None) -> int:
         from .config import Experiment
 
         exp = Experiment.load(args.config,
-                              seeds=_parse_seeds(args.seeds) if args.seeds else None,
+                              seeds=None if args.seeds is None else _parse_seeds(args.seeds),
                               axis=args.axis,
-                              grid=_parse_grid(args.grid) if args.grid else None)
+                              grid=None if args.grid is None else _parse_grid(args.grid))
         if args.command == "plan":
             return cmd_plan(exp, out)
         if args.command == "simulate":

@@ -5,7 +5,8 @@ with the full old configuration, or every hop agrees with the full new one.
 Anything mixed (including drops during the transition, which match neither
 configuration end to end) is inconsistent. The inconsistency of a flow is
 the inconsistent-packet count divided by the flow rate: the time-equivalent
-length of the disruption the update caused.
+length of the disruption the update caused. A packet's verdict lives in the
+walk's agreement flags, which class_codes reads as indices into CLASSES.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, validated
+from .model import (MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, lookup_rule,
+                    validated)
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
 INCONSISTENT = "inconsistent"
-_CLASSES = np.array([CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT], dtype=object)
+CLASSES = (CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT)  # class_codes' 0, 1 and 2
 
 
 @validated
@@ -62,11 +64,6 @@ class InconsistencyReport(NamedTuple):
     n_inconsistent: int
     rate_pps: float
     inconsistency_ns: int
-    classes: tuple  # per-packet class, in trace order
-
-    def __repr__(self) -> str:  # every field but classes, which has one entry per packet
-        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
-        return f"{type(self).__name__}({shown})"
 
     def csv_row(self) -> str:
         rate = int(self.rate_pps) if float(self.rate_pps).is_integer() else self.rate_pps
@@ -90,7 +87,7 @@ def classify_packet(trace, old_config: ForwardingState,
 
     def matches(config):
         for hop in trace.hops:
-            action, _ = config.lookup(hop.switch, trace.flow_id, hop.tag, hop.in_port)
+            action = lookup_rule(config.tables[hop.switch], trace.flow_id, hop.tag, hop.in_port)
             if action != hop.action:
                 return False
         return True
@@ -102,22 +99,27 @@ def classify_packet(trace, old_config: ForwardingState,
     return INCONSISTENT
 
 
+def class_codes(packets) -> np.ndarray:
+    """Each packet of a FlowPackets as an index into CLASSES: 0 if every hop
+    agreed with the old configuration (old wins a tie, as in classify_packet),
+    else 1 if every hop agreed with the new one, else 2."""
+    return np.where(packets.agrees_old, 0, np.where(packets.agrees_new, 1, 2))
+
+
 def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     """Count the flow's inconsistently forwarded packets and divide by its rate.
 
     Requires the flow to have been simulated against the run (see
     simulator.run_flows) over a window covering the whole update plus drain
     margins; otherwise the count undershoots. The walk already compared
-    every hop with both configurations, so this reads its agreement flags;
+    every hop with both configurations, so this counts class_codes' 2s;
     classify_packet is the per-trace oracle for the same classes.
     """
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
-    codes = np.where(packets.agrees_old, 0, np.where(packets.agrees_new, 1, 2))
-    n = int(np.count_nonzero(codes == 2))
-    classes = tuple(_CLASSES[codes].tolist())
-    return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns, classes)
+    n = int(np.count_nonzero(class_codes(packets) == 2))
+    return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 
 
 def knob_schedule(t1: int, d: int, params: SystemParameters) -> Schedule:

@@ -5,9 +5,9 @@ that every output records.
 Conventions used throughout the package:
 
 * time and durations are integer nanoseconds;
-* rule tables are keyed by (flow_id, tag, in_port) where ``tag=None`` is a
-  wildcard that matches any packet tag (including untagged packets), and an
-  exact-tag rule always wins over the wildcard;
+* rule tables map (flow_id, tag, in_port) keys to Actions, where
+  ``tag=None`` is a wildcard that matches any packet tag (including untagged
+  packets), and an exact-tag rule always wins over the wildcard;
 * all types are values: mutation happens only through pure functions that
   return new objects. Rule tables are plain dicts shared copy-on-write
   between forwarding states, so a table must never be mutated once it is
@@ -45,9 +45,6 @@ _KINDS = {  # kind -> (what a value of it is, its test)
     "int": ("an integer", lambda v: type(v) is int),
     "number": ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
 }
-
-GEN_OLD = "old"
-GEN_NEW = "new"
 
 
 def _log(level: str, msg: str, *args) -> None:
@@ -267,8 +264,8 @@ class Network:
 class SingletonUpdate(NamedTuple):
     """A rule-table change for exactly one switch.
 
-    install mode writes the listed entries (generation "new"); remove mode
-    deletes the listed keys and models garbage collection.
+    install mode writes the listed entries; remove mode deletes the listed
+    keys and models garbage collection.
     """
 
     target: str
@@ -301,43 +298,37 @@ class SingletonUpdate(NamedTuple):
 def lookup_rule(table: dict, flow_id: str, tag: str | None, port: int):
     """Resolve one (packet, port) pair against one rule table.
 
-    Returns (Action, generation): the exact-tag rule for the packet's tag
-    wins, then the wildcard-tag rule, otherwise (DROP, None).
+    Returns the Action of the exact-tag rule for the packet's tag, else of
+    the wildcard-tag rule, else DROP.
     """
     if tag is not None:
         hit = table.get((flow_id, tag, port))
         if hit is not None:
             return hit
-    return table.get((flow_id, None, port), (DROP, None))
+    return table.get((flow_id, None, port), DROP)
 
 
 class ForwardingState(NamedTuple):
-    """Per-switch rule tables; every rule carries a generation label.
+    """Per-switch rule tables.
 
-    tables maps each switch to its rule dict {rule key: (Action, generation)}.
+    tables maps each switch to its rule dict {rule key: Action}.
     The mapping and its tables are frozen by convention: apply copies the
     outer mapping and the tables it changes, and shares every other table
     with the state it started from, so no table may ever be mutated.
 
-    Lookup is deterministic: the exact-tag rule for the packet's tag wins,
-    then the wildcard-tag rule, otherwise the packet is dropped.
+    lookup_rule(tables[switch], ...) resolves a packet at a switch.
     """
 
-    tables: dict  # {switch: {rule key: (Action, generation)}}, never mutated
+    tables: dict  # {switch: {rule key: Action}}, never mutated
 
     @classmethod
     def empty(cls, net: Network) -> "ForwardingState":
         return cls({s: {} for s in net.switches})
 
     @classmethod
-    def from_dict(cls, net: Network, rules: dict, generation: str = GEN_OLD) -> "ForwardingState":
+    def from_dict(cls, net: Network, rules: dict) -> "ForwardingState":
         """Build from {switch: {key: action}}; unlisted switches get empty tables."""
-        return cls({s: {k: (a, generation) for k, a in rules.get(s, {}).items()}
-                    for s in net.switches})
-
-    def lookup(self, switch: str, flow_id: str, tag: str | None, port: int):
-        """Resolve one (packet, port) pair to (Action, generation-or-None)."""
-        return lookup_rule(self.tables[switch], flow_id, tag, port)
+        return cls({s: dict(rules.get(s, {})) for s in net.switches})
 
     def apply(self, *updates: SingletonUpdate, warn: bool = True) -> "ForwardingState":
         """Pure application of singleton updates in order, each through apply_update.
@@ -365,13 +356,13 @@ def apply_update(table: dict, update: SingletonUpdate, warn: bool = True) -> Non
     caller owns.
 
     Install: the table behaves like the update's entries on its domain and
-    as before elsewhere; installed entries carry generation "new". Remove:
-    the listed keys are deleted; deleting an absent key is a no-op, warned
-    unless warn is false, so garbage collection stays idempotent.
+    as before elsewhere. Remove: the listed keys are deleted; deleting an
+    absent key is a no-op, warned unless warn is false, so garbage
+    collection stays idempotent.
     """
     if update.mode == "install":
         for key, action in update.entries:
-            table[key] = (action, GEN_NEW)
+            table[key] = action
         return
     for key, _ in update.entries:
         if key in table:

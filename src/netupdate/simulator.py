@@ -19,7 +19,7 @@ and classifies each (group, version) pair once against the timeline and
 both full configurations. It keeps per-packet vectors only.
 forward_packet is the one-packet oracle: it draws the same row of
 uniforms and walks the packet alone; it alone builds PacketTraces, and a
-differential test holds the walk's vectors to its traces and classes.
+differential test holds the walk's vectors to its traces and verdicts.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class StateTimeline:
         return self._tables[switch][version]
 
     def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
-        """Action and rule generation seen by a packet at this switch and instant.
+        """Action seen by a packet at this switch and instant.
 
         A rule change at time t is visible to a packet arriving exactly at t.
         """
@@ -309,7 +309,6 @@ class Hop(NamedTuple):
     in_port: int
     tag: str | None   # packet tag on arrival at this hop
     action: object
-    generation: str | None
 
 
 class PacketTrace(NamedTuple):
@@ -346,7 +345,7 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
     The packet draws one row of len(net.switches) uniforms up front; the
     link it leaves hop h by delays it by the link's inverse CDF at row[h].
     Hops beyond the switch count indicate a forwarding loop (possible in
-    mixed-generation states); the trace is truncated and flagged.
+    states that mix old and new rules); the trace is truncated and flagged.
 
     This is the one-packet-at-a-time oracle of run_flows.
     """
@@ -356,8 +355,8 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
     hops = []
     delivered = truncated = stranded = False
     for h in range(len(net.switches)):
-        action, gen = timeline.lookup(sw, t, flow_id, tag, port)
-        hops.append(Hop(t, sw, port, tag, action, gen))
+        action = timeline.lookup(sw, t, flow_id, tag, port)
+        hops.append(Hop(t, sw, port, tag, action))
         if action.kind == "deliver":
             delivered = True
             break
@@ -471,14 +470,13 @@ def _walk_flow(net: Network, run: RunResult, flow, index: int,
             for g, node_id in enumerate(groups.tolist()):
                 sw, port, tag = nodes[node_id]
                 members = live[group_of == g]
-                old_action = lookup_rule(old_tables[sw], flow_id, tag, port)[0]
-                new_action = lookup_rule(new_tables[sw], flow_id, tag, port)[0]
+                old_action = lookup_rule(old_tables[sw], flow_id, tag, port)
+                new_action = lookup_rule(new_tables[sw], flow_id, tag, port)
                 versions, version_of = np.unique(timeline.versions(sw, t[members]),
                                                   return_inverse=True)
                 for v, version in enumerate(versions.tolist()):
                     ks = members[version_of == v] if len(versions) > 1 else members
-                    action = lookup_rule(timeline.table_version(sw, version),
-                                         flow_id, tag, port)[0]
+                    action = lookup_rule(timeline.table_version(sw, version), flow_id, tag, port)
                     if action != old_action:
                         agrees_old[ks] = False
                     if action != new_action:

@@ -28,6 +28,7 @@ from netupdate import (
 )
 from netupdate.cli import PACKET_BLOCK, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
+from netupdate.consistency import class_codes
 from netupdate import simulator, topology
 from netupdate.simulator import ENGINE_VERSION, Fault, FlowPackets
 
@@ -318,9 +319,8 @@ class TestRunJsonStreamedWriter:
 
     def test_base_run_has_every_outcome(self):
         f = _writer_base_run().flow_traces["f"]
-        report = measure_inconsistency(_writer_base_run(), TestFlow("f", "S1", 0, 1e6))
         assert len(f.t_in) >= 2 * PACKET_BLOCK + 1 + 1_000
-        assert set(report.classes) == {"consistent_old", "consistent_new", "inconsistent"}
+        assert set(class_codes(f).tolist()) == {0, 1, 2}  # consistent old and new, inconsistent
         assert set(f.delivered.tolist()) == {True, False}
         assert set(f.hops.tolist()) == {1, 2}
 
@@ -422,6 +422,19 @@ class TestConfigErrors:
                      "--seeds=-1"]) == 2
         assert "config error: seeds[0]: expected " in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    # an empty --seeds= or --grid= ran the config's own seeds or grid and
+    # exited 0, while --seeds=, and --grid=, exited 2
+    @pytest.mark.parametrize("flag,message", [
+        ("--seeds=", "seeds: expected a non-empty list, got []"),
+        ("--seeds=,", "seeds: expected a non-empty list, got []"),
+        ("--grid=", "--grid: at least one value required"),
+        ("--grid=,", "--grid: at least one value required")])
+    def test_empty_override_exits_two(self, tmp_path, capsys, flag, message):
+        cfg = write_config(tmp_path, base_config(sweep={"axis": "N", "grid": [6]}))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path), flag]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "plan.csv").exists()
 
     # a bad d or dc entry was blamed on knob_d or "sweep.grid(dc)", a bad N
     # entry on topology.n
@@ -924,6 +937,15 @@ class TestAnalyzeTrace:
                      "--percentiles", "0.999"]) == 0
         row = (tmp_path / "trace_stats.csv").read_text().splitlines()[2].split(",")
         assert float(row[4]) == pytest.approx(-math.log(0.001), rel=0.15)
+
+    # an all-zero trace exited 3: ZeroDivisionError in the ratio column
+    @pytest.mark.parametrize("text", ["0\n", "# zeros\n0\n\n0.0\n0e0  # c\n", "0.0000001\n"])
+    def test_zero_mean_trace_exits_two(self, tmp_path, capsys, text):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(text)
+        assert main(["analyze-trace", str(trace), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: trace: {trace}: ")
+        assert not (tmp_path / "trace_stats.csv").exists()
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["analyze-trace", str(tmp_path / "ghost.txt"),

@@ -9,6 +9,10 @@ leading field path is the mutated path, a list or list entry that holds it
 (`seeds` for `seeds[1]`, `links[0]` for `links[0].b`), or a field inside it
 (`procedure.kind` when `procedure` became `{}`). Errors in a topology file
 read `topology: <path in the file>: ...`.
+
+The trace fuzz runs `analyze-trace` in-process on generated trace texts:
+non-negative millisecond values, all-zero traces among them, with comments
+and blank lines. It requires exit 0, or exit 2 with a `trace:` error.
 """
 
 import contextlib
@@ -176,3 +180,24 @@ def test_plan_exits_zero_or_names_the_mutated_field(scratch, case, value):
 def test_simulate_exits_zero_or_names_the_mutated_field(scratch, case, value):
     code, err = run_mutant(scratch, *case, value)
     check_mutant(*case, value, code, err)
+
+
+_MS = st.one_of(st.sampled_from(["0", "0.0", "0e0", "0.0000001", "1e-07", "1000000000000"]),
+                st.integers(0, 10**12).map(str),
+                st.floats(0, 1e12, allow_nan=False).map(repr))
+_TRACE_LINES = st.lists(st.one_of(
+    _MS, _MS.map(lambda ms: f"  {ms}  # sample"), st.sampled_from(["", "   ", "# comment"])),
+    max_size=12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(lines=_TRACE_LINES)
+def test_analyze_trace_exits_zero_or_names_the_trace(scratch, lines):
+    trace = scratch / "trace.txt"
+    trace.write_text("\n".join(lines) + "\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["analyze-trace", str(trace), "--out", str(scratch / "trace-out")])
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    assert code == 0 or err.startswith(f"config error: trace: {trace}"), err

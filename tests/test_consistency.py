@@ -1,5 +1,7 @@
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from netupdate import (
@@ -21,6 +23,8 @@ from netupdate import (
     simultaneous_schedule,
     worst_case_schedule,
 )
+from netupdate.consistency import CLASSES, class_codes
+from netupdate.model import lookup_rule
 from netupdate.simulator import Hop, PacketTrace
 
 from conftest import MS, line_network, line_flow_setup
@@ -28,7 +32,7 @@ from conftest import MS, line_network, line_flow_setup
 
 def trace_of(flow_id, hops):
     return PacketTrace(flow_id, hops[0][0], tuple(
-        Hop(t, sw, port, tag, action, gen) for t, sw, port, tag, action, gen in hops),
+        Hop(t, sw, port, tag, action) for t, sw, port, tag, action in hops),
         delivered=hops[-1][4].kind == "deliver")
 
 
@@ -54,32 +58,32 @@ class TestClassifyPacket:
     def test_all_old_hops(self):
         _, old, new = line_configs()
         t = trace_of("f", [
-            (0, "S1", 0, None, Action.forward_tagged(2, "A"), "old"),
-            (1000, "S2", 1, "A", Action.forward(2), "old"),
-            (2000, "S3", 1, "A", DELIVER, "old"),
+            (0, "S1", 0, None, Action.forward_tagged(2, "A")),
+            (1000, "S2", 1, "A", Action.forward(2)),
+            (2000, "S3", 1, "A", DELIVER),
         ])
         assert classify_packet(t, old, new) == CONSISTENT_OLD
 
     def test_all_new_hops(self):
         _, old, new = line_configs()
         t = trace_of("f", [
-            (0, "S1", 0, None, Action.forward_tagged(2, "B"), "new"),
-            (1000, "S2", 1, "B", Action.forward(2), "new"),
-            (2000, "S3", 1, "B", DELIVER, "new"),
+            (0, "S1", 0, None, Action.forward_tagged(2, "B")),
+            (1000, "S2", 1, "B", Action.forward(2)),
+            (2000, "S3", 1, "B", DELIVER),
         ])
         assert classify_packet(t, old, new) == CONSISTENT_NEW
 
     def test_new_tag_dropped_downstream_is_inconsistent(self):
         _, old, new = line_configs()
         t = trace_of("f", [
-            (0, "S1", 0, None, Action.forward_tagged(2, "B"), "new"),
-            (1000, "S2", 1, "B", DROP, None),
+            (0, "S1", 0, None, Action.forward_tagged(2, "B")),
+            (1000, "S2", 1, "B", DROP),
         ])
         assert classify_packet(t, old, new) == INCONSISTENT
 
     def test_unknown_switch_is_an_error(self):
         _, old, new = line_configs()
-        t = trace_of("f", [(0, "ghost", 0, None, DROP, None)])
+        t = trace_of("f", [(0, "ghost", 0, None, DROP)])
         with pytest.raises(ValueError, match="absent"):
             classify_packet(t, old, new)
 
@@ -96,7 +100,7 @@ class TestClassifyPacket:
             for config in (old, new):
                 ok = True
                 for hop in trace.hops:
-                    got, _ = config.lookup(hop.switch, "f", hop.tag, hop.in_port)
+                    got = lookup_rule(config.tables[hop.switch], "f", hop.tag, hop.in_port)
                     if got != hop.action:
                         ok = False
                         break
@@ -112,13 +116,20 @@ class TestClassifyPacket:
             tag = None
             for pos, (sw, port) in enumerate([("S1", 0), ("S2", 1), ("S3", 1)]):
                 act = rng.choice(actions)
-                hops.append((1000 * pos, sw, port, tag, act, None))
+                hops.append((1000 * pos, sw, port, tag, act))
                 if act.kind in ("drop", "deliver"):
                     break
                 if act.kind == "forward_tagged":
                     tag = act.new_tag
             t = trace_of("f", hops)
             assert classify_packet(t, old, new) == brute(t)
+
+
+def test_class_codes_old_wins_a_tie():
+    packets = SimpleNamespace(agrees_old=np.array([True, True, False, False]),
+                              agrees_new=np.array([True, False, True, False]))
+    assert [CLASSES[c] for c in class_codes(packets).tolist()] == [
+        CONSISTENT_OLD, CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT]
 
 
 def run_with_schedule(schedule_factory, total_delay_ns, params, rate=5000.0, seed=3):
@@ -158,8 +169,9 @@ class TestMeasureInconsistency:
         rep = measure_inconsistency(run, flow)
         assert abs(rep.inconsistency_ns - 6 * MS) <= flow.spacing_ns
         # the per-packet classes behind the count, in trace order
-        assert rep.classes == tuple(classify_packet(t, run.old_config, run.new_config)
-                                    for t in run.flow_traces[flow.flow_id])
+        packets = run.flow_traces[flow.flow_id]
+        assert [CLASSES[c] for c in class_codes(packets).tolist()] == [
+            classify_packet(t, run.old_config, run.new_config) for t in packets]
 
     def test_monotone_non_increasing_in_knob(self):
         D = 10 * MS

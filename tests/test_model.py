@@ -19,6 +19,7 @@ from netupdate import (
     TimedUpdateProcedure,
     UpdateProcedure,
 )
+from netupdate.model import lookup_rule
 from netupdate.simulator import StateTimeline
 from netupdate.topology import leaf_spine, load_topology
 
@@ -171,7 +172,7 @@ class TestForwardingState:
     def test_lookup_miss_is_drop(self):
         net = two_switch_net()
         state = ForwardingState.empty(net)
-        assert state.lookup("S1", "f", None, 0) == (DROP, None)
+        assert lookup_rule(state.tables["S1"], "f", None, 0) == DROP
 
     def test_exact_tag_beats_wildcard(self):
         net = two_switch_net()
@@ -179,18 +180,18 @@ class TestForwardingState:
             ("f", "A", 0): Action.forward(2),
             ("f", None, 0): DELIVER,
         }})
-        assert state.lookup("S1", "f", "A", 0)[0] == Action.forward(2)
-        assert state.lookup("S1", "f", "B", 0)[0] == DELIVER  # falls to wildcard
-        assert state.lookup("S1", "f", None, 0)[0] == DELIVER
+        assert lookup_rule(state.tables["S1"], "f", "A", 0) == Action.forward(2)
+        assert lookup_rule(state.tables["S1"], "f", "B", 0) == DELIVER  # falls to wildcard
+        assert lookup_rule(state.tables["S1"], "f", None, 0) == DELIVER
 
-    def test_install_overrides_and_labels_new(self):
+    def test_install_overrides_purely(self):
         net = two_switch_net()
         state = ForwardingState.from_dict(net, {"S1": {("f1", None, 0): Action.forward(3)}})
         u = SingletonUpdate.install("S1", {("f1", None, 0): Action.forward(2)})
         out = state.apply(u)
-        assert out.lookup("S1", "f1", None, 0) == (Action.forward(2), "new")
+        assert lookup_rule(out.tables["S1"], "f1", None, 0) == Action.forward(2)
         # original untouched (pure function)
-        assert state.lookup("S1", "f1", None, 0) == (Action.forward(3), "old")
+        assert lookup_rule(state.tables["S1"], "f1", None, 0) == Action.forward(3)
 
     def test_empty_update_is_identity(self):
         net = two_switch_net()
@@ -202,7 +203,7 @@ class TestForwardingState:
         key = ("f", "A", 0)
         state = ForwardingState.from_dict(net, {"S1": {key: DELIVER}})
         out = state.apply(SingletonUpdate.remove("S1", [key]))
-        assert out.lookup("S1", "f", "A", 0) == (DROP, None)
+        assert lookup_rule(out.tables["S1"], "f", "A", 0) == DROP
 
     def test_remove_missing_is_warned_noop(self, caplog):
         net = two_switch_net()
@@ -242,7 +243,7 @@ def test_apply_only_changes_update_domain(table, update_entries, mode):
         flow, tag, port = key
         if key in domain:
             if mode == "install":
-                assert out.tables["S1"][key] == (update_entries[key], "new")
+                assert out.tables["S1"][key] == update_entries[key]
             else:
                 assert key not in out.tables["S1"]
         else:
@@ -250,7 +251,7 @@ def test_apply_only_changes_update_domain(table, update_entries, mode):
     # applying twice equals applying once
     assert out.apply(u) == out
     # exactly one action per lookup, always
-    assert out.lookup("S1", "f1", "A", 0) is not None
+    assert lookup_rule(out.tables["S1"], "f1", "A", 0) is not None
 
 
 def _reference_fold(state, updates):
@@ -265,7 +266,7 @@ def _reference_fold(state, updates):
         table = rebuilt[u.target]
         for key, action in u.entries:
             if u.mode == "install":
-                table = {k: v for k, v in table.items() if k != key} | {key: (action, "new")}
+                table = {k: v for k, v in table.items() if k != key} | {key: action}
             elif key in table:
                 table = {k: v for k, v in table.items() if k != key}
             else:
@@ -339,7 +340,8 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
         for sw in net.switches:
             in_force = timeline.versions(sw, np.array([t]))[0]
             assert timeline.table_version(sw, in_force) == fold.tables[sw]
-            assert timeline.lookup(sw, t, "f1", "A", 0) == fold.lookup(sw, "f1", "A", 0)
+            want = lookup_rule(fold.tables[sw], "f1", "A", 0)
+            assert timeline.lookup(sw, t, "f1", "A", 0) == want
 
 
 def test_apply_is_copy_on_write():
@@ -350,10 +352,10 @@ def test_apply_is_copy_on_write():
     assert out.tables["S1"] is state.tables["S1"]
     assert out.tables["S3"] is state.tables["S3"]
     assert out.tables["S2"] is not state.tables["S2"]
-    assert out.lookup("S2", "f", "A", 0) == (Action.forward(2), "new")
+    assert lookup_rule(out.tables["S2"], "f", "A", 0) == Action.forward(2)
     with pytest.raises(ValueError, match="unknown switch"):
         state.apply(SingletonUpdate.remove("S2", [key]), SingletonUpdate.remove("S9", [key]))
-    assert state.tables == {s: {key: (DELIVER, "old")} for s in net.switches}
+    assert state.tables == {s: {key: DELIVER} for s in net.switches}
 
 
 class TestUpdateProcedure:

@@ -11,6 +11,7 @@ from netupdate import (
     load_topology,
     path_link_bound_ns,
 )
+from netupdate.model import lookup_rule
 from netupdate.topology import INGRESS_PORT, label_change_update, leaf_switches
 
 EARTH_RADIUS_KM = 6371.0
@@ -160,6 +161,6 @@ class TestPathHelpers:
         path = ["leaf1", "spine1", "leaf2"]
         initial, proc = label_change_update(net, [(flow, path)])
         # old config forwards an untagged packet end to end
-        action, gen = initial.lookup("leaf1", "f1", None, INGRESS_PORT)
-        assert action.kind == "forward_tagged" and gen == "old"
+        action = lookup_rule(initial.tables["leaf1"], "f1", None, INGRESS_PORT)
+        assert action.kind == "forward_tagged"
         assert proc.num_phases == 3
