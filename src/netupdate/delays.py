@@ -105,8 +105,8 @@ class DelayModel(NamedTuple):
         if self.kind == "exponential":
             if self.mean == 0:
                 return np.zeros(u.shape, dtype=np.int64)
-            x = -self.mean * np.log1p(-u * (1.0 - math.exp(-self.cap / self.mean)))
-            return np.minimum(np.rint(x).astype(np.int64), self.cap)
+            x = np.log1p(u * (math.exp(-self.cap / self.mean) - 1.0)) * -self.mean
+            return np.minimum(np.rint(x, out=x).astype(np.int64), self.cap)
         pool = np.asarray(self.samples, dtype=np.int64)
         return pool[np.minimum(np.floor(u * len(pool)).astype(np.int64), len(pool) - 1)]
 

@@ -7,24 +7,15 @@ switch's rule table as a function of real time. Packets never influence
 switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
-The data-plane stage walks injected test-flow packets through that
-timeline. Each flow's generator draws one uniform per (packet, hop slot),
-an n x |switches| matrix drawn WALK_BLOCK rows at a time, and a link's
-delay for packet k leaving hop h is the link model's inverse CDF at
-u[k, h]; a packet's delays therefore do not depend on the packets before
-it. run_flows walks a block of a flow's packets in step, hop by hop: it
-groups the live packets by (switch, in_port, tag), finds each packet's
-table version by binary search on the switch's change times, and resolves
-and classifies each (group, version) pair once against the timeline and
-both full configurations. It keeps per-packet vectors only.
-forward_packet is the one-packet oracle: it draws the same row of
-uniforms and walks the packet alone; it alone builds PacketTraces, and a
-differential test holds the walk's vectors to its traces and verdicts.
+The data-plane stage, run_flows, walks every test-flow packet of a run
+through that timeline in one table-driven walk, which a differential test
+holds to forward_packet, the one-packet oracle that alone builds PacketTraces.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -105,12 +96,10 @@ class Fault(NamedTuple):
 class StateTimeline:
     """Per-switch rule tables as a step function of real time.
 
-    Version 0 of a switch's table is its initial table; version v is the
-    table after the switch's v-th executed update. The executions are folded
-    in order, per switch: each copies its target's latest table, not the
-    whole switch map, and applies itself through apply_update, the step
-    ForwardingState.apply takes, so each absent rule is warned of in
-    execution order, as a fold through ForwardingState.apply would.
+    Version 0 of a switch's table is its initial table, version v the table
+    after its v-th executed update. Each execution applies itself, through
+    apply_update (ForwardingState.apply's step), to a copy of its target's
+    latest table only, so each absent rule is warned of in execution order.
     """
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
@@ -125,18 +114,24 @@ class StateTimeline:
             versions.append(table)
             self._times[update.target].append(time_ns)
 
-    def versions(self, switch: str, times: np.ndarray) -> np.ndarray:
-        """Table version in force at each of the given instants (bulk lookup)."""
-        return np.searchsorted(self._times[switch], times, side="right")
+    @cached_property
+    def change_ns(self) -> np.ndarray:
+        """The distinct times at which tables change, sorted, as int64 (a later time
+        capped at 2**63 - 1); epoch e starts at change_ns[e - 1], epoch 0 before."""
+        return np.array(sorted({min(t, 2**63 - 1) for ts in self._times.values() for t in ts}),
+                        dtype=np.int64)
+
+    def epoch_versions(self, switch: str) -> np.ndarray:
+        """The switch's table version in force in each epoch."""
+        own = np.array([min(t, 2**63 - 1) for t in self._times[switch]], np.int64)
+        return np.append(0, own.searchsorted(self.change_ns, side="right")).astype(np.int32)
 
     def table_version(self, switch: str, version: int) -> dict:
         return self._tables[switch][version]
 
     def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
-        """Action seen by a packet at this switch and instant.
-
-        A rule change at time t is visible to a packet arriving exactly at t.
-        """
+        """Action seen by a packet at this switch and instant; a rule change
+        at time t is visible to a packet arriving exactly at t."""
         if switch not in self._tables:
             raise ValueError(f"unknown switch {switch!r}")
         table = self._tables[switch][bisect_right(self._times[switch], time_ns)]
@@ -332,22 +327,22 @@ def inject_flow(net: Network, flow, window) -> np.ndarray:
     1/R spacing; a window shorter than one spacing still carries one packet."""
     if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
         raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
-    n = _packet_count(window, flow.spacing_ns)
-    return window[0] + flow.spacing_ns * np.arange(n, dtype=np.int64)
+    t_in = np.arange(_packet_count(window, flow.spacing_ns), dtype=np.int64)
+    t_in *= flow.spacing_ns
+    t_in += window[0]
+    return t_in
 
 
 def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
                    rng: np.random.Generator) -> PacketTrace:
-    """Walk one packet of a flow, entering untagged at the flow's ingress at
-    t_in, through the network, resolving each hop against the switch state
-    as of the packet's arrival there.
+    """The one-packet oracle of run_flows: walk one packet of a flow,
+    entering untagged at the flow's ingress at t_in, resolving each hop
+    against the switch state as of the packet's arrival there.
 
     The packet draws one row of len(net.switches) uniforms up front; the
     link it leaves hop h by delays it by the link's inverse CDF at row[h].
     Hops beyond the switch count indicate a forwarding loop (possible in
     states that mix old and new rules); the trace is truncated and flagged.
-
-    This is the one-packet-at-a-time oracle of run_flows.
     """
     sw, port = flow.ingress_switch, flow.ingress_port
     t, tag, flow_id = t_in, None, flow.flow_id
@@ -357,10 +352,8 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
     for h in range(len(net.switches)):
         action = timeline.lookup(sw, t, flow_id, tag, port)
         hops.append(Hop(t, sw, port, tag, action))
-        if action.kind == "deliver":
-            delivered = True
-            break
-        if action.kind == "drop":
+        if action.kind in ("deliver", "drop"):
+            delivered = action.kind == "deliver"
             break
         if action.kind == "forward_tagged":
             tag = action.new_tag
@@ -376,30 +369,25 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 
 
 class FlowPackets:
-    """Per-packet results of one test flow, as arrays of length n in
-    injection order (the names in ARRAYS); nothing is kept per hop.
+    """Per-packet results of one test flow, one array of length n per name
+    in ARRAYS, in injection order; nothing is kept per hop.
 
     hops, t_last (the arrival time at the last hop), delivered, truncated
     and stranded describe each packet's walk; agrees_old / agrees_new say
     whether every realized hop action equals the old / new configuration's
-    action for the packet as it arrived there. Iterating re-walks the
-    packets with the oracle forward_packet on a fresh copy of the flow's
-    generator, from net, timeline, flow, seed and index (the flow's
-    position in flow-id order), and yields their PacketTraces.
+    action there. Iterating re-walks the packets with forward_packet on a
+    fresh copy of the flow's generator (seed, and index: the flow's position
+    in flow-id order) and yields their PacketTraces.
     """
 
     ARRAYS = ("t_in", "hops", "t_last", "delivered", "truncated", "stranded",
               "agrees_old", "agrees_new")
 
-    def __init__(self, net: Network, timeline: StateTimeline, flow, seed: int, index: int,
-                 t_in: np.ndarray, hops: np.ndarray, t_last: np.ndarray,
-                 delivered: np.ndarray, truncated: np.ndarray, stranded: np.ndarray,
-                 agrees_old: np.ndarray, agrees_new: np.ndarray):
+    def __init__(self, net: Network, timeline: StateTimeline, flow, seed, index, *arrays):
         self.net, self.timeline, self.flow, self.seed, self.index = (
             net, timeline, flow, seed, index)
-        self.t_in, self.hops, self.t_last = t_in, hops, t_last
-        self.delivered, self.truncated, self.stranded = delivered, truncated, stranded
-        self.agrees_old, self.agrees_new = agrees_old, agrees_new
+        for name, values in zip(self.ARRAYS, arrays, strict=True):
+            setattr(self, name, values)
 
     @property
     def dropped(self) -> np.ndarray:
@@ -428,105 +416,39 @@ def _flow_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, 7919 + index])
 
 
-def _walk_flow(net: Network, run: RunResult, flow, index: int,
-               t_in: np.ndarray) -> FlowPackets:
-    """Forward all packets of a flow hop by hop in step, WALK_BLOCK packets
-    at a time; packet k's hop h link delay is the link's inverse CDF at
-    u[k, h], row k of the packets x switches uniforms that the flow's
-    generator draws block by block.
-
-    At each hop a block's live packets are grouped by (switch, in_port,
-    tag); a group's packets find their table version by binary search on
-    the switch's change times, and each (group, version) pair is resolved
-    and compared against both configurations once.
-    """
-    n, n_hops = len(t_in), len(net.switches)
-    flow_id = flow.flow_id
-    timeline = run.timeline
-    old_tables, new_tables = run.old_config.tables, run.new_config.tables
-    rng = _flow_rng(run.seed, index)
-    t = t_in.copy()
-    hops = np.zeros(n, dtype=np.int64)
-    delivered = np.zeros(n, dtype=bool)
-    stranded = np.zeros(n, dtype=bool)
-    truncated = np.zeros(n, dtype=bool)
-    agrees_old = np.ones(n, dtype=bool)
-    agrees_new = np.ones(n, dtype=bool)
-    # each packet's (switch, in_port, tag), numbered in order of first sight;
-    # packets enter untagged
-    node_ids = {(flow.ingress_switch, flow.ingress_port, None): 0}
-    node = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, WALK_BLOCK):
-        # successive draws continue the stream, so this is rows start.. of one matrix
-        u = rng.random((min(WALK_BLOCK, n - start), n_hops))
-        live = np.arange(start, start + len(u))
-        for h in range(n_hops):
-            if not live.size:
-                break
-            hops[live] += 1
-            nodes = list(node_ids)
-            onward = []
-            groups, group_of = np.unique(node[live], return_inverse=True)
-            for g, node_id in enumerate(groups.tolist()):
-                sw, port, tag = nodes[node_id]
-                members = live[group_of == g]
-                old_action = lookup_rule(old_tables[sw], flow_id, tag, port)
-                new_action = lookup_rule(new_tables[sw], flow_id, tag, port)
-                versions, version_of = np.unique(timeline.versions(sw, t[members]),
-                                                  return_inverse=True)
-                for v, version in enumerate(versions.tolist()):
-                    ks = members[version_of == v] if len(versions) > 1 else members
-                    action = lookup_rule(timeline.table_version(sw, version), flow_id, tag, port)
-                    if action != old_action:
-                        agrees_old[ks] = False
-                    if action != new_action:
-                        agrees_new[ks] = False
-                    if action.kind == "deliver":
-                        delivered[ks] = True
-                        continue
-                    if action.kind == "drop":
-                        continue
-                    peer = net.peer(sw, action.out_port)
-                    if peer is None:
-                        stranded[ks] = True
-                        continue
-                    if h + 1 < n_hops:   # past the last hop the packet is truncated
-                        t[ks] += peer[2].quantile(u[ks - start, h])
-                    out_tag = action.new_tag if action.kind == "forward_tagged" else tag
-                    node[ks] = node_ids.setdefault((peer[0], peer[1], out_tag), len(node_ids))
-                    onward.append(ks)
-            live = np.concatenate(onward) if onward else live[:0]
-        truncated[live] = True
-    return FlowPackets(net, timeline, flow, run.seed, index, t_in, hops, t, delivered,
-                       truncated, stranded, agrees_old, agrees_new)
-
-
 def default_flow_window(run: RunResult, spacing_ns: int):
     """Injection window covering the whole update plus drain margins."""
-    start_anchor = run.first_exec_ns
-    if run.sched_first_ns is not None:
-        start_anchor = min(start_anchor, run.sched_first_ns)
-    margin = 2 * spacing_ns
-    return (start_anchor - run.params.d_n - margin,
-            run.last_exec_ns + run.params.d_n + margin)
+    anchor = min(t for t in (run.first_exec_ns, run.sched_first_ns) if t is not None)
+    margin = run.params.d_n + 2 * spacing_ns
+    return anchor - margin, run.last_exec_ns + margin
+
+
+# Nodes 0-2 are sinks for delivered, dropped and stranded packets; one left elsewhere is truncated
+_DELIVERED, _DROPPED, _STRANDED, _TRUNCATED = range(4)
+_SINK = {"deliver": _DELIVERED, "drop": _DROPPED}
 
 
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
-    """Inject and forward every test flow, attaching a FlowPackets per flow
-    to run.flow_traces.
+    """Inject and walk every test flow; run.flow_traces[flow_id] gets its FlowPackets.
 
-    Each flow gets an independent generator derived from the run seed and
-    the flow's position in flow-id order, so adding a flow never perturbs
-    the packets of another. The generator draws one packets x switches
-    matrix of uniforms, WALK_BLOCK rows at a time, row k for packet k:
-    exactly the rows forward_packet draws when it walks the same packets
-    one by one on the same generator.
+    Flow i in flow-id order draws, from a generator seeded with the run seed
+    and i, a packets x switches matrix of uniforms, WALK_BLOCK rows at a
+    time, row k for packet k, as forward_packet draws them. A flow added
+    after all others in flow-id order leaves their packets unchanged; one
+    added before a flow moves that flow's stream. Under constant link
+    delays no draw matters: any subset of the flows gives each the same arrays.
 
     Before anything is drawn or allocated, a flow whose packet times could
     leave the int64 range raises TimeRangeError, and flows that would
     inject more than MAX_PACKETS packets in all raise PacketCapError.
+
+    Every (node, table version) pair the flows reach is resolved once, a node
+    being a (flow, switch, in_port, tag); then all packets, laid end to end,
+    move hop by hop, WALK_BLOCK at a time, by gathers from those tables.
     """
     flows = sorted(flows, key=lambda f: f.flow_id)
+    if not flows:
+        return
     windows = [window or default_flow_window(run, f.spacing_ns) for f in flows]
     bound = max((link.delay.bound() for link in net.links), default=0)
     for flow, (t0, t1) in zip(flows, windows):
@@ -542,6 +464,84 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         raise PacketCapError(flows[most].flow_id, (
             f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
-    for index, (flow, w) in enumerate(zip(flows, windows)):
-        run.flow_traces[flow.flow_id] = _walk_flow(net, run, flow, index,
-                                                   inject_flow(net, flow, w))
+    t_in = np.concatenate([inject_flow(net, flow, w) for flow, w in zip(flows, windows)])
+    timeline, n_hops, epoch_ns = run.timeline, len(net.switches), run.timeline.change_ns
+    # rows: per switch seen, its version in each epoch (row 0 serves the sinks); per
+    # real node (numbered from 3), its row's offset and first pair slot; per pair
+    # slot, the next node, link crossed (0: none) and agreement bits (1 old, 2 new)
+    rows, row_of, keys, node_ids = [np.zeros(len(epoch_ns) + 1, np.int32)], {}, [], {}
+    nodes, slots = [(0, 0), (0, 1), (0, 2)], [(0, 0, 3), (1, 0, 3), (2, 0, 3)]
+    link_ids = {}   # (switch, out_port) -> (link number, delay model)
+
+    def node_of(*key):
+        if key not in node_ids:
+            node_ids[key] = len(keys) + 3
+            keys.append(key)
+        return node_ids[key]
+
+    ingress = np.array([node_of(f.flow_id, f.ingress_switch, f.ingress_port, None)
+                        for f in flows], np.int32)
+    for flow_id, sw, port, tag in keys:   # also visits the nodes appended on the way
+        old = lookup_rule(run.old_config.tables[sw], flow_id, tag, port)
+        new = lookup_rule(run.new_config.tables[sw], flow_id, tag, port)
+        if row_of.setdefault(sw, len(rows)) == len(rows):
+            rows.append(timeline.epoch_versions(sw))
+        nodes.append((row_of[sw] * len(rows[0]), len(slots)))
+        action = None
+        for table in timeline._tables[sw]:   # the switch's versions, in order
+            was, action = action, lookup_rule(table, flow_id, tag, port)
+            if action != was:   # else this slot reads as the one before
+                peer = None if action.kind in _SINK else net.peer(sw, action.out_port)
+                tagged = action.new_tag if action.kind == "forward_tagged" else tag
+                to = (_SINK.get(action.kind, _STRANDED) if peer is None
+                      else node_of(flow_id, peer[0], peer[1], tagged))
+                over = 0 if peer is None else link_ids.setdefault(
+                    (sw, action.out_port), (len(link_ids) + 1, peer[2]))[0]
+                slot = (to, over, (action == old) | (action == new) << 1)
+            slots.append(slot)
+    models = [None] + [model for _, model in link_ids.values()]
+    (t_row, t_base), t_version = np.array(nodes, np.int32).T.copy(), np.concatenate(rows)
+    t_onward, t_link, t_agree = np.array(slots, np.int32).T.copy()
+    t_link, t_agree = t_link.astype(np.min_scalar_type(len(models))), t_agree.astype(np.uint8)
+    firsts = np.cumsum([0] + counts).tolist()
+    rngs = [_flow_rng(run.seed, i) for i in range(len(flows))]
+    hops, t_last, end, agrees = (np.empty(firsts[-1], dtype)
+                                 for dtype in (np.int64, np.int64, np.int8, np.uint8))
+    for start in range(0, firsts[-1], WALK_BLOCK):
+        block = slice(start, min(start + WALK_BLOCK, firsts[-1]))
+        u, cuts = np.empty((block.stop - start, n_hops)), np.clip(firsts, start, block.stop)
+        for i, rng in enumerate(rngs):   # flow i's rows in the block; draws continue its stream
+            rng.random(out=u[cuts[i] - start:cuts[i + 1] - start])
+        node, t = np.repeat(ingress, np.diff(cuts)), t_in[block].copy()
+        pos, live = np.arange(start, block.stop), True   # the packets' places in the results
+        bits, count = np.full(len(t), 3, np.uint8), np.zeros(len(t), np.min_scalar_type(n_hops))
+        for h in range(n_hops):
+            count += live
+            pair = t_base.take(node) + t_version.take(  # its version in its switch's row
+                epoch_ns.searchsorted(t, side="right") + t_row.take(node))
+            bits &= t_agree.take(pair)
+            node = t_onward.take(pair)
+            live = node > _STRANDED
+            if h + 1 == n_hops or not live.any():
+                break
+            if 8 * np.count_nonzero(live) <= len(t):   # set the finished packets aside
+                gone = pos[~live]
+                for out, values in zip((hops, t_last, end, agrees), (count, t, node, bits)):
+                    out[gone] = values[~live]
+                pos, node, t, bits, count, pair, u, live = (
+                    a[live] for a in (pos, node, t, bits, count, pair, u, live))
+            # one quantile call per link, on the packets grouped by the link they cross
+            link_of = t_link.take(pair)
+            order, delay = link_of.argsort(kind="stable"), np.zeros(len(t), np.int64)
+            ends, us = np.bincount(link_of).cumsum().tolist(), u[:, h].take(order)
+            for m, (a, b) in enumerate(zip(ends, ends[1:]), 1):
+                if a < b:
+                    delay[order[a:b]] = models[m].quantile(us[a:b])
+            t += delay
+        at = block if len(pos) == block.stop - start else pos
+        hops[at], t_last[at], end[at], agrees[at] = count, t, np.minimum(node, _TRUNCATED), bits
+    outs = (t_in, hops, t_last, end == _DELIVERED, end == _TRUNCATED, end == _STRANDED,
+            (agrees & 1).view(bool), (agrees >> 1).view(bool))
+    for i, (flow, a, b) in enumerate(zip(flows, firsts, firsts[1:])):
+        run.flow_traces[flow.flow_id] = FlowPackets(net, timeline, flow, run.seed, i,
+                                                    *(out[a:b] for out in outs))

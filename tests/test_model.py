@@ -1,7 +1,6 @@
 import logging
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -338,7 +337,7 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
     for t in range(5):
         fold = folds[sum(1 for time_ns, _ in execs if time_ns <= t)]
         for sw in net.switches:
-            in_force = timeline.versions(sw, np.array([t]))[0]
+            in_force = timeline.epoch_versions(sw)[timeline.change_ns.searchsorted(t, "right")]
             assert timeline.table_version(sw, in_force) == fold.tables[sw]
             want = lookup_rule(fold.tables[sw], "f1", "A", 0)
             assert timeline.lookup(sw, t, "f1", "A", 0) == want

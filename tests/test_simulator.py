@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -38,16 +39,20 @@ from netupdate import simulator
 from netupdate.consistency import CLASSES, INCONSISTENT, class_codes
 from netupdate.simulator import (
     MAX_PACKETS,
+    ExecRecord,
     FlowPackets,
     PacketCapError,
     StateTimeline,
     _packet_count,
+    default_flow_window,
 )
 from netupdate.topology import policy_initial_state, policy_update, stub_update
 
 from conftest import DC_NS, line_network, line_flow_setup, testbed_params
 
 import numpy as np
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def single_switch_setup():
@@ -106,6 +111,24 @@ class TestStateTimeline:
                         == init.apply(*mine[:v]).tables[sw]), (sw, v)
             assert (run.timeline.table_version(sw, len(mine))
                     == run.new_config.tables[sw])
+
+    def test_epoch_versions_are_exact_past_float_precision(self):
+        # times above 2**53 and past int64: the epochs keep every int64 time
+        # exact, and a time past int64 reads as its largest value
+        net = line_network([10])
+        u1 = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
+        u2 = SingletonUpdate.install("S2", {("f", None, 1): DELIVER})
+        big = 2**60
+        tl = StateTimeline(net, ForwardingState.empty(net),
+                           [(big, u2), (big + 1, u1), (big + 1, u2), (2**63, u1)])
+        assert tl.change_ns.tolist() == [big, big + 1, 2**63 - 1]
+        assert tl.epoch_versions("S1").tolist() == [0, 0, 1, 2]
+        assert tl.epoch_versions("S2").tolist() == [0, 1, 2, 2]
+        for t in (big - 1, big, big + 1, 2**63 - 2):
+            for sw in ("S1", "S2"):
+                version = tl.epoch_versions(sw)[tl.change_ns.searchsorted(t, "right")]
+                assert tl.table_version(sw, version) is tl._tables[sw][
+                    sum(x <= t for x in tl._times[sw])]
 
     def test_unknown_target_names_the_switch(self):
         net = line_network([10])
@@ -312,7 +335,37 @@ class TestForwardPacket:
         assert tl.lookup("S1", 500, "f", None, 0).kind == "deliver"
 
 
+def _walked(config: str, pick, seed: int = 3) -> dict:
+    """flow_traces of a fresh timed run of the config's first point, with
+    only the flows that pick selects from its flows in flow-id order."""
+    from netupdate.config import Experiment
+
+    _, point = next(Experiment.load(CONFIGS / f"{config}.json").points())
+    run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()), point.params,
+                    point.delays, seed=seed, initial_state=point.initial_state)
+    run_flows(point.net, run, pick(sorted(point.flows, key=lambda f: f.flow_id)))
+    return run.flow_traces
+
+
 class TestRunFlows:
+    def test_a_flow_sorting_last_leaves_the_others_unchanged(self):
+        # a flow's stream is keyed by its position in flow-id order
+        every = _walked("sprint_knob_exp", lambda flows: flows)
+        assert set(every) == {"f1", "f2", "f3", "f4", "f5"}
+        before_f5 = _walked("sprint_knob_exp", lambda flows: flows[:-1])
+        assert all(before_f5[fid] == every[fid] for fid in before_f5)
+        # without f1, the later flows move up a position and draw another stream
+        after_f1 = _walked("sprint_knob_exp", lambda flows: flows[1:])
+        assert not np.array_equal(after_f1["f2"].t_last, every["f2"].t_last)
+
+    @pytest.mark.parametrize("pick", [lambda flows: flows[:1], lambda flows: flows[1:],
+                                      lambda flows: flows[::2], lambda flows: flows[3:4]])
+    def test_constant_delays_make_each_flow_independent_of_the_others(self, pick):
+        # no draw moves a constant delay, so a flow's position does not matter
+        every = _walked("sprint_knob", lambda flows: flows)
+        some = _walked("sprint_knob", pick)
+        assert some and all(some[fid] == every[fid] for fid in some)
+
     def test_traces_attached_and_deterministic(self, testbed_params):
         net, flow, path, init, proc = line_flow_setup(10_000_000)
         sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
@@ -403,10 +456,14 @@ UNLINKED_PORT = 9  # no link behind it: forwarding there strands the packet
 
 @st.composite
 def _data_plane_cases(draw):
-    """A random small network, old state, exec timeline and flows.
+    """A random small network, old state, exec timeline and three flows.
 
-    Hop times are small integers, so execs often land exactly on a hop;
-    one exec always lands on an injection time.
+    The flows enter at different switches (port 0 of each is an ingress
+    port) with different spacings, so their packet counts differ. With
+    updates, each flow gets its default window, which starts two spacings
+    before the first exec, so that exec lands on an injection time of every
+    flow; without, all share a drawn window. Hop times are small integers,
+    so execs often land exactly on a hop.
     """
     switches = [f"S{i}" for i in range(1, draw(st.integers(2, 5)) + 1)]
     next_port = dict.fromkeys(switches, 1)
@@ -418,7 +475,11 @@ def _data_plane_cases(draw):
         pb = next_port[b]
         next_port[b] += 1
         links.append(Link((a, pa), (b, pb), draw(_DELAYS)))
-    net = Network(tuple(switches), tuple(links), frozenset({("S1", 0)}))
+    spacings = draw(st.permutations([3, 7, 10]))
+    flows = [TestFlow(fid, switches[i % len(switches)], 0, 1e9 / spacing)
+             for i, (fid, spacing) in enumerate(zip(("f", "g", "h"), spacings))]
+    net = Network(tuple(switches), tuple(links),
+                  frozenset((f.ingress_switch, 0) for f in flows))
 
     def table(sw):
         ports = sorted(net.ports[sw])
@@ -426,26 +487,24 @@ def _data_plane_cases(draw):
         # mostly forwarding actions, so that walks get long and loop; None: no rule
         actions = ([DROP, DELIVER, None] + [Action.forward(p) for p in outs] * 2
                    + [Action.forward_tagged(p, t) for p in outs for t in ("A", "B")])
-        keys = [(fid, tag, port) for fid in ("f", "g") for tag in _TAGS for port in ports]
-        drawn = draw(st.lists(st.sampled_from(actions), min_size=len(keys),
-                              max_size=len(keys)))
-        return {k: a for k, a in zip(keys, drawn) if a is not None}
+        keys = [(f.flow_id, tag, port) for f in flows for tag in _TAGS for port in ports]
+        # one draw per table: a byte per key picks its action
+        drawn = draw(st.binary(min_size=len(keys), max_size=len(keys)))
+        return {k: actions[b % len(actions)] for k, b in zip(keys, drawn)
+                if actions[b % len(actions)] is not None}
 
     initial = ForwardingState.from_dict(net, {sw: table(sw) for sw in switches})
-    spacing = draw(st.sampled_from([3, 7, 10]))
-    window = (0, draw(st.integers(1, 60)))
-    flows = [TestFlow(fid, "S1", 0, 1e9 / spacing) for fid in ("f", "g")]
-    injections = list(range(window[0], window[1], spacing))
+    window = None
     updates = []
     for _ in range(draw(st.integers(0, 6))):
         sw = draw(st.sampled_from(switches))
         entries = table(sw)
         u = (SingletonUpdate.install(sw, entries) if draw(st.booleans())
              else SingletonUpdate.remove(sw, list(entries)))
-        updates.append((draw(st.integers(0, 120)), u))
-    if updates:
-        updates[0] = (draw(st.sampled_from(injections)), updates[0][1])
+        updates.append((draw(st.integers(0, 60)), u))
     updates.sort(key=lambda tu: tu[0])
+    if not updates:
+        window = (0, draw(st.integers(1, 60)))
     return net, initial, updates, flows, window, draw(st.integers(0, 2**16))
 
 
@@ -453,30 +512,35 @@ def _data_plane_cases(draw):
 @given(case=_data_plane_cases())
 def test_run_flows_matches_forward_packet_oracle(case):
     net, initial, updates, flows, window, seed = case
-    run = RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
-                    first_send_ns=0, exec_log=[], messages=[], faults=[],
-                    old_config=initial,
-                    new_config=initial.apply(*(u for _, u in updates)),
-                    timeline=StateTimeline(net, initial, updates))
-    # blocks of 2 packets: two thirds of the flows here span several
-    with mock.patch.object(simulator, "WALK_BLOCK", 2):
-        run_flows(net, run, flows, window=window)
+    runs = [RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
+                      first_send_ns=0, messages=[], faults=[], old_config=initial,
+                      exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
+                                for i, (t, u) in enumerate(updates)],
+                      new_config=initial.apply(*(u for _, u in updates)),
+                      timeline=StateTimeline(net, initial, updates)) for _ in range(3)]
+    # blocks of 2 and 3 packets: most blocks straddle two flows' packets; in
+    # one block of all, finished packets are set aside as the walk goes on
+    for run, block in zip(runs, (2, 3, simulator.WALK_BLOCK)):
+        with mock.patch.object(simulator, "WALK_BLOCK", block):
+            run_flows(net, run, flows, window=window)
     for idx, flow in enumerate(flows):
         rng = np.random.default_rng([seed, 7919 + idx])
-        want = [forward_packet(net, run.timeline, flow, t, rng)
-                for t in inject_flow(net, flow, window).tolist()]
-        got = run.flow_traces[flow.flow_id]
-        # the walk's own arrays against the oracle's traces
-        assert got.t_in.tolist() == [t.t_in for t in want]
-        assert got.hops.tolist() == [len(t.hops) for t in want]
-        assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
-        for name in ("delivered", "truncated", "stranded"):
-            assert getattr(got, name).tolist() == [getattr(t, name) for t in want]
-        classes = [classify_packet(t, run.old_config, run.new_config) for t in want]
-        assert [CLASSES[c] for c in class_codes(got).tolist()] == classes
-        assert measure_inconsistency(run, flow).n_inconsistent == classes.count(INCONSISTENT)
+        want = [forward_packet(net, runs[0].timeline, flow, t, rng) for t in inject_flow(
+            net, flow, window or default_flow_window(runs[0], flow.spacing_ns)).tolist()]
+        classes = [classify_packet(t, initial, runs[0].new_config) for t in want]
+        for run in runs:
+            got = run.flow_traces[flow.flow_id]
+            # the walk's own arrays against the oracle's traces
+            assert got.t_in.tolist() == [t.t_in for t in want]
+            assert got.hops.tolist() == [len(t.hops) for t in want]
+            assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
+            for name in ("delivered", "truncated", "stranded"):
+                assert getattr(got, name).tolist() == [getattr(t, name) for t in want]
+            assert [CLASSES[c] for c in class_codes(got).tolist()] == classes
+            assert (measure_inconsistency(run, flow).n_inconsistent
+                    == classes.count(INCONSISTENT))
         # iterating re-walks the packets on the flow's own stream
-        assert list(got) == want
+        assert list(runs[0].flow_traces[flow.flow_id]) == want
 
 
 # sha256 of every control-plane run below, faults included; whatever moves a
@@ -525,3 +589,28 @@ def test_control_plane_pinned_to_digest():
             digest.update(repr((run.mode, run.first_send_ns, run.sched_first_ns, run.exec_log,
                                 run.messages, run.faults, run.new_config.tables)).encode())
     assert digest.hexdigest() == CONTROL_PLANE_DIGEST
+
+
+# sha256 of every packet array of the exponential knob sweeps, two seeds per
+# point; whatever moves a packet's hops, times or verdict moves it
+DATA_PLANE_DIGEST = "1649198d1c84f1d74a9b31f3340b8c2b66549f5e38cc2e832fcfec45e5310cfa"
+KNOB_EXP_CONFIGS = ("netrail_knob_exp", "sprint_knob_exp", "compuserve_knob_exp")
+
+
+def test_data_plane_pinned_to_digest():
+    from netupdate.config import Experiment
+
+    digest = hashlib.sha256()
+    for name in KNOB_EXP_CONFIGS:
+        exp = Experiment.load(CONFIGS / f"{name}.json", seeds=[0, 1])
+        for _, point in exp.points():
+            for seed in exp.seeds:
+                run, _ = point.run(seed)
+                for flow_id in sorted(run.flow_traces):
+                    packets = run.flow_traces[flow_id]
+                    digest.update(flow_id.encode())
+                    for array in FlowPackets.ARRAYS:
+                        values = getattr(packets, array)
+                        digest.update(f"{array}:{values.dtype}:{len(values)}".encode())
+                        digest.update(values.tobytes())
+    assert digest.hexdigest() == DATA_PLANE_DIGEST
