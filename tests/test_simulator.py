@@ -543,9 +543,11 @@ def test_run_flows_matches_forward_packet_oracle(case):
         assert list(runs[0].flow_traces[flow.flow_id]) == want
 
 
-# sha256 of every control-plane run below, faults included; whatever moves a
-# draw, a send or execution time, a fault or the execution order moves it
-CONTROL_PLANE_DIGEST = "3ca170ff4ddda99bc016385c748df5ccd49812c4a692a547d924e2acddea1b95"
+# sha256 of the control-plane runs below, faults included: of those that draw,
+# and of the pin_worst_case ones, which draw nothing; whatever moves a draw, a
+# send or execution time, a fault or the execution order moves the first
+CONTROL_PLANE_DIGEST = "13fb9adfe7be5ee1bf1634bcf9a56e7e4b9321304c0b5f1f05062cf50fc535e4"
+PINNED_CONTROL_PLANE_DIGEST = "73a3ae640a6f9261e79c99ec22dcf1fa0137fd38104d1cbca6c827fe6cff05bb"
 
 
 def _control_plane_cases():
@@ -574,21 +576,28 @@ def _control_plane_cases():
         yield net, proc, initial, params, delays, start, schedules
 
 
-def test_control_plane_pinned_to_digest():
+def _control_plane_digest(pin: bool) -> str:
+    """sha256 over each case's untimed run, then its timed run per schedule."""
     digest = hashlib.sha256()
     for case, (net, proc, initial, params, delays, start, schedules) in enumerate(
             _control_plane_cases()):
-        runs = []
-        for pin in (False, True):
-            runs.append(run_untimed(net, proc, params, delays, seed=case, initial_state=initial,
-                                    start_time=start, pin_worst_case=pin))
-            runs += [run_timed(net, TimedUpdateProcedure(proc, sched), params, delays,
-                               seed=case, initial_state=initial, pin_worst_case=pin)
-                     for sched in schedules]
+        runs = [run_untimed(net, proc, params, delays, seed=case, initial_state=initial,
+                            start_time=start, pin_worst_case=pin)]
+        runs += [run_timed(net, TimedUpdateProcedure(proc, sched), params, delays,
+                           seed=case, initial_state=initial, pin_worst_case=pin)
+                 for sched in schedules]
         for run in runs:
             digest.update(repr((run.mode, run.first_send_ns, run.sched_first_ns, run.exec_log,
                                 run.messages, run.faults, run.new_config.tables)).encode())
-    assert digest.hexdigest() == CONTROL_PLANE_DIGEST
+    return digest.hexdigest()
+
+
+def test_control_plane_pinned_to_digest():
+    assert _control_plane_digest(pin=False) == CONTROL_PLANE_DIGEST
+
+
+def test_worst_case_control_plane_pinned_to_digest():
+    assert _control_plane_digest(pin=True) == PINNED_CONTROL_PLANE_DIGEST
 
 
 # sha256 of every packet array of the exponential knob sweeps, two seeds per
