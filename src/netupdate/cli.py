@@ -164,6 +164,12 @@ def cmd_simulate(exp: Experiment, out: Path) -> int:
     return 0
 
 
+def _mean_ns(values) -> int:
+    """The exact mean of the ints, rounded half to even, at any magnitude."""
+    q, r = divmod(sum(values), len(values))
+    return q + (2 * r + (q & 1) > len(values))
+
+
 def cmd_sweep(exp: Experiment, out: Path) -> int:
     dur_lines = [_meta_line(exp.hash, exp.seeds),
                  "axis_value,mode,seed_count,sim_mean_ns,sim_min_ns,sim_max_ns,plan_worst_ns"]
@@ -181,14 +187,13 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
             durations.append(run.update_duration_ns)
             for rep in reports:
                 inconsistency.setdefault(rep.flow_id, []).append(rep.inconsistency_ns)
-        mean = round(sum(durations) / len(durations))
-        dur_lines.append(f"{cell},{point.mode},{len(durations)},{mean},"
+        dur_lines.append(f"{cell},{point.mode},{len(durations)},{_mean_ns(durations)},"
                          f"{min(durations)},{max(durations)},{plan_worst}")
         for flow_id in sorted(inconsistency):
             vals = inconsistency[flow_id]
             have_flows = True
             inc_lines.append(f"{cell},{flow_id},{len(vals)},"
-                             f"{round(sum(vals) / len(vals))},{min(vals)},{max(vals)}")
+                             f"{_mean_ns(vals)},{min(vals)},{max(vals)}")
     _write_text(out / "sweep.csv", dur_lines)
     if have_flows:
         _write_text(out / "inconsistency_sweep.csv", inc_lines)

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +27,7 @@ from netupdate import (
     run_flows,
     run_untimed,
 )
-from netupdate.cli import PACKET_BLOCK, _run_to_dict, _write_run, main
+from netupdate.cli import PACKET_BLOCK, _mean_ns, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
 from netupdate.consistency import class_codes
 from netupdate import simulator, topology
@@ -347,6 +348,25 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out2)]) == 0
         for name in ("sweep.csv", "inconsistency_sweep.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    # the mean went through float64: a one-seed row at 2**60 // 100 ns wrote a
+    # sim_mean_ns outside [sim_min_ns, sim_max_ns]
+    def test_mean_is_exact_past_float_precision(self, tmp_path):
+        big = 2**60 // 100
+        cfg = write_config(tmp_path, base_config(
+            params={"dc": big, "dn": "0.262ms", "delta_msg": "5.24ms", "delta_sched": "1.297ms"},
+            delays={"ctrl": {"kind": "constant", "value": big}},
+            seeds=[0], sweep={"axis": "N", "grid": [6]}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2].split(",")
+        assert int(row[3]) == int(row[4]) == int(row[5]) > 2**53
+
+    @given(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=6))
+    @example([0, 1])
+    @example([1, 2])
+    @example([2**60 + 1, 2**60 + 2])
+    def test_mean_rounds_half_to_even_exactly(self, values):
+        assert _mean_ns(values) == round(Fraction(sum(values), len(values)))
 
     def test_seed_and_grid_overrides_change_hash(self, tmp_path):
         cfg = write_config(tmp_path, base_config(sweep={"axis": "N", "grid": [6]}))
