@@ -16,7 +16,7 @@ DEFAULT_EXP_CAP_FACTOR = 10.0
 
 
 class DelayModel(NamedTuple):
-    """A sampleable non-negative delay distribution with a known upper bound.
+    """A non-negative delay distribution with a known upper bound.
 
     kind is one of "constant", "uniform", "exponential", "empirical".
     Use the factory classmethods instead of the constructor.
@@ -68,7 +68,7 @@ class DelayModel(NamedTuple):
         return cls("empirical", samples=pool)
 
     def bound(self) -> int:
-        """Hard upper bound on any value sample() can return."""
+        """Hard upper bound on any value quantile() can return."""
         if self.kind == "constant":
             return self.value
         if self.kind == "uniform":
@@ -94,9 +94,9 @@ class DelayModel(NamedTuple):
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF: the int64 delays for uniforms u in [0, 1), elementwise.
 
-        The data plane maps one uniform per (packet, hop) through this, in
-        bulk and one at a time alike, so every path calls the same numpy
-        functions and gets the same bits.
+        The only sampler: control-plane gaps, delays and jitters and data-plane
+        link delays all map uniforms through it, in bulk and one at a time
+        alike, so every path calls the same numpy functions and gets the same bits.
         """
         if self.kind == "constant":
             return np.full(u.shape, self.value, dtype=np.int64)
@@ -109,17 +109,3 @@ class DelayModel(NamedTuple):
             return np.minimum(np.rint(x, out=x).astype(np.int64), self.cap)
         pool = np.asarray(self.samples, dtype=np.int64)
         return pool[np.minimum(np.floor(u * len(pool)).astype(np.int64), len(pool) - 1)]
-
-    def sample(self, rng: np.random.Generator) -> int:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "uniform":
-            return int(rng.integers(0, self.hi, endpoint=True)) if self.hi else 0
-        if self.kind == "exponential":
-            if self.mean == 0:
-                return 0
-            u = rng.random()
-            # inverse CDF of the truncated exponential on [0, cap]
-            x = -self.mean * math.log1p(-u * (1.0 - math.exp(-self.cap / self.mean)))
-            return min(int(round(x)), self.cap)
-        return int(self.samples[int(rng.integers(0, len(self.samples)))])

@@ -176,13 +176,15 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     """Send proc's messages in _ordered_messages order, the first at
     first_send, and fold the executions they cause into a RunResult.
 
-    Consecutive sends are a sampled gap apart, and the first send of phase j
-    waits at least guards.get(j, 0) after the send before it. Each message
-    reaches its switch after a sampled controller delay. pin_worst_case
-    takes every gap at delta_msg and every controller delay at d_c, except
-    message 0's, which is first_ctrl. A gap or delay beyond its bound is a
-    bound_violation fault. execute(arrival, rng, idx, phase, target, faults)
-    returns when the update takes effect and a note for its send line.
+    Consecutive sends are a gap apart, and the first send of phase j waits
+    at least guards.get(j, 0) after the send before it. Message i's gap,
+    controller delay (send to arrival) and jitter are the quantiles of
+    delays.gap, delays.ctrl and uniform(delta_sched) at row i of one
+    default_rng(seed).random((messages, 3)) draw or, under pin_worst_case,
+    their bounds, but message 0's delay is first_ctrl and its jitter 0. A
+    gap or delay beyond its bound is a bound_violation fault.
+    execute(arrival, jitter, phase, target, faults) returns when the update
+    takes effect and a note for its send line.
 
     Executions at equal times take effect in message order, which pins down
     the run; the new configuration folds the whole procedure in message order,
@@ -190,27 +192,30 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     """
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
-    rng = np.random.default_rng(seed)
+    ordered = _ordered_messages(proc)
+    if pin_worst_case:
+        n = len(ordered)
+        gaps, ctrls = [params.delta_msg] * n, [first_ctrl] + [params.d_c] * (n - 1)
+        jitters = [0] + [params.delta_sched] * (n - 1)
+    else:
+        u = np.random.default_rng(seed).random((len(ordered), 3))
+        models = (delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched))
+        gaps, ctrls, jitters = (m.quantile(col).tolist() for m, col in zip(models, u.T))
     execs, messages, faults = [], [], []
     t, prev_phase = first_send, None
     switches = set(net.switches)
-    for idx, phase, update in _ordered_messages(proc):
+    for (idx, phase, update), gap, ctrl, jitter in zip(ordered, gaps, ctrls, jitters):
         if update.target not in switches:
             raise ValueError(f"procedure targets unknown switch {update.target!r}")
         if idx > 0:
-            gap = params.delta_msg if pin_worst_case else delays.gap.sample(rng)
             if gap > params.delta_msg:
                 faults.append(Fault(t, "bound_violation", "ctrl",
                                     f"gap {gap} > delta_msg {params.delta_msg}"))
             t += max(gap, guards.get(phase, 0) if phase != prev_phase else 0)
-        if pin_worst_case:
-            ctrl = params.d_c if idx > 0 else first_ctrl
-        else:
-            ctrl = delays.ctrl.sample(rng)
         if ctrl > params.d_c:
             faults.append(Fault(t, "bound_violation", update.target,
                                 f"ctrl delay {ctrl} > d_c {params.d_c}"))
-        exec_time, note = execute(t + ctrl, rng, idx, phase, update.target, faults)
+        exec_time, note = execute(t + ctrl, jitter, phase, update.target, faults)
         messages.append(LogLine(t, "send", "ctrl", update.target, phase,
                                 f"msg={idx} mode={update.mode}{note}"))
         execs.append((exec_time, idx, phase, update))
@@ -277,12 +282,8 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
         params.d_c + params.delta_msg * len(proc.items))
     sched_first = schedule.first_time()
 
-    def execute(arrival, rng, idx, phase, target, faults):
+    def execute(arrival, jitter, phase, target, faults):
         sched_t = schedule.time_for_phase(phase)
-        if pin_worst_case:
-            jitter = params.delta_sched if idx > 0 else 0
-        else:
-            jitter = int(rng.integers(0, params.delta_sched, endpoint=True))
         planned = sched_t + jitter
         if arrival > planned:
             faults.append(Fault(arrival, "missed_schedule", target,

@@ -1,4 +1,5 @@
-"""The delay models' inverse CDF, which maps the data plane's uniforms to delays."""
+"""The delay models' inverse CDF, their one sampler: it maps the control and
+data planes' uniforms to delays."""
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ def test_empirical_returns_only_pool_members():
     model = DelayModel.empirical([5, 17, 17, 90])
     got = model.quantile(np.random.default_rng(1).random(1_000))
     assert set(got.tolist()) == {5, 17, 90}
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_mean_matches_mean_value(model):
+    u = np.random.default_rng(2015).random(100_000)
+    assert model.quantile(u).mean() == pytest.approx(model.mean_value(), rel=0.02)
 
 
 def test_truncated_exponential_mean_matches_analytic():

@@ -92,7 +92,7 @@ def test_large_fabric_sweep_is_byte_identical(tmp_path):
         assert main(["sweep", "--config", str(REPO / "configs" / "leafspine_sweep.json"),
                      "--grid", "192,384", "--seeds", "0,1", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
-        "22e7f4744d1f5ecd8c509dc27e69965f7a503cf683e72bc953f9bcd3709c84e3")
+        "63c950869520e4f8bd70ba9b719a62f23799ba155903fe0c9ca135a2d26ea10b")
 
 
 def test_in_process_main_leaves_the_heap_unfrozen(tmp_path):

@@ -244,6 +244,51 @@ class TestRunTimed:
         assert run.first_exec_ns == 1_000_000 - 10 + DC_NS
 
 
+class TestControlPlaneStream:
+    """Row i of a run's one block of uniforms holds message i's gap, controller
+    delay and jitter, in send order, whatever the mode."""
+
+    @staticmethod
+    def _sends(run, phases=None):
+        """(time, detail) of each send, in send order, of phases 1..phases."""
+        return [(m.time_ns, m.detail) for m in run.messages
+                if m.kind == "send" and (phases is None or m.phase <= phases)]
+
+    def test_appending_a_phase_leaves_earlier_messages_unchanged(self, testbed_params):
+        net = leaf_spine(6)
+        sets = [net.switches[:4], net.switches[2:], net.switches[1:5]]
+        params = testbed_params._replace(t_su=4 * DC_NS)
+        times = {1: 10**9, 2: 10**9 + 3 * DC_NS, 3: 10**9 + 6 * DC_NS}
+        for seed in range(5):
+            runs = []
+            for k in (2, 3):
+                proc, initial = stub_update(net, sets[:k])
+                sched = Schedule.build({j: times[j] for j in range(1, k + 1)})
+                runs.append([run_untimed(net, proc, params, seed=seed, initial_state=initial),
+                             run_timed(net, TimedUpdateProcedure(proc, sched), params,
+                                       seed=seed, initial_state=initial)])
+            for short, longer in zip(*runs):
+                assert self._sends(short) == self._sends(longer, 2)
+                assert sorted(short.exec_log, key=lambda e: e.msg_index) == sorted(
+                    (e for e in longer.exec_log if e.phase <= 2), key=lambda e: e.msg_index)
+
+    def test_untimed_and_timed_runs_share_their_gaps(self, testbed_params):
+        net = leaf_spine(6)
+        proc, initial = stub_update(net, [net.switches, net.switches[:3]])
+        sched = worst_case_schedule(proc, 10**9, testbed_params)
+
+        def gaps(run):
+            sends = [m for m in run.messages if m.kind == "send"]
+            return [b.time_ns - a.time_ns for a, b in zip(sends, sends[1:]) if a.phase == b.phase]
+
+        for seed in range(5):
+            untimed = run_untimed(net, proc, testbed_params, seed=seed, initial_state=initial)
+            timed = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                              seed=seed, initial_state=initial)
+            assert len(set(gaps(untimed))) > 1
+            assert gaps(untimed) == gaps(timed)
+
+
 class TestInjectFlow:
     def test_rate_and_window_arithmetic(self):
         net = line_network([1000])
@@ -546,7 +591,7 @@ def test_run_flows_matches_forward_packet_oracle(case):
 # sha256 of the control-plane runs below, faults included: of those that draw,
 # and of the pin_worst_case ones, which draw nothing; whatever moves a draw, a
 # send or execution time, a fault or the execution order moves the first
-CONTROL_PLANE_DIGEST = "13fb9adfe7be5ee1bf1634bcf9a56e7e4b9321304c0b5f1f05062cf50fc535e4"
+CONTROL_PLANE_DIGEST = "96bd223fcc5f8379652f770a819e561d8478f1a34dd8dea7b6c48548ac8ab7fd"
 PINNED_CONTROL_PLANE_DIGEST = "73a3ae640a6f9261e79c99ec22dcf1fa0137fd38104d1cbca6c827fe6cff05bb"
 
 
@@ -602,7 +647,7 @@ def test_worst_case_control_plane_pinned_to_digest():
 
 # sha256 of every packet array of the exponential knob sweeps, two seeds per
 # point; whatever moves a packet's hops, times or verdict moves it
-DATA_PLANE_DIGEST = "1649198d1c84f1d74a9b31f3340b8c2b66549f5e38cc2e832fcfec45e5310cfa"
+DATA_PLANE_DIGEST = "32fdf8a152ff3b967edae4a2166237b1af6337b27d181cf8038dbffcb9eb5597"
 KNOB_EXP_CONFIGS = ("netrail_knob_exp", "sprint_knob_exp", "compuserve_knob_exp")
 
 

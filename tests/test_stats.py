@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netupdate import DelayModel, DelayTrace, percentile, read_trace, tail_ratio
+from netupdate import DelayTrace, percentile, read_trace, tail_ratio
 from netupdate import stats
 from netupdate.stats import mean, percentiles
 
@@ -66,46 +66,6 @@ class TestTailRatio:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             tail_ratio(DelayTrace((0, 0, 0)), 0.9)
-
-
-class TestSample:
-    def test_constant(self):
-        rng = np.random.default_rng(0)
-        model = DelayModel.constant(42)
-        assert [model.sample(rng) for _ in range(5)] == [42] * 5
-
-    def test_uniform_mean_and_bound(self):
-        rng = np.random.default_rng(0)
-        h = 1 * MS
-        model = DelayModel.uniform(h)
-        xs = [model.sample(rng) for _ in range(100_000)]
-        assert max(xs) <= h
-        assert sum(xs) / len(xs) == pytest.approx(h / 2, rel=0.02)
-
-    def test_truncated_exponential_mean(self):
-        # conditioning an exp(m) on X <= 10m scales the mean by
-        # (1 - e^-10 * 11) / (1 - e^-10) ~= 0.99955
-        m = 1 * MS
-        model = DelayModel.exponential(m, cap=10 * m)
-        expect = m * (1 - math.exp(-10) * 11) / (1 - math.exp(-10))
-        rng = np.random.default_rng(7)
-        xs = [model.sample(rng) for _ in range(100_000)]
-        assert max(xs) <= 10 * m
-        assert sum(xs) / len(xs) == pytest.approx(expect, rel=0.02)
-        assert model.mean_value() == pytest.approx(expect)
-
-    def test_empirical_draws_from_pool(self):
-        pool = (1, 5, 9)
-        rng = np.random.default_rng(2)
-        model = DelayModel.empirical(pool)
-        assert set(model.sample(rng) for _ in range(200)) == set(pool)
-        assert model.bound() == 9
-
-    def test_same_seed_same_sequence(self):
-        model = DelayModel.exponential(3 * MS)
-        a = [model.sample(np.random.default_rng(11))]
-        b = [model.sample(np.random.default_rng(11))]
-        assert a == b
 
 
 class TestReadTrace:
