@@ -249,10 +249,10 @@ class TestControlPlaneStream:
     delay and jitter, in send order, whatever the mode."""
 
     @staticmethod
-    def _sends(run, phases=None):
-        """(time, detail) of each send, in send order, of phases 1..phases."""
+    def _sends(run, phases):
+        """(time, detail) of each send of phases 1..phases, in send order."""
         return [(m.time_ns, m.detail) for m in run.messages
-                if m.kind == "send" and (phases is None or m.phase <= phases)]
+                if m.kind == "send" and m.phase <= phases]
 
     def test_appending_a_phase_leaves_earlier_messages_unchanged(self, testbed_params):
         net = leaf_spine(6)
@@ -268,7 +268,7 @@ class TestControlPlaneStream:
                              run_timed(net, TimedUpdateProcedure(proc, sched), params,
                                        seed=seed, initial_state=initial)])
             for short, longer in zip(*runs):
-                assert self._sends(short) == self._sends(longer, 2)
+                assert self._sends(short, 2) == self._sends(longer, 2)
                 assert sorted(short.exec_log, key=lambda e: e.msg_index) == sorted(
                     (e for e in longer.exec_log if e.phase <= 2), key=lambda e: e.msg_index)
 
