@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netupdate import DelayTrace, percentile, read_trace, tail_ratio
+from netupdate import DelayModel, DelayTrace, percentile, read_trace, tail_ratio
 from netupdate import stats
 from netupdate.stats import mean, percentiles
 
@@ -66,6 +66,15 @@ class TestTailRatio:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             tail_ratio(DelayTrace((0, 0, 0)), 0.9)
+
+
+class TestSample:
+    def test_empirical_draws_from_pool(self):
+        pool = (1, 5, 9)
+        model = DelayModel.empirical(pool)
+        u = np.random.default_rng(2).random(200)
+        assert set(model.quantile(u).tolist()) == set(pool)
+        assert model.bound() == 9
 
 
 class TestReadTrace:
