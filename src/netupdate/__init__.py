@@ -26,7 +26,7 @@ _EXPORTS = {  # module -> the names the package re-exports from it
                 "untimed_worst_duration", "worst_case_schedule"),
     "simulator": ("RunDelays", "RunResult", "StateTimeline", "forward_packet", "inject_flow",
                   "run_flows", "run_timed", "run_untimed"),
-    "stats": ("DelayTrace", "percentile", "read_trace", "tail_ratio"),
+    "stats": ("DelayTrace", "read_trace", "tail_ratio"),
     "topology": ("haversine_km", "label_change_update", "leaf_spine", "load_topology",
                  "path_link_bound_ns", "policy_initial_state", "policy_update"),
 }

@@ -51,8 +51,11 @@ def _delay_model(dspec: dict, key: str, default: DelayModel) -> DelayModel:
         return DelayModel.uniform(field(spec, "hi", path, "duration"))
     if kind == "exponential":
         mean = field(spec, "mean", path, "duration")
-        return DelayModel.exponential(
-            mean, field(spec, "cap", path, "duration", lo=1 if mean else None, default=None))
+        cap = field(spec, "cap", path, "duration", lo=1 if mean else None, default=None)
+        try:  # the default cap, 10 x mean, may pass int64
+            return DelayModel.exponential(mean, cap)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     samples = field(spec, "samples", path, "non-empty list")
     return DelayModel.empirical(
         [field(samples, i, f"{path}.samples", "duration") for i in range(len(samples))])

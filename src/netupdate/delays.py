@@ -13,13 +13,21 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_EXP_CAP_FACTOR = 10.0
+MAX_DELAY_NS = 2**63 - 1  # the largest delay quantile can return as an int64
+
+
+def _delay_ns(value, what: str) -> int:
+    """value as an int, if it is a delay in [0, MAX_DELAY_NS]."""
+    if not 0 <= value <= MAX_DELAY_NS:
+        raise ValueError(f"{what} must be in [0, 2**63 - 1] ns, got {value}")
+    return int(value)
 
 
 class DelayModel(NamedTuple):
     """A non-negative delay distribution with a known upper bound.
 
     kind is one of "constant", "uniform", "exponential", "empirical".
-    Use the factory classmethods instead of the constructor.
+    Use the factory classmethods, which reject values outside [0, MAX_DELAY_NS].
     """
 
     kind: str
@@ -31,16 +39,12 @@ class DelayModel(NamedTuple):
 
     @classmethod
     def constant(cls, value: int) -> "DelayModel":
-        if value < 0:
-            raise ValueError("constant delay must be >= 0")
-        return cls("constant", value=int(value))
+        return cls("constant", value=_delay_ns(value, "constant delay"))
 
     @classmethod
     def uniform(cls, hi: int) -> "DelayModel":
         """Uniform on the integers [0, hi]."""
-        if hi < 0:
-            raise ValueError("uniform upper bound must be >= 0")
-        return cls("uniform", hi=int(hi))
+        return cls("uniform", hi=_delay_ns(hi, "uniform upper bound"))
 
     @classmethod
     def exponential(cls, mean: int, cap: int | None = None) -> "DelayModel":
@@ -50,21 +54,18 @@ class DelayModel(NamedTuple):
         [0, cap]), not by clamping, so the cap is never actually attained
         and no probability mass piles up at the bound.
         """
-        if mean < 0:
-            raise ValueError("exponential mean must be >= 0")
         if cap is None:
             cap = int(round(mean * DEFAULT_EXP_CAP_FACTOR))
+        mean, cap = _delay_ns(mean, "exponential mean"), _delay_ns(cap, "exponential cap")
         if mean > 0 and cap <= 0:
             raise ValueError("exponential cap must be positive")
-        return cls("exponential", mean=int(mean), cap=int(cap))
+        return cls("exponential", mean=mean, cap=cap)
 
     @classmethod
     def empirical(cls, samples) -> "DelayModel":
-        pool = tuple(int(s) for s in samples)
+        pool = tuple(_delay_ns(int(s), "empirical sample") for s in samples)
         if not pool:
             raise ValueError("empirical pool must be non-empty")
-        if any(s < 0 for s in pool):
-            raise ValueError("empirical samples must be >= 0")
         return cls("empirical", samples=pool)
 
     def bound(self) -> int:

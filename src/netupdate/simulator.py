@@ -22,7 +22,6 @@ import numpy as np
 
 from .delays import DelayModel
 from .model import (
-    ENGINE_VERSION,  # noqa: F401 - part of this module's API
     ForwardingState,
     Network,
     SystemParameters,
@@ -165,16 +164,11 @@ class RunResult:
         return self.last_exec_ns - self.first_exec_ns
 
 
-def _ordered_messages(proc: UpdateProcedure):
-    """(message index, phase, update) in send order: phase by phase, and in
-    procedure order within a phase (the sort is stable)."""
-    return [(idx, j, u) for idx, (u, j) in enumerate(sorted(proc.items, key=lambda it: it[1]))]
-
-
 def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_worst_case,
                    first_send, guards, first_ctrl, execute, sched_first=None) -> RunResult:
-    """Send proc's messages in _ordered_messages order, the first at
-    first_send, and fold the executions they cause into a RunResult.
+    """Send proc's messages phase by phase, in procedure order within a
+    phase, the first at first_send, and fold the executions they cause into
+    a RunResult. Message i is the i-th send.
 
     Consecutive sends are a gap apart, and the first send of phase j waits
     at least guards.get(j, 0) after the send before it. Message i's gap,
@@ -192,7 +186,7 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     """
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
-    ordered = _ordered_messages(proc)
+    ordered = sorted(proc.items, key=lambda item: item[1])  # stable: procedure order
     if pin_worst_case:
         n = len(ordered)
         gaps, ctrls = [params.delta_msg] * n, [first_ctrl] + [params.d_c] * (n - 1)
@@ -204,7 +198,8 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     execs, messages, faults = [], [], []
     t, prev_phase = first_send, None
     switches = set(net.switches)
-    for (idx, phase, update), gap, ctrl, jitter in zip(ordered, gaps, ctrls, jitters):
+    for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
+            zip(ordered, gaps, ctrls, jitters)):
         if update.target not in switches:
             raise ValueError(f"procedure targets unknown switch {update.target!r}")
         if idx > 0:
@@ -229,7 +224,7 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     return RunResult(
         mode=mode, seed=seed, params=params, first_send_ns=first_send,
         exec_log=exec_log, messages=messages, faults=faults, old_config=initial,
-        new_config=initial.apply(*(u for _, _, u in _ordered_messages(proc)), warn=False),
+        new_config=initial.apply(*(u for u, _ in ordered), warn=False),
         timeline=StateTimeline(net, initial, [(t, u) for t, _, _, u in execs]),
         sched_first_ns=sched_first)
 

@@ -42,16 +42,12 @@ class DelayTrace:
         self.samples, self.label = samples, label
 
 
-def percentile(trace: DelayTrace, p: float) -> int:
-    """Nearest-rank percentile: the value at 1-based index ceil(p * n) in sorted order.
-
-    No interpolation; the result is always one of the samples.
-    """
-    return percentiles(trace, [p])[0]
-
-
 def percentiles(trace: DelayTrace, ps) -> list:
-    """Nearest-rank percentile for each p in ps, from one partition of the trace."""
+    """Nearest-rank percentile for each p in ps, from one partition of the trace:
+    the value at 1-based index ceil(p * n) in sorted order.
+
+    No interpolation; each result is one of the samples.
+    """
     n = len(trace.samples)
     if not n:
         raise ValueError("cannot take a percentile of an empty trace")
@@ -77,11 +73,11 @@ def mean(trace: DelayTrace) -> float:
 
 
 def tail_ratio(trace: DelayTrace, p: float) -> float:
-    """percentile(trace, p) divided by the trace mean."""
+    """The nearest-rank p percentile divided by the trace mean."""
     m = mean(trace)
     if m <= 0:
         raise ValueError("tail ratio undefined for zero-mean trace")
-    return percentile(trace, p) / m
+    return percentiles(trace, [p])[0] / m
 
 
 def read_trace(path) -> DelayTrace:

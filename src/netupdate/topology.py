@@ -1,6 +1,6 @@
 """Network construction: leaf-spine generator, JSON topology files with
-geo-derived link delays, and the rule/update builders for tag-based
-(two-phase) path reconfiguration.
+geo-derived link delays, the label-change builder for tag-based (two-phase)
+path reconfiguration, and the one-rule stub updates of duration experiments.
 """
 
 from __future__ import annotations
@@ -113,7 +113,10 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
             km = haversine_km(*coords[a], *coords[b])
             delay_ns = int(round(km * propagation_us_per_km * 1000))
         if delay_mode == "exponential" and delay_ns > 0:
-            model = DelayModel.exponential(delay_ns, int(round(delay_ns * cap_factor)))
+            try:  # the cap, cap_factor x delay_ns, may pass int64
+                model = DelayModel.exponential(delay_ns, int(round(delay_ns * cap_factor)))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         else:
             model = DelayModel.constant(delay_ns)
         pa, pb = next_port[a], next_port[b]
@@ -132,54 +135,19 @@ def load_topology(source, propagation_us_per_km: float = 5.0,
     return Network(tuple(next_port), tuple(links), frozenset(ingress))
 
 
-def path_link_bound_ns(net: Network, path) -> int:
-    """Sum of link delay upper bounds along a switch path (the per-flow d_n)."""
-    total = 0
+def _path_links(net: Network, path):
+    """(link, out_port, next_in_port) for each hop of a switch path, in order."""
     for a, b in zip(path, path[1:]):
         link = net.link_between(a, b)
         if link is None:
             raise ValueError(f"no link between {a!r} and {b!r}")
-        total += link.delay.bound()
-    return total
+        (_, out_port), (_, next_in) = (link.a, link.b) if link.a[0] == a else (link.b, link.a)
+        yield link, out_port, next_in
 
 
-def _hop_plan(net: Network, ingress_port: int, path):
-    """Per-switch (in_port, out_port-or-None) pairs along a path."""
-    if not path:
-        raise ValueError("path must contain at least one switch")
-    plan = []
-    in_port = ingress_port
-    for pos, sw in enumerate(path):
-        if pos == len(path) - 1:
-            plan.append((sw, in_port, None))
-            break
-        nxt = path[pos + 1]
-        link = net.link_between(sw, nxt)
-        if link is None:
-            raise ValueError(f"no link between {sw!r} and {nxt!r}")
-        (_, out_port), (_, next_in) = (link.a, link.b) if link.a[0] == sw else (link.b, link.a)
-        plan.append((sw, in_port, out_port))
-        in_port = next_in
-    return plan
-
-
-def path_rules(net: Network, flow_id: str, ingress_port: int, path, tag: str) -> dict:
-    """{switch: {key: action}} implementing one tagged path.
-
-    The first switch stamps the tag onto untagged arrivals (wildcard rule)
-    and also carries the tag-keyed rule so that installation and garbage
-    collection treat every path switch alike; the last switch delivers.
-    """
-    plan = _hop_plan(net, ingress_port, path)
-    rules = {}
-    for pos, (sw, in_port, out_port) in enumerate(plan):
-        table = rules.setdefault(sw, {})
-        action = DELIVER if out_port is None else Action.forward(out_port)
-        table[(flow_id, tag, in_port)] = action
-        if pos == 0:
-            stamp = DELIVER if out_port is None else Action.forward_tagged(out_port, tag)
-            table[(flow_id, None, in_port)] = stamp
-    return rules
+def path_link_bound_ns(net: Network, path) -> int:
+    """Sum of link delay upper bounds along a switch path (the per-flow d_n)."""
+    return sum(link.delay.bound() for link, _, _ in _path_links(net, path))
 
 
 def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
@@ -188,37 +156,41 @@ def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
 
     flows_with_paths is a list of (flow, path); paths stay fixed and only
     the version tag changes, one singleton update per switch per phase
-    (entries for all flows crossing that switch are bundled).
+    (entries for all flows crossing that switch are bundled). Each path
+    switch forwards the flow's tagged packets, the last one delivers, and
+    the first also stamps the tag onto untagged arrivals. Phase 1 installs
+    the new-tag rules, phase 2 the new stamps, and phase 3 removes the
+    old-tag rules.
 
     Returns (initial ForwardingState, UpdateProcedure).
     """
-    old_by_switch, new_by_switch, stamps = {}, {}, {}
+    old_rules, new_rules, stamps = {}, {}, {}
     for flow, path in flows_with_paths:
-        if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
-            raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
-        if path[0] != flow.ingress_switch:
-            raise ValueError(f"flow {flow.flow_id}: path must start at its ingress switch")
-        old = path_rules(net, flow.flow_id, flow.ingress_port, path, old_tag)
-        new = path_rules(net, flow.flow_id, flow.ingress_port, path, new_tag)
-        for sw, table in old.items():
-            old_by_switch.setdefault(sw, {}).update(table)
-        for sw, table in new.items():
-            tagged = {k: a for k, a in table.items() if k[1] == new_tag}
-            new_by_switch.setdefault(sw, {}).update(tagged)
-            stamp_key = (flow.flow_id, None, flow.ingress_port)
-            if stamp_key in table:
-                stamps.setdefault(sw, {})[stamp_key] = table[stamp_key]
+        fid, in_port = flow.flow_id, flow.ingress_port
+        if (flow.ingress_switch, in_port) not in net.ingress_ports:
+            raise ValueError(f"flow {fid}: ingress is not an ingress port")
+        if not path or path[0] != flow.ingress_switch:
+            raise ValueError(f"flow {fid}: path must start at its ingress switch")
+        hops = _path_links(net, path)
+        for pos, sw in enumerate(path):
+            _, out_port, next_in = next(hops, (None, None, None))
+            action = DELIVER if out_port is None else Action.forward(out_port)
+            old_rules.setdefault(sw, {})[(fid, old_tag, in_port)] = action
+            new_rules.setdefault(sw, {})[(fid, new_tag, in_port)] = action
+            if pos == 0:
+                key = (fid, None, in_port)
+                old_rules[sw][key], stamps.setdefault(sw, {})[key] = (
+                    (DELIVER, DELIVER) if out_port is None else
+                    (Action.forward_tagged(out_port, old_tag),
+                     Action.forward_tagged(out_port, new_tag)))
+            in_port = next_in
 
-    initial = ForwardingState.from_dict(net, old_by_switch)
-    items = []
-    for sw in sorted(new_by_switch, key=str):  # a file's node names may mix types
-        items.append((SingletonUpdate.install(sw, new_by_switch[sw]), 1))
-    for sw in sorted(stamps, key=str):
-        items.append((SingletonUpdate.install(sw, stamps[sw]), 2))
-    for sw in sorted(old_by_switch, key=str):
-        keys = [k for k in old_by_switch[sw] if k[1] == old_tag]
-        items.append((SingletonUpdate.remove(sw, keys), 3))
-    return initial, UpdateProcedure(tuple(items))
+    items = [(SingletonUpdate.install(sw, new_rules[sw]), 1)
+             for sw in sorted(new_rules, key=str)]  # a file's node names may mix types
+    items += [(SingletonUpdate.install(sw, stamps[sw]), 2) for sw in sorted(stamps, key=str)]
+    items += [(SingletonUpdate.remove(sw, [k for k in old_rules[sw] if k[1] == old_tag]), 3)
+              for sw in sorted(old_rules, key=str)]
+    return ForwardingState.from_dict(net, old_rules), UpdateProcedure(tuple(items))
 
 
 def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None):

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import io
 import json
 import math
@@ -31,7 +32,8 @@ from netupdate.cli import PACKET_BLOCK, _mean_ns, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, parse_duration
 from netupdate.consistency import class_codes
 from netupdate import simulator, topology
-from netupdate.simulator import ENGINE_VERSION, Fault, FlowPackets
+from netupdate.model import ENGINE_VERSION
+from netupdate.simulator import Fault, FlowPackets
 
 from conftest import child_env, line_network
 
@@ -756,6 +758,24 @@ class TestDelayModelErrors:
     def test_delay_model_bounds_accepted(self, tmp_path, model):
         cfg = write_config(tmp_path, sprint_point_config(ctrl=model))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    # the default cap, 10 x a mean of 10^18 ns, passed int64 and exited 3
+    # (OverflowError in DelayModel.quantile)
+    @pytest.mark.parametrize("cap,code", [(None, 2), ("1000000000s", 0)])
+    def test_exponential_mean_at_the_duration_cap(self, tmp_path, capsys, cap, code):
+        doc = json.loads((CONFIGS / "leafspine_sweep.json").read_text())
+        doc["topology"]["n"], doc["seeds"] = 6, [0]
+        del doc["sweep"]
+        doc["delays"] = {"ctrl": {"kind": "exponential", "mean": "1000000000s"}}
+        if cap is not None:
+            doc["delays"]["ctrl"]["cap"] = cap
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == code
+        if code == 2:
+            assert "config error: delays.ctrl: exponential cap" in capsys.readouterr().err
+        else:
+            assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
+                "5f9cb0b0e7ea49cb352d86c88066a5884c9adf819c17f76355dd3787069f0339")
 
 
 def run_in_child(doc, tmp_path, command="simulate"):

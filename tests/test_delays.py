@@ -57,3 +57,28 @@ def test_truncated_exponential_mean_matches_analytic():
 def test_zero_mean_exponential_is_zero():
     model = DelayModel.exponential(0, 0)
     assert model.quantile(np.array([0.0, 0.5, U_MAX])).tolist() == [0, 0, 0]
+
+
+# the largest delay quantile can return as an int64
+INT64_MAX = 2**63 - 1
+FACTORIES = {
+    "constant": DelayModel.constant,
+    "uniform": DelayModel.uniform,
+    "exponential-mean": lambda v: DelayModel.exponential(v, INT64_MAX),
+    "exponential-cap": lambda v: DelayModel.exponential(1, v),
+    "empirical": lambda v: DelayModel.empirical([0, v]),
+}
+
+
+@pytest.mark.parametrize("make", FACTORIES.values(), ids=FACTORIES)
+def test_factories_take_int64_max_and_reject_past_it(make):
+    model = make(INT64_MAX)
+    got = model.quantile(np.array([0.0, 0.5, U_MAX]))
+    assert ((0 <= got) & (got <= model.bound())).all()
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+        make(INT64_MAX + 1)
+
+
+def test_default_exponential_cap_past_int64_rejected():
+    with pytest.raises(ValueError, match="exponential cap"):
+        DelayModel.exponential(10**18)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netupdate import DelayModel, DelayTrace, percentile, read_trace, tail_ratio
+from netupdate import DelayModel, DelayTrace, read_trace, tail_ratio
 from netupdate import stats
 from netupdate.stats import mean, percentiles
 
@@ -15,31 +15,29 @@ MS = 1_000_000
 class TestPercentile:
     def test_nearest_rank_on_known_sequence(self):
         trace = DelayTrace(tuple(range(1, 1001)))
-        assert percentile(trace, 0.999) == 999
-        assert percentile(trace, 0.5) == 500
-        assert percentile(trace, 1.0) == 1000
+        assert percentiles(trace, [0.999, 0.5, 1.0]) == [999, 500, 1000]
 
     def test_single_sample(self):
         trace = DelayTrace((7,))
         for p in (0.001, 0.5, 1.0):
-            assert percentile(trace, p) == 7
+            assert percentiles(trace, [p]) == [7]
 
     def test_monotone_in_p_and_max_at_one(self):
         rng = np.random.default_rng(1)
         trace = DelayTrace(tuple(int(x) for x in rng.integers(0, 10**6, 500)))
         ps = [0.1, 0.5, 0.9, 0.99, 1.0]
-        values = [percentile(trace, p) for p in ps]
+        values = [percentiles(trace, [p])[0] for p in ps]
         assert percentiles(trace, ps) == values
         assert values == sorted(values)
         assert values[-1] == max(trace.samples)
 
     def test_empty_and_bad_p_rejected(self):
         with pytest.raises(ValueError):
-            percentile(DelayTrace(()), 0.5)
+            percentiles(DelayTrace(()), [0.5])
         with pytest.raises(ValueError):
-            percentile(DelayTrace((1,)), 0.0)
+            percentiles(DelayTrace((1,)), [0.0])
         with pytest.raises(ValueError):
-            percentile(DelayTrace((1,)), 1.5)
+            percentiles(DelayTrace((1,)), [0.5, 1.5])
 
     def test_exponential_tail_matches_analytic_quantile(self):
         # p-quantile of exp(mean m) is -m * ln(1 - p)
@@ -47,7 +45,7 @@ class TestPercentile:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             samples = tuple(int(x) for x in rng.exponential(1 * MS, 10_000))
-            got = percentile(DelayTrace(samples), 0.999) / (1 * MS)
+            got = percentiles(DelayTrace(samples), [0.999])[0] / (1 * MS)
             assert got == pytest.approx(expect, rel=0.15)
 
 

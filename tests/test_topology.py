@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,12 @@ from netupdate import (
     load_topology,
     path_link_bound_ns,
 )
+from netupdate.config import Experiment
 from netupdate.model import lookup_rule
 from netupdate.topology import INGRESS_PORT, label_change_update, leaf_switches
 
 EARTH_RADIUS_KM = 6371.0
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestLeafSpine:
@@ -99,6 +103,13 @@ class TestLoadTopology:
         assert link.delay.kind == "exponential"
         assert link.delay.bound() == 10 * link.delay.mean
 
+    # a cap of cap_factor x delay_ns past int64 raised OverflowError when drawn
+    def test_exponential_cap_past_int64_names_its_link(self):
+        doc = self.doc(nodes=[{"id": "A"}, {"id": "B"}],
+                       links=[{"a": "A", "b": "B", "delay_ns": 10**18}])
+        with pytest.raises(ValueError, match=r"links\[0\]: exponential cap"):
+            load_topology(doc, delay_mode="exponential", cap_factor=10)
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(self.doc()))
@@ -138,6 +149,11 @@ class TestLabelChangeUpdate:
         with pytest.raises(ValueError, match="ingress"):
             label_change_update(self.net, [(self.flow, ["leaf2", "spine1", "leaf3"])])
 
+    # path[0] was read before the empty-path check, so callers got IndexError
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError, match="must start at its ingress"):
+            label_change_update(self.net, [(self.flow, [])])
+
     def test_procedure_validity_invariants(self):
         _, proc = label_change_update(self.net, [(self.flow, ["leaf1", "spine2", "leaf3"])])
         assert isinstance(proc, UpdateProcedure)  # constructor enforces phases
@@ -164,3 +180,33 @@ class TestPathHelpers:
         action = lookup_rule(initial.tables["leaf1"], "f1", None, INGRESS_PORT)
         assert action.kind == "forward_tagged"
         assert proc.num_phases == 3
+
+
+# sha256 of what label_change_update returns for the cases below: every
+# initial table in insertion order, then the procedure's items; whatever moves
+# a rule, a key's table position or an update moves it
+LABEL_CHANGE_DIGEST = "4f2d1d7380ac1906e944e594bf3a9b877e73ddc019bf49f4a74bb4ecf27d1f51"
+
+
+def _label_change_cases():
+    """(net, [(flow, path)]) for the shipped constant-delay knob configs, two
+    flows whose paths share switches, and a one-switch path."""
+    for name in ("netrail_knob", "sprint_knob", "compuserve_knob"):
+        exp = Experiment.load(CONFIGS / f"{name}.json")
+        point = exp.materialize(exp.grid[0])
+        paths = {spec["flow_id"]: spec["path"] for spec in exp.doc["flows"]}
+        yield point.net, [(f, paths[f.flow_id]) for f in point.flows]
+    net = leaf_spine(6)
+    yield net, [(TestFlow("f1", "leaf1", INGRESS_PORT, 1000.0), ["leaf1", "spine1", "leaf2"]),
+                (TestFlow("f2", "leaf2", INGRESS_PORT, 1000.0), ["leaf2", "spine1", "leaf1"])]
+    yield net, [(TestFlow("f3", "leaf3", INGRESS_PORT, 1000.0), ["leaf3"])]
+
+
+def test_label_change_update_pinned_to_digest():
+    digest = hashlib.sha256()
+    for net, flows_with_paths in _label_change_cases():
+        initial, proc = label_change_update(net, flows_with_paths)
+        digest.update(repr([(sw, list(table.items()))
+                            for sw, table in initial.tables.items()]).encode())
+        digest.update(repr(proc.items).encode())
+    assert digest.hexdigest() == LABEL_CHANGE_DIGEST
