@@ -107,6 +107,9 @@ class DelayModel(NamedTuple):
             if self.mean == 0:
                 return np.zeros(u.shape, dtype=np.int64)
             x = np.log1p(u * (math.exp(-self.cap / self.mean) - 1.0)) * -self.mean
-            return np.minimum(np.rint(x, out=x).astype(np.int64), self.cap)
+            # near a cap of 2**63 - 1, x can round to 2.0**63, past int64: clamp
+            # it to the float64 just below, which moves no smaller value
+            np.minimum(np.rint(x, out=x), 2**63 - 1024, out=x)
+            return np.minimum(x.astype(np.int64), self.cap)
         pool = np.asarray(self.samples, dtype=np.int64)
         return pool[np.minimum(np.floor(u * len(pool)).astype(np.int64), len(pool) - 1)]

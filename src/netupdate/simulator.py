@@ -31,8 +31,9 @@ from .model import (
     lookup_rule,
 )
 
-# Packets the data plane walks at a time: a walk's uniforms are WALK_BLOCK x
-# |switches| and its grouping scratch O(WALK_BLOCK), whatever the flow's rate.
+# Packets the data plane walks at a time: a walk keeps WALK_BLOCK x (columns it
+# can read) uniforms and its grouping scratch is O(WALK_BLOCK), whatever the
+# flow's rate.
 WALK_BLOCK = 2**16
 # Most packets a run's flows may inject in all (injection window / spacing,
 # summed over flows); the per-packet arrays of run_flows are O(MAX_PACKETS).
@@ -428,11 +429,14 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     """Inject and walk every test flow; run.flow_traces[flow_id] gets its FlowPackets.
 
     Flow i in flow-id order draws, from a generator seeded with the run seed
-    and i, a packets x switches matrix of uniforms, WALK_BLOCK rows at a
-    time, row k for packet k, as forward_packet draws them. A flow added
-    after all others in flow-id order leaves their packets unchanged; one
-    added before a flow moves that flow's stream. Under constant link
-    delays no draw matters: any subset of the flows gives each the same arrays.
+    and i, a packets x switches matrix of uniforms, whole rows in packet
+    order, row k for packet k, as forward_packet draws them; a block keeps
+    only the columns a walk can read: one per link crossing on the longest
+    run of crossings from an ingress node (all but the last on a loop). A
+    flow added after all others in flow-id order leaves their packets
+    unchanged; one added before a flow moves that flow's stream. Under
+    constant link delays no draw matters: any subset of the flows gives each
+    the same arrays.
 
     Before anything is drawn or allocated, a flow whose packet times could
     leave the int64 range raises TimeRangeError, and flows that would
@@ -499,15 +503,28 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     (t_row, t_base), t_version = np.array(nodes, np.int32).T.copy(), np.concatenate(rows)
     t_onward, t_link, t_agree = np.array(slots, np.int32).T.copy()
     t_link, t_agree = t_link.astype(np.min_scalar_type(len(models))), t_agree.astype(np.uint8)
+    # hop h reads column h only if a packet crosses a link there: the nodes
+    # reached after width + 1 crossings are not all sinks
+    onward, span = t_onward.tolist(), t_base.tolist() + [len(slots)]
+    width, at = 0, set(ingress.tolist())
+    while width + 1 < n_hops:
+        at = {to for a in at for to in onward[span[a]:span[a + 1]] if to > _STRANDED}
+        if not at:
+            break
+        width += 1
     firsts = np.cumsum([0] + counts).tolist()
     rngs = [_flow_rng(run.seed, i) for i in range(len(flows))]
     hops, t_last, end, agrees = (np.empty(firsts[-1], dtype)
                                  for dtype in (np.int64, np.int64, np.int8, np.uint8))
+    scratch = np.empty((max(1, 2**12 // n_hops), n_hops))   # whole rows, about 2^12 uniforms
     for start in range(0, firsts[-1], WALK_BLOCK):
         block = slice(start, min(start + WALK_BLOCK, firsts[-1]))
-        u, cuts = np.empty((block.stop - start, n_hops)), np.clip(firsts, start, block.stop)
+        u, cuts = np.empty((block.stop - start, width)), np.clip(firsts, start, block.stop)
         for i, rng in enumerate(rngs):   # flow i's rows in the block; draws continue its stream
-            rng.random(out=u[cuts[i] - start:cuts[i + 1] - start])
+            for a in range(cuts[i], cuts[i + 1], len(scratch)):
+                b = min(a + len(scratch), cuts[i + 1])
+                rng.random(out=scratch[:b - a])
+                u[a - start:b - start] = scratch[:b - a, :width]
         node, t = np.repeat(ingress, np.diff(cuts)), t_in[block].copy()
         pos, live = np.arange(start, block.stop), True   # the packets' places in the results
         bits, count = np.full(len(t), 3, np.uint8), np.zeros(len(t), np.min_scalar_type(n_hops))

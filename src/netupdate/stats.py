@@ -89,8 +89,10 @@ def read_trace(path) -> DelayTrace:
     """
     path = Path(path)
     data = path.read_bytes()
-    # loadtxt opens the file again, which a pipe could not give twice
+    # loadtxt opens the file again, which a pipe could not give twice; the
+    # bytes go first, so that the peak is the samples as float64 and as int64
     if path.is_file() and data.isascii() and not any(c in data for c in _SPLITLINES_ONLY):
+        del data
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns about a file without data
@@ -100,8 +102,10 @@ def read_trace(path) -> DelayTrace:
         # NaN and both infinities fail the range test too
         if ms is not None and ms.shape[1:] == (1,) and len(ms) \
                 and ((0 <= ms) & (ms <= MAX_DELAY_MS)).all():
+            ms *= NS_PER_MS
             # rint is round-half-even, as round() in parse_trace
-            return DelayTrace(np.rint(ms[:, 0] * NS_PER_MS).astype(np.int64), label=path.name)
+            return DelayTrace(np.rint(ms, out=ms)[:, 0].astype(np.int64), label=path.name)
+        data = path.read_bytes()
     return parse_trace(data.decode(), path)
 
 

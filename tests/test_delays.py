@@ -1,6 +1,8 @@
 """The delay models' inverse CDF, their one sampler: it maps the control and
 data planes' uniforms to delays."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,18 @@ def test_factories_take_int64_max_and_reject_past_it(make):
     assert ((0 <= got) & (got <= model.bound())).all()
     with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
         make(INT64_MAX + 1)
+
+
+# a uniform near 1 rounded x to 2.0**63, which the int64 cast made -2**63
+# with a warning ("invalid value encountered in cast")
+@pytest.mark.parametrize("mean", [7_682_368_109_399_869_440, INT64_MAX // 2, INT64_MAX])
+def test_exponential_at_the_int64_cap_stays_in_range_near_one(mean):
+    model = DelayModel.exponential(mean, INT64_MAX)
+    u = 1.0 - np.arange(1, 4097) * 2.0**-53
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.quantile(u)
+    assert ((0 <= got) & (got <= INT64_MAX)).all()
 
 
 def test_default_exponential_cap_past_int64_rejected():

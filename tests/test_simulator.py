@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -449,6 +450,24 @@ class TestRunFlows:
         assert len(fast.flow_traces[flow.flow_id]) > 3 * 7
         # a flow walked in many blocks gives what one block gives
         assert blocked.flow_traces == fast.flow_traces
+
+    def test_dense_flows_keep_only_the_uniform_columns_they_read(self):
+        # the walk kept all 11 columns of uniforms where a packet reads two:
+        # 84 B per packet at peak
+        from netupdate.config import Experiment
+
+        *_, (_, point) = Experiment.load(CONFIGS / "sprint_knob.json").points()
+        flows = [flow._replace(rate_pps=10**6) for flow in point.flows]
+        run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()),
+                        point.params, point.delays, seed=3, initial_state=point.initial_state)
+        tracemalloc.start()
+        try:
+            run_flows(point.net, run, flows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packets = sum(map(len, run.flow_traces.values()))
+        assert packets > 3 * simulator.WALK_BLOCK and peak <= 55 * packets
 
 
 class TestPacketCap:

@@ -1,5 +1,9 @@
 import math
+import os
+import threading
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,43 @@ def test_read_trace_matches_line_by_line_oracle(tmp_path, monkeypatch):
     check()
     # both paths ran often enough for the comparison to mean something
     assert seen["fast"] >= 150 and seen["oracle"] >= 150, seen
+
+
+def test_plain_trace_peaks_at_two_arrays_of_its_samples(tmp_path):
+    # the file's bytes stayed alive through np.loadtxt, and scaling and
+    # rounding made two more float64 arrays: 31 B per sample at peak
+    path = tmp_path / "rtt.txt"
+    path.write_text("".join(f"{k % 997 * 0.125:.3f}\n" for k in range(50_000)))
+    read_trace(path)   # leaves one-time allocations out of the peak
+    tracemalloc.start()
+    try:
+        samples = read_trace(path).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 50_000 and peak <= 20 * len(samples)
+
+
+def test_fifo_is_read_once_through_the_oracle(tmp_path, monkeypatch):
+    # a second open of the FIFO would wait for a writer forever
+    path, text = tmp_path / "rtt.fifo", "# rtt in ms\n1.5\n2.25\n"
+    os.mkfifo(path)
+    reads, parsed, read_bytes, oracle = [], [], Path.read_bytes, stats.parse_trace
+
+    def read_once(self):
+        assert not reads, "read the FIFO twice"
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", read_once)
+    monkeypatch.setattr(np, "loadtxt", None)   # calling it would raise TypeError
+    monkeypatch.setattr(stats, "parse_trace",
+                        lambda t, where: parsed.append(t) or oracle(t, where))
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert read_trace(path).samples.tolist() == [1_500_000, 2_250_000]
+    writer.join()
+    assert reads == [path] and parsed == [text]
 
 
 def test_plain_trace_takes_the_fast_path(tmp_path, monkeypatch):
