@@ -99,10 +99,11 @@ class StateTimeline:
     Version 0 of a switch's table is its initial table, version v the table
     after its v-th executed update. Each execution applies itself, through
     apply_update (ForwardingState.apply's step), to a copy of its target's
-    latest table only, so each absent rule is warned of in execution order.
+    latest table only, so each absent rule is warned of in execution order,
+    unless warn is false.
     """
 
-    def __init__(self, net: Network, initial: ForwardingState, execs):
+    def __init__(self, net: Network, initial: ForwardingState, execs, warn: bool = True):
         self._times = {s: [] for s in net.switches}
         self._tables = {s: [initial.tables[s]] for s in net.switches}
         for time_ns, update in execs:
@@ -110,7 +111,7 @@ class StateTimeline:
             if versions is None:
                 raise ValueError(f"update targets unknown switch {update.target!r}")
             table = dict(versions[-1])
-            apply_update(table, update)
+            apply_update(table, update, warn)
             versions.append(table)
             self._times[update.target].append(time_ns)
 
@@ -139,17 +140,41 @@ class StateTimeline:
 
 
 class RunResult:
-    """Everything observable about one simulated update."""
+    """Everything observable about one simulated update.
+
+    exec_log lists the executions sorted by (time, message index), updates the
+    procedure's updates in message order and sends the send lines of the
+    message log. The state timeline, the new configuration and the message
+    log derive from them on first use, since a run without flows or a log
+    reads none of them; the run itself warned of each absent rule.
+    """
 
     def __init__(self, mode: str, seed: int, params: SystemParameters, first_send_ns: int,
-                 exec_log: list, messages: list, faults: list, old_config: ForwardingState,
-                 new_config: ForwardingState, timeline: StateTimeline,
-                 sched_first_ns: int | None = None, flow_traces: dict | None = None):
+                 net: Network, exec_log: list, updates: list, sends: list, faults: list,
+                 old_config: ForwardingState, sched_first_ns: int | None = None,
+                 flow_traces: dict | None = None):
         self.mode, self.seed, self.params, self.first_send_ns = mode, seed, params, first_send_ns
-        self.exec_log, self.messages, self.faults = exec_log, messages, faults
-        self.old_config, self.new_config, self.timeline = old_config, new_config, timeline
-        self.sched_first_ns = sched_first_ns
+        self._net, self.exec_log, self._updates, self._sends = net, exec_log, updates, sends
+        self.faults, self.old_config, self.sched_first_ns = faults, old_config, sched_first_ns
         self.flow_traces = {} if flow_traces is None else flow_traces  # flow_id -> FlowPackets
+
+    @cached_property
+    def timeline(self) -> StateTimeline:
+        return StateTimeline(self._net, self.old_config, [
+            (e.time_ns, self._updates[e.msg_index]) for e in self.exec_log], warn=False)
+
+    @cached_property
+    def new_config(self) -> ForwardingState:
+        """The whole procedure folded in message order."""
+        return self.old_config.apply(*self._updates, warn=False)
+
+    @cached_property
+    def messages(self) -> list:
+        """Send and exec lines by time, sends first at equal times."""
+        execs = [LogLine(e.time_ns, "exec", e.switch, "-", e.phase,
+                         f"msg={e.msg_index} mode={e.mode}") for e in self.exec_log]
+        return sorted(self._sends + execs,
+                      key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
 
     @property
     def first_exec_ns(self) -> int:
@@ -182,8 +207,7 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     takes effect and a note for its send line.
 
     Executions at equal times take effect in message order, which pins down
-    the run; the new configuration folds the whole procedure in message order,
-    quietly, since the timeline's fold already warns of each absent rule.
+    the run; one fold of them in that order warns of each absent rule.
     """
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
@@ -196,7 +220,7 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
         u = np.random.default_rng(seed).random((len(ordered), 3))
         models = (delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched))
         gaps, ctrls, jitters = (m.quantile(col).tolist() for m, col in zip(models, u.T))
-    execs, messages, faults = [], [], []
+    execs, sends, faults = [], [], []
     t, prev_phase = first_send, None
     switches = set(net.switches)
     for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
@@ -212,21 +236,17 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
             faults.append(Fault(t, "bound_violation", update.target,
                                 f"ctrl delay {ctrl} > d_c {params.d_c}"))
         exec_time, note = execute(t + ctrl, jitter, phase, update.target, faults)
-        messages.append(LogLine(t, "send", "ctrl", update.target, phase,
-                                f"msg={idx} mode={update.mode}{note}"))
+        sends.append(LogLine(t, "send", "ctrl", update.target, phase,
+                             f"msg={idx} mode={update.mode}{note}"))
         execs.append((exec_time, idx, phase, update))
         prev_phase = phase
 
     execs.sort(key=lambda e: e[:2])
-    exec_log = [ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs]
-    messages += [LogLine(t, "exec", u.target, "-", phase, f"msg={idx} mode={u.mode}")
-                 for t, idx, phase, u in execs]
-    messages.sort(key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
+    initial.apply(*(u for *_, u in execs))   # for its warnings only
     return RunResult(
-        mode=mode, seed=seed, params=params, first_send_ns=first_send,
-        exec_log=exec_log, messages=messages, faults=faults, old_config=initial,
-        new_config=initial.apply(*(u for u, _ in ordered), warn=False),
-        timeline=StateTimeline(net, initial, [(t, u) for t, _, _, u in execs]),
+        mode=mode, seed=seed, params=params, first_send_ns=first_send, net=net,
+        exec_log=[ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs],
+        updates=[u for u, _ in ordered], sends=sends, faults=faults, old_config=initial,
         sched_first_ns=sched_first)
 
 

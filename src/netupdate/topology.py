@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 
 from .delays import DEFAULT_EXP_CAP_FACTOR, DelayModel
@@ -38,6 +39,30 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
+class _LeafSpine(Network):
+    """leaf_spine's fabric. Its switches and ports follow from n alone; the
+    links, in Network's order, are built on first use, since a run without
+    flows never reads them. Network's constructor, which this one skips, is
+    the oracle of both."""
+
+    def __init__(self, n: int):
+        n_leaf, n_spine = 2 * n // 3, n // 3
+        self.leaves = tuple(f"leaf{i}" for i in range(1, n_leaf + 1))
+        self.spines = tuple(f"spine{j}" for j in range(1, n_spine + 1))
+        self.switches = self.leaves + self.spines
+        self.ingress_ports = frozenset((leaf, INGRESS_PORT) for leaf in self.leaves)
+        # leaf port j faces spine j; spine port i faces leaf i (both 1-based). The
+        # leaves share one port set and the spines another, as immutable as the rest
+        self.ports = dict.fromkeys(self.leaves, set(range(n_spine + 1)))
+        self.ports.update(dict.fromkeys(self.spines, set(range(1, n_leaf + 1))))
+
+    @cached_property
+    def links(self) -> tuple:
+        delay = DelayModel.constant(0)
+        return tuple(Link((leaf, j), (spine, i), delay) for i, leaf in enumerate(self.leaves, 1)
+                     for j, spine in enumerate(self.spines, 1))
+
+
 def leaf_spine(n: int) -> Network:
     """Leaf-spine fabric of n switches: 2n/3 leaves, n/3 spines, full bipartite
     links of zero delay.
@@ -48,19 +73,12 @@ def leaf_spine(n: int) -> Network:
     if not 3 <= n <= MAX_LEAF_SPINE_N or n % 3 != 0:
         raise ValueError(f"switch count must be a multiple of 3 in [3, {MAX_LEAF_SPINE_N}], "
                          f"got {n}")
-    delay = DelayModel.constant(0)
-    n_leaf, n_spine = 2 * n // 3, n // 3
-    leaves = [f"leaf{i}" for i in range(1, n_leaf + 1)]
-    spines = [f"spine{j}" for j in range(1, n_spine + 1)]
-    # leaf port j faces spine j; spine port i faces leaf i (both 1-based)
-    links = [Link((leaf, j), (spine, i), delay)
-             for i, leaf in enumerate(leaves, 1) for j, spine in enumerate(spines, 1)]
-    ingress = [(leaf, INGRESS_PORT) for leaf in leaves]
-    return Network(leaves + spines, links, ingress)
+    return _LeafSpine(n)
 
 
 def leaf_switches(net: Network) -> list:
-    return [s for s in net.switches if str(s).startswith("leaf")]
+    """The leaves of a leaf_spine fabric; no switch of any other network."""
+    return list(net.leaves) if isinstance(net, _LeafSpine) else []
 
 
 def load_topology(source, propagation_us_per_km: float = 5.0,

@@ -200,6 +200,20 @@ class TestSimulateCommand:
         for flow in run["flows"].values():
             assert flow["dropped"] + flow["truncated"] + flow["stranded"] <= len(flow["packets"])
 
+    # the only run that sends a flow over a generated fabric, so it reaches the
+    # fabric's links through link_between, label_change_update and run_flows' bound
+    def test_flow_over_a_leaf_spine_fabric_is_pinned(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(flows=[{
+            "flow_id": "f1", "ingress": "leaf1", "rate_pps": 20000,
+            "path": ["leaf1", "spine1", "leaf2"]}]))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("run.json", "inconsistency.csv", "messages.log")} == {
+            "run.json": "df2cd0e4383cbda2473bc0e93e374eea8e4c3f0d4464d7c063b3e3317c5ff02a",
+            "inconsistency.csv": "2db30eb6450a946ac2eec837e55abf245f7390a778b4e247d400a44b4ea002ba",
+            "messages.log": "adf75e87133541ce9818ed78c66edfdb50fca07e309989de708e2596234284af"}
+
 
 class TestRunJsonOutcomeCounts:
     def flow_doc(self, rules):
@@ -512,6 +526,19 @@ class TestProcedureErrors:
         cfg = write_config(tmp_path, base_config(
             procedure={"kind": "two-phase+gc", "phase2_switches": [leaf]}))
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    # phase 2 used to default to the switches whose names start with "leaf":
+    # a file topology with a node named "leafy" ran with phase 2 = [leafy]
+    @pytest.mark.parametrize("name", ["leafy", "edge"])
+    def test_phase2_of_a_file_topology_is_never_guessed(self, tmp_path, capsys, name):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({
+            "nodes": [{"id": name}, {"id": "core"}],
+            "links": [{"a": name, "b": "core", "delay_ns": 5}],
+            "ingress": [{"node": name}]}))
+        cfg = write_config(tmp_path, base_config(topology={"kind": "file", "path": str(topo)}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: procedure: phase2_switches required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("phases", [[["nope"]], [[]], ["L1"], [[["L1"]]]])
     def test_bad_kphase_phases_exit_two(self, tmp_path, capsys, phases):

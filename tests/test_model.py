@@ -18,6 +18,7 @@ from netupdate import (
     TimedUpdateProcedure,
     UpdateProcedure,
 )
+from netupdate.config import Experiment
 from netupdate.model import lookup_rule
 from netupdate.simulator import StateTimeline
 from netupdate.topology import leaf_spine, load_topology
@@ -165,6 +166,38 @@ class TestLazyPeerMap:
         assert net.ports == ports
         assert {end: net.peer(*end) for end in peer} == peer
         assert vars(net)["_peer"] == peer
+
+    @pytest.mark.parametrize("n", [3, 12, 192])
+    def test_lazy_fabric_equals_the_eager_network(self, n):
+        net = leaf_spine(n)
+        leaves = tuple(f"leaf{i}" for i in range(1, 2 * n // 3 + 1))
+        spines = tuple(f"spine{j}" for j in range(1, n // 3 + 1))
+        eager = Network(net.switches, net.links, net.ingress_ports)
+        assert net.switches == eager.switches == leaves + spines
+        assert net.ports == eager.ports
+        assert net.ingress_ports == eager.ingress_ports == {(leaf, 0) for leaf in leaves}
+        # leaf port j faces spine j, spine port i faces leaf i, leaf by leaf
+        assert net.links == eager.links == tuple(
+            Link((leaf, j), (spine, i), DelayModel.constant(0))
+            for i, leaf in enumerate(leaves, 1) for j, spine in enumerate(spines, 1))
+        for sw, ports in eager.ports.items():
+            for port in ports:
+                assert net.peer(sw, port) == eager.peer(sw, port)
+        for leaf in leaves:
+            for spine in spines:
+                assert net.link_between(leaf, spine) == eager.link_between(spine, leaf)
+
+    @pytest.mark.parametrize("mode", ["untimed-greedy", "timed-worst-case"])
+    def test_flowless_runs_build_no_links(self, mode):
+        doc = {"topology": {"kind": "leaf_spine", "n": 48},
+               "procedure": {"kind": "two-phase+gc"}, "mode": mode,
+               "params": {"dc": "4.865ms", "dn": "0.262ms",
+                          "delta_msg": "5.24ms", "delta_sched": "1.297ms"}}
+        point = Experiment(doc).materialize()
+        point.plan()
+        run, _ = point.run(0)
+        assert "links" not in vars(point.net)
+        assert not {"timeline", "new_config", "messages"} & vars(run).keys()
 
 
 class TestForwardingState:

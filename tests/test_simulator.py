@@ -577,11 +577,10 @@ def _data_plane_cases(draw):
 def test_run_flows_matches_forward_packet_oracle(case):
     net, initial, updates, flows, window, seed = case
     runs = [RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
-                      first_send_ns=0, messages=[], faults=[], old_config=initial,
+                      first_send_ns=0, net=net, sends=[], faults=[], old_config=initial,
                       exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
                                 for i, (t, u) in enumerate(updates)],
-                      new_config=initial.apply(*(u for _, u in updates)),
-                      timeline=StateTimeline(net, initial, updates)) for _ in range(3)]
+                      updates=[u for _, u in updates]) for _ in range(3)]
     # blocks of 2 and 3 packets: most blocks straddle two flows' packets; in
     # one block of all, finished packets are set aside as the walk goes on
     for run, block in zip(runs, (2, 3, simulator.WALK_BLOCK)):
