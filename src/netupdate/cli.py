@@ -73,16 +73,19 @@ _PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
 
 def _run_doc(run, exp_hash: str, reports) -> dict:
     """run.json with each flow's "packets" NaN, a value no other field can take."""
+    import numpy as np
+
+    from .simulator import END_KINDS
+
     flows = {}
     for rep in reports:
-        packets = run.flow_traces[rep.flow_id]
+        ends = np.bincount(run.flow_traces[rep.flow_id].end, minlength=len(END_KINDS))
         flows[rep.flow_id] = {
             "n_inconsistent": rep.n_inconsistent,
             "rate_pps": rep.rate_pps,
             "inconsistency_ns": rep.inconsistency_ns,
-            "dropped": int(packets.dropped.sum()),
-            "truncated": int(packets.truncated.sum()),
-            "stranded": int(packets.stranded.sum()),
+            # "dropped", "stranded" and "truncated"
+            **dict(zip(END_KINDS[1:], ends[1:].tolist())),
             "packets": float("nan"),
         }
     p = run.params
@@ -111,7 +114,7 @@ def _run_to_dict(run, exp_hash: str, reports) -> dict:
             {"t_in": t_in, "result": CLASSES[code], "hops": hops, "delivered": delivered}
             for t_in, code, hops, delivered in zip(
                 packets.t_in.tolist(), class_codes(packets).tolist(), packets.hops.tolist(),
-                packets.delivered.tolist(), strict=True)]
+                (packets.end == 0).tolist(), strict=True)]
     return doc
 
 
@@ -128,17 +131,17 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
     fh.write(head)
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
-        codes = class_codes(packets)
+        codes, t_in = class_codes(packets), packets.t_in
         fh.write('"packets": [')
-        for start in range(0, len(packets.t_in), PACKET_BLOCK):
+        for start in range(0, len(packets), PACKET_BLOCK):
             stop = start + PACKET_BLOCK
             fh.write(("," if start else "") + ",".join(
                 f'{_PAD}{{{_KEY}"delivered": {_JSON_BOOL[delivered]},{_KEY}"hops": {hops},'
-                f'{_KEY}"result": "{CLASSES[code]}",{_KEY}"t_in": {t_in}{_PAD}}}'
-                for delivered, hops, code, t_in in zip(
-                    packets.delivered[start:stop].tolist(), packets.hops[start:stop].tolist(),
-                    codes[start:stop].tolist(), packets.t_in[start:stop].tolist(), strict=True)))
-        fh.write(("\n      ]" if len(packets.t_in) else "]") + tail)
+                f'{_KEY}"result": "{CLASSES[code]}",{_KEY}"t_in": {t}{_PAD}}}'
+                for delivered, hops, code, t in zip(
+                    (packets.end[start:stop] == 0).tolist(), packets.hops[start:stop].tolist(),
+                    codes[start:stop].tolist(), t_in[start:stop].tolist(), strict=True)))
+        fh.write(("\n      ]" if len(packets) else "]") + tail)
 
 
 def cmd_simulate(exp: Experiment, out: Path) -> int:

@@ -6,7 +6,7 @@ Anything mixed (including drops during the transition, which match neither
 configuration end to end) is inconsistent. The inconsistency of a flow is
 the inconsistent-packet count divided by the flow rate: the time-equivalent
 length of the disruption the update caused. A packet's verdict lives in the
-walk's agreement flags, which class_codes reads as indices into CLASSES.
+walk's agreement code, which class_codes maps to indices into CLASSES.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def classify_packet(trace, old_config: ForwardingState,
 
 def class_codes(packets) -> np.ndarray:
     """Each packet of a FlowPackets as an index into CLASSES: 0 if every hop
-    agreed with the old configuration (old wins a tie, as in classify_packet),
-    else 1 if every hop agreed with the new one, else 2."""
-    return np.where(packets.agrees_old, 0, np.where(packets.agrees_new, 1, 2))
+    agreed with the old configuration (bit 0 of agrees; old wins a tie, as in
+    classify_packet), else 1 if every hop agreed with the new one, else 2."""
+    return np.array((2, 0, 1, 0), np.uint8)[packets.agrees]
 
 
 def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
@@ -112,13 +112,13 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     Requires the flow to have been simulated against the run (see
     simulator.run_flows) over a window covering the whole update plus drain
     margins; otherwise the count undershoots. The walk already compared
-    every hop with both configurations, so this counts class_codes' 2s;
-    classify_packet is the per-trace oracle for the same classes.
+    every hop with both configurations, so this counts the packets that agreed
+    with neither; classify_packet is the per-trace oracle for the same classes.
     """
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
-    n = int(np.count_nonzero(class_codes(packets) == 2))
+    n = int(np.count_nonzero(packets.agrees == 0))
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 
 

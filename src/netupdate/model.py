@@ -22,7 +22,6 @@ import math
 import re
 from collections import Counter
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .delays import DelayModel
@@ -198,45 +197,31 @@ class Network:
     """Switches, ports, links, and the ingress ports facing the outside world.
 
     Treated as immutable after construction. Ports are collected from links
-    and ingress declarations; a port belongs to at most one of those roles.
-    The constructor checks that on the set of link endpoints; the peer and
-    link maps behind peer() and link_between() are built on first use, since
-    a run without flows never looks a link up.
+    and ingress declarations; a port belongs to at most one of those roles,
+    which the constructor checks link end by link end. The peer and link
+    maps behind peer() and link_between() are built on first use, since a
+    run without flows never looks a link up.
     """
 
     def __init__(self, switches, links, ingress_ports):
         self.switches = tuple(switches)
         self.links = tuple(links)
         self.ingress_ports = frozenset(ingress_ports)
-        known = set(self.switches)
-        if len(known) != len(self.switches):
-            raise ValueError("duplicate switch ids")
-        a_ends = [a for a, _, _ in self.links]
-        b_ends = [b for _, b, _ in self.links]
-        link_ends = {*a_ends, *b_ends}
-        # a repeated port shrinks the set; _check finds the first bad entry
-        if (len(link_ends) != 2 * len(self.links)
-                or not known.issuperset([sw for sw, _ in chain(link_ends, self.ingress_ports)])
-                or not self.ingress_ports.isdisjoint(link_ends)):
-            self._check(known)
         self.ports = {s: set() for s in self.switches}
-        for sw, port in chain(a_ends, b_ends, self.ingress_ports):
-            self.ports[sw].add(port)
-
-    def _check(self, known):
-        """Raise the error of the first bad link endpoint or ingress port."""
-        seen = set()
-        for sw, port in (end for link in self.links for end in (link.a, link.b)):
-            if sw not in known:
+        if len(self.ports) != len(self.switches):
+            raise ValueError("duplicate switch ids")
+        for sw, port in (end for a, b, _ in self.links for end in (a, b)):
+            if sw not in self.ports:
                 raise ValueError(f"link endpoint references unknown switch {sw!r}")
-            if (sw, port) in seen:
+            if port in self.ports[sw]:
                 raise ValueError(f"port ({sw!r}, {port}) used by more than one link")
-            seen.add((sw, port))
+            self.ports[sw].add(port)
         for sw, port in self.ingress_ports:
-            if sw not in known:
+            if sw not in self.ports:
                 raise ValueError(f"ingress port references unknown switch {sw!r}")
-            if (sw, port) in seen:
+            if port in self.ports[sw]:   # only a link end can hold it already
                 raise ValueError(f"ingress port ({sw!r}, {port}) is also a link endpoint")
+            self.ports[sw].add(port)
 
     @cached_property
     def _peer(self) -> dict:

@@ -339,15 +339,21 @@ def _packet_count(window, spacing_ns: int) -> int:
     return max(1, -((t0 - t1) // spacing_ns))
 
 
+def _check_ingress(net: Network, flow) -> None:
+    if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
+        raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
+
+
+def _entry_times(t0: int, spacing_ns: int, k0: int, k1: int) -> np.ndarray:
+    """Arrival times (int64) of packets k0..k1-1 of a flow whose packet 0 enters at t0."""
+    return np.arange(k0, k1, dtype=np.int64) * spacing_ns + t0
+
+
 def inject_flow(net: Network, flow, window) -> np.ndarray:
     """Arrival times (int64) of a test flow's packets over [t0, t1) at exact
     1/R spacing; a window shorter than one spacing still carries one packet."""
-    if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
-        raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
-    t_in = np.arange(_packet_count(window, flow.spacing_ns), dtype=np.int64)
-    t_in *= flow.spacing_ns
-    t_in += window[0]
-    return t_in
+    _check_ingress(net, flow)
+    return _entry_times(window[0], flow.spacing_ns, 0, _packet_count(window, flow.spacing_ns))
 
 
 def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
@@ -387,32 +393,32 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 
 class FlowPackets:
     """Per-packet results of one test flow, one array of length n per name
-    in ARRAYS, in injection order; nothing is kept per hop.
+    in ARRAYS, in injection order; nothing is kept per hop, and nothing the
+    arrays or the flow determine.
 
-    hops, t_last (the arrival time at the last hop), delivered, truncated
-    and stranded describe each packet's walk; agrees_old / agrees_new say
-    whether every realized hop action equals the old / new configuration's
-    action there. Iterating re-walks the packets with forward_packet on a
-    fresh copy of the flow's generator (seed, and index: the flow's position
-    in flow-id order) and yields their PacketTraces.
+    hops (in the walk's count dtype) and t_last (the arrival time at the
+    last hop) describe each packet's walk, end indexes END_KINDS with how it
+    ended, and bit 0 / bit 1 of agrees say whether every realized hop action
+    equals the old / new configuration's action there. Packet k entered at
+    t0 + k x the flow's spacing (t_in). Iterating re-walks the packets with
+    forward_packet on a fresh copy of the flow's generator (seed, and index:
+    the flow's position in flow-id order) and yields their PacketTraces.
     """
 
-    ARRAYS = ("t_in", "hops", "t_last", "delivered", "truncated", "stranded",
-              "agrees_old", "agrees_new")
+    ARRAYS = ("hops", "t_last", "end", "agrees")
 
-    def __init__(self, net: Network, timeline: StateTimeline, flow, seed, index, *arrays):
-        self.net, self.timeline, self.flow, self.seed, self.index = (
-            net, timeline, flow, seed, index)
+    def __init__(self, net: Network, timeline: StateTimeline, flow, seed, index, t0, *arrays):
+        self.net, self.timeline, self.flow, self.seed, self.index, self.t0 = (
+            net, timeline, flow, seed, index, t0)
         for name, values in zip(self.ARRAYS, arrays, strict=True):
             setattr(self, name, values)
 
     @property
-    def dropped(self) -> np.ndarray:
-        """Packets that ended on a drop action (a rule or a table miss)."""
-        return ~(self.delivered | self.truncated | self.stranded)
+    def t_in(self) -> np.ndarray:
+        return _entry_times(self.t0, self.flow.spacing_ns, 0, len(self))
 
     def __len__(self) -> int:
-        return len(self.t_in)
+        return len(self.hops)
 
     def __iter__(self):
         rng = _flow_rng(self.seed, self.index)
@@ -422,7 +428,7 @@ class FlowPackets:
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
-        return self.flow == other.flow and all(
+        return (self.flow, self.t0) == (other.flow, other.t0) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.ARRAYS)
 
     __hash__ = None
@@ -440,9 +446,11 @@ def default_flow_window(run: RunResult, spacing_ns: int):
     return anchor - margin, run.last_exec_ns + margin
 
 
-# Nodes 0-2 are sinks for delivered, dropped and stranded packets; one left elsewhere is truncated
-_DELIVERED, _DROPPED, _STRANDED, _TRUNCATED = range(4)
-_SINK = {"deliver": _DELIVERED, "drop": _DROPPED}
+# How a packet's walk ended, FlowPackets.end's codes. Nodes 0-2 are the sinks of
+# the first three; a packet left at another node after the last hop is truncated
+END_KINDS = ("delivered", "dropped", "stranded", "truncated")
+_SINK = {"deliver": 0, "drop": 1}
+_STRANDED, _TRUNCATED = 2, 3
 
 
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
@@ -458,9 +466,10 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     constant link delays no draw matters: any subset of the flows gives each
     the same arrays.
 
-    Before anything is drawn or allocated, a flow whose packet times could
-    leave the int64 range raises TimeRangeError, and flows that would
-    inject more than MAX_PACKETS packets in all raise PacketCapError.
+    Before anything is drawn or allocated, a flow whose ingress is not an
+    ingress port raises ValueError, one whose packet times could leave the
+    int64 range TimeRangeError, and flows that would inject more than
+    MAX_PACKETS packets in all PacketCapError.
 
     Every (node, table version) pair the flows reach is resolved once, a node
     being a (flow, switch, in_port, tag); then all packets, laid end to end,
@@ -472,6 +481,7 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     windows = [window or default_flow_window(run, f.spacing_ns) for f in flows]
     bound = max((link.delay.bound() for link in net.links), default=0)
     for flow, (t0, t1) in zip(flows, windows):
+        _check_ingress(net, flow)
         # hop times are int64 here, where the control plane's Python ints never overflow
         if max(-t0, t1 + len(net.switches) * bound) >= 2**63:
             raise TimeRangeError(
@@ -484,7 +494,6 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         raise PacketCapError(flows[most].flow_id, (
             f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
-    t_in = np.concatenate([inject_flow(net, flow, w) for flow, w in zip(flows, windows)])
     timeline, n_hops, epoch_ns = run.timeline, len(net.switches), run.timeline.change_ns
     # rows: per switch seen, its version in each epoch (row 0 serves the sinks); per
     # real node (numbered from 3), its row's offset and first pair slot; per pair
@@ -534,20 +543,22 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         width += 1
     firsts = np.cumsum([0] + counts).tolist()
     rngs = [_flow_rng(run.seed, i) for i in range(len(flows))]
-    hops, t_last, end, agrees = (np.empty(firsts[-1], dtype)
-                                 for dtype in (np.int64, np.int64, np.int8, np.uint8))
+    hops, t_last, end, agrees = (np.empty(firsts[-1], dtype) for dtype in (
+        np.min_scalar_type(n_hops), np.int64, np.int8, np.uint8))   # hops: the walk's count type
     scratch = np.empty((max(1, 2**12 // n_hops), n_hops))   # whole rows, about 2^12 uniforms
     for start in range(0, firsts[-1], WALK_BLOCK):
         block = slice(start, min(start + WALK_BLOCK, firsts[-1]))
         u, cuts = np.empty((block.stop - start, width)), np.clip(firsts, start, block.stop)
-        for i, rng in enumerate(rngs):   # flow i's rows in the block; draws continue its stream
+        node, t = np.repeat(ingress, np.diff(cuts)), np.empty(len(u), np.int64)
+        for i, rng in enumerate(rngs):   # flow i's packets in the block; draws continue its stream
+            t[cuts[i] - start:cuts[i + 1] - start] = _entry_times(
+                windows[i][0], flows[i].spacing_ns, cuts[i] - firsts[i], cuts[i + 1] - firsts[i])
             for a in range(cuts[i], cuts[i + 1], len(scratch)):
                 b = min(a + len(scratch), cuts[i + 1])
                 rng.random(out=scratch[:b - a])
                 u[a - start:b - start] = scratch[:b - a, :width]
-        node, t = np.repeat(ingress, np.diff(cuts)), t_in[block].copy()
         pos, live = np.arange(start, block.stop), True   # the packets' places in the results
-        bits, count = np.full(len(t), 3, np.uint8), np.zeros(len(t), np.min_scalar_type(n_hops))
+        bits, count = np.full(len(t), 3, np.uint8), np.zeros(len(t), hops.dtype)
         for h in range(n_hops):
             count += live
             pair = t_base.take(node) + t_version.take(  # its version in its switch's row
@@ -573,8 +584,6 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
             t += delay
         at = block if len(pos) == block.stop - start else pos
         hops[at], t_last[at], end[at], agrees[at] = count, t, np.minimum(node, _TRUNCATED), bits
-    outs = (t_in, hops, t_last, end == _DELIVERED, end == _TRUNCATED, end == _STRANDED,
-            (agrees & 1).view(bool), (agrees >> 1).view(bool))
-    for i, (flow, a, b) in enumerate(zip(flows, firsts, firsts[1:])):
-        run.flow_traces[flow.flow_id] = FlowPackets(net, timeline, flow, run.seed, i,
-                                                    *(out[a:b] for out in outs))
+    for i, (flow, (t0, _), a, b) in enumerate(zip(flows, windows, firsts, firsts[1:])):
+        run.flow_traces[flow.flow_id] = FlowPackets(net, timeline, flow, run.seed, i, t0, *(
+            out[a:b] for out in (hops, t_last, end, agrees)))

@@ -223,10 +223,11 @@ def stub_update(net: Network, phase_sets, gc_phases=frozenset(), tags=None):
     Returns (UpdateProcedure, initial ForwardingState).
     """
     tags = tags or [f"v{j}" for j in range(1, len(phase_sets) + 1)]
+    lowest = {sw: min(ports, default=0) for sw, ports in net.ports.items()}
     items, initial = [], {}
     for j, (switches, tag) in enumerate(zip(phase_sets, tags), start=1):
         for sw in switches:
-            key = (POLICY_FLOW_ID, tag, min(net.ports[sw], default=0))
+            key = (POLICY_FLOW_ID, tag, lowest[sw])
             if j in gc_phases:
                 items.append((SingletonUpdate.remove(sw, [key]), j))
                 initial.setdefault(sw, {})[key] = DELIVER

@@ -126,8 +126,8 @@ class TestClassifyPacket:
 
 
 def test_class_codes_old_wins_a_tie():
-    packets = SimpleNamespace(agrees_old=np.array([True, True, False, False]),
-                              agrees_new=np.array([True, False, True, False]))
+    # agreement codes: bit 0 agreed with old, bit 1 with new
+    packets = SimpleNamespace(agrees=np.array([3, 1, 2, 0], np.uint8))
     assert [CLASSES[c] for c in class_codes(packets).tolist()] == [
         CONSISTENT_OLD, CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT]
 

@@ -39,6 +39,7 @@ from netupdate import (
 from netupdate import simulator
 from netupdate.consistency import CLASSES, INCONSISTENT, class_codes
 from netupdate.simulator import (
+    END_KINDS,
     MAX_PACKETS,
     ExecRecord,
     FlowPackets,
@@ -451,6 +452,18 @@ class TestRunFlows:
         # a flow walked in many blocks gives what one block gives
         assert blocked.flow_traces == fast.flow_traces
 
+    def test_stored_state_is_at_most_11_bytes_a_packet(self):
+        # t_in, hops as int64 and five boolean flags stored 29 B a packet
+        from netupdate.config import Experiment
+
+        *_, (_, point) = Experiment.load(CONFIGS / "sprint_knob.json").points()
+        run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()),
+                        point.params, point.delays, seed=3, initial_state=point.initial_state)
+        run_flows(point.net, run, point.flows)
+        for packets in run.flow_traces.values():
+            stored = sum(v.nbytes for v in vars(packets).values() if isinstance(v, np.ndarray))
+            assert len(packets) > 100 and stored <= 11 * len(packets)
+
     def test_dense_flows_keep_only_the_uniform_columns_they_read(self):
         # the walk kept all 11 columns of uniforms where a packet reads two:
         # 84 B per packet at peak
@@ -597,8 +610,9 @@ def test_run_flows_matches_forward_packet_oracle(case):
             assert got.t_in.tolist() == [t.t_in for t in want]
             assert got.hops.tolist() == [len(t.hops) for t in want]
             assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
-            for name in ("delivered", "truncated", "stranded"):
-                assert getattr(got, name).tolist() == [getattr(t, name) for t in want]
+            assert [END_KINDS[e] for e in got.end.tolist()] == [
+                next((k for k in ("delivered", "truncated", "stranded") if getattr(t, k)),
+                     "dropped") for t in want]
             assert [CLASSES[c] for c in class_codes(got).tolist()] == classes
             assert (measure_inconsistency(run, flow).n_inconsistent
                     == classes.count(INCONSISTENT))
@@ -664,7 +678,9 @@ def test_worst_case_control_plane_pinned_to_digest():
 
 
 # sha256 of every packet array of the exponential knob sweeps, two seeds per
-# point; whatever moves a packet's hops, times or verdict moves it
+# point, in the layout FlowPackets once stored: t_in, hops as int64, t_last,
+# three end flags and two agreement flags; whatever moves a packet's hops,
+# times or verdict moves it
 DATA_PLANE_DIGEST = "32fdf8a152ff3b967edae4a2166237b1af6337b27d181cf8038dbffcb9eb5597"
 KNOB_EXP_CONFIGS = ("netrail_knob_exp", "sprint_knob_exp", "compuserve_knob_exp")
 
@@ -680,9 +696,16 @@ def test_data_plane_pinned_to_digest():
                 run, _ = point.run(seed)
                 for flow_id in sorted(run.flow_traces):
                     packets = run.flow_traces[flow_id]
+                    end, agrees = packets.end, packets.agrees
                     digest.update(flow_id.encode())
-                    for array in FlowPackets.ARRAYS:
-                        values = getattr(packets, array)
+                    for array, values in (
+                            ("t_in", packets.t_in), ("hops", packets.hops.astype(np.int64)),
+                            ("t_last", packets.t_last),
+                            ("delivered", end == END_KINDS.index("delivered")),
+                            ("truncated", end == END_KINDS.index("truncated")),
+                            ("stranded", end == END_KINDS.index("stranded")),
+                            ("agrees_old", (agrees & 1).astype(bool)),
+                            ("agrees_new", (agrees >> 1).astype(bool))):
                         digest.update(f"{array}:{values.dtype}:{len(values)}".encode())
                         digest.update(values.tobytes())
     assert digest.hexdigest() == DATA_PLANE_DIGEST
