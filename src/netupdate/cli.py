@@ -73,12 +73,12 @@ _PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
 
 def _run_doc(run, exp_hash: str, reports) -> dict:
     """run.json with each flow's "packets" NaN, a value no other field can take."""
-    import numpy as np
-
     from .simulator import END_KINDS
 
     flows = {}
-    for rep in reports:
+    for rep in reports:   # a run without flows imports no numpy
+        import numpy as np
+
         ends = np.bincount(run.flow_traces[rep.flow_id].end, minlength=len(END_KINDS))
         flows[rep.flow_id] = {
             "n_inconsistent": rep.n_inconsistent,
@@ -286,11 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, freeze: bool = False) -> int:
+    """Run the command argv names; its exit code. freeze, entry()'s, freezes
+    the heap once the command's layers are imported, so no collection rescans
+    them; tests and tracers call main() in a process that goes on, which a
+    freeze would outlive."""
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
         if args.command == "analyze-trace":
+            if freeze:
+                import_module(".stats", __package__)
+                gc.freeze()
             return cmd_analyze_trace(args.trace, _parse_percentiles(args.percentiles), out)
         from .config import Experiment
 
@@ -298,6 +305,11 @@ def main(argv=None) -> int:
                               seeds=None if args.seeds is None else _parse_seeds(args.seeds),
                               axis=args.axis,
                               grid=None if args.grid is None else _parse_grid(args.grid))
+        if freeze:   # runs that walk flows or draw an exponential ctrl or gap delay use numpy
+            exponential = '"exponential"' in json.dumps(exp.doc.get("delays"))
+            if args.command != "plan" and (exp.doc.get("flows") or exponential):
+                import_module("numpy.random")
+            gc.freeze()
         if args.command == "plan":
             return cmd_plan(exp, out)
         if args.command == "simulate":
@@ -315,14 +327,8 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """main() as the process entry, of `python -m netupdate.cli` and of the
-    installed script. It first imports the layers the command runs (stats for
-    analyze-trace, config and all it loads for the others), then freezes what
-    the imports built, which lives until exit, so no collection rescans it.
-    main() does not freeze: tests and tracers call it in a process that goes
-    on, which a freeze would outlive."""
-    import_module(".stats" if sys.argv[1:2] == ["analyze-trace"] else ".config", __package__)
-    gc.freeze()
-    return main()
+    installed script, freezing the heap once the command's layers are loaded."""
+    return main(freeze=True)
 
 
 if __name__ == "__main__":

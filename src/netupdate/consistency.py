@@ -12,12 +12,13 @@ walk's agreement code, which class_codes maps to indices into CLASSES.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, lookup_rule,
                     validated)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
@@ -103,6 +104,8 @@ def class_codes(packets) -> np.ndarray:
     """Each packet of a FlowPackets as an index into CLASSES: 0 if every hop
     agreed with the old configuration (bit 0 of agrees; old wins a tie, as in
     classify_packet), else 1 if every hop agreed with the new one, else 2."""
+    import numpy as np
+
     return np.array((2, 0, 1, 0), np.uint8)[packets.agrees]
 
 
@@ -115,6 +118,8 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     every hop with both configurations, so this counts the packets that agreed
     with neither; classify_packet is the per-trace oracle for the same classes.
     """
+    import numpy as np
+
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")

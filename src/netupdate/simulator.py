@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .delays import DelayModel
+from .delays import DelayModel, quantile_block
 from .model import (
     ForwardingState,
     Network,
@@ -30,6 +28,9 @@ from .model import (
     apply_update,
     lookup_rule,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Packets the data plane walks at a time: a walk keeps WALK_BLOCK x (columns it
 # can read) uniforms and its grouping scratch is O(WALK_BLOCK), whatever the
@@ -119,11 +120,15 @@ class StateTimeline:
     def change_ns(self) -> np.ndarray:
         """The distinct times at which tables change, sorted, as int64 (a later time
         capped at 2**63 - 1); epoch e starts at change_ns[e - 1], epoch 0 before."""
+        import numpy as np
+
         return np.array(sorted({min(t, 2**63 - 1) for ts in self._times.values() for t in ts}),
                         dtype=np.int64)
 
     def epoch_versions(self, switch: str) -> np.ndarray:
         """The switch's table version in force in each epoch."""
+        import numpy as np
+
         own = np.array([min(t, 2**63 - 1) for t in self._times[switch]], np.int64)
         return np.append(0, own.searchsorted(self.change_ns, side="right")).astype(np.int32)
 
@@ -200,9 +205,11 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     at least guards.get(j, 0) after the send before it. Message i's gap,
     controller delay (send to arrival) and jitter are the quantiles of
     delays.gap, delays.ctrl and uniform(delta_sched) at row i of one
-    default_rng(seed).random((messages, 3)) draw or, under pin_worst_case,
-    their bounds, but message 0's delay is first_ctrl and its jitter 0. A
-    gap or delay beyond its bound is a bound_violation fault.
+    default_rng(seed).random((messages, 3)) draw (delays.quantile_block,
+    which draws it in Python while numpy is not loaded and no model is
+    exponential) or, under pin_worst_case, their bounds, but message 0's
+    delay is first_ctrl and its jitter 0. A gap or delay beyond its bound
+    is a bound_violation fault.
     execute(arrival, jitter, phase, target, faults) returns when the update
     takes effect and a note for its send line.
 
@@ -217,9 +224,8 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
         gaps, ctrls = [params.delta_msg] * n, [first_ctrl] + [params.d_c] * (n - 1)
         jitters = [0] + [params.delta_sched] * (n - 1)
     else:
-        u = np.random.default_rng(seed).random((len(ordered), 3))
-        models = (delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched))
-        gaps, ctrls, jitters = (m.quantile(col).tolist() for m, col in zip(models, u.T))
+        gaps, ctrls, jitters = quantile_block(seed, len(ordered), (
+            delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched)))
     execs, sends, faults = [], [], []
     t, prev_phase = first_send, None
     switches = set(net.switches)
@@ -346,6 +352,8 @@ def _check_ingress(net: Network, flow) -> None:
 
 def _entry_times(t0: int, spacing_ns: int, k0: int, k1: int) -> np.ndarray:
     """Arrival times (int64) of packets k0..k1-1 of a flow whose packet 0 enters at t0."""
+    import numpy as np
+
     return np.arange(k0, k1, dtype=np.int64) * spacing_ns + t0
 
 
@@ -428,6 +436,8 @@ class FlowPackets:
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
+        import numpy as np
+
         return (self.flow, self.t0) == (other.flow, other.t0) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.ARRAYS)
 
@@ -436,6 +446,8 @@ class FlowPackets:
 
 def _flow_rng(seed: int, index: int) -> np.random.Generator:
     """The generator of the flow at this position in flow-id order."""
+    import numpy as np
+
     return np.random.default_rng([seed, 7919 + index])
 
 
@@ -475,6 +487,8 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     being a (flow, switch, in_port, tag); then all packets, laid end to end,
     move hop by hop, WALK_BLOCK at a time, by gathers from those tables.
     """
+    import numpy as np
+
     flows = sorted(flows, key=lambda f: f.flow_id)
     if not flows:
         return

@@ -1,7 +1,10 @@
 """Shared fixtures: canonical parameters, small networks, and flow setups."""
 
+import contextlib
 import os
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -13,6 +16,7 @@ from netupdate import (
     SystemParameters,
     TestFlow,
 )
+from netupdate import delays
 from netupdate.topology import label_change_update
 
 # testbed-style 99.9th percentile bounds used across duration experiments (ms)
@@ -30,9 +34,9 @@ def testbed_params():
                             delta_sched=DSCHED_NS)
 
 
-def child_env():
-    """os.environ with this package's source first on PYTHONPATH."""
-    env = dict(os.environ)
+def child_env(**extra):
+    """os.environ with this package's source first on PYTHONPATH, and extra."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(netupdate.__file__).parents[1]), env.get("PYTHONPATH")) if p)
     return env
@@ -60,3 +64,13 @@ def line_flow_setup(total_delay_ns, hops=2, rate_pps=5000.0, flow_id="f1"):
     flow = TestFlow(flow_id, path[0], 0, rate_pps)
     initial, proc = label_change_update(net, [(flow, path)])
     return net, flow, path, initial, proc
+
+
+@contextlib.contextmanager
+def numpy_unloaded(budget: int):
+    """delays.quantile_block as in a process that has not loaded numpy and may
+    still draw budget uniforms in Python; yields delays, whose _py_uniforms_left
+    says how much of it is left."""
+    with mock.patch.object(delays, "sys", SimpleNamespace(modules={})), \
+            mock.patch.object(delays, "_py_uniforms_left", budget):
+        yield delays

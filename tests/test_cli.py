@@ -865,16 +865,33 @@ def test_process_entries_freeze_the_heap_and_write_mains_plan(tmp_path, launch):
 # config and the layers it imports, which analyze-trace does not run
 CONFIG_LAYERS = {"netupdate.config", "netupdate.simulator", "netupdate.planner",
                  "netupdate.topology", "netupdate.consistency"}
+ONE_FLOW = [{"flow_id": "f1", "ingress": "leaf1", "rate_pps": 20000,
+             "path": ["leaf1", "spine1", "leaf2"]}]
+# case: (command, overrides of base_config(), whether numpy is loaded at the freeze)
+ENTRY_CASES = {
+    "analyze-trace": ("analyze-trace", None, True),
+    "plan": ("plan", {}, False),
+    "simulate": ("simulate", {}, False),
+    "sweep": ("sweep", {}, False),
+    "plan-flows": ("plan", {"flows": ONE_FLOW}, False),
+    "simulate-flows": ("simulate", {"flows": ONE_FLOW}, True),
+    "sweep-exponential-ctrl": ("sweep", {"delays": {"ctrl": {"kind": "exponential",
+                                                             "mean": "1ms"}}}, True),
+}
 
 
-# analyze-trace loaded the planner and the simulator, and the other commands stats
+# analyze-trace loaded the planner and the simulator, and the other commands
+# stats; every command loaded numpy, which only runs that walk flows or draw
+# exponential control-plane delays use
 @PROCESS_ENTRIES
-@pytest.mark.parametrize("command", ["analyze-trace", "plan", "simulate", "sweep"])
+@pytest.mark.parametrize("case", ENTRY_CASES)
 def test_process_entries_load_only_the_commands_layers_before_the_freeze(
-        tmp_path, launch, command):
+        tmp_path, launch, case):
+    command, overrides, numpy_loaded = ENTRY_CASES[case]
     code = ("import gc, json, sys\n"
             "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('netupdate.'))\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('netupdate.') or m == 'numpy')\n"
             "at_freeze, freeze = [], gc.freeze\n"
             "def recording_freeze():\n"
             "    at_freeze.append(loaded())\n"
@@ -885,7 +902,7 @@ def test_process_entries_load_only_the_commands_layers_before_the_freeze(
         (tmp_path / "rtt.txt").write_text("1.5\n2\n40\n")
         args = [str(tmp_path / "rtt.txt")]
     else:
-        args = ["--config", str(write_config(tmp_path, base_config()))]
+        args = ["--config", str(write_config(tmp_path, base_config(**overrides)))]
     proc = subprocess.run(
         [sys.executable, "-c", code, command, *args, "--out", str(tmp_path / "out")],
         env=child_env(), capture_output=True, text=True, timeout=120)
@@ -893,10 +910,22 @@ def test_process_entries_load_only_the_commands_layers_before_the_freeze(
     exit_code, at_freeze, at_exit = json.loads(proc.stdout.splitlines()[-1])
     assert exit_code == 0 and len(at_freeze) == 1
     assert at_exit == at_freeze[0]  # the command imported nothing after the freeze
+    assert ("numpy" in at_exit) == numpy_loaded
     if command == "analyze-trace":
         assert "netupdate.stats" in at_exit and not CONFIG_LAYERS & set(at_exit)
     else:
         assert CONFIG_LAYERS <= set(at_exit) and "netupdate.stats" not in at_exit
+
+
+# every module but stats imported numpy at load, through delays, simulator or
+# consistency
+def test_importing_the_package_layers_loads_no_numpy():
+    code = ("import sys\n"
+            "import netupdate.cli, netupdate.config\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 def sprint_at_rate(**rate):

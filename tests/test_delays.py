@@ -1,12 +1,17 @@
 """The delay models' inverse CDF, their one sampler: it maps the control and
-data planes' uniforms to delays."""
+data planes' uniforms to delays; and the Python twin of numpy's stream and
+quantiles that draws the control plane's block while numpy is not loaded."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netupdate import DelayModel
+from netupdate.delays import _pcg64_uniforms, _quantiles, quantile_block
+
+from conftest import numpy_unloaded
 
 MODELS = [
     DelayModel.constant(7),
@@ -96,3 +101,67 @@ def test_exponential_at_the_int64_cap_stays_in_range_near_one(mean):
 def test_default_exponential_cap_past_int64_rejected():
     with pytest.raises(ValueError, match="exponential cap"):
         DelayModel.exponential(10**18)
+
+
+# -- the Python twin of numpy's stream, which draws the control plane's block
+# while numpy is not loaded
+
+# seeds of one 32-bit word, of several, and past 2**128, which SeedSequence
+# mixes in after its pool of four words
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128),
+                  st.integers(2**128 + 1, 2**300))
+PY_MODELS = st.one_of(
+    st.builds(DelayModel.constant, st.integers(0, INT64_MAX)),
+    st.builds(DelayModel.uniform, st.integers(0, 10**7) | st.integers(0, INT64_MAX)),
+    st.builds(DelayModel.empirical, st.lists(st.integers(0, INT64_MAX), min_size=1, max_size=8)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=SEEDS, rows=st.integers(0, 50))
+@example(seed=0, rows=0)
+@example(seed=2**32, rows=5)
+@example(seed=2**64 - 1, rows=5)
+@example(seed=2**64, rows=5)
+@example(seed=2**128, rows=5)
+def test_python_stream_is_numpys(seed, rows):
+    expect = np.random.default_rng(seed).random((rows, 3))
+    assert _pcg64_uniforms(seed, 3 * rows) == expect.ravel().tolist()
+
+
+def test_python_stream_rejects_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        _pcg64_uniforms(-1, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=PY_MODELS, u=st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+@example(model=DelayModel.uniform(INT64_MAX), u=[])
+@example(model=DelayModel.uniform(2**53), u=[])
+@example(model=DelayModel.empirical([INT64_MAX, 0, 5]), u=[0.5])
+def test_python_quantiles_are_quantiles(model, u):
+    u = [0.0, float(U_MAX)] + u
+    assert _quantiles(model, u) == model.quantile(np.array(u)).tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=SEEDS, rows=st.integers(0, 30), models=st.lists(PY_MODELS, min_size=1, max_size=3),
+       spare=st.integers(0, 5))
+def test_block_drawn_in_python_is_numpys(seed, rows, models, spare):
+    expect = quantile_block(seed, rows, models)   # numpy is loaded here, and draws
+    count = rows * len(models)
+    with numpy_unloaded(count + spare) as delays:
+        assert quantile_block(seed, rows, models) == expect
+        assert delays._py_uniforms_left == spare
+        # Python again while the block fits in what is left, else numpy
+        assert quantile_block(seed, rows, models) == expect
+        assert delays._py_uniforms_left == (spare - count if count <= spare else spare)
+
+
+def test_exponential_block_is_drawn_by_numpy():
+    models = (DelayModel.uniform(9), DelayModel.exponential(1_000, 10_000))
+    expect = quantile_block(3, 20, models)
+    with numpy_unloaded(10**6) as delays:
+        assert quantile_block(3, 20, models) == expect
+        assert delays._py_uniforms_left == 10**6

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -95,6 +96,60 @@ def test_large_fabric_sweep_is_byte_identical(tmp_path):
         "63c950869520e4f8bd70ba9b719a62f23799ba155903fe0c9ca135a2d26ea10b")
 
 
+def test_fabric_sweep_handing_the_draw_over_to_numpy_is_byte_identical(tmp_path):
+    """A flowless 768-switch sweep in a process without numpy: the first runs'
+    control-plane blocks are drawn in Python until PY_UNIFORMS runs out, the
+    rest by numpy. The digest was computed when numpy drew them all."""
+    from conftest import child_env
+    from netupdate.delays import PY_UNIFORMS
+
+    seeds, block = 24, 3 * 2048   # a leaf_spine(768) update sends 2,048 messages
+    assert block <= PY_UNIFORMS < seeds * block
+    code = ("import sys\n"
+            "from netupdate.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "sweep",
+         "--config", str(REPO / "configs" / "leafspine_sweep.json"), "--grid", "768",
+         "--seeds", ",".join(map(str, range(seeds))), "--out", str(tmp_path)],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()[-1]) == (0, "", "True")
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+        "6674f788e60be1e0f360d1b09b00eedc7d36852921fed19a7c560cc80b95c6b1")
+
+
+# numpy's baseline kernels: np.log1p, which the exponential inverse CDF calls,
+# gives other bits under them than under AVX-512 for some inputs
+BASELINE_KERNELS = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch gate names x86 CPU features")
+def test_exponential_cases_are_byte_identical_under_the_baseline_kernels():
+    """Every golden case with exponential delays, rerun in a child whose numpy
+    dispatches to its baseline kernels, must give the pinned bytes."""
+    from conftest import child_env
+
+    cases = [case for case in CASES if case.split()[1].endswith("_exp.json")]
+    assert len(cases) == 9
+    code = ("import json, sys, tempfile\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_golden import run_case\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    print(json.dumps({case: run_case(case, Path(tmp))\n"
+            "                      for case in sys.argv[2:]}))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent), *cases],
+        env=child_env(NPY_DISABLE_CPU_FEATURES=BASELINE_KERNELS),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads(GOLDEN.read_text())
+    assert json.loads(proc.stdout.splitlines()[-1]) == {case: golden[case] for case in cases}
+
+
 def test_in_process_main_leaves_the_heap_unfrozen(tmp_path):
     frozen = gc.get_freeze_count()
     assert run_case("plan leafspine_sweep.json", tmp_path)["exit"] == 0
@@ -102,7 +157,7 @@ def test_in_process_main_leaves_the_heap_unfrozen(tmp_path):
 
 
 def test_process_entry_writes_the_golden_plan(tmp_path):
-    """python -m netupdate.cli freezes the heap before main(); the bytes stay."""
+    """python -m netupdate.cli freezes the heap before the command; the bytes stay."""
     import netupdate
 
     env = dict(os.environ)

@@ -50,7 +50,7 @@ from netupdate.simulator import (
 )
 from netupdate.topology import policy_initial_state, policy_update, stub_update
 
-from conftest import DC_NS, line_network, line_flow_setup, testbed_params
+from conftest import DC_NS, line_network, line_flow_setup, numpy_unloaded, testbed_params
 
 import numpy as np
 
@@ -675,6 +675,53 @@ def test_control_plane_pinned_to_digest():
 
 def test_worst_case_control_plane_pinned_to_digest():
     assert _control_plane_digest(pin=True) == PINNED_CONTROL_PLANE_DIGEST
+
+
+# the same digest with the blocks drawn in Python, then with a budget that
+# runs out midway, so that numpy draws the blocks that no longer fit
+def test_control_plane_drawn_in_python_pinned_to_digest():
+    with numpy_unloaded(2**62) as delays:
+        assert _control_plane_digest(pin=False) == CONTROL_PLANE_DIGEST
+        drawn = 2**62 - delays._py_uniforms_left
+    with numpy_unloaded(drawn // 2) as delays:
+        assert _control_plane_digest(pin=False) == CONTROL_PLANE_DIGEST
+        assert delays._py_uniforms_left < drawn // 2 < drawn
+
+
+CTRL_MODELS = st.one_of(
+    st.builds(DelayModel.constant, st.integers(0, 10**7)),
+    st.builds(DelayModel.uniform, st.integers(0, 10**7) | st.integers(0, 2**63 - 1)),
+    st.builds(DelayModel.empirical, st.lists(st.integers(0, 10**7), min_size=1, max_size=6)),
+    st.builds(DelayModel.exponential, st.integers(0, 10**7)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([3, 6, 12]), timed=st.booleans(), gap=CTRL_MODELS, ctrl=CTRL_MODELS,
+       delta_sched=st.integers(0, 10**7), seeds=st.lists(st.integers(0, 2**80), min_size=1,
+                                                          max_size=4),
+       budget_runs=st.floats(0, 5))
+def test_runs_are_equal_on_both_sides_of_the_python_budget(
+        n, timed, gap, ctrl, delta_sched, seeds, budget_runs):
+    """Runs whose blocks the Python twin draws, until a budget of budget_runs
+    runs' blocks runs out, equal the runs numpy draws alone: exec logs, sends
+    and faults."""
+    net, params = leaf_spine(n), SystemParameters(DC_NS, 262_000, 5_240_000, delta_sched)
+    proc, delays = policy_update(net), RunDelays(ctrl=ctrl, gap=gap)
+    sched = worst_case_schedule(proc, 10**9, params)
+
+    def runs():
+        return [(run.first_send_ns, run.exec_log, run.messages, run.faults) for run in (
+            run_timed(net, TimedUpdateProcedure(proc, sched), params, delays, seed=seed)
+            if timed else run_untimed(net, proc, params, delays, seed=seed)
+            for seed in seeds)]
+
+    expect, block = runs(), 3 * len(proc.items)
+    budget = int(budget_runs * block)
+    with numpy_unloaded(budget) as state:
+        assert runs() == expect
+        in_python = 0 if "exponential" in (gap.kind, ctrl.kind) else min(
+            len(seeds), budget // block)
+        assert budget - state._py_uniforms_left == in_python * block
 
 
 # sha256 of every packet array of the exponential knob sweeps, two seeds per
