@@ -24,8 +24,8 @@ _EXPORTS = {  # module -> the names the package re-exports from it
     "planner": ("PertGraph", "build_pert_counts", "build_pert_timed_counts",
                 "compare_timed_untimed", "longest_path", "timed_worst_duration",
                 "untimed_worst_duration", "worst_case_schedule"),
-    "simulator": ("RunDelays", "RunResult", "StateTimeline", "forward_packet", "inject_flow",
-                  "run_flows", "run_timed", "run_untimed"),
+    "simulator": ("RunDelays", "RunResult", "StateTimeline", "forward_packet", "run_flows",
+                  "run_timed", "run_untimed"),
     "stats": ("DelayTrace", "read_trace", "tail_ratio"),
     "topology": ("haversine_km", "label_change_update", "leaf_spine", "load_topology",
                  "path_link_bound_ns", "policy_initial_state", "policy_update"),

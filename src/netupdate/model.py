@@ -379,9 +379,6 @@ class UpdateProcedure(NamedTuple):
     def num_phases(self) -> int:
         return max(phase for _, phase in self.items)
 
-    def updates_in_phase(self, phase: int) -> list:
-        return [u for u, p in self.items if p == phase]
-
     def phase_counts(self) -> list:
         """N_j for j = 1..k."""
         counts = Counter(p for _, p in self.items)
@@ -389,12 +386,12 @@ class UpdateProcedure(NamedTuple):
 
     def gc_phases(self) -> frozenset:
         """Phases consisting solely of remove-mode updates."""
-        out = set()
-        for j in range(1, self.num_phases + 1):
-            ups = self.updates_in_phase(j)
-            if ups and all(u.mode == "remove" for u in ups):
-                out.add(j)
-        return frozenset(out)
+        present, installs = set(), set()
+        for u, p in self.items:
+            present.add(p)
+            if u.mode != "remove":
+                installs.add(p)
+        return frozenset(present - installs)
 
 
 class Schedule(NamedTuple):

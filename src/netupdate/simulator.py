@@ -97,22 +97,22 @@ class Fault(NamedTuple):
 class StateTimeline:
     """Per-switch rule tables as a step function of real time.
 
-    Version 0 of a switch's table is its initial table, version v the table
-    after its v-th executed update. Each execution applies itself, through
-    apply_update (ForwardingState.apply's step), to a copy of its target's
-    latest table only, so each absent rule is warned of in execution order,
-    unless warn is false.
+    tables[switch] lists the switch's table versions: version 0 is its initial
+    table, version v the table after its v-th executed update. Each execution
+    applies itself, through apply_update (ForwardingState.apply's step), to a
+    copy of its target's latest table only, and warns of nothing: a run warns
+    of each absent rule in its own fold (_control_plane).
     """
 
-    def __init__(self, net: Network, initial: ForwardingState, execs, warn: bool = True):
+    def __init__(self, net: Network, initial: ForwardingState, execs):
         self._times = {s: [] for s in net.switches}
-        self._tables = {s: [initial.tables[s]] for s in net.switches}
+        self.tables = {s: [initial.tables[s]] for s in net.switches}
         for time_ns, update in execs:
-            versions = self._tables.get(update.target)
+            versions = self.tables.get(update.target)
             if versions is None:
                 raise ValueError(f"update targets unknown switch {update.target!r}")
             table = dict(versions[-1])
-            apply_update(table, update, warn)
+            apply_update(table, update, warn=False)
             versions.append(table)
             self._times[update.target].append(time_ns)
 
@@ -132,15 +132,12 @@ class StateTimeline:
         own = np.array([min(t, 2**63 - 1) for t in self._times[switch]], np.int64)
         return np.append(0, own.searchsorted(self.change_ns, side="right")).astype(np.int32)
 
-    def table_version(self, switch: str, version: int) -> dict:
-        return self._tables[switch][version]
-
     def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
         """Action seen by a packet at this switch and instant; a rule change
         at time t is visible to a packet arriving exactly at t."""
-        if switch not in self._tables:
+        if switch not in self.tables:
             raise ValueError(f"unknown switch {switch!r}")
-        table = self._tables[switch][bisect_right(self._times[switch], time_ns)]
+        table = self.tables[switch][bisect_right(self._times[switch], time_ns)]
         return lookup_rule(table, flow_id, tag, port)
 
 
@@ -166,7 +163,7 @@ class RunResult:
     @cached_property
     def timeline(self) -> StateTimeline:
         return StateTimeline(self._net, self.old_config, [
-            (e.time_ns, self._updates[e.msg_index]) for e in self.exec_log], warn=False)
+            (e.time_ns, self._updates[e.msg_index]) for e in self.exec_log])
 
     @cached_property
     def new_config(self) -> ForwardingState:
@@ -228,10 +225,9 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
             delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched)))
     execs, sends, faults = [], [], []
     t, prev_phase = first_send, None
-    switches = set(net.switches)
     for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
             zip(ordered, gaps, ctrls, jitters)):
-        if update.target not in switches:
+        if update.target not in net.ports:
             raise ValueError(f"procedure targets unknown switch {update.target!r}")
         if idx > 0:
             if gap > params.delta_msg:
@@ -345,23 +341,11 @@ def _packet_count(window, spacing_ns: int) -> int:
     return max(1, -((t0 - t1) // spacing_ns))
 
 
-def _check_ingress(net: Network, flow) -> None:
-    if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
-        raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
-
-
 def _entry_times(t0: int, spacing_ns: int, k0: int, k1: int) -> np.ndarray:
     """Arrival times (int64) of packets k0..k1-1 of a flow whose packet 0 enters at t0."""
     import numpy as np
 
     return np.arange(k0, k1, dtype=np.int64) * spacing_ns + t0
-
-
-def inject_flow(net: Network, flow, window) -> np.ndarray:
-    """Arrival times (int64) of a test flow's packets over [t0, t1) at exact
-    1/R spacing; a window shorter than one spacing still carries one packet."""
-    _check_ingress(net, flow)
-    return _entry_times(window[0], flow.spacing_ns, 0, _packet_count(window, flow.spacing_ns))
 
 
 def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
@@ -495,7 +479,8 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     windows = [window or default_flow_window(run, f.spacing_ns) for f in flows]
     bound = max((link.delay.bound() for link in net.links), default=0)
     for flow, (t0, t1) in zip(flows, windows):
-        _check_ingress(net, flow)
+        if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
+            raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
         # hop times are int64 here, where the control plane's Python ints never overflow
         if max(-t0, t1 + len(net.switches) * bound) >= 2**63:
             raise TimeRangeError(
@@ -531,7 +516,7 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
             rows.append(timeline.epoch_versions(sw))
         nodes.append((row_of[sw] * len(rows[0]), len(slots)))
         action = None
-        for table in timeline._tables[sw]:   # the switch's versions, in order
+        for table in timeline.tables[sw]:
             was, action = action, lookup_rule(table, flow_id, tag, port)
             if action != was:   # else this slot reads as the one before
                 peer = None if action.kind in _SINK else net.peer(sw, action.out_port)

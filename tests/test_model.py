@@ -344,7 +344,8 @@ def test_apply_matches_reference_fold(rules, steps, caplog):
 def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
     """StateTimeline folds per switch; the whole-state fold through
     ForwardingState.apply, one update at a time, is its oracle: the same
-    table at every version and instant, the same warnings in the same order."""
+    table at every version and instant. The fold warns as the reference
+    does; the timeline warns of nothing."""
     net = line_network([10, 10])
     state = ForwardingState.from_dict(net, rules)
     updates = [SingletonUpdate.install(sw, entries) if mode == "install"
@@ -354,24 +355,24 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="netupdate.model"):
         timeline = StateTimeline(net, state, execs)
-        timeline_warnings = [r.getMessage() for r in caplog.records]
-        caplog.clear()
+        assert caplog.records == []
         folds = [state]
         for u in updates:
             folds.append(folds[-1].apply(u))
     want, want_warnings = _reference_fold(state, updates)
     assert folds[-1].tables == want
-    assert timeline_warnings == [r.getMessage() for r in caplog.records] == want_warnings
+    assert [r.getMessage() for r in caplog.records] == want_warnings
 
     version = dict.fromkeys(net.switches, 0)
     for fold, u in zip(folds[1:], updates):
         version[u.target] += 1
-        assert timeline.table_version(u.target, version[u.target]) == fold.tables[u.target]
+        assert timeline.tables[u.target][version[u.target]] == fold.tables[u.target]
+    assert {sw: len(versions) - 1 for sw, versions in timeline.tables.items()} == version
     for t in range(5):
         fold = folds[sum(1 for time_ns, _ in execs if time_ns <= t)]
         for sw in net.switches:
             in_force = timeline.epoch_versions(sw)[timeline.change_ns.searchsorted(t, "right")]
-            assert timeline.table_version(sw, in_force) == fold.tables[sw]
+            assert timeline.tables[sw][in_force] == fold.tables[sw]
             want = lookup_rule(fold.tables[sw], "f1", "A", 0)
             assert timeline.lookup(sw, t, "f1", "A", 0) == want
 
@@ -407,6 +408,47 @@ class TestUpdateProcedure:
         proc = proc_of((a, 1), (b, 1), (a, 2), (g, 3))
         assert proc.phase_counts() == [2, 1, 1]
         assert proc.gc_phases() == frozenset({3})
+
+
+def _gc_phases_per_phase(proc):
+    """gc_phases' definition, one scan of the items per phase: the phases whose
+    updates are all removes."""
+    out = set()
+    for j in range(1, proc.num_phases + 1):
+        ups = [u for u, p in proc.items if p == j]
+        if ups and all(u.mode == "remove" for u in ups):
+            out.add(j)
+    return frozenset(out)
+
+
+@st.composite
+def _procedures(draw):
+    """A procedure of 1-6 phases, each all-remove, all-install or mixed, of 1-4
+    updates (a mixed phase holds both modes), its items in a drawn order;
+    and the phases drawn all-remove."""
+    items, removes = [], set()
+    for phase in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(("remove", "install", "mixed")))
+        if kind == "mixed":
+            modes = ["install", "remove"] + draw(st.lists(
+                st.sampled_from(("install", "remove")), max_size=2))
+        else:
+            modes = [kind] * draw(st.integers(1, 4))
+            if kind == "remove":
+                removes.add(phase)
+        for mode in modes:
+            target = draw(st.sampled_from(("S1", "S2", "S3")))
+            items.append((SingletonUpdate.install(target, {("f", "B", 0): DELIVER})
+                          if mode == "install"
+                          else SingletonUpdate.remove(target, [("f", "A", 0)]), phase))
+    return UpdateProcedure(tuple(draw(st.permutations(items)))), frozenset(removes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_procedures())
+def test_gc_phases_matches_the_per_phase_definition(case):
+    proc, removes = case
+    assert proc.gc_phases() == _gc_phases_per_phase(proc) == removes
 
 
 class TestSchedule:

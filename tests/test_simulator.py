@@ -26,7 +26,6 @@ from netupdate import (
     UpdateProcedure,
     classify_packet,
     forward_packet,
-    inject_flow,
     leaf_spine,
     measure_inconsistency,
     run_flows,
@@ -104,15 +103,15 @@ class TestStateTimeline:
             sched = worst_case_schedule(proc, 10**9, testbed_params)
             run = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
                             seed=2, initial_state=init)
-        by_msg = [u for j in range(1, proc.num_phases + 1) for u in proc.updates_in_phase(j)]
+        by_msg = [u for j in range(1, proc.num_phases + 1) for u, p in proc.items if p == j]
         for sw in net.switches:
             mine = [by_msg[e.msg_index] for e in run.exec_log if e.switch == sw]
             assert mine
+            assert len(run.timeline.tables[sw]) == len(mine) + 1
             for v in range(len(mine) + 1):
-                assert (run.timeline.table_version(sw, v)
+                assert (run.timeline.tables[sw][v]
                         == init.apply(*mine[:v]).tables[sw]), (sw, v)
-            assert (run.timeline.table_version(sw, len(mine))
-                    == run.new_config.tables[sw])
+            assert run.timeline.tables[sw][-1] == run.new_config.tables[sw]
 
     def test_epoch_versions_are_exact_past_float_precision(self):
         # times above 2**53 and past int64: the epochs keep every int64 time
@@ -129,8 +128,7 @@ class TestStateTimeline:
         for t in (big - 1, big, big + 1, 2**63 - 2):
             for sw in ("S1", "S2"):
                 version = tl.epoch_versions(sw)[tl.change_ns.searchsorted(t, "right")]
-                assert tl.table_version(sw, version) is tl._tables[sw][
-                    sum(x <= t for x in tl._times[sw])]
+                assert version == sum(x <= t for x in tl._times[sw])
 
     def test_unknown_target_names_the_switch(self):
         net = line_network([10])
@@ -291,18 +289,33 @@ class TestControlPlaneStream:
             assert gaps(untimed) == gaps(timed)
 
 
+def _static_run(net: Network) -> RunResult:
+    """A run of no update on net, for run_flows over an explicit window."""
+    return RunResult(mode="untimed", seed=0, params=SystemParameters(0, 0, 0, 0),
+                     first_send_ns=0, net=net, exec_log=[], updates=[], sends=[], faults=[],
+                     old_config=ForwardingState.empty(net))
+
+
+def _injected(net: Network, flow, window) -> FlowPackets:
+    run = _static_run(net)
+    run_flows(net, run, [flow], window=window)
+    return run.flow_traces[flow.flow_id]
+
+
 class TestInjectFlow:
     def test_rate_and_window_arithmetic(self):
         net = line_network([1000])
         flow = TestFlow("f", "S1", 0, 1000.0)  # 1 ms spacing
-        times = inject_flow(net, flow, (0, 10_000_000))
-        assert len(times) == 10
-        assert times[:3].tolist() == [0, 1_000_000, 2_000_000]
+        packets = _injected(net, flow, (0, 10_000_000))
+        assert packets.t0 == 0 and len(packets) == 10
+        assert packets.t_in.dtype == np.int64
+        assert packets.t_in[:3].tolist() == [0, 1_000_000, 2_000_000]
 
     def test_window_shorter_than_spacing_yields_one(self):
         net = line_network([1000])
         flow = TestFlow("f", "S1", 0, 1000.0)
-        assert len(inject_flow(net, flow, (0, 500))) == 1
+        packets = _injected(net, flow, (7, 507))
+        assert len(packets) == 1 and packets.t_in.tolist() == [7]
 
     def test_bitrate_conversion(self):
         flow = TestFlow.from_bitrate("f", "S1", 0, mbps=40, packet_bytes=1000)
@@ -312,8 +325,10 @@ class TestInjectFlow:
     def test_rejects_non_ingress(self):
         net = line_network([1000])
         bad = TestFlow("f", "S2", 1, 100.0)
-        with pytest.raises(ValueError, match="ingress"):
-            inject_flow(net, bad, (0, 1000))
+        run = _static_run(net)
+        with pytest.raises(ValueError, match="^flow f: ingress is not an ingress port$"):
+            run_flows(net, run, [bad], window=(0, 1000))
+        assert run.flow_traces == {}
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
@@ -499,7 +514,7 @@ class TestPacketCap:
         net = line_network([1000])
         flow = TestFlow("f", "S1", 0, 1e9 / spacing)
         assert flow.spacing_ns == spacing
-        times = inject_flow(net, flow, (t0, t0 + width)).tolist()
+        times = _injected(net, flow, (t0, t0 + width)).t_in.tolist()
         assert times == (list(range(t0, t0 + width, spacing)) or [t0])
         assert _packet_count((t0, t0 + width), spacing) == len(times)
 
@@ -600,9 +615,13 @@ def test_run_flows_matches_forward_packet_oracle(case):
         with mock.patch.object(simulator, "WALK_BLOCK", block):
             run_flows(net, run, flows, window=window)
     for idx, flow in enumerate(flows):
+        packets = runs[0].flow_traces[flow.flow_id]
+        flow_window = window or default_flow_window(runs[0], flow.spacing_ns)
+        assert packets.t0 == flow_window[0]
+        assert len(packets) == _packet_count(flow_window, flow.spacing_ns)
         rng = np.random.default_rng([seed, 7919 + idx])
-        want = [forward_packet(net, runs[0].timeline, flow, t, rng) for t in inject_flow(
-            net, flow, window or default_flow_window(runs[0], flow.spacing_ns)).tolist()]
+        want = [forward_packet(net, runs[0].timeline, flow, t, rng)
+                for t in packets.t_in.tolist()]
         classes = [classify_packet(t, initial, runs[0].new_config) for t in want]
         for run in runs:
             got = run.flow_traces[flow.flow_id]

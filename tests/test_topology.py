@@ -153,8 +153,8 @@ class TestLabelChangeUpdate:
         assert proc.phase_counts() == [3, 1, 3]
         assert proc.gc_phases() == frozenset({3})
         # same switches, different tags, still a valid procedure
-        phase1 = {u.target for u in proc.updates_in_phase(1)}
-        gc = {u.target for u in proc.updates_in_phase(3)}
+        phase1 = {u.target for u, p in proc.items if p == 1}
+        gc = {u.target for u, p in proc.items if p == 3}
         assert phase1 == gc == set(path)
 
     def test_two_hop_counts(self):
@@ -174,10 +174,8 @@ class TestLabelChangeUpdate:
         _, proc = label_change_update(self.net, [(self.flow, ["leaf1", "spine2", "leaf3"])])
         assert isinstance(proc, UpdateProcedure)  # constructor enforces phases
         # remove-mode entries only in the gc phase
-        for u in proc.updates_in_phase(1) + proc.updates_in_phase(2):
-            assert u.mode == "install"
-        for u in proc.updates_in_phase(3):
-            assert u.mode == "remove"
+        for u, p in proc.items:
+            assert u.mode == ("remove" if p == 3 else "install")
 
 
 class TestPathHelpers:
