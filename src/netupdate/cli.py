@@ -22,7 +22,6 @@ import gc
 import json
 import math
 import sys
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -286,18 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None, freeze: bool = False) -> int:
-    """Run the command argv names; its exit code. freeze, entry()'s, freezes
-    the heap once the command's layers are imported, so no collection rescans
-    them; tests and tracers call main() in a process that goes on, which a
-    freeze would outlive."""
+def main(argv=None) -> int:
+    """Run the command argv names; its exit code. Each layer imports what it
+    uses, so a command loads only its own; the heap stays unfrozen, since
+    tests and tracers call main() in a process that goes on."""
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
         if args.command == "analyze-trace":
-            if freeze:
-                import_module(".stats", __package__)
-                gc.freeze()
             return cmd_analyze_trace(args.trace, _parse_percentiles(args.percentiles), out)
         from .config import Experiment
 
@@ -305,11 +300,6 @@ def main(argv=None, freeze: bool = False) -> int:
                               seeds=None if args.seeds is None else _parse_seeds(args.seeds),
                               axis=args.axis,
                               grid=None if args.grid is None else _parse_grid(args.grid))
-        if freeze:   # runs that walk flows or draw an exponential ctrl or gap delay use numpy
-            exponential = '"exponential"' in json.dumps(exp.doc.get("delays"))
-            if args.command != "plan" and (exp.doc.get("flows") or exponential):
-                import_module("numpy.random")
-            gc.freeze()
         if args.command == "plan":
             return cmd_plan(exp, out)
         if args.command == "simulate":
@@ -327,8 +317,11 @@ def main(argv=None, freeze: bool = False) -> int:
 
 def entry() -> int:
     """main() as the process entry, of `python -m netupdate.cli` and of the
-    installed script, freezing the heap once the command's layers are loaded."""
-    return main(freeze=True)
+    installed script. Once the command is done it freezes the heap, so the
+    collection at interpreter exit has nothing to rescan."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

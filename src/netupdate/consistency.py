@@ -112,17 +112,21 @@ def class_codes(packets) -> np.ndarray:
 def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     """Count the flow's inconsistently forwarded packets and divide by its rate.
 
-    Requires the flow to have been simulated against the run (see
+    Requires this very flow to have been simulated against the run (see
     simulator.run_flows) over a window covering the whole update plus drain
-    margins; otherwise the count undershoots. The walk already compared
-    every hop with both configurations, so this counts the packets that agreed
-    with neither; classify_packet is the per-trace oracle for the same classes.
+    margins; otherwise the count undershoots. Another flow of the same id is
+    an error, since its rate would scale the count wrongly. The walk already
+    compared every hop with both configurations, so this counts the packets
+    that agreed with neither; classify_packet is the per-trace oracle for the
+    same classes.
     """
     import numpy as np
 
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
+    if packets.flow != flow:
+        raise ValueError(f"flow {flow.flow_id!r} was simulated as {packets.flow}, not {flow}")
     n = int(np.count_nonzero(packets.agrees == 0))
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 

@@ -180,11 +180,11 @@ class RunResult:
 
     @property
     def first_exec_ns(self) -> int:
-        return min(e.time_ns for e in self.exec_log)
+        return self.exec_log[0].time_ns
 
     @property
     def last_exec_ns(self) -> int:
-        return max(e.time_ns for e in self.exec_log)
+        return self.exec_log[-1].time_ns
 
     @property
     def update_duration_ns(self) -> int:

@@ -294,24 +294,24 @@ class TestRunJsonStreamedWriter:
     @staticmethod
     def case_run(case):
         """The base run with the case's faults and t_su, and one flow per
-        (id, packet count, offset, rate), cut from "f"'s packets."""
+        (id, packet count, offset, rate), its walk cut from "f"'s packets
+        and its packets spaced at its own rate from the offset's entry."""
         base = _writer_base_run()
         f = base.flow_traces["f"]
-        flow_traces = {}
+        flow_traces, flows = {}, []
         for fid, n, offset, rate in case["flows"]:
             cut = slice(offset, offset + n)
-            packets = FlowPackets(f.net, f.timeline, f.flow._replace(flow_id=fid), f.seed,
+            flows.append(TestFlow(fid, "S1", 0, rate))
+            packets = FlowPackets(f.net, f.timeline, flows[-1], f.seed,
                                   f.index, f.t0 + offset * f.flow.spacing_ns,
                                   *(getattr(f, name)[cut] for name in f.ARRAYS))
-            assert len(packets) == n and packets.t_in.tolist() == f.t_in[cut].tolist()
+            assert len(packets) == n and packets.t_in[:1].tolist() == f.t_in[cut][:1].tolist()
             flow_traces[fid] = packets
         run = copy.copy(base)
         run.flow_traces = flow_traces
         run.params = base.params._replace(t_su=case["tsu"])
         run.faults = [Fault(*fault) for fault in case["faults"]]
-        reports = [measure_inconsistency(run, TestFlow(fid, "S1", 0, rate))
-                   for fid, _, _, rate in case["flows"]]
-        return run, reports
+        return run, [measure_inconsistency(run, flow) for flow in flows]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_writer_cases())
@@ -867,7 +867,7 @@ CONFIG_LAYERS = {"netupdate.config", "netupdate.simulator", "netupdate.planner",
                  "netupdate.topology", "netupdate.consistency"}
 ONE_FLOW = [{"flow_id": "f1", "ingress": "leaf1", "rate_pps": 20000,
              "path": ["leaf1", "spine1", "leaf2"]}]
-# case: (command, overrides of base_config(), whether numpy is loaded at the freeze)
+# case: (command, overrides of base_config(), whether numpy is loaded at the exit freeze)
 ENTRY_CASES = {
     "analyze-trace": ("analyze-trace", None, True),
     "plan": ("plan", {}, False),
@@ -915,6 +915,24 @@ def test_process_entries_load_only_the_commands_layers_before_the_freeze(
         assert "netupdate.stats" in at_exit and not CONFIG_LAYERS & set(at_exit)
     else:
         assert CONFIG_LAYERS <= set(at_exit) and "netupdate.stats" not in at_exit
+
+
+# the entries froze the heap before the command ran, with no output written yet
+@PROCESS_ENTRIES
+def test_process_entries_freeze_once_after_the_outputs(tmp_path, launch):
+    plan = tmp_path / "out" / "plan.csv"
+    code = ("import gc, os, sys\n"
+            "plan_at_freeze, freeze = [], gc.freeze\n"
+            "def recording_freeze():\n"
+            f"    plan_at_freeze.append(os.path.exists({str(plan)!r}))\n"
+            "    freeze()\n"
+            "gc.freeze = recording_freeze\n" + entry_launch(launch) +
+            "print(plan_at_freeze)\nsys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "plan", "--config", str(CONFIGS / "leafspine_sweep.json"),
+         "--out", str(plan.parent)],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()[-1]) == (0, "", "[True]")
 
 
 # every module but stats imported numpy at load, through delays, simulator or

@@ -203,6 +203,17 @@ class TestMeasureInconsistency:
         with pytest.raises(ValueError, match="not simulated"):
             measure_inconsistency(run, ghost)
 
+    def test_flow_measured_at_another_rate_is_an_error(self):
+        # the count of a flow walked at 1 pps, scaled by a 1,000 pps spacing,
+        # came out 1,000 times too small without an error
+        D = 2 * MS
+        params = SystemParameters(d_c=1 * MS, d_n=D, delta_msg=1 * MS, delta_sched=0)
+        run, flow = run_with_schedule(
+            lambda proc, p: simultaneous_schedule(0, proc.num_phases), D, params, rate=1.0)
+        measure_inconsistency(run, flow)
+        with pytest.raises(ValueError, match=f"flow {flow.flow_id!r} was simulated as"):
+            measure_inconsistency(run, flow._replace(rate_pps=1000.0))
+
 
 class TestKnobSchedule:
     def test_matches_worst_case_when_d_is_dn(self, testbed_params):

@@ -71,9 +71,12 @@ def run_case(case: str, workdir: Path) -> dict:
                 os.chdir(cwd)
         else:
             code = main([command, "--config", str(REPO / "configs" / name), "--out", str(out)])
-    files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-             for p in sorted(out.rglob("*")) if p.is_file()}
-    return {"exit": code, "stderr": err.getvalue(), "files": files}
+    return {"exit": code, "stderr": err.getvalue(), "files": file_digests(out)}
+
+
+def file_digests(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 def test_golden_covers_every_shipped_config():
@@ -157,7 +160,7 @@ def test_in_process_main_leaves_the_heap_unfrozen(tmp_path):
 
 
 def test_process_entry_writes_the_golden_plan(tmp_path):
-    """python -m netupdate.cli freezes the heap before the command; the bytes stay."""
+    """python -m netupdate.cli freezes the heap once the command is done; the bytes stay."""
     import netupdate
 
     env = dict(os.environ)
@@ -170,6 +173,31 @@ def test_process_entry_writes_the_golden_plan(tmp_path):
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert {"exit": proc.returncode, "stderr": proc.stderr, "files": files} == (
         json.loads(GOLDEN.read_text())["plan leafspine_sweep.json"])
+
+
+# the python -m launch of tests/test_cli.py's process entries; nothing in it imports numpy
+PYTHON_M = ("import runpy, sys\n"
+            "try:\n    runpy.run_module('netupdate.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    code = exc.code\n"
+            "from netupdate import delays\n"
+            "print(delays._py_uniforms_left < delays.PY_UNIFORMS)\n"
+            "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("case", ["simulate sprint_knob.json", "sweep sprint_knob.json"])
+def test_process_entry_draws_in_python_before_the_walk_loads_numpy(case, tmp_path):
+    """python -m netupdate.cli loads numpy only when the walk needs it, so a
+    flows run draws its first control-plane block in Python; the bytes stay."""
+    from conftest import child_env
+
+    command, name = case.split()
+    proc = subprocess.run(
+        [sys.executable, "-c", PYTHON_M, command,
+         "--config", str(REPO / "configs" / name), "--out", str(tmp_path)],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "True"
+    assert {"exit": proc.returncode, "stderr": proc.stderr, "files": file_digests(tmp_path)} == (
+        json.loads(GOLDEN.read_text())[case])
 
 
 def regenerate() -> None:
