@@ -66,7 +66,7 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
 
 
 PACKET_BLOCK = 1024  # packets formatted per write when streaming run.json
-_JSON_BOOL = ("false", "true")
+_JSON_DELIVERED = ("true", "false", "false", "false")   # by FlowPackets.end code
 _PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
 
 
@@ -75,16 +75,14 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
     from .simulator import END_KINDS
 
     flows = {}
-    for rep in reports:   # a run without flows imports no numpy
-        import numpy as np
-
-        ends = np.bincount(run.flow_traces[rep.flow_id].end, minlength=len(END_KINDS))
+    for rep in reports:
+        ends = bytes(run.flow_traces[rep.flow_id].end)
         flows[rep.flow_id] = {
             "n_inconsistent": rep.n_inconsistent,
             "rate_pps": rep.rate_pps,
             "inconsistency_ns": rep.inconsistency_ns,
             # "dropped", "stranded" and "truncated"
-            **dict(zip(END_KINDS[1:], ends[1:].tolist())),
+            **{kind: ends.count(k) for k, kind in enumerate(END_KINDS) if k},
             "packets": float("nan"),
         }
     p = run.params
@@ -113,7 +111,7 @@ def _run_to_dict(run, exp_hash: str, reports) -> dict:
             {"t_in": t_in, "result": CLASSES[code], "hops": hops, "delivered": delivered}
             for t_in, code, hops, delivered in zip(
                 packets.t_in.tolist(), class_codes(packets).tolist(), packets.hops.tolist(),
-                (packets.end == 0).tolist(), strict=True)]
+                [e == 0 for e in packets.end.tolist()], strict=True)]
     return doc
 
 
@@ -122,7 +120,8 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
     indent=2, sort_keys=True), without a dict per packet or the whole text.
     The text is json's of _run_doc, split at its "packets" fields (a quote in
     a JSON string is written \\"), each gap filled, in json's sorted flow
-    order, with PACKET_BLOCK packets per write from the walk's arrays."""
+    order, with PACKET_BLOCK packets per write from the walk's arrays; packet
+    k's t_in is t0 + k x spacing."""
     from .consistency import CLASSES, class_codes
 
     head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
@@ -130,16 +129,17 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
     fh.write(head)
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
-        codes, t_in = class_codes(packets), packets.t_in
+        codes, spacing = class_codes(packets), packets.flow.spacing_ns
+        t_in = range(packets.t0, packets.t0 + len(packets) * spacing, spacing)
         fh.write('"packets": [')
         for start in range(0, len(packets), PACKET_BLOCK):
             stop = start + PACKET_BLOCK
             fh.write(("," if start else "") + ",".join(
-                f'{_PAD}{{{_KEY}"delivered": {_JSON_BOOL[delivered]},{_KEY}"hops": {hops},'
+                f'{_PAD}{{{_KEY}"delivered": {_JSON_DELIVERED[e]},{_KEY}"hops": {hops},'
                 f'{_KEY}"result": "{CLASSES[code]}",{_KEY}"t_in": {t}{_PAD}}}'
-                for delivered, hops, code, t in zip(
-                    (packets.end[start:stop] == 0).tolist(), packets.hops[start:stop].tolist(),
-                    codes[start:stop].tolist(), t_in[start:stop].tolist(), strict=True)))
+                for e, hops, code, t in zip(
+                    packets.end[start:stop].tolist(), packets.hops[start:stop].tolist(),
+                    codes[start:stop].tolist(), t_in[start:stop], strict=True)))
         fh.write(("\n      ]" if len(packets) else "]") + tail)
 
 

@@ -12,13 +12,11 @@ walk's agreement code, which class_codes maps to indices into CLASSES.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from array import array
+from typing import NamedTuple
 
 from .model import (MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, lookup_rule,
                     validated)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
@@ -100,13 +98,15 @@ def classify_packet(trace, old_config: ForwardingState,
     return INCONSISTENT
 
 
-def class_codes(packets) -> np.ndarray:
-    """Each packet of a FlowPackets as an index into CLASSES: 0 if every hop
-    agreed with the old configuration (bit 0 of agrees; old wins a tie, as in
-    classify_packet), else 1 if every hop agreed with the new one, else 2."""
-    import numpy as np
+_CLASS_OF_AGREES = bytes((2, 0, 1, 0)).ljust(256, b"\2")   # agrees is 0-3; translate takes 256
 
-    return np.array((2, 0, 1, 0), np.uint8)[packets.agrees]
+
+def class_codes(packets) -> array:
+    """Each packet of a FlowPackets as an index into CLASSES, in a uint8
+    array: 0 if every hop agreed with the old configuration (bit 0 of agrees;
+    old wins a tie, as in classify_packet), else 1 if every hop agreed with
+    the new one, else 2."""
+    return array("B", bytes(packets.agrees).translate(_CLASS_OF_AGREES))
 
 
 def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
@@ -120,14 +120,12 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     that agreed with neither; classify_packet is the per-trace oracle for the
     same classes.
     """
-    import numpy as np
-
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
     if packets.flow != flow:
         raise ValueError(f"flow {flow.flow_id!r} was simulated as {packets.flow}, not {flow}")
-    n = int(np.count_nonzero(packets.agrees == 0))
+    n = bytes(packets.agrees).count(0)
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 
 

@@ -8,12 +8,15 @@ switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
 The data-plane stage, run_flows, walks every test-flow packet of a run
-through that timeline in one table-driven walk, which a differential test
-holds to forward_packet, the one-packet oracle that alone builds PacketTraces.
+through that timeline: as entry-time windows when every link delay is
+constant, else in one table-driven walk. Differential tests hold the windows
+to the table-driven walk and that to forward_packet, the one-packet oracle
+that alone builds PacketTraces.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -386,9 +389,12 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 class FlowPackets:
     """Per-packet results of one test flow, one array of length n per name
     in ARRAYS, in injection order; nothing is kept per hop, and nothing the
-    arrays or the flow determine.
+    arrays or the flow determine. The arrays are numpy's from the
+    table-driven walk and array.array's (typecodes B/H/I, q, b, B) from the
+    windows walk; readers use only what both share: len, slicing, tolist()
+    and the buffer protocol.
 
-    hops (in the walk's count dtype) and t_last (the arrival time at the
+    hops (in the walk's count type) and t_last (the arrival time at the
     last hop) describe each packet's walk, end indexes END_KINDS with how it
     ended, and bit 0 / bit 1 of agrees say whether every realized hop action
     equals the old / new configuration's action there. Packet k entered at
@@ -420,10 +426,8 @@ class FlowPackets:
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
-        import numpy as np
-
         return (self.flow, self.t0) == (other.flow, other.t0) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.ARRAYS)
+            getattr(self, name).tolist() == getattr(other, name).tolist() for name in self.ARRAYS)
 
     __hash__ = None
 
@@ -452,27 +456,23 @@ _STRANDED, _TRUNCATED = 2, 3
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     """Inject and walk every test flow; run.flow_traces[flow_id] gets its FlowPackets.
 
-    Flow i in flow-id order draws, from a generator seeded with the run seed
-    and i, a packets x switches matrix of uniforms, whole rows in packet
-    order, row k for packet k, as forward_packet draws them; a block keeps
-    only the columns a walk can read: one per link crossing on the longest
-    run of crossings from an ingress node (all but the last on a loop). A
-    flow added after all others in flow-id order leaves their packets
-    unchanged; one added before a flow moves that flow's stream. Under
-    constant link delays no draw matters: any subset of the flows gives each
-    the same arrays.
-
     Before anything is drawn or allocated, a flow whose ingress is not an
     ingress port raises ValueError, one whose packet times could leave the
     int64 range TimeRangeError, and flows that would inject more than
     MAX_PACKETS packets in all PacketCapError.
 
-    Every (node, table version) pair the flows reach is resolved once, a node
-    being a (flow, switch, in_port, tag); then all packets, laid end to end,
-    move hop by hop, WALK_BLOCK at a time, by gathers from those tables.
+    When every link delay in net.links is constant, no draw matters: each
+    flow is walked alone as entry-time windows (_walk_windows), without
+    numpy, and any subset of the flows gives each the same arrays. Otherwise
+    the table-driven walk (_walk_tables), the windows' oracle, walks them
+    all: flow i in flow-id order draws, from a generator seeded with the run
+    seed and i, a packets x switches matrix of uniforms, whole rows in
+    packet order, row k for packet k, as forward_packet draws them; a block
+    keeps only the columns a walk can read: one per link crossing on the
+    longest run of crossings from an ingress node (all but the last on a
+    loop). A flow added after all others in flow-id order leaves their
+    packets unchanged; one added before a flow moves that flow's stream.
     """
-    import numpy as np
-
     flows = sorted(flows, key=lambda f: f.flow_id)
     if not flows:
         return
@@ -493,6 +493,62 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         raise PacketCapError(flows[most].flow_id, (
             f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
+    if all(link.delay.kind == "constant" for link in net.links):
+        columns = [_walk_windows(net, run, f, t0, n)
+                   for f, (t0, _), n in zip(flows, windows, counts)]
+    else:
+        columns = _walk_tables(net, run, flows, windows, counts)
+    for i, (flow, (t0, _), arrays) in enumerate(zip(flows, windows, columns)):
+        run.flow_traces[flow.flow_id] = FlowPackets(net, run.timeline, flow, run.seed, i, t0,
+                                                    *arrays)
+
+
+def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
+    """FlowPackets.ARRAYS of a flow's n packets under constant link delays.
+
+    A piece is packets k0..k1-1 at one (switch, in_port, tag) that all left
+    the ingress by the same links, so packet k arrives t0 + k x spacing + D,
+    D the delays summed. The switch's change times split it where packets
+    start to see another version, and each part resolves once: its action,
+    agreement bits and end, or the next hop's piece. Pieces are disjoint, so
+    they never outnumber the packets, and the walk keeps a stack of them.
+    """
+    timeline, spacing, flow_id = run.timeline, flow.spacing_ns, flow.flow_id
+    n_hops = len(net.switches)
+    hops, t_last, end, agrees = (array(code, [0]) * n for code in (
+        "BHI"[(n_hops > 0xFF) + (n_hops > 0xFFFF)], "q", "b", "B"))   # hops: the walk's count type
+    pieces = [(0, n, flow.ingress_switch, flow.ingress_port, None, 0, 1, 3)]
+    while pieces:
+        k0, k1, sw, port, tag, delay, hop, bits = pieces.pop()
+        times, base = timeline._times[sw], t0 + delay   # packet k arrives at base + k x spacing
+        old = lookup_rule(run.old_config.tables[sw], flow_id, tag, port)
+        new = lookup_rule(run.new_config.tables[sw], flow_id, tag, port)
+        # a change at c is seen from packet ceil((c - base) / spacing) on
+        first, last = (bisect_right(times, base + k * spacing) for k in (k0, k1 - 1))
+        cuts = sorted({-((base - c) // spacing) for c in times[first:last]})
+        for a, b in zip([k0, *cuts], [*cuts, k1]):
+            action = lookup_rule(timeline.tables[sw][bisect_right(times, base + a * spacing)],
+                                 flow_id, tag, port)
+            agree = bits & ((action == old) | (action == new) << 1)
+            peer = None if action.kind in _SINK else net.peer(sw, action.out_port)
+            if peer is not None and hop < n_hops:
+                tagged = action.new_tag if action.kind == "forward_tagged" else tag
+                pieces.append((a, b, *peer[:2], tagged, delay + peer[2].value, hop + 1, agree))
+                continue
+            kind = _SINK.get(action.kind, _STRANDED if peer is None else _TRUNCATED)
+            for out, value in ((hops, hop), (end, kind), (agrees, agree)):
+                out[a:b] = array(out.typecode, [value]) * (b - a)
+            t_last[a:b] = array("q", range(base + a * spacing, base + b * spacing, spacing))
+    return hops, t_last, end, agrees
+
+
+def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
+    """FlowPackets.ARRAYS of each flow, in order: every (node, table version)
+    pair the flows reach is resolved once, a node being a (flow, switch,
+    in_port, tag); then all packets, laid end to end, move hop by hop,
+    WALK_BLOCK at a time, by gathers from those tables."""
+    import numpy as np
+
     timeline, n_hops, epoch_ns = run.timeline, len(net.switches), run.timeline.change_ns
     # rows: per switch seen, its version in each epoch (row 0 serves the sinks); per
     # real node (numbered from 3), its row's offset and first pair slot; per pair
@@ -583,6 +639,5 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
             t += delay
         at = block if len(pos) == block.stop - start else pos
         hops[at], t_last[at], end[at], agrees[at] = count, t, np.minimum(node, _TRUNCATED), bits
-    for i, (flow, (t0, _), a, b) in enumerate(zip(flows, windows, firsts, firsts[1:])):
-        run.flow_traces[flow.flow_id] = FlowPackets(net, timeline, flow, run.seed, i, t0, *(
-            out[a:b] for out in (hops, t_last, end, agrees)))
+    return [tuple(out[a:b] for out in (hops, t_last, end, agrees))
+            for a, b in zip(firsts, firsts[1:])]

@@ -34,8 +34,11 @@ _EXPONENTIAL = st.tuples(st.integers(1, 50_000), st.integers(1, 10)).map(
 
 
 @st.composite
-def _cases(draw):
-    """(net, flows with paths, params, seed, spacing divisor) of one example."""
+def networks(draw, delays=None):
+    """(net, neighbours of each switch, ingress switches): a connected network
+    of 3-12 switches whose links take ports 1, 2, ... and whose ingress
+    switches have ingress port 0; each link's delay is drawn from delays,
+    by default from one of _CONSTANT, _EXPONENTIAL or either per link."""
     n = draw(st.integers(3, 12))
     switches = [f"S{i}" for i in range(1, n + 1)]
     # a random spanning tree, then a few more edges
@@ -45,7 +48,8 @@ def _cases(draw):
                               max_size=n)):
         if a != b:
             edges.add(tuple(sorted((a, b))))
-    delays = draw(st.sampled_from((_CONSTANT, _EXPONENTIAL, _CONSTANT | _EXPONENTIAL)))
+    if delays is None:
+        delays = draw(st.sampled_from((_CONSTANT, _EXPONENTIAL, _CONSTANT | _EXPONENTIAL)))
     next_port = dict.fromkeys(switches, 1)   # port 0 is the ingress port
     links, neighbours = [], {s: [] for s in switches}
     for a, b in sorted(edges):
@@ -56,7 +60,14 @@ def _cases(draw):
         neighbours[b].append(a)
     ingress = draw(st.lists(st.sampled_from(switches), min_size=1, max_size=n, unique=True))
     net = Network(tuple(switches), tuple(links), frozenset((s, 0) for s in ingress))
+    return net, neighbours, ingress
 
+
+@st.composite
+def _cases(draw):
+    """(net, flows with paths, params, seed, spacing divisor) of one example."""
+    net, neighbours, ingress = draw(networks())
+    n = len(net.switches)
     pairs = []
     for i in range(draw(st.integers(1, 5))):
         path = [draw(st.sampled_from(ingress))]

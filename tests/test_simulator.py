@@ -1,7 +1,9 @@
 import hashlib
 import logging
 import random
+import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -50,6 +52,7 @@ from netupdate.simulator import (
 from netupdate.topology import policy_initial_state, policy_update, stub_update
 
 from conftest import DC_NS, line_network, line_flow_setup, numpy_unloaded, testbed_params
+from test_properties import networks
 
 import numpy as np
 
@@ -289,6 +292,13 @@ class TestControlPlaneStream:
             assert gaps(untimed) == gaps(timed)
 
 
+def _table_walk_twin(net: Network) -> Network:
+    """net with each constant link delay as a one-sample empirical pool: the
+    same delays, but walked by the table-driven walk."""
+    return Network(net.switches, [link._replace(delay=DelayModel.empirical([link.delay.value]))
+                                  for link in net.links], net.ingress_ports)
+
+
 def _static_run(net: Network) -> RunResult:
     """A run of no update on net, for run_flows over an explicit window."""
     return RunResult(mode="untimed", seed=0, params=SystemParameters(0, 0, 0, 0),
@@ -453,49 +463,61 @@ class TestRunFlows:
     def test_stored_state_is_per_packet_vectors(self, testbed_params):
         net, flow, path, init, proc = line_flow_setup(10_000_000)
         sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
-        fast, blocked = (run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
-                                   seed=3, initial_state=init) for _ in range(2))
-        run_flows(net, fast, [flow])
+        windows, fast, blocked = (run_timed(net, TimedUpdateProcedure(proc, sched),
+                                            testbed_params, seed=3, initial_state=init)
+                                  for _ in range(3))
+        run_flows(net, windows, [flow])
+        twin = _table_walk_twin(net)
+        run_flows(twin, fast, [flow])
         with mock.patch.object(simulator, "WALK_BLOCK", 7):
-            run_flows(net, blocked, [flow])
-        for run in (fast, blocked):
+            run_flows(twin, blocked, [flow])
+        for run, kind in ((windows, array), (fast, np.ndarray), (blocked, np.ndarray)):
             packets = run.flow_traces[flow.flow_id]
-            arrays = {name: v for name, v in vars(packets).items() if isinstance(v, np.ndarray)}
-            assert set(arrays) == set(FlowPackets.ARRAYS)
-            assert {v.shape for v in arrays.values()} == {(len(packets),)}
+            columns = {name: v for name, v in vars(packets).items()
+                       if isinstance(v, (array, np.ndarray))}
+            assert set(columns) == set(FlowPackets.ARRAYS)
+            assert all(isinstance(v, kind) for v in columns.values())
+            assert {len(v) for v in columns.values()} == {len(packets)}
         assert len(fast.flow_traces[flow.flow_id]) > 3 * 7
-        # a flow walked in many blocks gives what one block gives
-        assert blocked.flow_traces == fast.flow_traces
+        # a flow walked in many blocks gives what one block gives, and the
+        # windows walk what the table-driven walk gives
+        assert blocked.flow_traces == fast.flow_traces == windows.flow_traces
+
+    @staticmethod
+    def _last_point_run(config: str):
+        """The config's last grid point and a timed run of it: sprint_knob's
+        flows are walked as windows, sprint_knob_exp's by the table-driven walk."""
+        from netupdate.config import Experiment
+
+        *_, (_, point) = Experiment.load(CONFIGS / f"{config}.json").points()
+        return point, run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()),
+                                point.params, point.delays, seed=3,
+                                initial_state=point.initial_state)
 
     def test_stored_state_is_at_most_11_bytes_a_packet(self):
         # t_in, hops as int64 and five boolean flags stored 29 B a packet
-        from netupdate.config import Experiment
-
-        *_, (_, point) = Experiment.load(CONFIGS / "sprint_knob.json").points()
-        run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()),
-                        point.params, point.delays, seed=3, initial_state=point.initial_state)
-        run_flows(point.net, run, point.flows)
-        for packets in run.flow_traces.values():
-            stored = sum(v.nbytes for v in vars(packets).values() if isinstance(v, np.ndarray))
-            assert len(packets) > 100 and stored <= 11 * len(packets)
+        for config in ("sprint_knob", "sprint_knob_exp"):
+            point, run = self._last_point_run(config)
+            run_flows(point.net, run, point.flows)
+            for packets in run.flow_traces.values():
+                stored = sum(memoryview(v).nbytes for v in vars(packets).values()
+                             if isinstance(v, (array, np.ndarray)))
+                assert len(packets) > 100 and stored <= 11 * len(packets)
 
     def test_dense_flows_keep_only_the_uniform_columns_they_read(self):
-        # the walk kept all 11 columns of uniforms where a packet reads two:
-        # 84 B per packet at peak
-        from netupdate.config import Experiment
-
-        *_, (_, point) = Experiment.load(CONFIGS / "sprint_knob.json").points()
-        flows = [flow._replace(rate_pps=10**6) for flow in point.flows]
-        run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()),
-                        point.params, point.delays, seed=3, initial_state=point.initial_state)
-        tracemalloc.start()
-        try:
-            run_flows(point.net, run, flows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        packets = sum(map(len, run.flow_traces.values()))
-        assert packets > 3 * simulator.WALK_BLOCK and peak <= 55 * packets
+        # the table-driven walk kept all 11 columns of uniforms where a packet
+        # reads two: 84 B per packet at peak
+        for config in ("sprint_knob", "sprint_knob_exp"):
+            point, run = self._last_point_run(config)
+            flows = [flow._replace(rate_pps=10**6) for flow in point.flows]
+            tracemalloc.start()
+            try:
+                run_flows(point.net, run, flows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            packets = sum(map(len, run.flow_traces.values()))
+            assert packets > 3 * simulator.WALK_BLOCK and peak <= 55 * packets
 
 
 class TestPacketCap:
@@ -547,6 +569,44 @@ UNLINKED_PORT = 9  # no link behind it: forwarding there strands the packet
 
 
 @st.composite
+def _states(draw, net, flows, max_updates, last_ns):
+    """(initial state, [(exec time, update)] by time) of random rule tables for
+    flows on net: 0 to max_updates installs or removes at 0 to last_ns."""
+
+    def table(sw):
+        ports = sorted(net.ports[sw])
+        outs = ports + [UNLINKED_PORT]
+        # mostly forwarding actions, so that walks get long and loop; None: no rule
+        actions = ([DROP, DELIVER, None] + [Action.forward(p) for p in outs] * 2
+                   + [Action.forward_tagged(p, t) for p in outs for t in ("A", "B")])
+        keys = [(f.flow_id, tag, port) for f in flows for tag in _TAGS for port in ports]
+        # one draw per table: a byte per key picks its action
+        drawn = draw(st.binary(min_size=len(keys), max_size=len(keys)))
+        return {k: actions[b % len(actions)] for k, b in zip(keys, drawn)
+                if actions[b % len(actions)] is not None}
+
+    initial = ForwardingState.from_dict(net, {sw: table(sw) for sw in net.switches})
+    updates = []
+    for _ in range(draw(st.integers(0, max_updates))):
+        sw = draw(st.sampled_from(net.switches))
+        entries = table(sw)
+        u = (SingletonUpdate.install(sw, entries) if draw(st.booleans())
+             else SingletonUpdate.remove(sw, list(entries)))
+        updates.append((draw(st.integers(0, last_ns)), u))
+    updates.sort(key=lambda tu: tu[0])
+    return initial, updates
+
+
+def _timed_run(net: Network, initial, updates, seed: int = 0) -> RunResult:
+    """A run whose executions are the (time, update) pairs, in that order."""
+    return RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
+                     first_send_ns=0, net=net, sends=[], faults=[], old_config=initial,
+                     exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
+                               for i, (t, u) in enumerate(updates)],
+                     updates=[u for _, u in updates])
+
+
+@st.composite
 def _data_plane_cases(draw):
     """A random small network, old state, exec timeline and three flows.
 
@@ -572,29 +632,8 @@ def _data_plane_cases(draw):
              for i, (fid, spacing) in enumerate(zip(("f", "g", "h"), spacings))]
     net = Network(tuple(switches), tuple(links),
                   frozenset((f.ingress_switch, 0) for f in flows))
-
-    def table(sw):
-        ports = sorted(net.ports[sw])
-        outs = ports + [UNLINKED_PORT]
-        # mostly forwarding actions, so that walks get long and loop; None: no rule
-        actions = ([DROP, DELIVER, None] + [Action.forward(p) for p in outs] * 2
-                   + [Action.forward_tagged(p, t) for p in outs for t in ("A", "B")])
-        keys = [(f.flow_id, tag, port) for f in flows for tag in _TAGS for port in ports]
-        # one draw per table: a byte per key picks its action
-        drawn = draw(st.binary(min_size=len(keys), max_size=len(keys)))
-        return {k: actions[b % len(actions)] for k, b in zip(keys, drawn)
-                if actions[b % len(actions)] is not None}
-
-    initial = ForwardingState.from_dict(net, {sw: table(sw) for sw in switches})
+    initial, updates = draw(_states(net, flows, 6, 60))
     window = None
-    updates = []
-    for _ in range(draw(st.integers(0, 6))):
-        sw = draw(st.sampled_from(switches))
-        entries = table(sw)
-        u = (SingletonUpdate.install(sw, entries) if draw(st.booleans())
-             else SingletonUpdate.remove(sw, list(entries)))
-        updates.append((draw(st.integers(0, 60)), u))
-    updates.sort(key=lambda tu: tu[0])
     if not updates:
         window = (0, draw(st.integers(1, 60)))
     return net, initial, updates, flows, window, draw(st.integers(0, 2**16))
@@ -604,11 +643,7 @@ def _data_plane_cases(draw):
 @given(case=_data_plane_cases())
 def test_run_flows_matches_forward_packet_oracle(case):
     net, initial, updates, flows, window, seed = case
-    runs = [RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
-                      first_send_ns=0, net=net, sends=[], faults=[], old_config=initial,
-                      exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
-                                for i, (t, u) in enumerate(updates)],
-                      updates=[u for _, u in updates]) for _ in range(3)]
+    runs = [_timed_run(net, initial, updates, seed) for _ in range(3)]
     # blocks of 2 and 3 packets: most blocks straddle two flows' packets; in
     # one block of all, finished packets are set aside as the walk goes on
     for run, block in zip(runs, (2, 3, simulator.WALK_BLOCK)):
@@ -637,6 +672,64 @@ def test_run_flows_matches_forward_packet_oracle(case):
                     == classes.count(INCONSISTENT))
         # iterating re-walks the packets on the flow's own stream
         assert list(runs[0].flow_traces[flow.flow_id]) == want
+
+
+# -- the windows walk against the table-driven walk --------------------------
+
+@st.composite
+def _constant_delay_cases(draw):
+    """A network of test_properties.networks with constant delays of 0-3 ns,
+    random rule tables for two flows (forwarding that loops, drops, and
+    strands at UNLINKED_PORT) and 0-8 execs at 0-20 ns, often at equal
+    times. The flows are spaced 1-3 ns over 1-60 ns from -8 to 8 ns, so
+    execs often fall exactly on a packet's arrival."""
+    net, _, ingress = draw(networks(st.integers(0, 3).map(DelayModel.constant)))
+    flows = [TestFlow(fid, draw(st.sampled_from(ingress)), 0, 1e9 / draw(st.integers(1, 3)))
+             for fid in ("f", "g")]
+    initial, updates = draw(_states(net, flows, 8, 20))
+    t0 = draw(st.integers(-8, 8))
+    return net, initial, updates, flows, (t0, t0 + draw(st.integers(1, 60)))
+
+
+def _walk_both(net: Network, initial, updates, flows, window) -> list:
+    """Each flow's columns, by the windows walk and by the table-driven walk."""
+    got = []
+    for walked, kind in ((net, array), (_table_walk_twin(net), np.ndarray)):
+        run = _timed_run(walked, initial, updates)
+        run_flows(walked, run, flows, window=window)
+        packets = [run.flow_traces[f.flow_id] for f in flows]
+        assert all(isinstance(getattr(p, name), kind)
+                   for p in packets for name in FlowPackets.ARRAYS)
+        got.append([(p.t0, {name: getattr(p, name).tolist() for name in FlowPackets.ARRAYS})
+                    for p in packets])
+    return got
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_constant_delay_cases())
+def test_windows_walk_matches_the_table_driven_walk(case):
+    windows, tables = _walk_both(*case)
+    assert windows == tables
+
+
+def test_windows_walk_a_loop_longer_than_the_recursion_limit():
+    # a ring of more switches than the recursion limit; from 3 ns on, the
+    # switch halfway round delivers: packets 0-2 pass it, loop and are
+    # truncated at the ring's last switch, the others are delivered there
+    n = sys.getrecursionlimit() + 1
+    half, switches = n // 2, [f"S{i}" for i in range(n)]
+    net = Network(switches, [Link((switches[i], 2), (switches[(i + 1) % n], 1),
+                                  DelayModel.constant(1)) for i in range(n)], {("S0", 0)})
+    loop = {sw: {("f", None, 1): Action.forward(2)} for sw in switches}
+    loop["S0"][("f", None, 0)] = Action.forward(2)
+    updates = [(half + 3, SingletonUpdate.install(f"S{half}", {("f", None, 1): DELIVER}))]
+    windows, tables = _walk_both(net, ForwardingState.from_dict(net, loop), updates,
+                                 [TestFlow("f", "S0", 0, 1e9)], (0, 10))
+    assert windows == tables
+    _, columns = windows[0]
+    assert columns["hops"] == [n] * 3 + [half + 1] * 7
+    assert columns["t_last"] == [k + n - 1 for k in range(3)] + [k + half for k in range(3, 10)]
+    assert [END_KINDS[e] for e in columns["end"]] == ["truncated"] * 3 + ["delivered"] * 7
 
 
 # sha256 of the control-plane runs below, faults included: of those that draw,
