@@ -102,16 +102,15 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
 
 def _run_to_dict(run, exp_hash: str, reports) -> dict:
     """run.json as one document with a dict per packet: the oracle of _write_run."""
-    from .consistency import CLASSES, class_codes
+    from .consistency import CLASS_OF_AGREES
 
     doc = _run_doc(run, exp_hash, reports)
     for rep in reports:
         packets = run.flow_traces[rep.flow_id]
         doc["flows"][rep.flow_id]["packets"] = [
-            {"t_in": t_in, "result": CLASSES[code], "hops": hops, "delivered": delivered}
-            for t_in, code, hops, delivered in zip(
-                packets.t_in.tolist(), class_codes(packets).tolist(), packets.hops.tolist(),
-                [e == 0 for e in packets.end.tolist()], strict=True)]
+            {"t_in": t_in, "result": CLASS_OF_AGREES[code], "hops": hops, "delivered": e == 0}
+            for t_in, code, hops, e in zip(
+                packets.t_in, packets.agrees, packets.hops, packets.end, strict=True)]
     return doc
 
 
@@ -120,26 +119,23 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
     indent=2, sort_keys=True), without a dict per packet or the whole text.
     The text is json's of _run_doc, split at its "packets" fields (a quote in
     a JSON string is written \\"), each gap filled, in json's sorted flow
-    order, with PACKET_BLOCK packets per write from the walk's arrays; packet
-    k's t_in is t0 + k x spacing."""
-    from .consistency import CLASSES, class_codes
+    order, with PACKET_BLOCK packets per write from the walk's arrays."""
+    from .consistency import CLASS_OF_AGREES
 
     head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
                               sort_keys=True).split('"packets": NaN')
     fh.write(head)
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
-        codes, spacing = class_codes(packets), packets.flow.spacing_ns
-        t_in = range(packets.t0, packets.t0 + len(packets) * spacing, spacing)
         fh.write('"packets": [')
         for start in range(0, len(packets), PACKET_BLOCK):
             stop = start + PACKET_BLOCK
             fh.write(("," if start else "") + ",".join(
                 f'{_PAD}{{{_KEY}"delivered": {_JSON_DELIVERED[e]},{_KEY}"hops": {hops},'
-                f'{_KEY}"result": "{CLASSES[code]}",{_KEY}"t_in": {t}{_PAD}}}'
+                f'{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": {t}{_PAD}}}'
                 for e, hops, code, t in zip(
-                    packets.end[start:stop].tolist(), packets.hops[start:stop].tolist(),
-                    codes[start:stop].tolist(), t_in[start:stop], strict=True)))
+                    packets.end[start:stop], packets.hops[start:stop],
+                    packets.agrees[start:stop], packets.t_in[start:stop], strict=True)))
         fh.write(("\n      ]" if len(packets) else "]") + tail)
 
 

@@ -6,13 +6,12 @@ Anything mixed (including drops during the transition, which match neither
 configuration end to end) is inconsistent. The inconsistency of a flow is
 the inconsistent-packet count divided by the flow rate: the time-equivalent
 length of the disruption the update caused. A packet's verdict lives in the
-walk's agreement code, which class_codes maps to indices into CLASSES.
+walk's agreement code, and CLASS_OF_AGREES[code] names its class.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from typing import NamedTuple
 
 from .model import (MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, lookup_rule,
@@ -21,7 +20,9 @@ from .model import (MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
 INCONSISTENT = "inconsistent"
-CLASSES = (CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT)  # class_codes' 0, 1 and 2
+# by agreement code: bit 0 set if every hop agreed with the old configuration, bit
+# 1 if with the new one; old wins a tie, as in classify_packet
+CLASS_OF_AGREES = (INCONSISTENT, CONSISTENT_OLD, CONSISTENT_NEW, CONSISTENT_OLD)
 
 
 @validated
@@ -96,17 +97,6 @@ def classify_packet(trace, old_config: ForwardingState,
     if matches(new_config):
         return CONSISTENT_NEW
     return INCONSISTENT
-
-
-_CLASS_OF_AGREES = bytes((2, 0, 1, 0)).ljust(256, b"\2")   # agrees is 0-3; translate takes 256
-
-
-def class_codes(packets) -> array:
-    """Each packet of a FlowPackets as an index into CLASSES, in a uint8
-    array: 0 if every hop agreed with the old configuration (bit 0 of agrees;
-    old wins a tie, as in classify_packet), else 1 if every hop agreed with
-    the new one, else 2."""
-    return array("B", bytes(packets.agrees).translate(_CLASS_OF_AGREES))
 
 
 def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:

@@ -101,14 +101,15 @@ class StateTimeline:
     """Per-switch rule tables as a step function of real time.
 
     tables[switch] lists the switch's table versions: version 0 is its initial
-    table, version v the table after its v-th executed update. Each execution
-    applies itself, through apply_update (ForwardingState.apply's step), to a
-    copy of its target's latest table only, and warns of nothing: a run warns
-    of each absent rule in its own fold (_control_plane).
+    table, version v the table after its v-th executed update, which took effect
+    at times[switch][v - 1]. Each execution applies itself, through apply_update
+    (ForwardingState.apply's step), to a copy of its target's latest table only,
+    and warns of nothing: a run warns of each absent rule in its own fold
+    (_control_plane).
     """
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
-        self._times = {s: [] for s in net.switches}
+        self.times = {s: [] for s in net.switches}
         self.tables = {s: [initial.tables[s]] for s in net.switches}
         for time_ns, update in execs:
             versions = self.tables.get(update.target)
@@ -117,30 +118,14 @@ class StateTimeline:
             table = dict(versions[-1])
             apply_update(table, update, warn=False)
             versions.append(table)
-            self._times[update.target].append(time_ns)
-
-    @cached_property
-    def change_ns(self) -> np.ndarray:
-        """The distinct times at which tables change, sorted, as int64 (a later time
-        capped at 2**63 - 1); epoch e starts at change_ns[e - 1], epoch 0 before."""
-        import numpy as np
-
-        return np.array(sorted({min(t, 2**63 - 1) for ts in self._times.values() for t in ts}),
-                        dtype=np.int64)
-
-    def epoch_versions(self, switch: str) -> np.ndarray:
-        """The switch's table version in force in each epoch."""
-        import numpy as np
-
-        own = np.array([min(t, 2**63 - 1) for t in self._times[switch]], np.int64)
-        return np.append(0, own.searchsorted(self.change_ns, side="right")).astype(np.int32)
+            self.times[update.target].append(time_ns)
 
     def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
         """Action seen by a packet at this switch and instant; a rule change
         at time t is visible to a packet arriving exactly at t."""
         if switch not in self.tables:
             raise ValueError(f"unknown switch {switch!r}")
-        table = self.tables[switch][bisect_right(self._times[switch], time_ns)]
+        table = self.tables[switch][bisect_right(self.times[switch], time_ns)]
         return lookup_rule(table, flow_id, tag, port)
 
 
@@ -344,13 +329,6 @@ def _packet_count(window, spacing_ns: int) -> int:
     return max(1, -((t0 - t1) // spacing_ns))
 
 
-def _entry_times(t0: int, spacing_ns: int, k0: int, k1: int) -> np.ndarray:
-    """Arrival times (int64) of packets k0..k1-1 of a flow whose packet 0 enters at t0."""
-    import numpy as np
-
-    return np.arange(k0, k1, dtype=np.int64) * spacing_ns + t0
-
-
 def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
                    rng: np.random.Generator) -> PacketTrace:
     """The one-packet oracle of run_flows: walk one packet of a flow,
@@ -387,12 +365,10 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 
 
 class FlowPackets:
-    """Per-packet results of one test flow, one array of length n per name
-    in ARRAYS, in injection order; nothing is kept per hop, and nothing the
-    arrays or the flow determine. The arrays are numpy's from the
-    table-driven walk and array.array's (typecodes B/H/I, q, b, B) from the
-    windows walk; readers use only what both share: len, slicing, tolist()
-    and the buffer protocol.
+    """Per-packet results of one test flow, one array.array of length n per
+    name in ARRAYS, in injection order, typecodes as _column_codes gives
+    them; nothing is kept per hop, and nothing the arrays or the flow
+    determine.
 
     hops (in the walk's count type) and t_last (the arrival time at the
     last hop) describe each packet's walk, end indexes END_KINDS with how it
@@ -412,8 +388,9 @@ class FlowPackets:
             setattr(self, name, values)
 
     @property
-    def t_in(self) -> np.ndarray:
-        return _entry_times(self.t0, self.flow.spacing_ns, 0, len(self))
+    def t_in(self) -> range:
+        spacing = self.flow.spacing_ns
+        return range(self.t0, self.t0 + len(self) * spacing, spacing)
 
     def __len__(self) -> int:
         return len(self.hops)
@@ -421,13 +398,13 @@ class FlowPackets:
     def __iter__(self):
         rng = _flow_rng(self.seed, self.index)
         return (forward_packet(self.net, self.timeline, self.flow, t_in, rng)
-                for t_in in self.t_in.tolist())
+                for t_in in self.t_in)
 
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
         return (self.flow, self.t0) == (other.flow, other.t0) and all(
-            getattr(self, name).tolist() == getattr(other, name).tolist() for name in self.ARRAYS)
+            getattr(self, name) == getattr(other, name) for name in self.ARRAYS)
 
     __hash__ = None
 
@@ -451,6 +428,33 @@ def default_flow_window(run: RunResult, spacing_ns: int):
 END_KINDS = ("delivered", "dropped", "stranded", "truncated")
 _SINK = {"deliver": 0, "drop": 1}
 _STRANDED, _TRUNCATED = 2, 3
+
+
+def _column_codes(n_hops: int) -> tuple:
+    """The typecodes of FlowPackets.ARRAYS, array.array's and numpy's alike:
+    hops in the walk's count type (B, H or I), t_last q, end b, agrees B."""
+    return "BHI"[(n_hops > 0xFF) + (n_hops > 0xFFFF)], "q", "b", "B"
+
+
+def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -> list:
+    """What a packet of the flow arriving at (switch, port) with tag does under
+    each table version of the switch: (end code or None, next (switch, port,
+    tag), DelayModel of the link crossed, agreement bits: 1 if the action is
+    the old configuration's there, 2 if the new one's), next and link None
+    when the packet ends there."""
+    old = lookup_rule(run.old_config.tables[switch], flow_id, tag, port)
+    new = lookup_rule(run.new_config.tables[switch], flow_id, tag, port)
+    steps = []
+    for table in run.timeline.tables[switch]:
+        action = lookup_rule(table, flow_id, tag, port)
+        agree = (action == old) | (action == new) << 1
+        peer = None if action.kind in _SINK else net.peer(switch, action.out_port)
+        if peer is None:
+            steps.append((_SINK.get(action.kind, _STRANDED), None, None, agree))
+        else:
+            tagged = action.new_tag if action.kind == "forward_tagged" else tag
+            steps.append((None, (peer[0], peer[1], tagged), peer[2], agree))
+    return steps
 
 
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
@@ -506,37 +510,33 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
 def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
     """FlowPackets.ARRAYS of a flow's n packets under constant link delays.
 
-    A piece is packets k0..k1-1 at one (switch, in_port, tag) that all left
-    the ingress by the same links, so packet k arrives t0 + k x spacing + D,
-    D the delays summed. The switch's change times split it where packets
-    start to see another version, and each part resolves once: its action,
-    agreement bits and end, or the next hop's piece. Pieces are disjoint, so
-    they never outnumber the packets, and the walk keeps a stack of them.
+    A piece is packets k0..k1-1 at one (switch, in_port, tag) node that all
+    left the ingress by the same links, so packet k arrives t0 + k x spacing
+    + D, D the delays summed. The switch's change times split it where
+    packets start to see another version, and each part takes that version's
+    step (_steps, once per node): it ends, or becomes the next hop's piece.
+    Pieces are disjoint, so they never outnumber the packets, and the walk
+    keeps a stack of them.
     """
-    timeline, spacing, flow_id = run.timeline, flow.spacing_ns, flow.flow_id
-    n_hops = len(net.switches)
-    hops, t_last, end, agrees = (array(code, [0]) * n for code in (
-        "BHI"[(n_hops > 0xFF) + (n_hops > 0xFFFF)], "q", "b", "B"))   # hops: the walk's count type
-    pieces = [(0, n, flow.ingress_switch, flow.ingress_port, None, 0, 1, 3)]
+    times, spacing, n_hops, steps = run.timeline.times, flow.spacing_ns, len(net.switches), {}
+    hops, t_last, end, agrees = (array(code, [0]) * n for code in _column_codes(n_hops))
+    pieces = [(0, n, (flow.ingress_switch, flow.ingress_port, None), 0, 1, 3)]
     while pieces:
-        k0, k1, sw, port, tag, delay, hop, bits = pieces.pop()
-        times, base = timeline._times[sw], t0 + delay   # packet k arrives at base + k x spacing
-        old = lookup_rule(run.old_config.tables[sw], flow_id, tag, port)
-        new = lookup_rule(run.new_config.tables[sw], flow_id, tag, port)
+        k0, k1, node, delay, hop, bits = pieces.pop()
+        if node not in steps:
+            steps[node] = _steps(net, run, flow.flow_id, *node)
+        changes, base = times[node[0]], t0 + delay   # packet k arrives at base + k x spacing
         # a change at c is seen from packet ceil((c - base) / spacing) on
-        first, last = (bisect_right(times, base + k * spacing) for k in (k0, k1 - 1))
-        cuts = sorted({-((base - c) // spacing) for c in times[first:last]})
+        first, last = (bisect_right(changes, base + k * spacing) for k in (k0, k1 - 1))
+        cuts = sorted({-((base - c) // spacing) for c in changes[first:last]})
         for a, b in zip([k0, *cuts], [*cuts, k1]):
-            action = lookup_rule(timeline.tables[sw][bisect_right(times, base + a * spacing)],
-                                 flow_id, tag, port)
-            agree = bits & ((action == old) | (action == new) << 1)
-            peer = None if action.kind in _SINK else net.peer(sw, action.out_port)
-            if peer is not None and hop < n_hops:
-                tagged = action.new_tag if action.kind == "forward_tagged" else tag
-                pieces.append((a, b, *peer[:2], tagged, delay + peer[2].value, hop + 1, agree))
+            kind, to, link, agree = steps[node][bisect_right(changes, base + a * spacing)]
+            agree &= bits
+            if kind is None and hop < n_hops:
+                pieces.append((a, b, to, delay + link.value, hop + 1, agree))
                 continue
-            kind = _SINK.get(action.kind, _STRANDED if peer is None else _TRUNCATED)
-            for out, value in ((hops, hop), (end, kind), (agrees, agree)):
+            for out, value in ((hops, hop), (end, _TRUNCATED if kind is None else kind),
+                               (agrees, agree)):
                 out[a:b] = array(out.typecode, [value]) * (b - a)
             t_last[a:b] = array("q", range(base + a * spacing, base + b * spacing, spacing))
     return hops, t_last, end, agrees
@@ -544,18 +544,22 @@ def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
 
 def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
     """FlowPackets.ARRAYS of each flow, in order: every (node, table version)
-    pair the flows reach is resolved once, a node being a (flow, switch,
-    in_port, tag); then all packets, laid end to end, move hop by hop,
+    pair the flows reach is resolved once (_steps), a node being a (flow,
+    switch, in_port, tag); then all packets, laid end to end, move hop by hop,
     WALK_BLOCK at a time, by gathers from those tables."""
     import numpy as np
 
-    timeline, n_hops, epoch_ns = run.timeline, len(net.switches), run.timeline.change_ns
+    times, n_hops = run.timeline.times, len(net.switches)
+    # the distinct change times, sorted, as int64 (a later time capped at 2**63 - 1):
+    # epoch e starts at epoch_ns[e - 1], epoch 0 before
+    epoch_ns = np.array(sorted({min(t, 2**63 - 1) for ts in times.values() for t in ts}),
+                        np.int64)
     # rows: per switch seen, its version in each epoch (row 0 serves the sinks); per
     # real node (numbered from 3), its row's offset and first pair slot; per pair
     # slot, the next node, link crossed (0: none) and agreement bits (1 old, 2 new)
     rows, row_of, keys, node_ids = [np.zeros(len(epoch_ns) + 1, np.int32)], {}, [], {}
     nodes, slots = [(0, 0), (0, 1), (0, 2)], [(0, 0, 3), (1, 0, 3), (2, 0, 3)]
-    link_ids = {}   # (switch, out_port) -> (link number, delay model)
+    link_ids = {}   # delay model -> link number
 
     def node_of(*key):
         if key not in node_ids:
@@ -566,24 +570,14 @@ def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
     ingress = np.array([node_of(f.flow_id, f.ingress_switch, f.ingress_port, None)
                         for f in flows], np.int32)
     for flow_id, sw, port, tag in keys:   # also visits the nodes appended on the way
-        old = lookup_rule(run.old_config.tables[sw], flow_id, tag, port)
-        new = lookup_rule(run.new_config.tables[sw], flow_id, tag, port)
         if row_of.setdefault(sw, len(rows)) == len(rows):
-            rows.append(timeline.epoch_versions(sw))
+            own = np.array([min(t, 2**63 - 1) for t in times[sw]], np.int64)
+            rows.append(np.append(0, own.searchsorted(epoch_ns, side="right")).astype(np.int32))
         nodes.append((row_of[sw] * len(rows[0]), len(slots)))
-        action = None
-        for table in timeline.tables[sw]:
-            was, action = action, lookup_rule(table, flow_id, tag, port)
-            if action != was:   # else this slot reads as the one before
-                peer = None if action.kind in _SINK else net.peer(sw, action.out_port)
-                tagged = action.new_tag if action.kind == "forward_tagged" else tag
-                to = (_SINK.get(action.kind, _STRANDED) if peer is None
-                      else node_of(flow_id, peer[0], peer[1], tagged))
-                over = 0 if peer is None else link_ids.setdefault(
-                    (sw, action.out_port), (len(link_ids) + 1, peer[2]))[0]
-                slot = (to, over, (action == old) | (action == new) << 1)
-            slots.append(slot)
-    models = [None] + [model for _, model in link_ids.values()]
+        for kind, to, link, agree in _steps(net, run, flow_id, sw, port, tag):
+            slots.append((kind, 0, agree) if to is None else (
+                node_of(flow_id, *to), link_ids.setdefault(link, len(link_ids) + 1), agree))
+    models = [None, *link_ids]
     (t_row, t_base), t_version = np.array(nodes, np.int32).T.copy(), np.concatenate(rows)
     t_onward, t_link, t_agree = np.array(slots, np.int32).T.copy()
     t_link, t_agree = t_link.astype(np.min_scalar_type(len(models))), t_agree.astype(np.uint8)
@@ -598,16 +592,16 @@ def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
         width += 1
     firsts = np.cumsum([0] + counts).tolist()
     rngs = [_flow_rng(run.seed, i) for i in range(len(flows))]
-    hops, t_last, end, agrees = (np.empty(firsts[-1], dtype) for dtype in (
-        np.min_scalar_type(n_hops), np.int64, np.int8, np.uint8))   # hops: the walk's count type
+    codes = _column_codes(n_hops)
+    hops, t_last, end, agrees = (np.empty(firsts[-1], code) for code in codes)
     scratch = np.empty((max(1, 2**12 // n_hops), n_hops))   # whole rows, about 2^12 uniforms
     for start in range(0, firsts[-1], WALK_BLOCK):
         block = slice(start, min(start + WALK_BLOCK, firsts[-1]))
         u, cuts = np.empty((block.stop - start, width)), np.clip(firsts, start, block.stop)
         node, t = np.repeat(ingress, np.diff(cuts)), np.empty(len(u), np.int64)
         for i, rng in enumerate(rngs):   # flow i's packets in the block; draws continue its stream
-            t[cuts[i] - start:cuts[i + 1] - start] = _entry_times(
-                windows[i][0], flows[i].spacing_ns, cuts[i] - firsts[i], cuts[i + 1] - firsts[i])
+            t[cuts[i] - start:cuts[i + 1] - start] = np.arange(
+                cuts[i] - firsts[i], cuts[i + 1] - firsts[i]) * flows[i].spacing_ns + windows[i][0]
             for a in range(cuts[i], cuts[i + 1], len(scratch)):
                 b = min(a + len(scratch), cuts[i + 1])
                 rng.random(out=scratch[:b - a])
@@ -639,5 +633,5 @@ def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
             t += delay
         at = block if len(pos) == block.stop - start else pos
         hops[at], t_last[at], end[at], agrees[at] = count, t, np.minimum(node, _TRUNCATED), bits
-    return [tuple(out[a:b] for out in (hops, t_last, end, agrees))
-            for a, b in zip(firsts, firsts[1:])]
+    return [tuple(array(code, out[a:b].tobytes()) for code, out in
+                  zip(codes, (hops, t_last, end, agrees))) for a, b in zip(firsts, firsts[1:])]

@@ -1,7 +1,5 @@
 import random
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from netupdate import (
@@ -23,7 +21,7 @@ from netupdate import (
     simultaneous_schedule,
     worst_case_schedule,
 )
-from netupdate.consistency import CLASSES, class_codes
+from netupdate.consistency import CLASS_OF_AGREES
 from netupdate.model import lookup_rule
 from netupdate.simulator import Hop, PacketTrace
 
@@ -125,10 +123,9 @@ class TestClassifyPacket:
             assert classify_packet(t, old, new) == brute(t)
 
 
-def test_class_codes_old_wins_a_tie():
+def test_class_of_agrees_old_wins_a_tie():
     # agreement codes: bit 0 agreed with old, bit 1 with new
-    packets = SimpleNamespace(agrees=np.array([3, 1, 2, 0], np.uint8))
-    assert [CLASSES[c] for c in class_codes(packets).tolist()] == [
+    assert [CLASS_OF_AGREES[c] for c in (3, 1, 2, 0)] == [
         CONSISTENT_OLD, CONSISTENT_OLD, CONSISTENT_NEW, INCONSISTENT]
 
 
@@ -170,7 +167,7 @@ class TestMeasureInconsistency:
         assert abs(rep.inconsistency_ns - 6 * MS) <= flow.spacing_ns
         # the per-packet classes behind the count, in trace order
         packets = run.flow_traces[flow.flow_id]
-        assert [CLASSES[c] for c in class_codes(packets).tolist()] == [
+        assert [CLASS_OF_AGREES[c] for c in packets.agrees] == [
             classify_packet(t, run.old_config, run.new_config) for t in packets]
 
     def test_monotone_non_increasing_in_knob(self):

@@ -368,10 +368,11 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
         version[u.target] += 1
         assert timeline.tables[u.target][version[u.target]] == fold.tables[u.target]
     assert {sw: len(versions) - 1 for sw, versions in timeline.tables.items()} == version
+    assert timeline.times == {sw: [t for t, u in execs if u.target == sw] for sw in net.switches}
     for t in range(5):
         fold = folds[sum(1 for time_ns, _ in execs if time_ns <= t)]
         for sw in net.switches:
-            in_force = timeline.epoch_versions(sw)[timeline.change_ns.searchsorted(t, "right")]
+            in_force = sum(time_ns <= t for time_ns in timeline.times[sw])
             assert timeline.tables[sw][in_force] == fold.tables[sw]
             want = lookup_rule(fold.tables[sw], "f1", "A", 0)
             assert timeline.lookup(sw, t, "f1", "A", 0) == want

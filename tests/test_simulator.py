@@ -38,7 +38,7 @@ from netupdate import (
     worst_case_schedule,
 )
 from netupdate import simulator
-from netupdate.consistency import CLASSES, INCONSISTENT, class_codes
+from netupdate.consistency import CLASS_OF_AGREES, CONSISTENT_NEW, CONSISTENT_OLD, INCONSISTENT
 from netupdate.simulator import (
     END_KINDS,
     MAX_PACKETS,
@@ -115,23 +115,6 @@ class TestStateTimeline:
                 assert (run.timeline.tables[sw][v]
                         == init.apply(*mine[:v]).tables[sw]), (sw, v)
             assert run.timeline.tables[sw][-1] == run.new_config.tables[sw]
-
-    def test_epoch_versions_are_exact_past_float_precision(self):
-        # times above 2**53 and past int64: the epochs keep every int64 time
-        # exact, and a time past int64 reads as its largest value
-        net = line_network([10])
-        u1 = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
-        u2 = SingletonUpdate.install("S2", {("f", None, 1): DELIVER})
-        big = 2**60
-        tl = StateTimeline(net, ForwardingState.empty(net),
-                           [(big, u2), (big + 1, u1), (big + 1, u2), (2**63, u1)])
-        assert tl.change_ns.tolist() == [big, big + 1, 2**63 - 1]
-        assert tl.epoch_versions("S1").tolist() == [0, 0, 1, 2]
-        assert tl.epoch_versions("S2").tolist() == [0, 1, 2, 2]
-        for t in (big - 1, big, big + 1, 2**63 - 2):
-            for sw in ("S1", "S2"):
-                version = tl.epoch_versions(sw)[tl.change_ns.searchsorted(t, "right")]
-                assert version == sum(x <= t for x in tl._times[sw])
 
     def test_unknown_target_names_the_switch(self):
         net = line_network([10])
@@ -318,14 +301,14 @@ class TestInjectFlow:
         flow = TestFlow("f", "S1", 0, 1000.0)  # 1 ms spacing
         packets = _injected(net, flow, (0, 10_000_000))
         assert packets.t0 == 0 and len(packets) == 10
-        assert packets.t_in.dtype == np.int64
-        assert packets.t_in[:3].tolist() == [0, 1_000_000, 2_000_000]
+        assert packets.t_in == range(0, 10_000_000, 1_000_000)
+        assert list(packets.t_in[:3]) == [0, 1_000_000, 2_000_000]
 
     def test_window_shorter_than_spacing_yields_one(self):
         net = line_network([1000])
         flow = TestFlow("f", "S1", 0, 1000.0)
         packets = _injected(net, flow, (7, 507))
-        assert len(packets) == 1 and packets.t_in.tolist() == [7]
+        assert len(packets) == 1 and list(packets.t_in) == [7]
 
     def test_bitrate_conversion(self):
         flow = TestFlow.from_bitrate("f", "S1", 0, mbps=40, packet_bytes=1000)
@@ -460,24 +443,55 @@ class TestRunFlows:
         with pytest.raises(ValueError, match="int64"):
             run_flows(net, run, [flow], window=(2**63 - 8_000_000, 2**63 - 6_000_000))
 
+    def test_table_walk_sees_exec_times_exact_past_float_precision(self):
+        # execs above 2**53, where a float cannot tell big from big + 1, and one
+        # past int64, which the walk caps at its largest value: each packet
+        # sees the version in force to the nanosecond, as forward_packet does
+        net = _table_walk_twin(line_network([10]))
+        initial = ForwardingState.from_dict(net, {"S1": {("f", None, 0): Action.forward(2)}})
+        u1 = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
+        u2 = SingletonUpdate.install("S2", {("f", None, 1): DELIVER})
+        big, flow = 2**60, TestFlow("f", "S1", 0, 1e9)
+        run = _timed_run(net, initial, [(big, u2), (big + 1, u1), (big + 1, u2), (2**63, u1)])
+        with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
+            run_flows(net, run, [flow], window=(big - 11, big + 3))
+        assert walk.called
+        packets = run.flow_traces["f"]
+        # the packet entering at big - 11 reaches S2 at big - 1, before S2
+        # delivers, and drops; from big + 1 on, S1 delivers at once
+        assert packets.hops.tolist() == [2] * 12 + [1] * 2
+        assert [END_KINDS[e] for e in packets.end] == ["dropped"] + ["delivered"] * 13
+        assert [CLASS_OF_AGREES[c] for c in packets.agrees] == (
+            [CONSISTENT_OLD] + [INCONSISTENT] * 11 + [CONSISTENT_NEW] * 2)
+        want = [forward_packet(net, run.timeline, flow, t, np.random.default_rng([0, 7919]))
+                for t in packets.t_in]
+        assert packets.t_last.tolist() == [t.hops[-1].time_ns for t in want]
+        assert list(packets) == want
+
     def test_stored_state_is_per_packet_vectors(self, testbed_params):
         net, flow, path, init, proc = line_flow_setup(10_000_000)
         sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
         windows, fast, blocked = (run_timed(net, TimedUpdateProcedure(proc, sched),
                                             testbed_params, seed=3, initial_state=init)
                                   for _ in range(3))
-        run_flows(net, windows, [flow])
         twin = _table_walk_twin(net)
-        run_flows(twin, fast, [flow])
-        with mock.patch.object(simulator, "WALK_BLOCK", 7):
-            run_flows(twin, blocked, [flow])
-        for run, kind in ((windows, array), (fast, np.ndarray), (blocked, np.ndarray)):
+        with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
+            run_flows(net, windows, [flow])
+            assert not walk.called
+            run_flows(twin, fast, [flow])
+            with mock.patch.object(simulator, "WALK_BLOCK", 7):
+                run_flows(twin, blocked, [flow])
+        assert walk.call_count == 2
+        codes = set()
+        for run in (windows, fast, blocked):
             packets = run.flow_traces[flow.flow_id]
             columns = {name: v for name, v in vars(packets).items()
                        if isinstance(v, (array, np.ndarray))}
             assert set(columns) == set(FlowPackets.ARRAYS)
-            assert all(isinstance(v, kind) for v in columns.values())
+            assert all(isinstance(v, array) for v in columns.values())
             assert {len(v) for v in columns.values()} == {len(packets)}
+            codes.add(tuple(columns[name].typecode for name in FlowPackets.ARRAYS))
+        assert codes == {("B", "q", "b", "B")}   # one column type, whichever walk ran
         assert len(fast.flow_traces[flow.flow_id]) > 3 * 7
         # a flow walked in many blocks gives what one block gives, and the
         # windows walk what the table-driven walk gives
@@ -536,7 +550,7 @@ class TestPacketCap:
         net = line_network([1000])
         flow = TestFlow("f", "S1", 0, 1e9 / spacing)
         assert flow.spacing_ns == spacing
-        times = _injected(net, flow, (t0, t0 + width)).t_in.tolist()
+        times = list(_injected(net, flow, (t0, t0 + width)).t_in)
         assert times == (list(range(t0, t0 + width, spacing)) or [t0])
         assert _packet_count((t0, t0 + width), spacing) == len(times)
 
@@ -656,18 +670,18 @@ def test_run_flows_matches_forward_packet_oracle(case):
         assert len(packets) == _packet_count(flow_window, flow.spacing_ns)
         rng = np.random.default_rng([seed, 7919 + idx])
         want = [forward_packet(net, runs[0].timeline, flow, t, rng)
-                for t in packets.t_in.tolist()]
+                for t in packets.t_in]
         classes = [classify_packet(t, initial, runs[0].new_config) for t in want]
         for run in runs:
             got = run.flow_traces[flow.flow_id]
             # the walk's own arrays against the oracle's traces
-            assert got.t_in.tolist() == [t.t_in for t in want]
+            assert list(got.t_in) == [t.t_in for t in want]
             assert got.hops.tolist() == [len(t.hops) for t in want]
             assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
             assert [END_KINDS[e] for e in got.end.tolist()] == [
                 next((k for k in ("delivered", "truncated", "stranded") if getattr(t, k)),
                      "dropped") for t in want]
-            assert [CLASSES[c] for c in class_codes(got).tolist()] == classes
+            assert [CLASS_OF_AGREES[c] for c in got.agrees] == classes
             assert (measure_inconsistency(run, flow).n_inconsistent
                     == classes.count(INCONSISTENT))
         # iterating re-walks the packets on the flow's own stream
@@ -692,15 +706,17 @@ def _constant_delay_cases(draw):
 
 
 def _walk_both(net: Network, initial, updates, flows, window) -> list:
-    """Each flow's columns, by the windows walk and by the table-driven walk."""
+    """Each flow's columns and their typecodes, by the windows walk and by
+    the table-driven walk."""
     got = []
-    for walked, kind in ((net, array), (_table_walk_twin(net), np.ndarray)):
+    for walked, by_tables in ((net, False), (_table_walk_twin(net), True)):
         run = _timed_run(walked, initial, updates)
-        run_flows(walked, run, flows, window=window)
+        with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
+            run_flows(walked, run, flows, window=window)
+        assert walk.called == by_tables
         packets = [run.flow_traces[f.flow_id] for f in flows]
-        assert all(isinstance(getattr(p, name), kind)
-                   for p in packets for name in FlowPackets.ARRAYS)
-        got.append([(p.t0, {name: getattr(p, name).tolist() for name in FlowPackets.ARRAYS})
+        got.append([(p.t0, {"typecodes": [getattr(p, name).typecode for name in p.ARRAYS],
+                            **{name: getattr(p, name).tolist() for name in p.ARRAYS}})
                     for p in packets])
     return got
 
@@ -855,11 +871,12 @@ def test_data_plane_pinned_to_digest():
                 run, _ = point.run(seed)
                 for flow_id in sorted(run.flow_traces):
                     packets = run.flow_traces[flow_id]
-                    end, agrees = packets.end, packets.agrees
+                    end, agrees = np.asarray(packets.end), np.asarray(packets.agrees)
                     digest.update(flow_id.encode())
                     for array, values in (
-                            ("t_in", packets.t_in), ("hops", packets.hops.astype(np.int64)),
-                            ("t_last", packets.t_last),
+                            ("t_in", np.asarray(packets.t_in)),
+                            ("hops", np.asarray(packets.hops).astype(np.int64)),
+                            ("t_last", np.asarray(packets.t_last)),
                             ("delivered", end == END_KINDS.index("delivered")),
                             ("truncated", end == END_KINDS.index("truncated")),
                             ("stranded", end == END_KINDS.index("stranded")),
