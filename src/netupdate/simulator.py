@@ -8,10 +8,10 @@ switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
 The data-plane stage, run_flows, walks every test-flow packet of a run
-through that timeline: as entry-time windows when every link delay is
-constant, else in one table-driven walk. Differential tests hold the windows
-to the table-driven walk and that to forward_packet, the one-packet oracle
-that alone builds PacketTraces.
+through that timeline, flow by flow: as entry-time windows when every link
+delay is constant, else as groups of packets split by the table versions they
+see. Differential tests hold the windows to the table-driven walk and that to
+forward_packet, the one-packet oracle that alone builds PacketTraces.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .model import (
 if TYPE_CHECKING:
     import numpy as np
 
-# Packets the data plane walks at a time: a walk keeps WALK_BLOCK x (columns it
-# can read) uniforms and its grouping scratch is O(WALK_BLOCK), whatever the
-# flow's rate.
-WALK_BLOCK = 2**16
+# Uniforms the table-driven walk draws at a time, whole rows of one per switch:
+# a block is max(1, WALK_BLOCK // switches) packets, so its scratch is
+# O(WALK_BLOCK) whatever the flow's rate or the network's size.
+WALK_BLOCK = 2**20
 # Most packets a run's flows may inject in all (injection window / spacing,
 # summed over flows); the per-packet arrays of run_flows are O(MAX_PACKETS).
 MAX_PACKETS = 2**22
@@ -423,8 +423,8 @@ def default_flow_window(run: RunResult, spacing_ns: int):
     return anchor - margin, run.last_exec_ns + margin
 
 
-# How a packet's walk ended, FlowPackets.end's codes. Nodes 0-2 are the sinks of
-# the first three; a packet left at another node after the last hop is truncated
+# How a packet's walk ended, FlowPackets.end's codes: _steps gives the first three,
+# and a packet still forwarding after the last hop is truncated
 END_KINDS = ("delivered", "dropped", "stranded", "truncated")
 _SINK = {"deliver": 0, "drop": 1}
 _STRANDED, _TRUNCATED = 2, 3
@@ -468,14 +468,12 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     When every link delay in net.links is constant, no draw matters: each
     flow is walked alone as entry-time windows (_walk_windows), without
     numpy, and any subset of the flows gives each the same arrays. Otherwise
-    the table-driven walk (_walk_tables), the windows' oracle, walks them
-    all: flow i in flow-id order draws, from a generator seeded with the run
-    seed and i, a packets x switches matrix of uniforms, whole rows in
-    packet order, row k for packet k, as forward_packet draws them; a block
-    keeps only the columns a walk can read: one per link crossing on the
-    longest run of crossings from an ingress node (all but the last on a
-    loop). A flow added after all others in flow-id order leaves their
-    packets unchanged; one added before a flow moves that flow's stream.
+    the table-driven walk (_walk_tables), the windows' oracle, walks them:
+    flow i in flow-id order draws, from a generator seeded with the run seed
+    and i, a packets x switches matrix of uniforms, whole rows in packet
+    order, row k for packet k, as forward_packet draws them. A flow added
+    after all others in flow-id order leaves their packets unchanged; one
+    added before a flow moves that flow's stream.
     """
     flows = sorted(flows, key=lambda f: f.flow_id)
     if not flows:
@@ -543,95 +541,47 @@ def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
 
 
 def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
-    """FlowPackets.ARRAYS of each flow, in order: every (node, table version)
-    pair the flows reach is resolved once (_steps), a node being a (flow,
-    switch, in_port, tag); then all packets, laid end to end, move hop by hop,
-    WALK_BLOCK at a time, by gathers from those tables."""
+    """FlowPackets.ARRAYS of each flow, in order, under random link delays.
+
+    Flow i draws from _flow_rng(run.seed, i) rows of len(net.switches)
+    uniforms, row k for packet k as forward_packet draws it, about WALK_BLOCK
+    uniforms a block. A group is a block's packets at one node that came by
+    one path. It splits by the version each packet sees there, versions with
+    equal steps (_steps) in one part, and a part ends or moves on as the next
+    hop's group, each packet delayed by the link's quantile of its uniform.
+    """
     import numpy as np
 
-    times, n_hops = run.timeline.times, len(net.switches)
-    # the distinct change times, sorted, as int64 (a later time capped at 2**63 - 1):
-    # epoch e starts at epoch_ns[e - 1], epoch 0 before
-    epoch_ns = np.array(sorted({min(t, 2**63 - 1) for ts in times.values() for t in ts}),
-                        np.int64)
-    # rows: per switch seen, its version in each epoch (row 0 serves the sinks); per
-    # real node (numbered from 3), its row's offset and first pair slot; per pair
-    # slot, the next node, link crossed (0: none) and agreement bits (1 old, 2 new)
-    rows, row_of, keys, node_ids = [np.zeros(len(epoch_ns) + 1, np.int32)], {}, [], {}
-    nodes, slots = [(0, 0), (0, 1), (0, 2)], [(0, 0, 3), (1, 0, 3), (2, 0, 3)]
-    link_ids = {}   # delay model -> link number
-
-    def node_of(*key):
-        if key not in node_ids:
-            node_ids[key] = len(keys) + 3
-            keys.append(key)
-        return node_ids[key]
-
-    ingress = np.array([node_of(f.flow_id, f.ingress_switch, f.ingress_port, None)
-                        for f in flows], np.int32)
-    for flow_id, sw, port, tag in keys:   # also visits the nodes appended on the way
-        if row_of.setdefault(sw, len(rows)) == len(rows):
-            own = np.array([min(t, 2**63 - 1) for t in times[sw]], np.int64)
-            rows.append(np.append(0, own.searchsorted(epoch_ns, side="right")).astype(np.int32))
-        nodes.append((row_of[sw] * len(rows[0]), len(slots)))
-        for kind, to, link, agree in _steps(net, run, flow_id, sw, port, tag):
-            slots.append((kind, 0, agree) if to is None else (
-                node_of(flow_id, *to), link_ids.setdefault(link, len(link_ids) + 1), agree))
-    models = [None, *link_ids]
-    (t_row, t_base), t_version = np.array(nodes, np.int32).T.copy(), np.concatenate(rows)
-    t_onward, t_link, t_agree = np.array(slots, np.int32).T.copy()
-    t_link, t_agree = t_link.astype(np.min_scalar_type(len(models))), t_agree.astype(np.uint8)
-    # hop h reads column h only if a packet crosses a link there: the nodes
-    # reached after width + 1 crossings are not all sinks
-    onward, span = t_onward.tolist(), t_base.tolist() + [len(slots)]
-    width, at = 0, set(ingress.tolist())
-    while width + 1 < n_hops:
-        at = {to for a in at for to in onward[span[a]:span[a + 1]] if to > _STRANDED}
-        if not at:
-            break
-        width += 1
-    firsts = np.cumsum([0] + counts).tolist()
-    rngs = [_flow_rng(run.seed, i) for i in range(len(flows))]
-    codes = _column_codes(n_hops)
-    hops, t_last, end, agrees = (np.empty(firsts[-1], code) for code in codes)
-    scratch = np.empty((max(1, 2**12 // n_hops), n_hops))   # whole rows, about 2^12 uniforms
-    for start in range(0, firsts[-1], WALK_BLOCK):
-        block = slice(start, min(start + WALK_BLOCK, firsts[-1]))
-        u, cuts = np.empty((block.stop - start, width)), np.clip(firsts, start, block.stop)
-        node, t = np.repeat(ingress, np.diff(cuts)), np.empty(len(u), np.int64)
-        for i, rng in enumerate(rngs):   # flow i's packets in the block; draws continue its stream
-            t[cuts[i] - start:cuts[i + 1] - start] = np.arange(
-                cuts[i] - firsts[i], cuts[i + 1] - firsts[i]) * flows[i].spacing_ns + windows[i][0]
-            for a in range(cuts[i], cuts[i + 1], len(scratch)):
-                b = min(a + len(scratch), cuts[i + 1])
-                rng.random(out=scratch[:b - a])
-                u[a - start:b - start] = scratch[:b - a, :width]
-        pos, live = np.arange(start, block.stop), True   # the packets' places in the results
-        bits, count = np.full(len(t), 3, np.uint8), np.zeros(len(t), hops.dtype)
-        for h in range(n_hops):
-            count += live
-            pair = t_base.take(node) + t_version.take(  # its version in its switch's row
-                epoch_ns.searchsorted(t, side="right") + t_row.take(node))
-            bits &= t_agree.take(pair)
-            node = t_onward.take(pair)
-            live = node > _STRANDED
-            if h + 1 == n_hops or not live.any():
-                break
-            if 8 * np.count_nonzero(live) <= len(t):   # set the finished packets aside
-                gone = pos[~live]
-                for out, values in zip((hops, t_last, end, agrees), (count, t, node, bits)):
-                    out[gone] = values[~live]
-                pos, node, t, bits, count, pair, u, live = (
-                    a[live] for a in (pos, node, t, bits, count, pair, u, live))
-            # one quantile call per link, on the packets grouped by the link they cross
-            link_of = t_link.take(pair)
-            order, delay = link_of.argsort(kind="stable"), np.zeros(len(t), np.int64)
-            ends, us = np.bincount(link_of).cumsum().tolist(), u[:, h].take(order)
-            for m, (a, b) in enumerate(zip(ends, ends[1:]), 1):
-                if a < b:
-                    delay[order[a:b]] = models[m].quantile(us[a:b])
-            t += delay
-        at = block if len(pos) == block.stop - start else pos
-        hops[at], t_last[at], end[at], agrees[at] = count, t, np.minimum(node, _TRUNCATED), bits
-    return [tuple(array(code, out[a:b].tobytes()) for code, out in
-                  zip(codes, (hops, t_last, end, agrees))) for a, b in zip(firsts, firsts[1:])]
+    n_hops, columns = len(net.switches), []
+    rows = max(1, WALK_BLOCK // n_hops)
+    # each switch's change times as int64, a later time capped at 2**63 - 1
+    times = {s: np.array([min(t, 2**63 - 1) for t in ts], np.int64)
+             for s, ts in run.timeline.times.items()}
+    for i, (flow, (t0, _), n) in enumerate(zip(flows, windows, counts)):
+        rng, steps, u = _flow_rng(run.seed, i), {}, np.empty((min(rows, n), n_hops))
+        arrays = tuple(array(code, [0]) * n for code in _column_codes(n_hops))
+        hops, t_last, end, agrees = (np.frombuffer(a, a.typecode) for a in arrays)
+        for a in range(0, n, rows):
+            k = np.arange(a, min(a + rows, n))
+            rng.random(out=u[:len(k)])
+            groups = [(k, (flow.ingress_switch, flow.ingress_port, None), t0 + k * flow.spacing_ns,
+                       1, 3)]
+            while groups:
+                pos, node, t, hop, bits = groups.pop()
+                if node not in steps:   # its steps, and per version the first with its step
+                    step = _steps(net, run, flow.flow_id, *node)
+                    steps[node] = step, np.array([step.index(s) for s in step])
+                step, first = steps[node]
+                version = first[times[node[0]].searchsorted(t, side="right")]
+                seen = np.flatnonzero(np.bincount(version)).tolist()
+                for v in seen:
+                    kind, to, link, agree = step[v]
+                    at = version == v if len(seen) > 1 else slice(None)
+                    if kind is None and hop < n_hops:
+                        groups.append((pos[at], to, t[at] + link.quantile(u[pos[at] - a, hop - 1]),
+                                       hop + 1, agree & bits))
+                    else:
+                        hops[pos[at]], t_last[pos[at]], agrees[pos[at]] = hop, t[at], agree & bits
+                        end[pos[at]] = _TRUNCATED if kind is None else kind
+        columns.append(arrays)
+    return columns

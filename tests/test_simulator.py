@@ -518,9 +518,9 @@ class TestRunFlows:
                              if isinstance(v, (array, np.ndarray)))
                 assert len(packets) > 100 and stored <= 11 * len(packets)
 
-    def test_dense_flows_keep_only_the_uniform_columns_they_read(self):
-        # the table-driven walk kept all 11 columns of uniforms where a packet
-        # reads two: 84 B per packet at peak
+    def test_dense_flows_peak_at_most_55_bytes_a_packet(self):
+        # the table-driven walk once kept all 11 columns of uniforms of a block
+        # of whole-run packets: 84 B per packet at peak
         for config in ("sprint_knob", "sprint_knob_exp"):
             point, run = self._last_point_run(config)
             flows = [flow._replace(rate_pps=10**6) for flow in point.flows]
@@ -531,7 +531,31 @@ class TestRunFlows:
             finally:
                 tracemalloc.stop()
             packets = sum(map(len, run.flow_traces.values()))
-            assert packets > 3 * simulator.WALK_BLOCK and peak <= 55 * packets
+            assert peak <= 55 * packets
+        # the last config, sprint_knob_exp, takes the table walk, in many blocks
+        assert packets > 3 * (simulator.WALK_BLOCK // len(point.net.switches))
+
+    def test_long_path_walk_peak_is_bounded_by_the_block(self):
+        # a block of 2^16 packets once kept a uniform per link crossing, 127
+        # along this line: 72 MB at peak for 70,000 packets
+        net = line_network([0] * 127)
+        net = Network(net.switches, [link._replace(delay=DelayModel.exponential(1000))
+                                     for link in net.links], net.ingress_ports)
+        first, *middle, last = net.switches
+        run = _timed_run(net, ForwardingState.from_dict(net, {
+            first: {("f", None, 0): Action.forward(2)},
+            **{sw: {("f", None, 1): Action.forward(2)} for sw in middle},
+            last: {("f", None, 1): DELIVER}}), [])
+        tracemalloc.start()
+        try:
+            run_flows(net, run, [TestFlow("f", first, 0, 1e9)], window=(0, 70_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packets = run.flow_traces["f"]
+        assert len(packets) == 70_000 and set(packets.hops) == {128}
+        assert set(packets.end) == {END_KINDS.index("delivered")}
+        assert peak <= 12 * 2**20
 
 
 class TestPacketCap:
@@ -658,9 +682,9 @@ def _data_plane_cases(draw):
 def test_run_flows_matches_forward_packet_oracle(case):
     net, initial, updates, flows, window, seed = case
     runs = [_timed_run(net, initial, updates, seed) for _ in range(3)]
-    # blocks of 2 and 3 packets: most blocks straddle two flows' packets; in
-    # one block of all, finished packets are set aside as the walk goes on
-    for run, block in zip(runs, (2, 3, simulator.WALK_BLOCK)):
+    # blocks of 1, 2 and all of a flow's packets: each block draws whole rows
+    # of uniforms and goes on with its flow's stream
+    for run, block in zip(runs, (1, 2 * len(net.switches), simulator.WALK_BLOCK)):
         with mock.patch.object(simulator, "WALK_BLOCK", block):
             run_flows(net, run, flows, window=window)
     for idx, flow in enumerate(flows):
