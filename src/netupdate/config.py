@@ -241,8 +241,11 @@ class Experiment:
                 field(gc, i, "procedure.gc_phases", "int", lo=1, hi=len(sets))
                 for i in range(len(gc))))
         if flows:
-            old_tag, new_tag = (field(spec, key, "procedure", "string", default=tag)
-                                for key, tag in (("old_tag", "A"), ("new_tag", "B")))
+            old_tag = field(spec, "old_tag", "procedure", "string", default="A")
+            new_tag = field(spec, "new_tag", "procedure", "string", default="B")
+            if new_tag == old_tag:   # phase 3 would remove the flows' only rules
+                raise ConfigError(f"procedure.new_tag: expected a string other than old_tag "
+                                  f"{old_tag!r}, got {new_tag!r}")
             initial, proc = topology.label_change_update(
                 net, [(f, paths[f.flow_id]) for f in flows], old_tag, new_tag)
             if kind == "two-phase":

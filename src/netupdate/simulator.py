@@ -7,11 +7,11 @@ switch's rule table as a function of real time. Packets never influence
 switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
-The data-plane stage, run_flows, walks every test-flow packet of a run
-through that timeline, flow by flow: as entry-time windows when every link
-delay is constant, else as groups of packets split by the table versions they
-see. Differential tests hold the windows to the table-driven walk and that to
-forward_packet, the one-packet oracle that alone builds PacketTraces.
+The data-plane stage, run_flows, walks each test flow's packets through that
+timeline, read per node as a step function of time (_steps): as entry-time
+windows when every link delay is constant, else as groups split by the steps
+they see. Differential tests hold the windows to the table-driven walk and
+that to forward_packet, the one-packet oracle that alone builds PacketTraces.
 """
 
 from __future__ import annotations
@@ -436,25 +436,29 @@ def _column_codes(n_hops: int) -> tuple:
     return "BHI"[(n_hops > 0xFF) + (n_hops > 0xFFFF)], "q", "b", "B"
 
 
-def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -> list:
-    """What a packet of the flow arriving at (switch, port) with tag does under
-    each table version of the switch: (end code or None, next (switch, port,
-    tag), DelayModel of the link crossed, agreement bits: 1 if the action is
-    the old configuration's there, 2 if the new one's), next and link None
-    when the packet ends there."""
+def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -> tuple:
+    """The step function (changes, steps) of a packet of the flow arriving at
+    (switch, port) with tag: steps[0] holds before changes[0], steps[i] from
+    changes[i - 1] on, inclusive, and no two consecutive steps are equal. A
+    step is (end code or None, next (switch, port, tag), DelayModel of the
+    link crossed, agreement bits: 1 if the action is the old configuration's
+    there, 2 if the new one's), next and link None when the packet ends there."""
     old = lookup_rule(run.old_config.tables[switch], flow_id, tag, port)
     new = lookup_rule(run.new_config.tables[switch], flow_id, tag, port)
-    steps = []
-    for table in run.timeline.tables[switch]:
+    changes, steps = [], []
+    for time, table in zip([None, *run.timeline.times[switch]], run.timeline.tables[switch]):
         action = lookup_rule(table, flow_id, tag, port)
         agree = (action == old) | (action == new) << 1
         peer = None if action.kind in _SINK else net.peer(switch, action.out_port)
         if peer is None:
-            steps.append((_SINK.get(action.kind, _STRANDED), None, None, agree))
+            step = (_SINK.get(action.kind, _STRANDED), None, None, agree)
         else:
             tagged = action.new_tag if action.kind == "forward_tagged" else tag
-            steps.append((None, (peer[0], peer[1], tagged), peer[2], agree))
-    return steps
+            step = (None, (peer[0], peer[1], tagged), peer[2], agree)
+        if not steps or step != steps[-1]:
+            changes.append(time)
+            steps.append(step)
+    return changes[1:], steps
 
 
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
@@ -495,12 +499,10 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         raise PacketCapError(flows[most].flow_id, (
             f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
-    if all(link.delay.kind == "constant" for link in net.links):
-        columns = [_walk_windows(net, run, f, t0, n)
-                   for f, (t0, _), n in zip(flows, windows, counts)]
-    else:
-        columns = _walk_tables(net, run, flows, windows, counts)
-    for i, (flow, (t0, _), arrays) in enumerate(zip(flows, windows, columns)):
+    constant = all(link.delay.kind == "constant" for link in net.links)
+    for i, (flow, (t0, _), n) in enumerate(zip(flows, windows, counts)):
+        arrays = (_walk_windows(net, run, flow, t0, n) if constant
+                  else _walk_tables(net, run, flow, t0, n, _flow_rng(run.seed, i)))
         run.flow_traces[flow.flow_id] = FlowPackets(net, run.timeline, flow, run.seed, i, t0,
                                                     *arrays)
 
@@ -510,25 +512,24 @@ def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
 
     A piece is packets k0..k1-1 at one (switch, in_port, tag) node that all
     left the ingress by the same links, so packet k arrives t0 + k x spacing
-    + D, D the delays summed. The switch's change times split it where
-    packets start to see another version, and each part takes that version's
-    step (_steps, once per node): it ends, or becomes the next hop's piece.
-    Pieces are disjoint, so they never outnumber the packets, and the walk
-    keeps a stack of them.
+    + D, D the delays summed. The node's changes (_steps, once per node) cut
+    it where packets start to see another step, and each part takes its
+    step: it ends, or becomes the next hop's piece. Pieces are disjoint, so
+    they never outnumber the packets, and the walk keeps a stack of them.
     """
-    times, spacing, n_hops, steps = run.timeline.times, flow.spacing_ns, len(net.switches), {}
+    spacing, n_hops, steps = flow.spacing_ns, len(net.switches), {}
     hops, t_last, end, agrees = (array(code, [0]) * n for code in _column_codes(n_hops))
     pieces = [(0, n, (flow.ingress_switch, flow.ingress_port, None), 0, 1, 3)]
     while pieces:
         k0, k1, node, delay, hop, bits = pieces.pop()
         if node not in steps:
             steps[node] = _steps(net, run, flow.flow_id, *node)
-        changes, base = times[node[0]], t0 + delay   # packet k arrives at base + k x spacing
+        (changes, step), base = steps[node], t0 + delay   # packet k arrives at base + k x spacing
         # a change at c is seen from packet ceil((c - base) / spacing) on
         first, last = (bisect_right(changes, base + k * spacing) for k in (k0, k1 - 1))
         cuts = sorted({-((base - c) // spacing) for c in changes[first:last]})
         for a, b in zip([k0, *cuts], [*cuts, k1]):
-            kind, to, link, agree = steps[node][bisect_right(changes, base + a * spacing)]
+            kind, to, link, agree = step[bisect_right(changes, base + a * spacing)]
             agree &= bits
             if kind is None and hop < n_hops:
                 pieces.append((a, b, to, delay + link.value, hop + 1, agree))
@@ -540,48 +541,42 @@ def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
     return hops, t_last, end, agrees
 
 
-def _walk_tables(net: Network, run: RunResult, flows, windows, counts) -> list:
-    """FlowPackets.ARRAYS of each flow, in order, under random link delays.
+def _walk_tables(net: Network, run: RunResult, flow, t0: int, n: int, rng) -> tuple:
+    """FlowPackets.ARRAYS of a flow's n packets under random link delays.
 
-    Flow i draws from _flow_rng(run.seed, i) rows of len(net.switches)
-    uniforms, row k for packet k as forward_packet draws it, about WALK_BLOCK
-    uniforms a block. A group is a block's packets at one node that came by
-    one path. It splits by the version each packet sees there, versions with
-    equal steps (_steps) in one part, and a part ends or moves on as the next
+    rng draws rows of len(net.switches) uniforms, row k for packet k as
+    forward_packet draws it, about WALK_BLOCK uniforms a block. A group is a
+    block's packets at one node that came by one path. It splits by the step
+    each packet sees there (_steps), and a part ends or moves on as the next
     hop's group, each packet delayed by the link's quantile of its uniform.
     """
     import numpy as np
 
-    n_hops, columns = len(net.switches), []
+    n_hops, steps = len(net.switches), {}
     rows = max(1, WALK_BLOCK // n_hops)
-    # each switch's change times as int64, a later time capped at 2**63 - 1
-    times = {s: np.array([min(t, 2**63 - 1) for t in ts], np.int64)
-             for s, ts in run.timeline.times.items()}
-    for i, (flow, (t0, _), n) in enumerate(zip(flows, windows, counts)):
-        rng, steps, u = _flow_rng(run.seed, i), {}, np.empty((min(rows, n), n_hops))
-        arrays = tuple(array(code, [0]) * n for code in _column_codes(n_hops))
-        hops, t_last, end, agrees = (np.frombuffer(a, a.typecode) for a in arrays)
-        for a in range(0, n, rows):
-            k = np.arange(a, min(a + rows, n))
-            rng.random(out=u[:len(k)])
-            groups = [(k, (flow.ingress_switch, flow.ingress_port, None), t0 + k * flow.spacing_ns,
-                       1, 3)]
-            while groups:
-                pos, node, t, hop, bits = groups.pop()
-                if node not in steps:   # its steps, and per version the first with its step
-                    step = _steps(net, run, flow.flow_id, *node)
-                    steps[node] = step, np.array([step.index(s) for s in step])
-                step, first = steps[node]
-                version = first[times[node[0]].searchsorted(t, side="right")]
-                seen = np.flatnonzero(np.bincount(version)).tolist()
-                for v in seen:
-                    kind, to, link, agree = step[v]
-                    at = version == v if len(seen) > 1 else slice(None)
-                    if kind is None and hop < n_hops:
-                        groups.append((pos[at], to, t[at] + link.quantile(u[pos[at] - a, hop - 1]),
-                                       hop + 1, agree & bits))
-                    else:
-                        hops[pos[at]], t_last[pos[at]], agrees[pos[at]] = hop, t[at], agree & bits
-                        end[pos[at]] = _TRUNCATED if kind is None else kind
-        columns.append(arrays)
-    return columns
+    u = np.empty((min(rows, n), n_hops))
+    arrays = tuple(array(code, [0]) * n for code in _column_codes(n_hops))
+    hops, t_last, end, agrees = (np.frombuffer(a, a.typecode) for a in arrays)
+    for a in range(0, n, rows):
+        k = np.arange(a, min(a + rows, n))
+        rng.random(out=u[:len(k)])
+        groups = [(k, (flow.ingress_switch, flow.ingress_port, None), t0 + k * flow.spacing_ns,
+                   1, 3)]
+        while groups:
+            pos, node, t, hop, bits = groups.pop()
+            if node not in steps:   # its changes as int64, a later one capped at 2**63 - 1
+                changes, step = _steps(net, run, flow.flow_id, *node)
+                steps[node] = np.array([min(c, 2**63 - 1) for c in changes], np.int64), step
+            changes, step = steps[node]
+            index = changes.searchsorted(t, side="right")
+            seen = np.flatnonzero(np.bincount(index)).tolist()
+            for v in seen:
+                kind, to, link, agree = step[v]
+                at = index == v if len(seen) > 1 else slice(None)
+                if kind is None and hop < n_hops:
+                    groups.append((pos[at], to, t[at] + link.quantile(u[pos[at] - a, hop - 1]),
+                                   hop + 1, agree & bits))
+                else:
+                    hops[pos[at]], t_last[pos[at]], agrees[pos[at]] = hop, t[at], agree & bits
+                    end[pos[at]] = _TRUNCATED if kind is None else kind
+    return arrays

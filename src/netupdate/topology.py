@@ -182,6 +182,8 @@ def label_change_update(net: Network, flows_with_paths, old_tag: str = "A",
 
     Returns (initial ForwardingState, UpdateProcedure).
     """
+    if new_tag == old_tag:
+        raise ValueError(f"new_tag equals old_tag {old_tag!r}, whose rules phase 3 removes")
     old_rules, new_rules, stamps = {}, {}, {}
     for flow, path in flows_with_paths:
         fid, in_port = flow.flow_id, flow.ingress_port

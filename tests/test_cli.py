@@ -496,7 +496,10 @@ class TestConfigErrors:
         ("topology.propagation_us_per_km", None), ("topology.propagation_us_per_km", math.inf),
         # these exited 2 naming only "topology"
         ("topology.cap_factor", -1), ("topology.cap_factor", 0),
-        ("topology.propagation_us_per_km", -1), ("topology.delay_mode", "x")])
+        ("topology.propagation_us_per_km", -1), ("topology.delay_mode", "x"),
+        # this one exited 0: new_tag equal to the default old_tag "A" made
+        # phase 3 remove the flows' only rules
+        ("procedure.new_tag", "A")])
     def test_field_of_the_wrong_type_names_it(self, tmp_path, capsys, path, value):
         doc = sprint_flow_config(rate_pps=5000)
         doc["topology"]["delay_mode"] = "exponential"

@@ -4,11 +4,13 @@ import random
 import sys
 import tracemalloc
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netupdate import (
     DELIVER,
@@ -49,6 +51,7 @@ from netupdate.simulator import (
     _packet_count,
     default_flow_window,
 )
+from netupdate.model import lookup_rule
 from netupdate.topology import policy_initial_state, policy_update, stub_update
 
 from conftest import DC_NS, line_network, line_flow_setup, numpy_unloaded, testbed_params
@@ -750,6 +753,59 @@ def _walk_both(net: Network, initial, updates, flows, window) -> list:
 def test_windows_walk_matches_the_table_driven_walk(case):
     windows, tables = _walk_both(*case)
     assert windows == tables
+
+
+def _step_at(net: Network, run: RunResult, flow_id, switch, port, tag, t) -> tuple:
+    """What a packet of the flow arriving at (switch, port) with tag at t does,
+    as a step of simulator._steps, from the table version in force at t."""
+    version = bisect_right(run.timeline.times[switch], t)
+    action, old, new = (lookup_rule(table, flow_id, tag, port) for table in (
+        run.timeline.tables[switch][version], run.old_config.tables[switch],
+        run.new_config.tables[switch]))
+    agree = (action == old) | (action == new) << 1
+    ends = {"deliver": "delivered", "drop": "dropped"}
+    if action.kind in ends:
+        return END_KINDS.index(ends[action.kind]), None, None, agree
+    peer = net.peer(switch, action.out_port)
+    if peer is None:
+        return END_KINDS.index("stranded"), None, None, agree
+    tag = action.new_tag if action.kind == "forward_tagged" else tag
+    return None, (peer[0], peer[1], tag), peer[2], agree
+
+
+def _other_flows_update():
+    """S1 - S2: f enters S1 and is delivered at S2; at 5 ns S1 installs a rule
+    of g's alone, which changes nothing for f there."""
+    net = line_network([1])
+    flows = [TestFlow("f", "S1", 0, 1e9 / 2), TestFlow("g", "S1", 0, 1e9 / 3)]
+    initial = ForwardingState.from_dict(net, {"S1": {("f", None, 0): Action.forward(2)},
+                                              "S2": {("f", None, 1): DELIVER}})
+    updates = [(5, SingletonUpdate.install("S1", {("g", None, 0): DROP}))]
+    return net, initial, updates, flows, (0, 20)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_constant_delay_cases())
+@example(case=_other_flows_update())   # f's node at S1 must have no change
+def test_steps_is_the_step_function_of_every_node_a_walk_reaches(case):
+    net, initial, updates, flows, window = case
+    for walked in (net, _table_walk_twin(net)):
+        run = _timed_run(walked, initial, updates)
+        with mock.patch.object(simulator, "_steps", wraps=simulator._steps) as steps:
+            run_flows(walked, run, flows, window=window)
+        assert steps.called
+        for call in steps.call_args_list:
+            _, _, flow_id, switch, port, tag = call.args
+            changes, got = simulator._steps(*call.args)
+            times = run.timeline.times[switch]
+            # drawn from the switch's executions, and every change changes the step
+            assert changes == sorted(changes) and not Counter(changes) - Counter(times)
+            assert len(got) == len(changes) + 1
+            assert all(a != b for a, b in zip(got, got[1:]))
+            # at, just before and before every execution of the switch
+            for t in {min(times, default=0) - 1, *times, *(t - 1 for t in times)}:
+                assert got[bisect_right(changes, t)] == _step_at(
+                    walked, run, flow_id, switch, port, tag, t), (switch, port, tag, t)
 
 
 def test_windows_walk_a_loop_longer_than_the_recursion_limit():

@@ -170,6 +170,11 @@ class TestLabelChangeUpdate:
         with pytest.raises(ValueError, match="must start at its ingress"):
             label_change_update(self.net, [(self.flow, [])])
 
+    # phase 3 removed the rules phase 1 had installed, dropping the flow's packets
+    def test_equal_tags_rejected(self):
+        with pytest.raises(ValueError, match="new_tag equals old_tag 'A'"):
+            label_change_update(self.net, [(self.flow, ["leaf1", "spine1"])], "A", "A")
+
     def test_procedure_validity_invariants(self):
         _, proc = label_change_update(self.net, [(self.flow, ["leaf1", "spine2", "leaf3"])])
         assert isinstance(proc, UpdateProcedure)  # constructor enforces phases
