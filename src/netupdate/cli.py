@@ -177,7 +177,7 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
     for axis_value, point in exp.points():
         cell = _axis_cell(exp.axis, axis_value)
         untimed_worst, timed_worst, _ = point.plan()
-        plan_worst = untimed_worst if point.mode == "untimed-greedy" else timed_worst
+        plan_worst = untimed_worst if point.schedule is None else timed_worst
         durations = []
         inconsistency = {}
         for seed in exp.seeds:

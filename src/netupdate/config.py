@@ -62,7 +62,8 @@ def _delay_model(dspec: dict, key: str, default: DelayModel) -> DelayModel:
 
 
 class Point(NamedTuple):
-    """One fully materialized experiment point (a single sweep position)."""
+    """One fully materialized experiment point (a single sweep position); its
+    schedule is None for untimed-greedy, whose controller waits out each phase."""
 
     net: object
     params: SystemParameters
@@ -71,40 +72,29 @@ class Point(NamedTuple):
     flows: list
     rate_fields: dict   # flow_id -> the config field of its rate, e.g. "flows[0].rate_pps"
     mode: str
-    knob_d: int | None
+    schedule: Schedule | None
     start_time: int
     delays: RunDelays | None
 
-    def schedule(self) -> Schedule:
-        if self.mode == "timed-worst-case":
-            return planner.worst_case_schedule(self.proc, self.start_time, self.params)
-        if self.mode == "timed-knob":
-            if self.proc.num_phases != 3 or self.proc.gc_phases() != frozenset({3}):
-                raise ConfigError(
-                    "mode: timed-knob requires a two-phase + garbage-collection procedure")
-            return consistency.knob_schedule(self.start_time, self.knob_d, self.params)
-        if self.mode == "simultaneous":
-            return consistency.simultaneous_schedule(self.start_time, self.proc.num_phases)
-        raise ConfigError(f"mode: {self.mode!r} has no schedule")
-
     def plan(self):
-        """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point; the
-        configured schedule of timed-knob and simultaneous sets timed_worst_ns."""
+        """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point; a timed
+        point plans its schedule's span plus delta_sched, an untimed one the
+        worst-case schedule's."""
         timed, untimed, wins = planner.compare_timed_untimed(self.proc, self.params)
-        if self.mode in ("timed-knob", "simultaneous"):
-            sched = self.schedule()
+        sched = self.schedule
+        if sched is not None:
             timed = sched.last_time() + self.params.delta_sched - sched.first_time()
             wins = timed < untimed
         return untimed, timed, wins
 
     def run(self, seed: int):
         """Simulate this point under one seed; returns (RunResult, reports)."""
-        if self.mode == "untimed-greedy":
+        if self.schedule is None:
             run = run_untimed(self.net, self.proc, self.params, self.delays,
                               seed=seed, initial_state=self.initial_state,
                               start_time=self.start_time)
         else:
-            tproc = TimedUpdateProcedure(self.proc, self.schedule())
+            tproc = TimedUpdateProcedure(self.proc, self.schedule)
             run = run_timed(self.net, tproc, self.params, self.delays,
                             seed=seed, initial_state=self.initial_state)
         reports = []
@@ -261,7 +251,8 @@ class Experiment:
 
     def materialize(self, axis_value=None, axis_field: str = "sweep.grid") -> Point:
         """The Point with the swept field set to axis_value, which errors name
-        axis_field. The network is built once and reused unless the axis is N."""
+        axis_field. The network is built once and reused unless the axis is N.
+        The schedule is built last, after timed-knob's two-phase + GC check."""
         def read(axis, container, key, path, kind, **bounds):
             if self.axis == axis:
                 return field(axis_value, None, axis_field, kind, **bounds)
@@ -300,8 +291,18 @@ class Experiment:
                                gap=_delay_model(dspec, "gap", default.gap))
 
         start_time = field(self.doc, "start_time", "", "duration", default=10**9)
+        schedule = None
+        if self.mode == "timed-worst-case":
+            schedule = planner.worst_case_schedule(proc, start_time, params)
+        elif self.mode == "timed-knob":
+            if proc.num_phases != 3 or proc.gc_phases() != frozenset({3}):
+                raise ConfigError(
+                    "mode: timed-knob requires a two-phase + garbage-collection procedure")
+            schedule = consistency.knob_schedule(start_time, knob_d, params)
+        elif self.mode == "simultaneous":
+            schedule = consistency.simultaneous_schedule(start_time, proc.num_phases)
         return Point(net=net, params=params, proc=proc, initial_state=initial,
-                     flows=flows, rate_fields=rate_fields, mode=self.mode, knob_d=knob_d,
+                     flows=flows, rate_fields=rate_fields, mode=self.mode, schedule=schedule,
                      start_time=start_time, delays=delays)
 
     def points(self):

@@ -141,12 +141,11 @@ class RunResult:
 
     def __init__(self, mode: str, seed: int, params: SystemParameters, first_send_ns: int,
                  net: Network, exec_log: list, updates: list, sends: list, faults: list,
-                 old_config: ForwardingState, sched_first_ns: int | None = None,
-                 flow_traces: dict | None = None):
+                 old_config: ForwardingState, sched_first_ns: int | None = None):
         self.mode, self.seed, self.params, self.first_send_ns = mode, seed, params, first_send_ns
         self._net, self.exec_log, self._updates, self._sends = net, exec_log, updates, sends
         self.faults, self.old_config, self.sched_first_ns = faults, old_config, sched_first_ns
-        self.flow_traces = {} if flow_traces is None else flow_traces  # flow_id -> FlowPackets
+        self.flow_traces = {}   # flow_id -> FlowPackets, filled by run_flows
 
     @cached_property
     def timeline(self) -> StateTimeline:
@@ -180,23 +179,25 @@ class RunResult:
         return self.last_exec_ns - self.first_exec_ns
 
 
-def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_worst_case,
-                   first_send, guards, first_ctrl, execute, sched_first=None) -> RunResult:
+def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
+                   first_send, schedule=None) -> RunResult:
     """Send proc's messages phase by phase, in procedure order within a
     phase, the first at first_send, and fold the executions they cause into
     a RunResult. Message i is the i-th send.
 
-    Consecutive sends are a gap apart, and the first send of phase j waits
-    at least guards.get(j, 0) after the send before it. Message i's gap,
-    controller delay (send to arrival) and jitter are the quantiles of
-    delays.gap, delays.ctrl and uniform(delta_sched) at row i of one
+    Consecutive sends are a gap apart. Message i's gap, controller delay
+    (send to arrival) and jitter are the quantiles of delays.gap,
+    delays.ctrl and uniform(delta_sched) at row i of one
     default_rng(seed).random((messages, 3)) draw (delays.quantile_block,
     which draws it in Python while numpy is not loaded and no model is
     exponential) or, under pin_worst_case, their bounds, but message 0's
-    delay is first_ctrl and its jitter 0. A gap or delay beyond its bound
-    is a bound_violation fault.
-    execute(arrival, jitter, phase, target, faults) returns when the update
-    takes effect and a note for its send line.
+    jitter is 0. A gap or delay beyond its bound is a bound_violation fault.
+
+    Without a schedule the first send of a phase also waits d_c (d_c + d_n
+    before a garbage-collection phase) after the send before it, each update
+    takes effect on arrival, and a pinned message 0 arrives at once. With
+    one, an update takes effect at its phase's scheduled time plus its
+    jitter, or on arrival as a missed_schedule fault if that is later.
 
     Executions at equal times take effect in message order, which pins down
     the run; one fold of them in that order warns of each absent rule.
@@ -206,11 +207,12 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     ordered = sorted(proc.items, key=lambda item: item[1])  # stable: procedure order
     if pin_worst_case:
         n = len(ordered)
-        gaps, ctrls = [params.delta_msg] * n, [first_ctrl] + [params.d_c] * (n - 1)
-        jitters = [0] + [params.delta_sched] * (n - 1)
+        gaps, jitters = [params.delta_msg] * n, [0] + [params.delta_sched] * (n - 1)
+        ctrls = [0 if schedule is None else params.d_c] + [params.d_c] * (n - 1)
     else:
         gaps, ctrls, jitters = quantile_block(seed, len(ordered), (
             delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched)))
+    gc_phases = proc.gc_phases() if schedule is None else ()
     execs, sends, faults = [], [], []
     t, prev_phase = first_send, None
     for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
@@ -221,11 +223,20 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
             if gap > params.delta_msg:
                 faults.append(Fault(t, "bound_violation", "ctrl",
                                     f"gap {gap} > delta_msg {params.delta_msg}"))
-            t += max(gap, guards.get(phase, 0) if phase != prev_phase else 0)
+            if schedule is None and phase != prev_phase:
+                gap = max(gap, params.d_c + (params.d_n if phase in gc_phases else 0))
+            t += gap
         if ctrl > params.d_c:
             faults.append(Fault(t, "bound_violation", update.target,
                                 f"ctrl delay {ctrl} > d_c {params.d_c}"))
-        exec_time, note = execute(t + ctrl, jitter, phase, update.target, faults)
+        exec_time, note = t + ctrl, ""
+        if schedule is not None:
+            sched_t = schedule.time_for_phase(phase)
+            planned, note = sched_t + jitter, f" sched={sched_t}"
+            if exec_time > planned:
+                faults.append(Fault(exec_time, "missed_schedule", update.target,
+                                    f"arrival {exec_time} > planned exec {planned}"))
+            exec_time = max(exec_time, planned)
         sends.append(LogLine(t, "send", "ctrl", update.target, phase,
                              f"msg={idx} mode={update.mode}{note}"))
         execs.append((exec_time, idx, phase, update))
@@ -234,10 +245,11 @@ def _control_plane(mode, net, proc, params, delays, seed, initial_state, pin_wor
     execs.sort(key=lambda e: e[:2])
     initial.apply(*(u for *_, u in execs))   # for its warnings only
     return RunResult(
-        mode=mode, seed=seed, params=params, first_send_ns=first_send, net=net,
+        mode="untimed" if schedule is None else "timed", seed=seed, params=params,
+        first_send_ns=first_send, net=net,
         exec_log=[ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs],
         updates=[u for u, _ in ordered], sends=sends, faults=faults, old_config=initial,
-        sched_first_ns=sched_first)
+        sched_first_ns=None if schedule is None else schedule.first_time())
 
 
 def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
@@ -258,12 +270,8 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
     which takes the zero lower bound so the duration measurement starts at
     the earliest possible instant.
     """
-    gc_phases = proc.gc_phases()
-    guards = {j: params.d_c + (params.d_n if j in gc_phases else 0)
-              for j in range(1, proc.num_phases + 1)}
-    return _control_plane("untimed", net, proc, params, delays, seed, initial_state,
-                          pin_worst_case, start_time, guards, 0,
-                          lambda arrival, *_: (arrival, ""))
+    return _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
+                          start_time)
 
 
 def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameters,
@@ -279,26 +287,16 @@ def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameter
     instant is executed immediately on arrival and recorded as a
     missed_schedule fault.
 
-    pin_worst_case stretches every jitter to the bound except the
-    earliest-scheduled update, message 0 (schedules are non-decreasing in
-    phase order), which executes exactly on time.
+    pin_worst_case stretches every controller delay and every jitter to its
+    bound except the jitter of the earliest-scheduled update, message 0
+    (schedules are non-decreasing in phase order), which executes exactly
+    on time.
     """
     proc, schedule = tproc.procedure, tproc.schedule
     t_su = params.t_su if params.t_su is not None else (
         params.d_c + params.delta_msg * len(proc.items))
-    sched_first = schedule.first_time()
-
-    def execute(arrival, jitter, phase, target, faults):
-        sched_t = schedule.time_for_phase(phase)
-        planned = sched_t + jitter
-        if arrival > planned:
-            faults.append(Fault(arrival, "missed_schedule", target,
-                                f"arrival {arrival} > planned exec {planned}"))
-        return max(arrival, planned), f" sched={sched_t}"
-
-    return _control_plane("timed", net, proc, params, delays, seed, initial_state,
-                          pin_worst_case, sched_first - t_su, {}, params.d_c, execute,
-                          sched_first=sched_first)
+    return _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
+                          schedule.first_time() - t_su, schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,29 @@ class TestProcedureErrors:
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
+    # the shape was checked only when a command first built the schedule, so
+    # materialize accepted a two-phase timed-knob point and simulate printed it
+    def test_timed_knob_of_a_two_phase_procedure_fails_to_materialize(self):
+        doc = netrail_knob_doc()
+        doc["procedure"]["kind"] = "two-phase"
+        del doc["sweep"]
+        doc["knob_d"] = "4ms"
+        with pytest.raises(ConfigError, match=re.escape(TIMED_KNOB_SHAPE)):
+            Experiment(doc).materialize()
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])
+    def test_timed_knob_of_a_two_phase_procedure_exits_two(self, tmp_path, capsys, command):
+        doc = netrail_knob_doc()
+        doc["procedure"]["kind"] = "two-phase"
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {TIMED_KNOB_SHAPE}\n")
+        assert not (tmp_path / "out").exists()
+
+
+TIMED_KNOB_SHAPE = "mode: timed-knob requires a two-phase + garbage-collection procedure"
+
+
 class TestTopologyErrors:
     # used to exit 3: ValueError: link A-B: no delay_ns and missing coordinates
     def test_link_without_delay_or_coordinates_exits_two(self, tmp_path, capsys):

@@ -399,7 +399,7 @@ def _walked(config: str, pick, seed: int = 3) -> dict:
     from netupdate.config import Experiment
 
     _, point = next(Experiment.load(CONFIGS / f"{config}.json").points())
-    run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()), point.params,
+    run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule), point.params,
                     point.delays, seed=seed, initial_state=point.initial_state)
     run_flows(point.net, run, pick(sorted(point.flows, key=lambda f: f.flow_id)))
     return run.flow_traces
@@ -507,7 +507,7 @@ class TestRunFlows:
         from netupdate.config import Experiment
 
         *_, (_, point) = Experiment.load(CONFIGS / f"{config}.json").points()
-        return point, run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule()),
+        return point, run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule),
                                 point.params, point.delays, seed=3,
                                 initial_state=point.initial_state)
 
