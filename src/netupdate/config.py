@@ -111,9 +111,10 @@ class Point(NamedTuple):
 
 
 def _switches(net, switches, path: str) -> list:
-    """switches, named path, if it is a non-empty list of switches of net."""
+    """switches, named path, if it is a non-empty list of distinct switches of net."""
     for i in range(len(field(switches, None, path, "non-empty list"))):
-        field(switches, i, path, net.ports)
+        if field(switches, i, path, net.ports) in switches[:i]:
+            raise ConfigError(f"{path}[{i}]: duplicate switch {switches[i]!r}")
     return switches
 
 

@@ -315,8 +315,9 @@ class ForwardingState(NamedTuple):
         """Build from {switch: {key: action}}; unlisted switches get empty tables."""
         return cls({s: dict(rules.get(s, {})) for s in net.switches})
 
-    def apply(self, *updates: SingletonUpdate, warn: bool = True) -> "ForwardingState":
-        """Pure application of singleton updates in order, each through apply_update.
+    def apply(self, *updates: SingletonUpdate) -> "ForwardingState":
+        """Pure application of singleton updates in order, each through
+        apply_update; it warns of no absent rule (a run's StateTimeline does).
 
         Copy-on-write: the outer mapping and each changed table are copied
         once, however many updates target it, so folding a whole procedure
@@ -332,29 +333,22 @@ class ForwardingState(NamedTuple):
             if update.target not in copied:
                 tables[update.target] = dict(tables[update.target])
                 copied.add(update.target)
-            apply_update(tables[update.target], update, warn)
+            apply_update(tables[update.target], update)
         return ForwardingState(tables)
 
 
-def apply_update(table: dict, update: SingletonUpdate, warn: bool = True) -> None:
+def apply_update(table: dict, update: SingletonUpdate) -> list:
     """Apply one singleton update in place to its target's table, a copy the
-    caller owns.
+    caller owns, and return the keys a remove found absent.
 
     Install: the table behaves like the update's entries on its domain and
     as before elsewhere. Remove: the listed keys are deleted; deleting an
-    absent key is a no-op, warned unless warn is false, so garbage
-    collection stays idempotent.
+    absent key is a no-op, so garbage collection stays idempotent.
     """
     if update.mode == "install":
-        for key, action in update.entries:
-            table[key] = action
-        return
-    for key, _ in update.entries:
-        if key in table:
-            del table[key]
-        elif warn:
-            _log("warning", "garbage collection: rule %r already absent on %s",
-                 key, update.target)
+        table.update(update.entries)
+        return []
+    return [key for key, _ in update.entries if table.pop(key, None) is None]  # no rule is None
 
 
 @validated

@@ -28,6 +28,7 @@ from .model import (
     SystemParameters,
     TimedUpdateProcedure,
     UpdateProcedure,
+    _log,
     apply_update,
     lookup_rule,
 )
@@ -104,8 +105,8 @@ class StateTimeline:
     table, version v the table after its v-th executed update, which took effect
     at times[switch][v - 1]. Each execution applies itself, through apply_update
     (ForwardingState.apply's step), to a copy of its target's latest table only,
-    and warns of nothing: a run warns of each absent rule in its own fold
-    (_control_plane).
+    in the order given, and warns of each rule a remove finds absent: a run's
+    timeline is the one fold of it that warns.
     """
 
     def __init__(self, net: Network, initial: ForwardingState, execs):
@@ -116,7 +117,9 @@ class StateTimeline:
             if versions is None:
                 raise ValueError(f"update targets unknown switch {update.target!r}")
             table = dict(versions[-1])
-            apply_update(table, update, warn=False)
+            for key in apply_update(table, update):
+                _log("warning", "garbage collection: rule %r already absent on %s",
+                     key, update.target)
             versions.append(table)
             self.times[update.target].append(time_ns)
 
@@ -132,38 +135,46 @@ class StateTimeline:
 class RunResult:
     """Everything observable about one simulated update.
 
-    exec_log lists the executions sorted by (time, message index), updates the
-    procedure's updates in message order and sends the send lines of the
-    message log. The state timeline, the new configuration and the message
-    log derive from them on first use, since a run without flows or a log
-    reads none of them; the run itself warned of each absent rule.
+    updates lists the procedure's updates in message order, send_ns their send
+    times, exec_log the executions sorted by (time, message index) and schedule
+    the timed run's schedule, None if untimed. The state timeline is folded from
+    them here, warning of each absent rule; the new configuration and the message
+    log derive from them on first use, as a run without flows or a log reads neither.
     """
 
-    def __init__(self, mode: str, seed: int, params: SystemParameters, first_send_ns: int,
-                 net: Network, exec_log: list, updates: list, sends: list, faults: list,
-                 old_config: ForwardingState, sched_first_ns: int | None = None):
-        self.mode, self.seed, self.params, self.first_send_ns = mode, seed, params, first_send_ns
-        self._net, self.exec_log, self._updates, self._sends = net, exec_log, updates, sends
-        self.faults, self.old_config, self.sched_first_ns = faults, old_config, sched_first_ns
+    def __init__(self, seed: int, params: SystemParameters, net: Network,
+                 old_config: ForwardingState, updates: list, exec_log: list, send_ns: list,
+                 faults: list, schedule=None):
+        self.seed, self.params, self.old_config, self.faults = seed, params, old_config, faults
+        self._updates, self.exec_log, self.send_ns, self.schedule = (
+            updates, exec_log, send_ns, schedule)
+        self.mode = "untimed" if schedule is None else "timed"
+        self.sched_first_ns = None if schedule is None else schedule.first_time()
+        self.timeline = StateTimeline(net, old_config, [
+            (e.time_ns, updates[e.msg_index]) for e in exec_log])
         self.flow_traces = {}   # flow_id -> FlowPackets, filled by run_flows
-
-    @cached_property
-    def timeline(self) -> StateTimeline:
-        return StateTimeline(self._net, self.old_config, [
-            (e.time_ns, self._updates[e.msg_index]) for e in self.exec_log])
 
     @cached_property
     def new_config(self) -> ForwardingState:
         """The whole procedure folded in message order."""
-        return self.old_config.apply(*self._updates, warn=False)
+        return self.old_config.apply(*self._updates)
 
     @cached_property
     def messages(self) -> list:
         """Send and exec lines by time, sends first at equal times."""
-        execs = [LogLine(e.time_ns, "exec", e.switch, "-", e.phase,
-                         f"msg={e.msg_index} mode={e.mode}") for e in self.exec_log]
-        return sorted(self._sends + execs,
-                      key=lambda m: (m.time_ns, 0 if m.kind == "send" else 1))
+        lines = []
+        for e in sorted(self.exec_log, key=lambda r: r.msg_index):   # message order
+            detail = f"msg={e.msg_index} mode={e.mode}"
+            sched = "" if self.schedule is None else (
+                f" sched={self.schedule.time_for_phase(e.phase)}")
+            lines.append(LogLine(self.send_ns[e.msg_index], "send", "ctrl", e.switch, e.phase,
+                                 detail + sched))
+            lines.append(LogLine(e.time_ns, "exec", e.switch, "-", e.phase, detail))
+        return sorted(lines, key=lambda m: (m.time_ns, m.kind == "exec"))
+
+    @property
+    def first_send_ns(self) -> int:
+        return self.send_ns[0]
 
     @property
     def first_exec_ns(self) -> int:
@@ -200,7 +211,7 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
     jitter, or on arrival as a missed_schedule fault if that is later.
 
     Executions at equal times take effect in message order, which pins down
-    the run; one fold of them in that order warns of each absent rule.
+    the run; RunResult folds them in that order into its timeline.
     """
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
@@ -213,12 +224,10 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
         gaps, ctrls, jitters = quantile_block(seed, len(ordered), (
             delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched)))
     gc_phases = proc.gc_phases() if schedule is None else ()
-    execs, sends, faults = [], [], []
+    execs, send_ns, faults = [], [], []
     t, prev_phase = first_send, None
     for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
             zip(ordered, gaps, ctrls, jitters)):
-        if update.target not in net.ports:
-            raise ValueError(f"procedure targets unknown switch {update.target!r}")
         if idx > 0:
             if gap > params.delta_msg:
                 faults.append(Fault(t, "bound_violation", "ctrl",
@@ -229,27 +238,20 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
         if ctrl > params.d_c:
             faults.append(Fault(t, "bound_violation", update.target,
                                 f"ctrl delay {ctrl} > d_c {params.d_c}"))
-        exec_time, note = t + ctrl, ""
+        exec_time = t + ctrl
         if schedule is not None:
-            sched_t = schedule.time_for_phase(phase)
-            planned, note = sched_t + jitter, f" sched={sched_t}"
+            planned = schedule.time_for_phase(phase) + jitter
             if exec_time > planned:
                 faults.append(Fault(exec_time, "missed_schedule", update.target,
                                     f"arrival {exec_time} > planned exec {planned}"))
             exec_time = max(exec_time, planned)
-        sends.append(LogLine(t, "send", "ctrl", update.target, phase,
-                             f"msg={idx} mode={update.mode}{note}"))
-        execs.append((exec_time, idx, phase, update))
+        send_ns.append(t)
+        execs.append(ExecRecord(exec_time, update.target, phase, update.mode, idx))
         prev_phase = phase
 
-    execs.sort(key=lambda e: e[:2])
-    initial.apply(*(u for *_, u in execs))   # for its warnings only
-    return RunResult(
-        mode="untimed" if schedule is None else "timed", seed=seed, params=params,
-        first_send_ns=first_send, net=net,
-        exec_log=[ExecRecord(t, u.target, phase, u.mode, idx) for t, idx, phase, u in execs],
-        updates=[u for u, _ in ordered], sends=sends, faults=faults, old_config=initial,
-        sched_first_ns=None if schedule is None else schedule.first_time())
+    execs.sort(key=lambda e: (e.time_ns, e.msg_index))
+    return RunResult(seed, params, net, initial, [u for u, _ in ordered], execs, send_ns, faults,
+                     schedule)
 
 
 def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,

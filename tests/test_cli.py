@@ -561,6 +561,24 @@ class TestProcedureErrors:
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "procedure.gc_phases" in capsys.readouterr().err
 
+    # a switch listed twice in a phase exited 0: it got two messages, plan.csv
+    # counted N_1 = 2, and the second remove warned "already absent"
+    @pytest.mark.parametrize("procedure, error", [
+        ({"kind": "k-phase", "phases": [["leaf1", "leaf1"], ["spine1"]], "gc_phases": [1]},
+         "procedure.phases[0][1]: duplicate switch 'leaf1'"),
+        ({"kind": "ordered", "phases": [["spine1"], ["leaf2", "leaf1", "leaf2"]]},
+         "procedure.phases[1][2]: duplicate switch 'leaf2'"),
+        ({"kind": "two-phase+gc", "phase2_switches": ["leaf1", "leaf2", "leaf1"]},
+         "procedure.phase2_switches[2]: duplicate switch 'leaf1'")])
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_duplicate_switch_in_a_phase_exits_two(self, tmp_path, capsys, procedure, error,
+                                                   command):
+        cfg = write_config(tmp_path, base_config(procedure=procedure))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not out.exists()
+
     def test_gc_phases_accepted(self, tmp_path):
         leaves = sorted(Experiment(base_config()).materialize().net.switches)[:2]
         cfg = write_config(tmp_path, base_config(

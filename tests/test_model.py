@@ -197,7 +197,7 @@ class TestLazyPeerMap:
         point.plan()
         run, _ = point.run(0)
         assert "links" not in vars(point.net)
-        assert not {"timeline", "new_config", "messages"} & vars(run).keys()
+        assert not {"new_config", "messages"} & vars(run).keys()
 
 
 class TestForwardingState:
@@ -237,13 +237,18 @@ class TestForwardingState:
         out = state.apply(SingletonUpdate.remove("S1", [key]))
         assert lookup_rule(out.tables["S1"], "f", "A", 0) == DROP
 
+    # apply is a silent no-op; a run's timeline is the fold that warns
     def test_remove_missing_is_warned_noop(self, caplog):
         net = two_switch_net()
         state = ForwardingState.empty(net)
+        remove = SingletonUpdate.remove("S1", [("f", "A", 0)])
         with caplog.at_level(logging.WARNING, logger="netupdate.model"):
-            out = state.apply(SingletonUpdate.remove("S1", [("f", "A", 0)]))
-        assert out == state
-        assert any("already absent" in r.message for r in caplog.records)
+            out = state.apply(remove)
+            assert out == state and caplog.records == []
+            timeline = StateTimeline(net, state, [(0, remove)])
+        assert timeline.tables["S1"] == [{}, {}]
+        assert [r.getMessage() for r in caplog.records] == [
+            "garbage collection: rule ('f', 'A', 0) already absent on S1"]
 
     def test_install_idempotent(self):
         net = two_switch_net()
@@ -334,7 +339,7 @@ def test_apply_matches_reference_fold(rules, steps, caplog):
         with caplog.at_level(logging.WARNING, logger="netupdate.model"):
             out = fold()
         assert out.tables == want
-        assert [r.getMessage() for r in caplog.records] == want_warnings
+        assert caplog.records == []   # the timeline warns, not apply (see below)
     assert state.tables == before
 
 
@@ -344,22 +349,22 @@ def test_apply_matches_reference_fold(rules, steps, caplog):
 def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
     """StateTimeline folds per switch; the whole-state fold through
     ForwardingState.apply, one update at a time, is its oracle: the same
-    table at every version and instant. The fold warns as the reference
-    does; the timeline warns of nothing."""
+    table at every version and instant. The timeline warns as the reference
+    does; the fold warns of nothing."""
     net = line_network([10, 10])
     state = ForwardingState.from_dict(net, rules)
     updates = [SingletonUpdate.install(sw, entries) if mode == "install"
                else SingletonUpdate.remove(sw, list(entries))
                for sw, mode, entries in steps]
     execs = list(zip(sorted(times), updates))  # few distinct times: many are equal
+    want, want_warnings = _reference_fold(state, updates)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="netupdate.model"):
         timeline = StateTimeline(net, state, execs)
-        assert caplog.records == []
+        assert [r.getMessage() for r in caplog.records] == want_warnings
         folds = [state]
         for u in updates:
             folds.append(folds[-1].apply(u))
-    want, want_warnings = _reference_fold(state, updates)
     assert folds[-1].tables == want
     assert [r.getMessage() for r in caplog.records] == want_warnings
 

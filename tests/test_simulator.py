@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import logging
 import random
@@ -39,7 +40,7 @@ from netupdate import (
     untimed_worst_duration,
     worst_case_schedule,
 )
-from netupdate import simulator
+from netupdate import model, simulator
 from netupdate.consistency import CLASS_OF_AGREES, CONSISTENT_NEW, CONSISTENT_OLD, INCONSISTENT
 from netupdate.simulator import (
     END_KINDS,
@@ -55,6 +56,7 @@ from netupdate.model import lookup_rule
 from netupdate.topology import policy_initial_state, policy_update, stub_update
 
 from conftest import DC_NS, line_network, line_flow_setup, numpy_unloaded, testbed_params
+from test_model import _reference_fold
 from test_properties import networks
 
 import numpy as np
@@ -182,6 +184,50 @@ class TestRunUntimed:
             "garbage collection: rule ('f', None, 0) already absent on S1"]
         assert run.new_config.tables == run.old_config.tables == {"S1": {}}
 
+    # the runs folded their executions once for warnings and once more for the
+    # timeline, then new_config folded the messages: three folds with flows
+    @staticmethod
+    @contextlib.contextmanager
+    def _folds():
+        """Counts apply_update calls per update (by identity), as both the
+        model and the simulator call it."""
+        calls, real = Counter(), model.apply_update
+
+        def counted(table, update):
+            calls[id(update)] += 1
+            return real(table, update)
+
+        with mock.patch.object(model, "apply_update", counted), \
+                mock.patch.object(simulator, "apply_update", counted):
+            yield calls
+
+    def test_a_flowless_run_applies_each_update_once(self, testbed_params):
+        net = leaf_spine(6)
+        proc = policy_update(net)
+        sched = worst_case_schedule(proc, 10**9, testbed_params)
+        for run_once in (
+                lambda: run_untimed(net, proc, testbed_params, seed=1,
+                                    initial_state=policy_initial_state(net)),
+                lambda: run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                                  seed=1, initial_state=policy_initial_state(net))):
+            with self._folds() as calls:
+                run_once()
+            assert calls == {id(u): 1 for u, _ in proc.items}
+
+    def test_a_run_with_flows_applies_each_update_twice(self, testbed_params):
+        net, flow, _, initial, proc = line_flow_setup(200_000, hops=2)
+        sched = worst_case_schedule(proc, 10**9, testbed_params)
+        for run_once in (
+                lambda: run_untimed(net, proc, testbed_params, seed=1, initial_state=initial),
+                lambda: run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                                  seed=1, initial_state=initial)):
+            with self._folds() as calls:
+                run = run_once()
+                run_flows(net, run, [flow])
+                measure_inconsistency(run, flow)
+            # once per execution (the timeline), once per message (new_config)
+            assert calls == {id(u): 2 for u, _ in proc.items}
+
     def test_determinism(self, testbed_params):
         net = leaf_spine(6)
         proc = policy_update(net)
@@ -221,6 +267,30 @@ class TestRunTimed:
                 by_phase.setdefault(e.phase, []).append(e.time_ns)
             for j in sorted(by_phase)[:-1]:
                 assert max(by_phase[j]) <= min(by_phase[j + 1])
+
+    def test_warnings_follow_execution_order(self, caplog):
+        # S1 installs a key in phase 1 and removes it in phase 2, both
+        # scheduled at once: the jitters decide which takes effect first
+        key = ("f", None, 0)
+        proc = UpdateProcedure(((SingletonUpdate.install("S1", {key: DELIVER}), 1),
+                                (SingletonUpdate.remove("S1", [key]), 2)))
+        params = SystemParameters(d_c=1_000_000, d_n=262_000, delta_msg=1_000_000,
+                                  delta_sched=1_297_000)
+        net, updates = line_network([]), [u for u, _ in proc.items]
+        tproc = TimedUpdateProcedure(proc, simultaneous_schedule(10**9, 2))
+        orders = set()
+        for seed in range(20):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="netupdate.model"):
+                run = run_timed(net, tproc, params, seed=seed)
+                warned = [r.getMessage() for r in caplog.records]
+                assert run.new_config.tables and run.messages
+                assert [r.getMessage() for r in caplog.records] == warned
+            assert not run.faults
+            order = [updates[e.msg_index] for e in run.exec_log]
+            assert warned == _reference_fold(run.old_config, order)[1]
+            orders.add(tuple(u.mode for u in order))
+        assert orders == {("install", "remove"), ("remove", "install")}
 
     def test_missed_schedule_fault_when_tsu_too_small(self, testbed_params):
         net, proc = single_switch_setup()
@@ -287,9 +357,9 @@ def _table_walk_twin(net: Network) -> Network:
 
 def _static_run(net: Network) -> RunResult:
     """A run of no update on net, for run_flows over an explicit window."""
-    return RunResult(mode="untimed", seed=0, params=SystemParameters(0, 0, 0, 0),
-                     first_send_ns=0, net=net, exec_log=[], updates=[], sends=[], faults=[],
-                     old_config=ForwardingState.empty(net))
+    return RunResult(seed=0, params=SystemParameters(0, 0, 0, 0), net=net,
+                     old_config=ForwardingState.empty(net), updates=[], exec_log=[],
+                     send_ns=[], faults=[])
 
 
 def _injected(net: Network, flow, window) -> FlowPackets:
@@ -640,11 +710,11 @@ def _states(draw, net, flows, max_updates, last_ns):
 
 def _timed_run(net: Network, initial, updates, seed: int = 0) -> RunResult:
     """A run whose executions are the (time, update) pairs, in that order."""
-    return RunResult(mode="timed", seed=seed, params=SystemParameters(0, 0, 0, 0),
-                     first_send_ns=0, net=net, sends=[], faults=[], old_config=initial,
+    return RunResult(seed=seed, params=SystemParameters(0, 0, 0, 0), net=net,
+                     old_config=initial, updates=[u for _, u in updates],
                      exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
                                for i, (t, u) in enumerate(updates)],
-                     updates=[u for _, u in updates])
+                     send_ns=[0] * len(updates), faults=[])
 
 
 @st.composite
