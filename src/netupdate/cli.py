@@ -42,8 +42,7 @@ def _meta_line(cfg_hash: str, seeds) -> str:
 def _write_text(path: Path, lines) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _axis_cell(axis, value) -> str:
@@ -66,7 +65,6 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
 
 
 PACKET_BLOCK = 1024  # packets formatted per write when streaming run.json
-_JSON_DELIVERED = ("true", "false", "false", "false")   # by FlowPackets.end code
 _PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
 
 
@@ -76,13 +74,15 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
 
     flows = {}
     for rep in reports:
-        ends = bytes(run.flow_traces[rep.flow_id].end)
+        end = run.flow_traces[rep.flow_id].end
+        blocks = range(0, len(end), PACKET_BLOCK)
         flows[rep.flow_id] = {
             "n_inconsistent": rep.n_inconsistent,
             "rate_pps": rep.rate_pps,
             "inconsistency_ns": rep.inconsistency_ns,
-            # "dropped", "stranded" and "truncated"
-            **{kind: ends.count(k) for k, kind in enumerate(END_KINDS) if k},
+            # "dropped", "stranded" and "truncated", counted a block at a time
+            **{kind: sum(bytes(end[i:i + PACKET_BLOCK]).count(k) for i in blocks)
+               for k, kind in enumerate(END_KINDS) if k},
             "packets": float("nan"),
         }
     p = run.params
@@ -114,29 +114,42 @@ def _run_to_dict(run, exp_hash: str, reports) -> dict:
     return doc
 
 
-def _write_run(fh, run, exp_hash: str, reports) -> None:
-    """Stream run.json to fh, byte-equal to json.dumps(_run_to_dict(...),
-    indent=2, sort_keys=True), without a dict per packet or the whole text.
-    The text is json's of _run_doc, split at its "packets" fields (a quote in
-    a JSON string is written \\"), each gap filled, in json's sorted flow
-    order, with PACKET_BLOCK packets per write from the walk's arrays."""
-    from .consistency import CLASS_OF_AGREES
+class _PacketHeads(dict):
+    """A packet's run.json text up to its t_in value, by (end, hops, agreement code)."""
 
+    def __missing__(self, key):
+        from .consistency import CLASS_OF_AGREES
+
+        end, hops, code = key
+        self[key] = head = (
+            f'{_PAD}{{{_KEY}"delivered": {"false" if end else "true"},{_KEY}"hops": {hops},'
+            f'{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": ')
+        return head
+
+
+def _write_run(fh, run, exp_hash: str, reports) -> None:
+    """Stream run.json to fh, byte-equal to json.dumps(_run_to_dict(...), indent=2,
+    sort_keys=True), without a dict per packet or the whole text: json's text of
+    _run_doc, split at its "packets" (a quote in a JSON string is written \\"), each
+    gap filled in json's sorted flow order, PACKET_BLOCK packets per write."""
     head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
                               sort_keys=True).split('"packets": NaN')
     fh.write(head)
+    heads = _PacketHeads()
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
         fh.write('"packets": [')
         for start in range(0, len(packets), PACKET_BLOCK):
-            stop = start + PACKET_BLOCK
-            fh.write(("," if start else "") + ",".join(
-                f'{_PAD}{{{_KEY}"delivered": {_JSON_DELIVERED[e]},{_KEY}"hops": {hops},'
-                f'{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": {t}{_PAD}}}'
-                for e, hops, code, t in zip(
-                    packets.end[start:stop], packets.hops[start:stop],
-                    packets.agrees[start:stop], packets.t_in[start:stop], strict=True)))
-        fh.write(("\n      ]" if len(packets) else "]") + tail)
+            block = slice(start, start + PACKET_BLOCK)
+            cols = packets.end[block], packets.hops[block], packets.agrees[block]
+            t_in = map(str, packets.t_in[block])
+            fh.write(_PAD + "}," if start else "")
+            if all(col.count(col[0]) == len(col) for col in cols):  # one join of one head
+                fh.writelines((same := heads[next(zip(*cols))], (_PAD + "}," + same).join(t_in)))
+            else:
+                fh.write((_PAD + "},").join(map("".join, zip(map(heads.__getitem__, zip(*cols)),
+                                                             t_in))))
+        fh.write((_PAD + "}\n      ]" if len(packets) else "]") + tail)
 
 
 def cmd_simulate(exp: Experiment, out: Path) -> int:
@@ -152,13 +165,11 @@ def cmd_simulate(exp: Experiment, out: Path) -> int:
         _write_run(fh, run, exp.hash, reports)
         fh.write("\n")
 
-    lines = [_meta_line(exp.hash, [seed]),
-             "flow_id,n_inconsistent,rate_pps,inconsistency_ns"]
-    lines += [rep.csv_row() for rep in reports]
-    _write_text(out / "inconsistency.csv", lines)
+    _write_text(out / "inconsistency.csv", [
+        _meta_line(exp.hash, [seed]), "flow_id,n_inconsistent,rate_pps,inconsistency_ns",
+        *(rep.csv_row() for rep in reports)])
     _write_text(out / "messages.log", [m.format() for m in run.messages])
-    print(f"wrote {out / 'run.json'} ({len(run.faults)} faults, "
-          f"{len(reports)} flows)")
+    print(f"wrote {out / 'run.json'} ({len(run.faults)} faults, {len(reports)} flows)")
     return 0
 
 
@@ -173,7 +184,6 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
                  "axis_value,mode,seed_count,sim_mean_ns,sim_min_ns,sim_max_ns,plan_worst_ns"]
     inc_lines = [_meta_line(exp.hash, exp.seeds),
                  "axis_value,flow_id,seed_count,i_mean_ns,i_min_ns,i_max_ns"]
-    have_flows = False
     for axis_value, point in exp.points():
         cell = _axis_cell(exp.axis, axis_value)
         untimed_worst, timed_worst, _ = point.plan()
@@ -187,13 +197,11 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
                 inconsistency.setdefault(rep.flow_id, []).append(rep.inconsistency_ns)
         dur_lines.append(f"{cell},{point.mode},{len(durations)},{_mean_ns(durations)},"
                          f"{min(durations)},{max(durations)},{plan_worst}")
-        for flow_id in sorted(inconsistency):
-            vals = inconsistency[flow_id]
-            have_flows = True
+        for flow_id, vals in sorted(inconsistency.items()):
             inc_lines.append(f"{cell},{flow_id},{len(vals)},"
                              f"{_mean_ns(vals)},{min(vals)},{max(vals)}")
     _write_text(out / "sweep.csv", dur_lines)
-    if have_flows:
+    if len(inc_lines) > 2:  # a row past the meta line and the header
         _write_text(out / "inconsistency_sweep.csv", inc_lines)
     print(f"wrote {out / 'sweep.csv'}")
     return 0

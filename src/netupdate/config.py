@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from . import consistency, planner, topology
+from . import consistency, topology
 from .delays import DEFAULT_EXP_CAP_FACTOR, DelayModel
 from .model import (
     ConfigError,
@@ -23,6 +23,7 @@ from .model import (
     UpdateProcedure,
     config_hash,
     field,
+    lookup_rule,
     parse_duration,  # noqa: F401 - part of this module's API
 )
 from .simulator import (
@@ -80,12 +81,12 @@ class Point(NamedTuple):
         """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point; a timed
         point plans its schedule's span plus delta_sched, an untimed one the
         worst-case schedule's."""
-        timed, untimed, wins = planner.compare_timed_untimed(self.proc, self.params)
-        sched = self.schedule
-        if sched is not None:
+        from . import planner
+
+        timed, untimed, _ = planner.compare_timed_untimed(self.proc, self.params)
+        if (sched := self.schedule) is not None:
             timed = sched.last_time() + self.params.delta_sched - sched.first_time()
-            wins = timed < untimed
-        return untimed, timed, wins
+        return untimed, timed, timed < untimed
 
     def run(self, seed: int):
         """Simulate this point under one seed; returns (RunResult, reports)."""
@@ -116,6 +117,24 @@ def _switches(net, switches, path: str) -> list:
         if field(switches, i, path, net.ports) in switches[:i]:
             raise ConfigError(f"{path}[{i}]: duplicate switch {switches[i]!r}")
     return switches
+
+
+def _check_routes(net, flows, paths, initial, proc, note: str) -> None:
+    """Raise a ConfigError unless both configurations deliver each flow along its path."""
+    new = initial.apply(*(u for u, _ in proc.items)) if flows else initial
+    for i, flow in enumerate(flows):
+        for name, state in (("old", initial), ("new", new)):
+            path, port, tag = paths[flow.flow_id], flow.ingress_port, None
+            for j, switch in enumerate(path):
+                action = lookup_rule(state.tables[switch], flow.flow_id, tag, port)
+                if action.kind == "deliver" and j + 1 == len(path):
+                    break
+                peer = net.peer(switch, action.out_port)
+                if peer is None or j + 1 == len(path) or peer[0] != path[j + 1]:
+                    how = "drops" if action.kind == "drop" else "misroutes"
+                    raise ConfigError(f"flows[{i}].path: the {name} configuration {how} "
+                                      f"{flow.flow_id} at {switch!r}{note}")
+                port, tag = peer[1], action.new_tag if action.kind == "forward_tagged" else tag
 
 
 class Experiment:
@@ -228,9 +247,9 @@ class Experiment:
             sets = [_switches(net, phases[j], f"procedure.phases[{j}]")
                     for j in range(len(phases))]
             gc = field(spec, "gc_phases", "procedure", "list", default=[])
-            return topology.stub_update(net, sets, frozenset(
+            return (*topology.stub_update(net, sets, frozenset(
                 field(gc, i, "procedure.gc_phases", "int", lo=1, hi=len(sets))
-                for i in range(len(gc))))
+                for i in range(len(gc)))), f" ({kind} procedures install no flow rules)")
         if flows:
             old_tag = field(spec, "old_tag", "procedure", "string", default="A")
             new_tag = field(spec, "new_tag", "procedure", "string", default="B")
@@ -241,14 +260,14 @@ class Experiment:
                 net, [(f, paths[f.flow_id]) for f in flows], old_tag, new_tag)
             if kind == "two-phase":
                 proc = UpdateProcedure(tuple((u, p) for u, p in proc.items if p <= 2))
-            return proc, initial
+            return proc, initial, ""
         phase2 = (_switches(net, spec["phase2_switches"], "procedure.phase2_switches")
                   if "phase2_switches" in spec else None)
         try:
             proc = topology.policy_update(net, phase2, with_gc=kind == "two-phase+gc")
         except ValueError as exc:
             raise ConfigError(f"procedure: {exc}") from None
-        return proc, topology.policy_initial_state(net)
+        return proc, topology.policy_initial_state(net), ""
 
     def materialize(self, axis_value=None, axis_field: str = "sweep.grid") -> Point:
         """The Point with the swept field set to axis_value, which errors name
@@ -276,7 +295,8 @@ class Experiment:
             d_c=ns["dc"], d_n=ns["dn"], delta_msg=ns["delta_msg"],
             delta_sched=ns["delta_sched"],
             t_su=field(pspec, "tsu", "params", "duration", default=None))
-        proc, initial = self._build_procedure(net, flows, paths)
+        proc, initial, note = self._build_procedure(net, flows, paths)
+        _check_routes(net, flows, paths, initial, proc, note)
 
         knob_d = None
         if self.mode == "timed-knob":
@@ -294,6 +314,8 @@ class Experiment:
         start_time = field(self.doc, "start_time", "", "duration", default=10**9)
         schedule = None
         if self.mode == "timed-worst-case":
+            from . import planner
+
             schedule = planner.worst_case_schedule(proc, start_time, params)
         elif self.mode == "timed-knob":
             if proc.num_phases != 3 or proc.gc_phases() != frozenset({3}):
