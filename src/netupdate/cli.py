@@ -74,15 +74,13 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
 
     flows = {}
     for rep in reports:
-        end = run.flow_traces[rep.flow_id].end
-        blocks = range(0, len(end), PACKET_BLOCK)
+        packets = run.flow_traces[rep.flow_id]
         flows[rep.flow_id] = {
             "n_inconsistent": rep.n_inconsistent,
             "rate_pps": rep.rate_pps,
             "inconsistency_ns": rep.inconsistency_ns,
-            # "dropped", "stranded" and "truncated", counted a block at a time
-            **{kind: sum(bytes(end[i:i + PACKET_BLOCK]).count(k) for i in blocks)
-               for k, kind in enumerate(END_KINDS) if k},
+            # "dropped", "stranded" and "truncated"
+            **{kind: packets.count("end", k) for k, kind in enumerate(END_KINDS) if k},
             "packets": float("nan"),
         }
     p = run.params
@@ -195,7 +193,7 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
             durations.append(run.update_duration_ns)
             for rep in reports:
                 inconsistency.setdefault(rep.flow_id, []).append(rep.inconsistency_ns)
-        dur_lines.append(f"{cell},{point.mode},{len(durations)},{_mean_ns(durations)},"
+        dur_lines.append(f"{cell},{exp.mode},{len(durations)},{_mean_ns(durations)},"
                          f"{min(durations)},{max(durations)},{plan_worst}")
         for flow_id, vals in sorted(inconsistency.items()):
             inc_lines.append(f"{cell},{flow_id},{len(vals)},"
@@ -214,13 +212,14 @@ def cmd_analyze_trace(trace_path: str, percentiles, out: Path) -> int:
         trace = stats.read_trace(trace_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"trace: {exc}") from None
-    mean = stats.mean(trace)
-    if not mean:
-        raise ConfigError(f"trace: {trace_path}: every sample is 0 ns, so no ratio to the mean")
+    try:
+        mean, values = stats.mean_and_percentiles(trace, percentiles)
+    except ValueError as exc:   # only a zero mean can fail here: samples exist, ps are valid
+        raise ConfigError(f"trace: {trace_path}: {exc}") from None
     meta = {"trace": str(trace_path), "percentiles": list(percentiles)}
     lines = [_meta_line(config_hash(meta), []),
              "label,p,percentile_ns,mean_ns,ratio"]
-    for p, value in zip(percentiles, stats.percentiles(trace, percentiles)):
+    for p, value in zip(percentiles, values):
         lines.append(f"{trace.label},{p:g},{value},{mean:.3f},{value / mean:.6f}")
     _write_text(out / "trace_stats.csv", lines)
     print(f"wrote {out / 'trace_stats.csv'}")
@@ -304,13 +303,8 @@ def main(argv=None) -> int:
                               seeds=None if args.seeds is None else _parse_seeds(args.seeds),
                               axis=args.axis,
                               grid=None if args.grid is None else _parse_grid(args.grid))
-        if args.command == "plan":
-            return cmd_plan(exp, out)
-        if args.command == "simulate":
-            return cmd_simulate(exp, out)
-        if args.command == "sweep":
-            return cmd_sweep(exp, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"plan": cmd_plan, "simulate": cmd_simulate, "sweep": cmd_sweep}[args.command]
+        return command(exp, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

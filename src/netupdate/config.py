@@ -72,7 +72,6 @@ class Point(NamedTuple):
     initial_state: ForwardingState
     flows: list
     rate_fields: dict   # flow_id -> the config field of its rate, e.g. "flows[0].rate_pps"
-    mode: str
     schedule: Schedule | None
     start_time: int
     delays: RunDelays | None
@@ -95,9 +94,8 @@ class Point(NamedTuple):
                               seed=seed, initial_state=self.initial_state,
                               start_time=self.start_time)
         else:
-            tproc = TimedUpdateProcedure(self.proc, self.schedule)
-            run = run_timed(self.net, tproc, self.params, self.delays,
-                            seed=seed, initial_state=self.initial_state)
+            run = run_timed(self.net, TimedUpdateProcedure(self.proc, self.schedule), self.params,
+                            self.delays, seed=seed, initial_state=self.initial_state)
         reports = []
         if self.flows:
             try:
@@ -162,8 +160,10 @@ class Experiment:
         sweep = field(doc, "sweep", "", "object", default=None)
         self.axis = None if sweep is None else field(sweep, "axis", "sweep", AXES)
         self.grid = [] if sweep is None else field(sweep, "grid", "sweep", "non-empty list")
+        if self.axis == "d" and self.mode != "timed-knob":
+            raise ConfigError("sweep.axis: 'd' sweeps require timed-knob mode")
         self.hash = config_hash(doc)
-        self._net = None   # the network, once materialize has built it
+        self._built = None   # materialize's network, flows and procedure, routes checked
 
     @classmethod
     def load(cls, path, **overrides) -> "Experiment":
@@ -271,17 +271,21 @@ class Experiment:
 
     def materialize(self, axis_value=None, axis_field: str = "sweep.grid") -> Point:
         """The Point with the swept field set to axis_value, which errors name
-        axis_field. The network is built once and reused unless the axis is N.
-        The schedule is built last, after timed-knob's two-phase + GC check."""
+        axis_field. The network, flows and procedure are built, and their routes
+        checked, once (at each point of an N axis); a point reads its params, delays
+        and schedule, and timed-knob its knob d after the two-phase + GC check."""
         def read(axis, container, key, path, kind, **bounds):
             if self.axis == axis:
                 return field(axis_value, None, axis_field, kind, **bounds)
             return field(container, key, path, kind, **bounds)
 
-        if self.axis == "N" or self._net is None:
-            self._net = self._build_network(read, axis_field)
-        net = self._net
-        flows, paths, rate_fields = self._build_flows(net)
+        if self.axis == "N" or self._built is None:
+            net = self._build_network(read, axis_field)
+            flows, paths, rate_fields = self._build_flows(net)
+            proc, initial, note = self._build_procedure(net, flows, paths)
+            _check_routes(net, flows, paths, initial, proc, note)
+            self._built = net, flows, paths, rate_fields, proc, initial
+        net, flows, paths, rate_fields, proc, initial = self._built
         pspec = field(self.doc, "params", "", "object")
         dn_auto = self.axis != "dn" and pspec.get("dn") == "auto"
         ns = {key: read(key, pspec, key, "params", "duration")
@@ -295,18 +299,9 @@ class Experiment:
             d_c=ns["dc"], d_n=ns["dn"], delta_msg=ns["delta_msg"],
             delta_sched=ns["delta_sched"],
             t_su=field(pspec, "tsu", "params", "duration", default=None))
-        proc, initial, note = self._build_procedure(net, flows, paths)
-        _check_routes(net, flows, paths, initial, proc, note)
-
-        knob_d = None
-        if self.mode == "timed-knob":
-            knob_d = read("d", self.doc, "knob_d", "", "duration")
-        elif self.axis == "d":
-            raise ConfigError("sweep.axis: 'd' sweeps require timed-knob mode")
 
         delays = None
-        dspec = field(self.doc, "delays", "", "object", default=None)
-        if dspec is not None:
+        if (dspec := field(self.doc, "delays", "", "object", default=None)) is not None:
             default = RunDelays.default(params)
             delays = RunDelays(ctrl=_delay_model(dspec, "ctrl", default.ctrl),
                                gap=_delay_model(dspec, "gap", default.gap))
@@ -321,11 +316,12 @@ class Experiment:
             if proc.num_phases != 3 or proc.gc_phases() != frozenset({3}):
                 raise ConfigError(
                     "mode: timed-knob requires a two-phase + garbage-collection procedure")
+            knob_d = read("d", self.doc, "knob_d", "", "duration")
             schedule = consistency.knob_schedule(start_time, knob_d, params)
         elif self.mode == "simultaneous":
             schedule = consistency.simultaneous_schedule(start_time, proc.num_phases)
         return Point(net=net, params=params, proc=proc, initial_state=initial,
-                     flows=flows, rate_fields=rate_fields, mode=self.mode, schedule=schedule,
+                     flows=flows, rate_fields=rate_fields, schedule=schedule,
                      start_time=start_time, delays=delays)
 
     def points(self):

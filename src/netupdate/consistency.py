@@ -115,7 +115,7 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
     if packets.flow != flow:
         raise ValueError(f"flow {flow.flow_id!r} was simulated as {packets.flow}, not {flow}")
-    n = bytes(packets.agrees).count(0)
+    n = packets.count("agrees", 0)
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 
 

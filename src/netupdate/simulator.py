@@ -395,6 +395,11 @@ class FlowPackets:
     def __len__(self) -> int:
         return len(self.hops)
 
+    def count(self, name: str, code: int) -> int:
+        """Packets whose one-byte column name holds code, copied a block at a time."""
+        column, block = memoryview(getattr(self, name)), 4096
+        return sum(bytes(column[i:i + block]).count(code) for i in range(0, len(column), block))
+
     def __iter__(self):
         rng = _flow_rng(self.seed, self.index)
         return (forward_packet(self.net, self.timeline, self.flow, t_in, rng)

@@ -72,12 +72,17 @@ def mean(trace: DelayTrace) -> float:
     return total / len(a)
 
 
+def mean_and_percentiles(trace: DelayTrace, ps) -> tuple:
+    """(mean(trace), percentiles(trace, ps)); ValueError if the mean is 0, as no ratio exists."""
+    if (m := mean(trace)) <= 0:
+        raise ValueError("every sample is 0 ns, so no ratio to the mean")
+    return m, percentiles(trace, ps)
+
+
 def tail_ratio(trace: DelayTrace, p: float) -> float:
     """The nearest-rank p percentile divided by the trace mean."""
-    m = mean(trace)
-    if m <= 0:
-        raise ValueError("tail ratio undefined for zero-mean trace")
-    return percentiles(trace, [p])[0] / m
+    m, (value,) = mean_and_percentiles(trace, [p])
+    return value / m
 
 
 def read_trace(path) -> DelayTrace:

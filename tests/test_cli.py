@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import hashlib
@@ -33,7 +34,7 @@ from netupdate import (
 from netupdate.cli import PACKET_BLOCK, _mean_ns, _run_to_dict, _write_run, main
 from netupdate.config import ConfigError, Experiment, _check_routes, parse_duration
 from netupdate.consistency import CLASS_OF_AGREES
-from netupdate import simulator, topology
+from netupdate import config, simulator, topology
 from netupdate.model import ENGINE_VERSION
 from netupdate.simulator import Fault, FlowPackets
 
@@ -470,6 +471,36 @@ class TestSweepCommand:
     def test_mean_rounds_half_to_even_exactly(self, values):
         assert _mean_ns(values) == round(Fraction(sum(values), len(values)))
 
+    def test_points_share_what_follows_from_the_network(self, tmp_path):
+        """A d sweep of sprint_knob builds its flows and label-change procedure
+        and walks its routes once, and its points share them; an N sweep still
+        builds a network, a procedure and a route check per point."""
+        def sweep(name, builder):
+            points, materialize = [], Experiment.materialize
+
+            def record(exp, *args):
+                points.append(point := materialize(exp, *args))
+                return point
+
+            with mock.patch.object(Experiment, "materialize", record), \
+                    mock.patch.object(topology, builder,
+                                      wraps=getattr(topology, builder)) as build, \
+                    mock.patch.object(config, "_check_routes", wraps=_check_routes) as check, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--config", str(CONFIGS / name), "--seeds", "0,1",
+                             "--out", str(tmp_path / name)]) == 0
+            return points, build.call_count, check.call_count
+
+        points, builds, checks = sweep("sprint_knob.json", "label_change_update")
+        assert (len(points), builds, checks) == (9, 1, 1)
+        for name in ("net", "flows", "proc", "initial_state"):
+            assert all(getattr(p, name) is getattr(points[0], name) for p in points), name
+        assert len({p.params.d_n for p in points}) == 1 < len({p.schedule for p in points})
+
+        points, builds, checks = sweep("leafspine_sweep.json", "policy_update")
+        assert (len(points), builds, checks) == (5, 5, 5)
+        assert len({id(p.net) for p in points}) == len({id(p.proc) for p in points}) == 5
+
     def test_seed_and_grid_overrides_change_hash(self, tmp_path):
         cfg = write_config(tmp_path, base_config(sweep={"axis": "N", "grid": [6]}))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -512,6 +543,15 @@ class TestConfigErrors:
                      "--axis", "dc"]) == 2
         assert "sweep.grid" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_d_sweep_outside_timed_knob_exits_two(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, base_config())
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--axis", "d", "--grid", "1ms"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: sweep.axis: 'd' sweeps require timed-knob mode\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep,field", [
         ("x", "sweep:"), ({"axis": "dc"}, "sweep.grid"), ({"axis": "dc", "grid": "1ms"}, "sweep.grid"),

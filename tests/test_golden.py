@@ -99,6 +99,40 @@ def test_large_fabric_sweep_is_byte_identical(tmp_path):
         "63c950869520e4f8bd70ba9b719a62f23799ba155903fe0c9ca135a2d26ea10b")
 
 
+@pytest.mark.parametrize("mode, axis, grid, digests", [
+    ("untimed-greedy", "dc", "2ms,4.865ms,9ms",
+     ("2f351dd4edd90274ff7c805b99b0e02806e72c6b55aad8bdf64ad3b41f75c327",
+      "e081c731825ac54c8a6aa638408d0554fc82dbc8087c48ef5774c372ce51ad70")),
+    ("timed-worst-case", "delta_sched", "0ms,1.297ms,4ms",
+     ("5c9c71529e260a2c3a34a2993fef320c8ede20e7c3bee5a2ba1950b698ba36ee",
+      "948763ddebffcb47c1bd6812251a0588c837540d863c807046c4c2ce435aa1e8")),
+    ("timed-knob", "dn", "1ms,4ms,12ms",
+     ("f916b920242dcdbe0d23a7d78b556e837fb788235a769ee566bbb6680e941dff",
+      "db729d10a7d6787372856dfa1d7778cb6c39d3728ccc62b6f39dd597e99dc0fa")),
+])
+def test_params_axis_sweep_is_byte_identical(mode, axis, grid, digests, tmp_path):
+    """sweep.csv and inconsistency_sweep.csv of sprint_knob's flows swept over a
+    params axis, whose points share one network, flow set and procedure."""
+    from netupdate.cli import main
+
+    doc = json.loads((REPO / "configs" / "sprint_knob.json").read_text())
+    doc["mode"] = mode
+    if mode == "timed-knob":
+        doc["knob_d"] = "10ms"
+    # the config keeps its relative topology path, so its hash is the same in any checkout
+    (tmp_path / "topologies").mkdir()
+    (tmp_path / "topologies" / "sprint.json").write_bytes(
+        (REPO / "topologies" / "sprint.json").read_bytes())
+    (tmp_path / "configs").mkdir()
+    (config := tmp_path / "configs" / "sprint_params.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", str(config), "--axis", axis, "--grid", grid,
+                     "--seeds", "0,1", "--out", str(out)]) == 0
+    assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("sweep.csv", "inconsistency_sweep.csv")) == digests
+
+
 def test_fabric_sweep_handing_the_draw_over_to_numpy_is_byte_identical(tmp_path):
     """A flowless 768-switch sweep in a process without numpy: the first runs'
     control-plane blocks are drawn in Python until PY_UNIFORMS runs out, the

@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestTailRatio:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             tail_ratio(DelayTrace((0, 0, 0)), 0.9)
+
+    def test_mean_and_percentiles_partition_once(self):
+        trace = DelayTrace(tuple(range(1, 1001)))
+        with mock.patch.object(np, "partition", wraps=np.partition) as partition:
+            assert stats.mean_and_percentiles(trace, [0.5, 0.999, 1.0]) == (
+                500.5, [500, 999, 1000])
+        assert partition.call_count == 1
+
+    @pytest.mark.parametrize("call", [lambda t: tail_ratio(t, 0.9),
+                                      lambda t: stats.mean_and_percentiles(t, [0.5, 0.9])])
+    def test_the_zero_mean_rule_has_one_message(self, call):
+        with pytest.raises(ValueError, match="^every sample is 0 ns, so no ratio to the mean$"):
+            call(DelayTrace((0, 0, 0)))
 
 
 class TestSample:
