@@ -22,6 +22,7 @@ import gc
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,7 +65,7 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
     return 0
 
 
-PACKET_BLOCK = 1024  # packets formatted per write when streaming run.json
+PACKET_BLOCK = 1024  # most packets of one run formatted per write when streaming run.json
 _PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
 
 
@@ -80,7 +81,8 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
             "rate_pps": rep.rate_pps,
             "inconsistency_ns": rep.inconsistency_ns,
             # "dropped", "stranded" and "truncated"
-            **{kind: packets.count("end", k) for k, kind in enumerate(END_KINDS) if k},
+            **{kind: sum(count for count, _, end, _ in packets.runs if end == k)
+               for k, kind in enumerate(END_KINDS) if k},
             "packets": float("nan"),
         }
     p = run.params
@@ -105,48 +107,35 @@ def _run_to_dict(run, exp_hash: str, reports) -> dict:
     doc = _run_doc(run, exp_hash, reports)
     for rep in reports:
         packets = run.flow_traces[rep.flow_id]
+        values = (value for count, *value in packets.runs for _ in range(count))
         doc["flows"][rep.flow_id]["packets"] = [
             {"t_in": t_in, "result": CLASS_OF_AGREES[code], "hops": hops, "delivered": e == 0}
-            for t_in, code, hops, e in zip(
-                packets.t_in, packets.agrees, packets.hops, packets.end, strict=True)]
+            for t_in, (hops, e, code) in zip(packets.t_in, values, strict=True)]
     return doc
-
-
-class _PacketHeads(dict):
-    """A packet's run.json text up to its t_in value, by (end, hops, agreement code)."""
-
-    def __missing__(self, key):
-        from .consistency import CLASS_OF_AGREES
-
-        end, hops, code = key
-        self[key] = head = (
-            f'{_PAD}{{{_KEY}"delivered": {"false" if end else "true"},{_KEY}"hops": {hops},'
-            f'{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": ')
-        return head
 
 
 def _write_run(fh, run, exp_hash: str, reports) -> None:
     """Stream run.json to fh, byte-equal to json.dumps(_run_to_dict(...), indent=2,
     sort_keys=True), without a dict per packet or the whole text: json's text of
     _run_doc, split at its "packets" (a quote in a JSON string is written \\"), each
-    gap filled in json's sorted flow order, PACKET_BLOCK packets per write."""
+    gap filled in json's sorted flow order, a run's packets up to PACKET_BLOCK per
+    write, each one head (its text up to its t_in value) joined over their t_in."""
+    from .consistency import CLASS_OF_AGREES
+
     head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
                               sort_keys=True).split('"packets": NaN')
     fh.write(head)
-    heads = _PacketHeads()
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
         fh.write('"packets": [')
-        for start in range(0, len(packets), PACKET_BLOCK):
-            block = slice(start, start + PACKET_BLOCK)
-            cols = packets.end[block], packets.hops[block], packets.agrees[block]
-            t_in = map(str, packets.t_in[block])
-            fh.write(_PAD + "}," if start else "")
-            if all(col.count(col[0]) == len(col) for col in cols):  # one join of one head
-                fh.writelines((same := heads[next(zip(*cols))], (_PAD + "}," + same).join(t_in)))
-            else:
-                fh.write((_PAD + "},").join(map("".join, zip(map(heads.__getitem__, zip(*cols)),
-                                                             t_in))))
+        t_in, sep = map(str, packets.t_in), ""
+        for count, hops, end, code in packets.runs:
+            head = (f'{_PAD}{{{_KEY}"delivered": {"false" if end else "true"},{_KEY}"hops": '
+                    f'{hops},{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": ')
+            for left in range(count, 0, -PACKET_BLOCK):   # the run's packets not yet written
+                text = (_PAD + "}," + head).join(islice(t_in, min(left, PACKET_BLOCK)))
+                fh.write(sep + head + text)
+                sep = _PAD + "},"
         fh.write((_PAD + "}\n      ]" if len(packets) else "]") + tail)
 
 

@@ -106,16 +106,16 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     simulator.run_flows) over a window covering the whole update plus drain
     margins; otherwise the count undershoots. Another flow of the same id is
     an error, since its rate would scale the count wrongly. The walk already
-    compared every hop with both configurations, so this counts the packets
-    that agreed with neither; classify_packet is the per-trace oracle for the
-    same classes.
+    compared every hop with both configurations, so this sums the runs of
+    packets that agreed with neither; classify_packet is the per-trace
+    oracle for the same classes.
     """
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:
         raise ValueError(f"flow {flow.flow_id!r} was not simulated against this run")
     if packets.flow != flow:
         raise ValueError(f"flow {flow.flow_id!r} was simulated as {packets.flow}, not {flow}")
-    n = packets.count("agrees", 0)
+    n = sum(count for count, _, _, agrees in packets.runs if not agrees)
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 
 

@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 # O(WALK_BLOCK) whatever the flow's rate or the network's size.
 WALK_BLOCK = 2**20
 # Most packets a run's flows may inject in all (injection window / spacing,
-# summed over flows); the per-packet arrays of run_flows are O(MAX_PACKETS).
+# summed over flows): each flow's t_last and its run.json text are O(packets).
 MAX_PACKETS = 2**22
 
 
@@ -365,13 +365,13 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 
 
 class FlowPackets:
-    """Per-packet results of one test flow, one array.array of length n per
-    name in ARRAYS, in injection order, typecodes as _column_codes gives
-    them; nothing is kept per hop, and nothing the arrays or the flow
-    determine.
+    """Per-packet results of one test flow, in injection order: runs, the
+    maximal runs of consecutive packets with equal (hops, end, agrees), each
+    [count, hops, end, agrees], and t_last, an array("q") of each packet's
+    arrival time at its last hop; nothing is kept per hop, and nothing the
+    runs or the flow determine.
 
-    hops (in the walk's count type) and t_last (the arrival time at the
-    last hop) describe each packet's walk, end indexes END_KINDS with how it
+    hops counts a packet's hops, end indexes END_KINDS with how its walk
     ended, and bit 0 / bit 1 of agrees say whether every realized hop action
     equals the old / new configuration's action there. Packet k entered at
     t0 + k x the flow's spacing (t_in). Iterating re-walks the packets with
@@ -379,13 +379,11 @@ class FlowPackets:
     the flow's position in flow-id order) and yields their PacketTraces.
     """
 
-    ARRAYS = ("hops", "t_last", "end", "agrees")
-
-    def __init__(self, net: Network, timeline: StateTimeline, flow, seed, index, t0, *arrays):
+    def __init__(self, net: Network, timeline: StateTimeline, flow, seed, index, t0,
+                 runs: list, t_last: array):
         self.net, self.timeline, self.flow, self.seed, self.index, self.t0 = (
             net, timeline, flow, seed, index, t0)
-        for name, values in zip(self.ARRAYS, arrays, strict=True):
-            setattr(self, name, values)
+        self.runs, self.t_last = runs, t_last
 
     @property
     def t_in(self) -> range:
@@ -393,12 +391,7 @@ class FlowPackets:
         return range(self.t0, self.t0 + len(self) * spacing, spacing)
 
     def __len__(self) -> int:
-        return len(self.hops)
-
-    def count(self, name: str, code: int) -> int:
-        """Packets whose one-byte column name holds code, copied a block at a time."""
-        column, block = memoryview(getattr(self, name)), 4096
-        return sum(bytes(column[i:i + block]).count(code) for i in range(0, len(column), block))
+        return len(self.t_last)
 
     def __iter__(self):
         rng = _flow_rng(self.seed, self.index)
@@ -408,8 +401,8 @@ class FlowPackets:
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
-        return (self.flow, self.t0) == (other.flow, other.t0) and all(
-            getattr(self, name) == getattr(other, name) for name in self.ARRAYS)
+        return ((self.flow, self.t0, self.runs, self.t_last)
+                == (other.flow, other.t0, other.runs, other.t_last))
 
     __hash__ = None
 
@@ -428,17 +421,23 @@ def default_flow_window(run: RunResult, spacing_ns: int):
     return anchor - margin, run.last_exec_ns + margin
 
 
-# How a packet's walk ended, FlowPackets.end's codes: _steps gives the first three,
+# How a packet's walk ended, the end codes of FlowPackets.runs: _steps gives the first three,
 # and a packet still forwarding after the last hop is truncated
 END_KINDS = ("delivered", "dropped", "stranded", "truncated")
 _SINK = {"deliver": 0, "drop": 1}
 _STRANDED, _TRUNCATED = 2, 3
 
 
-def _column_codes(n_hops: int) -> tuple:
-    """The typecodes of FlowPackets.ARRAYS, array.array's and numpy's alike:
-    hops in the walk's count type (B, H or I), t_last q, end b, agrees B."""
-    return "BHI"[(n_hops > 0xFF) + (n_hops > 0xFFFF)], "q", "b", "B"
+def _runs(parts) -> list:
+    """The maximal runs of parts, (count, hops, end, agrees) in packet order:
+    a part with the value of the run before it joins that run."""
+    runs = []
+    for count, *value in parts:
+        if runs and runs[-1][1:] == value:
+            runs[-1][0] += count
+        else:
+            runs.append([count, *value])
+    return runs
 
 
 def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -> tuple:
@@ -506,24 +505,26 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
     constant = all(link.delay.kind == "constant" for link in net.links)
     for i, (flow, (t0, _), n) in enumerate(zip(flows, windows, counts)):
-        arrays = (_walk_windows(net, run, flow, t0, n) if constant
-                  else _walk_tables(net, run, flow, t0, n, _flow_rng(run.seed, i)))
+        runs, t_last = (_walk_windows(net, run, flow, t0, n) if constant
+                        else _walk_tables(net, run, flow, t0, n, _flow_rng(run.seed, i)))
         run.flow_traces[flow.flow_id] = FlowPackets(net, run.timeline, flow, run.seed, i, t0,
-                                                    *arrays)
+                                                    runs, t_last)
 
 
 def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
-    """FlowPackets.ARRAYS of a flow's n packets under constant link delays.
+    """FlowPackets' runs and t_last of a flow's n packets under constant link delays.
 
     A piece is packets k0..k1-1 at one (switch, in_port, tag) node that all
     left the ingress by the same links, so packet k arrives t0 + k x spacing
     + D, D the delays summed. The node's changes (_steps, once per node) cut
     it where packets start to see another step, and each part takes its
-    step: it ends, or becomes the next hop's piece. Pieces are disjoint, so
-    they never outnumber the packets, and the walk keeps a stack of them.
+    step: it ends as a run, or becomes the next hop's piece. Pieces are
+    disjoint, so they never outnumber the packets, and the walk keeps a
+    stack of them; the runs, sorted by their first packet, merge where
+    neighbours are equal.
     """
     spacing, n_hops, steps = flow.spacing_ns, len(net.switches), {}
-    hops, t_last, end, agrees = (array(code, [0]) * n for code in _column_codes(n_hops))
+    t_last, parts = array("q", [0]) * n, []
     pieces = [(0, n, (flow.ingress_switch, flow.ingress_port, None), 0, 1, 3)]
     while pieces:
         k0, k1, node, delay, hop, bits = pieces.pop()
@@ -539,34 +540,34 @@ def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
             if kind is None and hop < n_hops:
                 pieces.append((a, b, to, delay + link.value, hop + 1, agree))
                 continue
-            for out, value in ((hops, hop), (end, _TRUNCATED if kind is None else kind),
-                               (agrees, agree)):
-                out[a:b] = array(out.typecode, [value]) * (b - a)
+            parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree))
             t_last[a:b] = array("q", range(base + a * spacing, base + b * spacing, spacing))
-    return hops, t_last, end, agrees
+    return _runs(part[1:] for part in sorted(parts)), t_last
 
 
 def _walk_tables(net: Network, run: RunResult, flow, t0: int, n: int, rng) -> tuple:
-    """FlowPackets.ARRAYS of a flow's n packets under random link delays.
+    """FlowPackets' runs and t_last of a flow's n packets under random link delays.
 
     rng draws rows of len(net.switches) uniforms, row k for packet k as
     forward_packet draws it, about WALK_BLOCK uniforms a block. A group is a
     block's packets at one node that came by one path. It splits by the step
     each packet sees there (_steps), and a part ends or moves on as the next
     hop's group, each packet delayed by the link's quantile of its uniform.
+    Each block's outcomes are run-length encoded, and runs merge across blocks.
     """
     import numpy as np
 
     n_hops, steps = len(net.switches), {}
     rows = max(1, WALK_BLOCK // n_hops)
     u = np.empty((min(rows, n), n_hops))
-    arrays = tuple(array(code, [0]) * n for code in _column_codes(n_hops))
-    hops, t_last, end, agrees = (np.frombuffer(a, a.typecode) for a in arrays)
+    outcome = np.empty((3, min(rows, n)), np.int32)   # a block's hops, end and agrees
+    t_last, parts = array("q", [0]) * n, []
+    last = np.frombuffer(t_last, np.int64)
     for a in range(0, n, rows):
-        k = np.arange(a, min(a + rows, n))
+        k = np.arange(min(rows, n - a))   # the block's packets, a + k in the flow
         rng.random(out=u[:len(k)])
-        groups = [(k, (flow.ingress_switch, flow.ingress_port, None), t0 + k * flow.spacing_ns,
-                   1, 3)]
+        groups = [(k, (flow.ingress_switch, flow.ingress_port, None),
+                   t0 + (a + k) * flow.spacing_ns, 1, 3)]
         while groups:
             pos, node, t, hop, bits = groups.pop()
             if node not in steps:   # its changes as int64, a later one capped at 2**63 - 1
@@ -579,9 +580,14 @@ def _walk_tables(net: Network, run: RunResult, flow, t0: int, n: int, rng) -> tu
                 kind, to, link, agree = step[v]
                 at = index == v if len(seen) > 1 else slice(None)
                 if kind is None and hop < n_hops:
-                    groups.append((pos[at], to, t[at] + link.quantile(u[pos[at] - a, hop - 1]),
+                    groups.append((pos[at], to, t[at] + link.quantile(u[pos[at], hop - 1]),
                                    hop + 1, agree & bits))
                 else:
-                    hops[pos[at]], t_last[pos[at]], agrees[pos[at]] = hop, t[at], agree & bits
-                    end[pos[at]] = _TRUNCATED if kind is None else kind
-    return arrays
+                    last[a + pos[at]] = t[at]
+                    outcome[:, pos[at]] = [[hop], [_TRUNCATED if kind is None else kind],
+                                           [agree & bits]]
+        block = outcome[:, :len(k)]
+        heads = np.flatnonzero((block[:, 1:] != block[:, :-1]).any(axis=0)) + 1
+        counts = np.diff(heads, prepend=0, append=len(k))
+        parts.extend(zip(counts.tolist(), *block[:, np.r_[0, heads]].tolist()))
+    return _runs(parts), t_last

@@ -66,6 +66,14 @@ def line_flow_setup(total_delay_ns, hops=2, rate_pps=5000.0, flow_id="f1"):
     return net, flow, path, initial, proc
 
 
+def per_packet(runs) -> SimpleNamespace:
+    """FlowPackets.runs expanded to per-packet lists hops, end and agrees, in
+    injection order."""
+    rows = [value for count, *value in runs for _ in range(count)]
+    return SimpleNamespace(**{name: [row[i] for row in rows]
+                              for i, name in enumerate(("hops", "end", "agrees"))})
+
+
 @contextlib.contextmanager
 def numpy_unloaded(budget: int):
     """delays.quantile_block as in a process that has not loaded numpy and may

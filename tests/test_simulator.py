@@ -31,6 +31,7 @@ from netupdate import (
     UpdateProcedure,
     classify_packet,
     forward_packet,
+    knob_schedule,
     leaf_spine,
     measure_inconsistency,
     run_flows,
@@ -55,7 +56,8 @@ from netupdate.simulator import (
 from netupdate.model import lookup_rule
 from netupdate.topology import policy_initial_state, policy_update, stub_update
 
-from conftest import DC_NS, line_network, line_flow_setup, numpy_unloaded, testbed_params
+from conftest import (DC_NS, line_network, line_flow_setup, numpy_unloaded, per_packet,
+                      testbed_params)
 from test_model import _reference_fold
 from test_properties import networks
 
@@ -530,11 +532,12 @@ class TestRunFlows:
             run_flows(net, run, [flow], window=(big - 11, big + 3))
         assert walk.called
         packets = run.flow_traces["f"]
+        cols = per_packet(packets.runs)
         # the packet entering at big - 11 reaches S2 at big - 1, before S2
         # delivers, and drops; from big + 1 on, S1 delivers at once
-        assert packets.hops.tolist() == [2] * 12 + [1] * 2
-        assert [END_KINDS[e] for e in packets.end] == ["dropped"] + ["delivered"] * 13
-        assert [CLASS_OF_AGREES[c] for c in packets.agrees] == (
+        assert cols.hops == [2] * 12 + [1] * 2
+        assert [END_KINDS[e] for e in cols.end] == ["dropped"] + ["delivered"] * 13
+        assert [CLASS_OF_AGREES[c] for c in cols.agrees] == (
             [CONSISTENT_OLD] + [INCONSISTENT] * 11 + [CONSISTENT_NEW] * 2)
         want = [forward_packet(net, run.timeline, flow, t, np.random.default_rng([0, 7919]))
                 for t in packets.t_in]
@@ -555,20 +558,37 @@ class TestRunFlows:
             with mock.patch.object(simulator, "WALK_BLOCK", 7):
                 run_flows(twin, blocked, [flow])
         assert walk.call_count == 2
-        codes = set()
         for run in (windows, fast, blocked):
             packets = run.flow_traces[flow.flow_id]
             columns = {name: v for name, v in vars(packets).items()
                        if isinstance(v, (array, np.ndarray))}
-            assert set(columns) == set(FlowPackets.ARRAYS)
-            assert all(isinstance(v, array) for v in columns.values())
-            assert {len(v) for v in columns.values()} == {len(packets)}
-            codes.add(tuple(columns[name].typecode for name in FlowPackets.ARRAYS))
-        assert codes == {("B", "q", "b", "B")}   # one column type, whichever walk ran
+            # runs of Python ints and one int64 column, whichever walk ran
+            assert list(columns) == ["t_last"] and columns["t_last"].typecode == "q"
+            assert len(packets.t_last) == len(packets) == sum(r[0] for r in packets.runs)
+            assert all(type(r) is list and len(r) == 4 and {type(v) for v in r} == {int}
+                       for r in packets.runs)
         assert len(fast.flow_traces[flow.flow_id]) > 3 * 7
-        # a flow walked in many blocks gives what one block gives, and the
-        # windows walk what the table-driven walk gives
+        # a flow walked in blocks of 7 uniforms gives the runs of one block,
+        # and the windows walk those of the table-driven walk
+        assert ([run.flow_traces[flow.flow_id].runs for run in (blocked, fast)]
+                == [windows.flow_traces[flow.flow_id].runs] * 2)
         assert blocked.flow_traces == fast.flow_traces == windows.flow_traces
+
+    def test_runs_do_not_grow_with_the_rate(self, testbed_params):
+        # under constant delays a flow's runs are O(pieces), not O(packets):
+        # the same update at ten times the rate gives as many runs
+        walked = []
+        for rate in (5_000, 50_000):
+            net, flow, path, init, proc = line_flow_setup(10_000_000, rate_pps=rate)
+            sched = knob_schedule(1_000_000_000, 4_000_000, testbed_params)
+            run = run_timed(net, TimedUpdateProcedure(proc, sched), testbed_params,
+                            seed=3, initial_state=init)
+            run_flows(net, run, [flow])
+            walked.append(run.flow_traces[flow.flow_id])
+        slow, fast = walked
+        assert len(fast) > 9 * len(slow)
+        assert len(slow.runs) == len(fast.runs) > 1
+        assert [r[1:] for r in slow.runs] == [r[1:] for r in fast.runs]
 
     @staticmethod
     def _last_point_run(config: str):
@@ -626,8 +646,9 @@ class TestRunFlows:
         finally:
             tracemalloc.stop()
         packets = run.flow_traces["f"]
-        assert len(packets) == 70_000 and set(packets.hops) == {128}
-        assert set(packets.end) == {END_KINDS.index("delivered")}
+        cols = per_packet(packets.runs)
+        assert len(packets) == 70_000 and set(cols.hops) == {128}
+        assert set(cols.end) == {END_KINDS.index("delivered")}
         assert peak <= 12 * 2**20
 
 
@@ -771,14 +792,19 @@ def test_run_flows_matches_forward_packet_oracle(case):
         classes = [classify_packet(t, initial, runs[0].new_config) for t in want]
         for run in runs:
             got = run.flow_traces[flow.flow_id]
-            # the walk's own arrays against the oracle's traces
+            # maximal runs, at least one packet each, that cover the flow
+            assert all(r[0] >= 1 for r in got.runs)
+            assert sum(r[0] for r in got.runs) == len(got)
+            assert all(r[1:] != s[1:] for r, s in zip(got.runs, got.runs[1:]))
+            # the walk's own runs and t_last against the oracle's traces
+            cols = per_packet(got.runs)
             assert list(got.t_in) == [t.t_in for t in want]
-            assert got.hops.tolist() == [len(t.hops) for t in want]
+            assert cols.hops == [len(t.hops) for t in want]
             assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
-            assert [END_KINDS[e] for e in got.end.tolist()] == [
+            assert [END_KINDS[e] for e in cols.end] == [
                 next((k for k in ("delivered", "truncated", "stranded") if getattr(t, k)),
                      "dropped") for t in want]
-            assert [CLASS_OF_AGREES[c] for c in got.agrees] == classes
+            assert [CLASS_OF_AGREES[c] for c in cols.agrees] == classes
             assert (measure_inconsistency(run, flow).n_inconsistent
                     == classes.count(INCONSISTENT))
         # iterating re-walks the packets on the flow's own stream
@@ -803,8 +829,8 @@ def _constant_delay_cases(draw):
 
 
 def _walk_both(net: Network, initial, updates, flows, window) -> list:
-    """Each flow's columns and their typecodes, by the windows walk and by
-    the table-driven walk."""
+    """Each flow's runs and t_last, by the windows walk and by the
+    table-driven walk."""
     got = []
     for walked, by_tables in ((net, False), (_table_walk_twin(net), True)):
         run = _timed_run(walked, initial, updates)
@@ -812,9 +838,7 @@ def _walk_both(net: Network, initial, updates, flows, window) -> list:
             run_flows(walked, run, flows, window=window)
         assert walk.called == by_tables
         packets = [run.flow_traces[f.flow_id] for f in flows]
-        got.append([(p.t0, {"typecodes": [getattr(p, name).typecode for name in p.ARRAYS],
-                            **{name: getattr(p, name).tolist() for name in p.ARRAYS}})
-                    for p in packets])
+        got.append([(p.t0, p.runs, p.t_last.typecode, p.t_last.tolist()) for p in packets])
     return got
 
 
@@ -892,10 +916,11 @@ def test_windows_walk_a_loop_longer_than_the_recursion_limit():
     windows, tables = _walk_both(net, ForwardingState.from_dict(net, loop), updates,
                                  [TestFlow("f", "S0", 0, 1e9)], (0, 10))
     assert windows == tables
-    _, columns = windows[0]
-    assert columns["hops"] == [n] * 3 + [half + 1] * 7
-    assert columns["t_last"] == [k + n - 1 for k in range(3)] + [k + half for k in range(3, 10)]
-    assert [END_KINDS[e] for e in columns["end"]] == ["truncated"] * 3 + ["delivered"] * 7
+    _, runs, _, t_last = windows[0]
+    columns = per_packet(runs)
+    assert columns.hops == [n] * 3 + [half + 1] * 7
+    assert t_last == [k + n - 1 for k in range(3)] + [k + half for k in range(3, 10)]
+    assert [END_KINDS[e] for e in columns.end] == ["truncated"] * 3 + ["delivered"] * 7
 
 
 # sha256 of the control-plane runs below, faults included: of those that draw,
@@ -1021,11 +1046,12 @@ def test_data_plane_pinned_to_digest():
                 run, _ = point.run(seed)
                 for flow_id in sorted(run.flow_traces):
                     packets = run.flow_traces[flow_id]
-                    end, agrees = np.asarray(packets.end), np.asarray(packets.agrees)
+                    cols = per_packet(packets.runs)
+                    end, agrees = np.asarray(cols.end), np.asarray(cols.agrees)
                     digest.update(flow_id.encode())
                     for array, values in (
                             ("t_in", np.asarray(packets.t_in)),
-                            ("hops", np.asarray(packets.hops).astype(np.int64)),
+                            ("hops", np.asarray(cols.hops).astype(np.int64)),
                             ("t_last", np.asarray(packets.t_last)),
                             ("delivered", end == END_KINDS.index("delivered")),
                             ("truncated", end == END_KINDS.index("truncated")),
