@@ -4,8 +4,8 @@ All durations are integer nanoseconds. Every model has a hard upper bound
 (``bound()``): constant and uniform by construction, exponential by
 truncation, empirical by its largest sample. Lower bounds are always zero.
 
-quantile_block draws the control plane's uniforms with numpy's generator or,
-while numpy is not loaded, with a pure-Python twin of its stream, same bits.
+quantile_block and the data plane draw with numpy's generator or, while numpy
+is not loaded, with a pure-Python twin of its stream and quantiles, same bits.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ if TYPE_CHECKING:
 
 DEFAULT_EXP_CAP_FACTOR = 10.0
 MAX_DELAY_NS = 2**63 - 1  # the largest delay quantile can return as an int64
-# Uniforms a process may draw in Python, at about 0.7 us each, before it imports
-# numpy and numpy.random (about 0.15 s) for the rest: at most 0.05 s lost.
-PY_UNIFORMS = 2**16
+# Uniforms (rows counted whole) a process may draw in Python, at up to 1.5 us each more
+# than numpy's, before it imports numpy.random (about 0.15 s): 0.05 s lost at most.
+PY_UNIFORMS = 2**15
 _py_uniforms_left = PY_UNIFORMS   # of this process
 
 
@@ -101,24 +101,21 @@ class DelayModel(NamedTuple):
             return self.mean * (1.0 - math.exp(-r) * (r + 1.0)) / (1.0 - math.exp(-r))
         return sum(self.samples) / len(self.samples)
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF: the int64 delays for uniforms u in [0, 1), elementwise.
+    def quantile(self, u) -> np.ndarray:
+        """Inverse CDF: the int64 delays for uniforms u in [0, 1), an array or list.
 
         The only sampler: control-plane gaps, delays and jitters and data-plane
         link delays all map uniforms through it, in bulk and one at a time
-        alike, so every path calls the same numpy functions and gets the same
-        bits; quantile_block's Python path reproduces them (_quantiles).
+        alike, with the same numpy functions and bits; _quantile's reproduce them.
 
         Exponential delays go through np.log1p, whose bits depend on the CPU
-        kernel numpy dispatches to. In a probe of 10^6 draws per mean, the
-        AVX-512 and baseline x86 kernels gave the same integer delays for every
-        mean up to 10^10 ns, and different ones from 10^11 ns (2 of the draws)
-        to 10^18 ns (66,021). At the shipped millisecond scales all tier-1
-        tests pass under both; other architectures (ARM, macOS Accelerate)
-        are not covered.
+        kernel: the AVX-512 and baseline x86 kernels differ from means of 10^11
+        ns on (2 of 10^6 draws). _quantile's guard assumes np.log1p within an
+        ulp of math.log1p, as both are here; other architectures are not covered.
         """
         import numpy as np
 
+        u = np.asarray(u)
         if self.kind == "constant":
             return np.full(u.shape, self.value, dtype=np.int64)
         if self.kind == "uniform":
@@ -137,49 +134,66 @@ class DelayModel(NamedTuple):
 
 def quantile_block(seed: int, rows: int, models) -> list:
     """Column j of default_rng(seed).random((rows, len(models))) through
-    models[j].quantile, as a list of ints, for each j.
-
-    While numpy is not loaded, blocks that fit in what is left of the
-    process's PY_UNIFORMS come from _pcg64_uniforms, whose bits are numpy's,
-    unless a model is exponential: the bits of numpy's log1p depend on the
-    CPU kernel it dispatches to, so math.log1p cannot stand in for it.
-    """
-    global _py_uniforms_left
-    count = rows * len(models)
-    if (count <= _py_uniforms_left and "numpy" not in sys.modules
-            and all(m.kind != "exponential" for m in models)):
-        _py_uniforms_left -= count
-        u = _pcg64_uniforms(seed, count)
-        return [_quantiles(m, u[j::len(models)]) for j, m in enumerate(models)]
+    models[j].quantile, as a list of ints, for each j: by the Python twin
+    while numpy is not loaded and the block fits in PY_UNIFORMS."""
+    if (block := _python_rows([seed], rows * len(models), [(0, 1)])) is not None:
+        u = list(next(block))
+        return [list(map(_quantile(m), u[j::len(models)])) for j, m in enumerate(models)]
     import numpy as np
 
     u = np.random.default_rng(seed).random((rows, len(models)))
     return [m.quantile(col).tolist() for m, col in zip(models, u.T)]
 
 
-def _quantiles(model: DelayModel, u: list) -> list:
-    """model.quantile(np.array(u)).tolist() of a constant, uniform or empirical
-    model, bit for bit: the same float products, floored by int()."""
-    if model.kind == "constant":
-        return [model.value] * len(u)
+def _python_rows(entropy, width: int, spans):
+    """_pcg64_rows(entropy, width, spans) if numpy is not loaded and they fit in
+    what is left of PY_UNIFORMS, which they use up, or hold none; else None."""
+    global _py_uniforms_left
+    count = width * sum(b - a for a, b in spans)
+    if count and (count > _py_uniforms_left or "numpy" in sys.modules):
+        return None
+    _py_uniforms_left -= count
+    return _pcg64_rows(entropy, width, spans)
+
+
+def _quantile(model: DelayModel):
+    """u -> int(model.quantile([u])[0]), bit for bit: the same float products,
+    floored by int() or rounded half to even by round(). An exponential takes
+    math.log1p for np.log1p, at most an ulp off, so x, the float it rounds, is
+    within |x|·2^-50 of numpy's: a draw whose x lies farther than |x|·2^-44 from
+    a half-integer rounds as numpy's does; the rest (x past 2^43) go to numpy."""
+    if model.kind == "exponential" and model.mean:
+        factor, mean = math.exp(-model.cap / model.mean) - 1.0, -model.mean
+
+        def exponential(u):
+            x = math.log1p(u * factor) * mean
+            if 0.5 - abs(x - (r := round(x))) > x * 2**-44:
+                return min(r, model.cap)
+            return int(model.quantile([u])[0])
+        return exponential
+    if model.kind in ("constant", "exponential"):
+        return lambda u: model.value   # 0 for an exponential
     last = model.hi if model.kind == "uniform" else len(model.samples) - 1
     scale = float(last + 1)   # the float numpy multiplies by
-    at = [min(int(x * scale), last) for x in u]
-    return at if model.kind == "uniform" else [model.samples[k] for k in at]
+    if model.kind == "uniform":
+        return lambda u: min(int(u * scale), last)
+    return lambda u: model.samples[min(int(u * scale), last)]
 
 
 _M32, _M53, _M64, _M128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _pcg64_uniforms(seed: int, count: int) -> list:
-    """numpy's default_rng(seed).random(count), bit for bit: SeedSequence(seed)
-    hashes the seed's 32-bit words into a pool of four and draws PCG64's
-    state and increment from it; PCG64 steps its 128-bit LCG and outputs
-    XSL-RR, and a uniform is the top 53 bits of an output times 2^-53."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+def _pcg64_rows(entropy, width: int, spans):
+    """Row k of numpy's default_rng(entropy).random((rows, width)) for each k
+    in spans, ascending [a, b) ranges, bit for bit, each an iterator drawing on
+    demand; entropy is a list of ints (default_rng([seed]) is default_rng(seed)).
+    SeedSequence hashes their 32-bit words into a pool of four, which gives
+    PCG64's state and increment; PCG64 steps its LCG, n steps in O(log n)
+    squarings as advance() does, and outputs XSL-RR."""
+    if min(entropy) < 0:
+        raise ValueError(f"seed must be non-negative, got {entropy}")
+    words = [s >> k & _M32 for s in entropy for k in range(0, max(s.bit_length(), 1), 32)]
 
     def hasher(h, mult):   # SeedSequence's hash, with its running constant
         def hashmix(value):
@@ -204,10 +218,26 @@ def _pcg64_uniforms(seed: int, count: int) -> list:
               for k in (0, 4))
     inc = (inc << 1 | 1) & _M128
     lcg = ((inc + s) * _PCG_MULT + inc) & _M128
-    out = []
-    for _ in range(count):
-        lcg = (lcg * _PCG_MULT + inc) & _M128
-        x = (lcg >> 64 ^ lcg) & _M64
-        # x rotated right by the state's top 6 bits, then its top 53 bits
-        out.append(((x << 64 | x) >> (lcg >> 122) + 11 & _M53) * 2.0**-53)
-    return out
+
+    def steps(n):   # (m, c): n steps at once, lcg -> lcg * m + c
+        m, c, mult, add = 1, 0, _PCG_MULT, inc
+        while n:
+            if n & 1:
+                m, c = m * mult & _M128, (c * mult + add) & _M128
+            mult, add, n = mult * mult & _M128, (mult + 1) * add & _M128, n >> 1
+        return m, c
+
+    def row(lcg):
+        for _ in range(width):
+            lcg = (lcg * _PCG_MULT + inc) & _M128
+            x = (lcg >> 64 ^ lcg) & _M64
+            # x rotated right by the state's top 6 bits, its top 53 bits x 2^-53
+            yield ((x << 64 | x) >> (lcg >> 122) + 11 & _M53) * 2.0**-53
+
+    (row_m, row_c), at = steps(width), 0
+    for a, b in spans:
+        m, c = steps((a - at) * width)
+        lcg, at = (lcg * m + c) & _M128, b
+        for _ in range(a, b):
+            yield row(lcg)
+            lcg = (lcg * row_m + row_c) & _M128

@@ -191,14 +191,15 @@ def timed_worst_duration(phase_counts, params: SystemParameters,
 # schedules and comparison
 
 
-def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters) -> Schedule:
+def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters,
+                        gc_phases=None) -> Schedule:
     """Tightest schedule that still guarantees consistency under the bounds.
 
-    Consecutive phases are delta_sched apart; a garbage-collection phase
-    additionally waits d_n after its predecessor so en-route packets carrying
-    the superseded tag drain before their rules disappear.
+    Consecutive phases are delta_sched apart; a phase of gc_phases (by
+    default proc.gc_phases()) waits d_n more, so that en-route packets of the
+    superseded tag drain before their rules disappear.
     """
-    gc_phases = proc.gc_phases()
+    gc_phases = proc.gc_phases() if gc_phases is None else gc_phases
     times = {1: t1}
     for j in range(2, proc.num_phases + 1):
         times[j] = times[j - 1] + params.delta_sched + (params.d_n if j in gc_phases else 0)
@@ -218,8 +219,7 @@ def compare_timed_untimed(proc: UpdateProcedure, params: SystemParameters,
     timed_wins is strict: equal durations do not count as a win. Whenever
     delta_sched < d_c the timed variant wins for every procedure shape.
     """
-    if gc_phases is None:
-        gc_phases = proc.gc_phases()
+    gc_phases = proc.gc_phases() if gc_phases is None else gc_phases
     counts = proc.phase_counts()
     untimed = untimed_worst_duration(counts, params, gc_phases)
     timed = timed_worst_duration(counts, params, gc_phases)

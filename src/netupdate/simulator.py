@@ -8,9 +8,9 @@ switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
 The data-plane stage, run_flows, walks each test flow's packets through that
-timeline, read per node as a step function of time (_steps): as entry-time
-windows when every link delay is constant, else as groups split by the steps
-they see. Differential tests hold the windows to the table-driven walk and
+timeline, read per node as a step function of time (_steps), as pieces whose
+arrival envelopes fit in one step; it draws only for the packets whose envelope
+straddles a change. Differential tests hold it to the table-driven walk, and
 that to forward_packet, the one-packet oracle that alone builds PacketTraces.
 """
 
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .delays import DelayModel, quantile_block
+from .delays import DelayModel, _python_rows, _quantile, quantile_block
 from .model import (
     ForwardingState,
     Network,
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 # O(WALK_BLOCK) whatever the flow's rate or the network's size.
 WALK_BLOCK = 2**20
 # Most packets a run's flows may inject in all (injection window / spacing,
-# summed over flows): each flow's t_last and its run.json text are O(packets).
+# summed over flows): a flow's runs are not, but its run.json text is O(packets).
 MAX_PACKETS = 2**22
 
 
@@ -191,7 +191,7 @@ class RunResult:
 
 
 def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
-                   first_send, schedule=None) -> RunResult:
+                   first_send, schedule=None, gc_phases=()) -> RunResult:
     """Send proc's messages phase by phase, in procedure order within a
     phase, the first at first_send, and fold the executions they cause into
     a RunResult. Message i is the i-th send.
@@ -205,7 +205,7 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
     jitter is 0. A gap or delay beyond its bound is a bound_violation fault.
 
     Without a schedule the first send of a phase also waits d_c (d_c + d_n
-    before a garbage-collection phase) after the send before it, each update
+    before a phase of gc_phases) after the send before it, each update
     takes effect on arrival, and a pinned message 0 arrives at once. With
     one, an update takes effect at its phase's scheduled time plus its
     jitter, or on arrival as a missed_schedule fault if that is later.
@@ -223,7 +223,6 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
     else:
         gaps, ctrls, jitters = quantile_block(seed, len(ordered), (
             delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched)))
-    gc_phases = proc.gc_phases() if schedule is None else ()
     execs, send_ns, faults = [], [], []
     t, prev_phase = first_send, None
     for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
@@ -257,7 +256,7 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
 def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
                 delays: RunDelays | None = None, seed: int = 0,
                 initial_state: ForwardingState | None = None,
-                start_time: int = 0, pin_worst_case: bool = False) -> RunResult:
+                start_time: int = 0, pin_worst_case: bool = False, gc_phases=None) -> RunResult:
     """Greedy untimed execution: each message goes out at the earliest time
     that still guarantees phase ordering under the declared bounds.
 
@@ -270,10 +269,10 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
     pin_worst_case realizes the worst-case corner exactly: every gap at its
     bound, every controller delay at its bound except the very first message,
     which takes the zero lower bound so the duration measurement starts at
-    the earliest possible instant.
+    the earliest possible instant. gc_phases, if given, is proc.gc_phases().
     """
     return _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
-                          start_time)
+                          start_time, None, proc.gc_phases() if gc_phases is None else gc_phases)
 
 
 def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameters,
@@ -365,44 +364,48 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
 
 
 class FlowPackets:
-    """Per-packet results of one test flow, in injection order: runs, the
-    maximal runs of consecutive packets with equal (hops, end, agrees), each
-    [count, hops, end, agrees], and t_last, an array("q") of each packet's
-    arrival time at its last hop; nothing is kept per hop, and nothing the
-    runs or the flow determine.
-
+    """Per-packet results of one test flow's n packets, in injection order:
+    runs, the maximal runs of consecutive packets with equal (hops, end,
+    agrees), each [count, hops, end, agrees], and nothing per packet or hop.
     hops counts a packet's hops, end indexes END_KINDS with how its walk
     ended, and bit 0 / bit 1 of agrees say whether every realized hop action
     equals the old / new configuration's action there. Packet k entered at
-    t0 + k x the flow's spacing (t_in). Iterating re-walks the packets with
-    forward_packet on a fresh copy of the flow's generator (seed, and index:
-    the flow's position in flow-id order) and yields their PacketTraces.
-    """
+    t0 + k x the flow's spacing (t_in); t_last, which only tests read, gives
+    its arrival time at its last hop. Iterating re-walks the packets with
+    forward_packet on a fresh copy of the flow's generator (the run's seed,
+    and index: the flow's position in flow-id order), yielding PacketTraces."""
 
-    def __init__(self, net: Network, timeline: StateTimeline, flow, seed, index, t0,
-                 runs: list, t_last: array):
-        self.net, self.timeline, self.flow, self.seed, self.index, self.t0 = (
-            net, timeline, flow, seed, index, t0)
-        self.runs, self.t_last = runs, t_last
+    def __init__(self, net: Network, run: RunResult, flow, index, t0, runs: list, n: int):
+        self.net, self.run, self.flow, self.index, self.t0, self.runs, self.n = (
+            net, run, flow, index, t0, runs, n)
 
     @property
     def t_in(self) -> range:
-        spacing = self.flow.spacing_ns
-        return range(self.t0, self.t0 + len(self) * spacing, spacing)
+        return range(self.t0, self.t0 + self.n * self.flow.spacing_ns, self.flow.spacing_ns)
 
     def __len__(self) -> int:
-        return len(self.t_last)
+        return self.n
+
+    @cached_property
+    def t_last(self) -> array:
+        """By _walk_tables of all n packets, on first access; its runs must be the stored ones."""
+        t_last = array("q", [0]) * self.n
+        parts = _walk_tables(self.net, self.run, self.flow, self.t0, [(0, self.n)],
+                             _flow_rng(self.run.seed, self.index), t_last)
+        if _runs(parts) != self.runs:
+            raise AssertionError(f"flow {self.flow.flow_id}: the walks' runs differ")
+        return t_last
 
     def __iter__(self):
-        rng = _flow_rng(self.seed, self.index)
-        return (forward_packet(self.net, self.timeline, self.flow, t_in, rng)
+        rng = _flow_rng(self.run.seed, self.index)
+        return (forward_packet(self.net, self.run.timeline, self.flow, t_in, rng)
                 for t_in in self.t_in)
 
     def __eq__(self, other):
         if not isinstance(other, FlowPackets):
             return NotImplemented
-        return ((self.flow, self.t0, self.runs, self.t_last)
-                == (other.flow, other.t0, other.runs, other.t_last))
+        return ((self.flow, self.t0, self.n, self.runs)
+                == (other.flow, other.t0, other.n, other.runs))
 
     __hash__ = None
 
@@ -429,10 +432,10 @@ _STRANDED, _TRUNCATED = 2, 3
 
 
 def _runs(parts) -> list:
-    """The maximal runs of parts, (count, hops, end, agrees) in packet order:
-    a part with the value of the run before it joins that run."""
+    """The maximal runs of parts, (first packet, count, hops, end, agrees) that
+    cover the packets: a part with the value of the run before it joins it."""
     runs = []
-    for count, *value in parts:
+    for _, count, *value in sorted(parts):
         if runs and runs[-1][1:] == value:
             runs[-1][0] += count
         else:
@@ -473,15 +476,13 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     int64 range TimeRangeError, and flows that would inject more than
     MAX_PACKETS packets in all PacketCapError.
 
-    When every link delay in net.links is constant, no draw matters: each
-    flow is walked alone as entry-time windows (_walk_windows), without
-    numpy, and any subset of the flows gives each the same arrays. Otherwise
-    the table-driven walk (_walk_tables), the windows' oracle, walks them:
-    flow i in flow-id order draws, from a generator seeded with the run seed
-    and i, a packets x switches matrix of uniforms, whole rows in packet
-    order, row k for packet k, as forward_packet draws them. A flow added
-    after all others in flow-id order leaves their packets unchanged; one
-    added before a flow moves that flow's stream.
+    Flow i in flow-id order has a stream seeded with the run seed and i: a
+    packets x switches matrix of uniforms, row k for packet k, as
+    forward_packet draws them. _walk_envelopes draws only the rows of the
+    packets a draw can change, none under constant delays, where any subset of
+    the flows gives each the same runs. A flow added after all others in
+    flow-id order leaves their packets unchanged; one added before a flow
+    moves that flow's stream.
     """
     flows = sorted(flows, key=lambda f: f.flow_id)
     if not flows:
@@ -503,68 +504,85 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         raise PacketCapError(flows[most].flow_id, (
             f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
-    constant = all(link.delay.kind == "constant" for link in net.links)
     for i, (flow, (t0, _), n) in enumerate(zip(flows, windows, counts)):
-        runs, t_last = (_walk_windows(net, run, flow, t0, n) if constant
-                        else _walk_tables(net, run, flow, t0, n, _flow_rng(run.seed, i)))
-        run.flow_traces[flow.flow_id] = FlowPackets(net, run.timeline, flow, run.seed, i, t0,
-                                                    runs, t_last)
+        run.flow_traces[flow.flow_id] = FlowPackets(
+            net, run, flow, i, t0, _walk_envelopes(net, run, flow, t0, n, i), n)
 
 
-def _walk_windows(net: Network, run: RunResult, flow, t0: int, n: int) -> tuple:
-    """FlowPackets' runs and t_last of a flow's n packets under constant link delays.
+def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: int) -> list:
+    """FlowPackets' runs of a flow's n packets, the flow at this index in flow-id order.
 
     A piece is packets k0..k1-1 at one (switch, in_port, tag) node that all
-    left the ingress by the same links, so packet k arrives t0 + k x spacing
-    + D, D the delays summed. The node's changes (_steps, once per node) cut
-    it where packets start to see another step, and each part takes its
-    step: it ends as a run, or becomes the next hop's piece. Pieces are
-    disjoint, so they never outnumber the packets, and the walk keeps a
-    stack of them; the runs, sorted by their first packet, merge where
-    neighbours are equal.
-    """
-    spacing, n_hops, steps = flow.spacing_ns, len(net.switches), {}
-    t_last, parts = array("q", [0]) * n, []
-    pieces = [(0, n, (flow.ingress_switch, flow.ingress_port, None), 0, 1, 3)]
+    came by the same links, so packet k arrives within t0 + k x spacing +
+    [lo, hi], lo and hi the links' least and greatest delays summed (a
+    constant's value, else 0, and bound()). The node's changes (_steps) cut
+    it where these envelopes start and stop straddling one. A part within one
+    step is settled whatever the draws: it ends as a run or becomes the next
+    hop's piece. Only the unsettled packets draw their rows: in Python
+    (_python_rows), each then walked alone, or else by _walk_tables."""
+    spacing, n_hops = flow.spacing_ns, len(net.switches)
+    steps = cache(lambda node: _steps(net, run, flow.flow_id, *node))
+    quantile = cache(_quantile)   # each link's inverse CDF as a Python function
+    ingress = (flow.ingress_switch, flow.ingress_port, None)
+    parts, unsettled, pieces = [], [], [(0, n, ingress, 0, 0, 1, 3)]
     while pieces:
-        k0, k1, node, delay, hop, bits = pieces.pop()
-        if node not in steps:
-            steps[node] = _steps(net, run, flow.flow_id, *node)
-        (changes, step), base = steps[node], t0 + delay   # packet k arrives at base + k x spacing
-        # a change at c is seen from packet ceil((c - base) / spacing) on
-        first, last = (bisect_right(changes, base + k * spacing) for k in (k0, k1 - 1))
-        cuts = sorted({-((base - c) // spacing) for c in changes[first:last]})
+        k0, k1, node, lo, hi, hop, bits = pieces.pop()
+        changes, step = steps(node)
+        # packet k straddles change c for k in [ceil((c-t0-hi)/spacing), ceil((c-t0-lo)/spacing))
+        first = bisect_right(changes, t0 + k0 * spacing + lo)
+        last = bisect_right(changes, t0 + (k1 - 1) * spacing + hi)
+        cuts = sorted({k for c in changes[first:last] for k in (
+            -((t0 + hi - c) // spacing), -((t0 + lo - c) // spacing)) if k0 < k < k1})
         for a, b in zip([k0, *cuts], [*cuts, k1]):
-            kind, to, link, agree = step[bisect_right(changes, base + a * spacing)]
-            agree &= bits
-            if kind is None and hop < n_hops:
-                pieces.append((a, b, to, delay + link.value, hop + 1, agree))
+            at = bisect_right(changes, t0 + a * spacing + lo)
+            if at != bisect_right(changes, t0 + a * spacing + hi):
+                unsettled.append((a, b))
                 continue
-            parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree))
-            t_last[a:b] = array("q", range(base + a * spacing, base + b * spacing, spacing))
-    return _runs(part[1:] for part in sorted(parts)), t_last
+            kind, to, link, agree = step[at]
+            if kind is None and hop < n_hops:
+                pieces.append((a, b, to, lo + link.value, hi + link.bound(), hop + 1,
+                               agree & bits))
+            else:
+                parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree & bits))
+    unsettled.sort()
+    if (rows := _python_rows([run.seed, 7919 + index], n_hops, unsettled)) is None:
+        parts += _walk_tables(net, run, flow, t0, unsettled, _flow_rng(run.seed, index))
+        unsettled = []
+    for k, row in zip((k for a, b in unsettled for k in range(a, b)), rows or ()):
+        node, t, bits = ingress, t0 + k * spacing, 3
+        for hop in range(1, n_hops + 1):
+            changes, step = steps(node)
+            kind, node, link, agree = step[bisect_right(changes, t)]
+            bits &= agree
+            if kind is not None:
+                break
+            t += quantile(link)(next(row))
+        parts.append((k, 1, hop, _TRUNCATED if kind is None else kind, bits))
+    return _runs(parts)
 
 
-def _walk_tables(net: Network, run: RunResult, flow, t0: int, n: int, rng) -> tuple:
-    """FlowPackets' runs and t_last of a flow's n packets under random link delays.
+def _walk_tables(net: Network, run: RunResult, flow, t0: int, spans, rng,
+                 t_last: array | None = None) -> list:
+    """The parts (first packet, count, hops, end, agrees) of a flow's packets
+    in spans, ascending [a, b) ranges of packet indices, under random link
+    delays; t_last, if given, gets each one's arrival time at its last hop.
 
-    rng draws rows of len(net.switches) uniforms, row k for packet k as
-    forward_packet draws it, about WALK_BLOCK uniforms a block. A group is a
-    block's packets at one node that came by one path. It splits by the step
-    each packet sees there (_steps), and a part ends or moves on as the next
-    hop's group, each packet delayed by the link's quantile of its uniform.
-    Each block's outcomes are run-length encoded, and runs merge across blocks.
-    """
+    rng draws row k of len(net.switches) uniforms for packet k, as
+    forward_packet does, skipping rows outside spans, about WALK_BLOCK a
+    block. A group, a block's packets at one node that came by one path,
+    splits by the step each sees there (_steps); a part ends, or moves on
+    as the next hop's group, each packet delayed by the link's quantile of
+    its uniform. A block's outcomes are run-length encoded."""
     import numpy as np
 
-    n_hops, steps = len(net.switches), {}
+    n_hops, steps, parts, drawn = len(net.switches), {}, [], 0
     rows = max(1, WALK_BLOCK // n_hops)
-    u = np.empty((min(rows, n), n_hops))
-    outcome = np.empty((3, min(rows, n)), np.int32)   # a block's hops, end and agrees
-    t_last, parts = array("q", [0]) * n, []
-    last = np.frombuffer(t_last, np.int64)
-    for a in range(0, n, rows):
-        k = np.arange(min(rows, n - a))   # the block's packets, a + k in the flow
+    u = np.empty((min(rows, max((b - a for a, b in spans), default=0)), n_hops))
+    outcome = np.empty((3, len(u)), np.int32)   # a block's hops, end and agrees
+    last = None if t_last is None else np.frombuffer(t_last, np.int64)
+    for a, b in ((a, min(a + rows, b)) for s, b in spans for a in range(s, b, rows)):
+        rng.bit_generator.advance((a - drawn) * n_hops)
+        k, drawn = np.arange(b - a), b   # the block's packets, a + k in the flow
         rng.random(out=u[:len(k)])
         groups = [(k, (flow.ingress_switch, flow.ingress_port, None),
                    t0 + (a + k) * flow.spacing_ns, 1, 3)]
@@ -583,11 +601,12 @@ def _walk_tables(net: Network, run: RunResult, flow, t0: int, n: int, rng) -> tu
                     groups.append((pos[at], to, t[at] + link.quantile(u[pos[at], hop - 1]),
                                    hop + 1, agree & bits))
                 else:
-                    last[a + pos[at]] = t[at]
+                    if last is not None:
+                        last[a + pos[at]] = t[at]
                     outcome[:, pos[at]] = [[hop], [_TRUNCATED if kind is None else kind],
                                            [agree & bits]]
         block = outcome[:, :len(k)]
-        heads = np.flatnonzero((block[:, 1:] != block[:, :-1]).any(axis=0)) + 1
-        counts = np.diff(heads, prepend=0, append=len(k))
-        parts.extend(zip(counts.tolist(), *block[:, np.r_[0, heads]].tolist()))
-    return _runs(parts), t_last
+        heads = np.r_[0, np.flatnonzero((block[:, 1:] != block[:, :-1]).any(axis=0)) + 1]
+        parts.extend(zip((a + heads).tolist(), np.diff(heads, append=len(k)).tolist(),
+                         *block[:, heads].tolist()))
+    return parts

@@ -11,7 +11,6 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-from array import array
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -307,7 +306,7 @@ class TestRunJsonStreamedWriter:
         """The base run with the case's faults and t_su, and one flow per
         (id, packet count, offset, rate), its walk cut from "f"'s packets
         and its packets spaced at its own rate from the offset's entry; a
-        list of runs in place of the count gives the flow's runs, t_last 0."""
+        list of runs in place of the count gives the flow's runs."""
         base = _writer_base_run()
         f = base.flow_traces["f"]
         cols = per_packet(f.runs)
@@ -317,14 +316,13 @@ class TestRunJsonStreamedWriter:
             if isinstance(n, list):
                 runs = [list(r) for r in n]
                 n = sum(count for count, *_ in runs)
-                t_last = array("q", [0]) * n
             else:
                 runs = [[len(list(same)), *value]
                         for value, same in itertools.groupby(rows[offset:offset + n])]
-                t_last = f.t_last[offset:offset + n]
+                n = len(rows[offset:offset + n])
             flows.append(TestFlow(fid, "S1", 0, rate))
-            packets = FlowPackets(f.net, f.timeline, flows[-1], f.seed,
-                                  f.index, f.t0 + offset * f.flow.spacing_ns, runs, t_last)
+            packets = FlowPackets(f.net, f.run, flows[-1], f.index,
+                                  f.t0 + offset * f.flow.spacing_ns, runs, n)
             assert len(packets) == n and packets.t_in[:1] == f.t_in[offset:offset + n][:1]
             flow_traces[fid] = packets
         run = copy.copy(base)
@@ -378,8 +376,7 @@ class TestRunJsonStreamedWriter:
         f = base.flow_traces["f"]
         runs = [[1, 2, 0, 1 + k % 2] for k in range(n)] if alternating else [[n, 2, 0, 1]]
         run = copy.copy(base)
-        run.flow_traces = {"f": FlowPackets(f.net, f.timeline, f.flow, f.seed, f.index, f.t0,
-                                            runs, array("q", [0]) * n)}
+        run.flow_traces = {"f": FlowPackets(f.net, f.run, f.flow, f.index, f.t0, runs, n)}
         return run, [measure_inconsistency(run, f.flow)]
 
     # the writer holds one block's text at a time, whatever the flow's length
@@ -1106,19 +1103,21 @@ ENTRY_CASES = {
         "topology": {"kind": "file", "path": str(REPO / "topologies" / "netrail.json"),
                      "delay_mode": "exponential"},
         "flows": [{"flow_id": "f1", "ingress": "ATL", "rate_pps": 5000,
-                   "path": ["ATL", "CHI"]}]}, True, False),
+                   "path": ["ATL", "CHI"]}]}, False, False),
     "simulate-timed-worst-case": ("simulate", {"mode": "timed-worst-case"}, False, True),
     "sweep-exponential-ctrl": ("sweep", {"delays": {"ctrl": {"kind": "exponential",
-                                                             "mean": "1ms"}}}, True, True),
+                                                             "mean": "1ms"}}}, False, True),
 }
 
 
 # analyze-trace loaded the planner and the simulator, and the other commands
-# stats; every command loaded numpy, which only exponential delays (of a link
-# or the control plane), analyze-trace and the table-driven walk use: flows
-# on constant-delay links are walked as entry-time windows; and np.unique in
-# the table-driven walk loaded numpy.ma, which no command uses, for 1.5 MB;
-# and a simulate loaded the planner, which only a worst-case schedule needs
+# stats; every command loaded numpy, which only analyze-trace and draws past
+# the Python budget need: flows on constant-delay links draw nothing, flows on
+# random ones draw only for the packets a draw can change, and the Python twin
+# draws exponential delays too (without it, exponential links and an
+# exponential ctrl loaded numpy); np.unique in the table-driven walk loaded
+# numpy.ma, which no command uses, for 1.5 MB; and a simulate loaded the
+# planner, which only a worst-case schedule needs
 @PROCESS_ENTRIES
 @pytest.mark.parametrize("case", ENTRY_CASES)
 def test_process_entries_load_only_the_commands_layers_before_the_freeze(

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -218,8 +217,7 @@ class TestMeasureInconsistency:
 def packets_of(n: int, flow):
     """FlowPackets of n packets whose agreement codes cycle 0, 1, 2, 3 and whose
     end codes cycle 0, 1, 2, each its own run, for counting; no walk made them."""
-    return FlowPackets(None, None, flow, 0, 0, 0, [[1, 1, k % 3, k % 4] for k in range(n)],
-                       array("q", [0]) * n)
+    return FlowPackets(None, None, flow, 0, 0, [[1, 1, k % 3, k % 4] for k in range(n)], n)
 
 
 def test_measuring_a_flow_copies_no_whole_column():

@@ -1,17 +1,24 @@
 """The delay models' inverse CDF, their one sampler: it maps the control and
 data planes' uniforms to delays; and the Python twin of numpy's stream and
-quantiles that draws the control plane's block while numpy is not loaded."""
+quantiles that draws while numpy is not loaded."""
 
+import itertools
+import json
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from netupdate import DelayModel
-from netupdate.delays import _pcg64_uniforms, _quantiles, quantile_block
+from netupdate.delays import _pcg64_rows, _quantile, quantile_block
 
-from conftest import numpy_unloaded
+from conftest import child_env, numpy_unloaded
 
 MODELS = [
     DelayModel.constant(7),
@@ -103,8 +110,8 @@ def test_default_exponential_cap_past_int64_rejected():
         DelayModel.exponential(10**18)
 
 
-# -- the Python twin of numpy's stream, which draws the control plane's block
-# while numpy is not loaded
+# -- the Python twin of numpy's stream and quantiles, which draws while numpy
+# is not loaded
 
 # seeds of one 32-bit word, of several, and past 2**128, which SeedSequence
 # mixes in after its pool of four words
@@ -113,7 +120,9 @@ SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128),
 PY_MODELS = st.one_of(
     st.builds(DelayModel.constant, st.integers(0, INT64_MAX)),
     st.builds(DelayModel.uniform, st.integers(0, 10**7) | st.integers(0, INT64_MAX)),
-    st.builds(DelayModel.empirical, st.lists(st.integers(0, INT64_MAX), min_size=1, max_size=8)))
+    st.builds(DelayModel.empirical, st.lists(st.integers(0, INT64_MAX), min_size=1, max_size=8)),
+    st.builds(DelayModel.exponential, st.integers(0, 10**7) | st.integers(0, INT64_MAX),
+              st.just(INT64_MAX)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -125,14 +134,16 @@ PY_MODELS = st.one_of(
 @example(seed=2**128, rows=5)
 def test_python_stream_is_numpys(seed, rows):
     expect = np.random.default_rng(seed).random((rows, 3))
-    assert _pcg64_uniforms(seed, 3 * rows) == expect.ravel().tolist()
+    assert [list(row) for row in _pcg64_rows([seed], 3, [(0, rows)])] == expect.tolist()
 
 
 def test_python_stream_rejects_a_negative_seed_as_numpy_does():
     with pytest.raises(ValueError):
         np.random.default_rng(-1)
     with pytest.raises(ValueError, match="non-negative"):
-        _pcg64_uniforms(-1, 3)
+        next(_pcg64_rows([-1], 3, [(0, 1)]))
+    with pytest.raises(ValueError, match="non-negative"):
+        next(_pcg64_rows([5, -1], 3, [(0, 1)]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -140,9 +151,11 @@ def test_python_stream_rejects_a_negative_seed_as_numpy_does():
 @example(model=DelayModel.uniform(INT64_MAX), u=[])
 @example(model=DelayModel.uniform(2**53), u=[])
 @example(model=DelayModel.empirical([INT64_MAX, 0, 5]), u=[0.5])
+@example(model=DelayModel.exponential(INT64_MAX, INT64_MAX), u=[0.5])
+@example(model=DelayModel.exponential(0, 0), u=[0.5])
 def test_python_quantiles_are_quantiles(model, u):
     u = [0.0, float(U_MAX)] + u
-    assert _quantiles(model, u) == model.quantile(np.array(u)).tolist()
+    assert list(map(_quantile(model), u)) == model.quantile(np.array(u)).tolist()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -159,9 +172,78 @@ def test_block_drawn_in_python_is_numpys(seed, rows, models, spare):
         assert delays._py_uniforms_left == (spare - count if count <= spare else spare)
 
 
-def test_exponential_block_is_drawn_by_numpy():
+def test_exponential_block_is_drawn_in_python():
     models = (DelayModel.uniform(9), DelayModel.exponential(1_000, 10_000))
     expect = quantile_block(3, 20, models)
     with numpy_unloaded(10**6) as delays:
         assert quantile_block(3, 20, models) == expect
-        assert delays._py_uniforms_left == 10**6
+        assert delays._py_uniforms_left == 10**6 - 40
+
+
+# the flows' streams: entropy [seed, 7919 + flow index], rows from any on,
+# each drawn in part or in full
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32, 2**80])
+def test_python_rows_of_list_entropy_skip_as_numpys_advance(seed):
+    for index in (0, 4):
+        for skip in (0, 1, 7, 2**20 + 3, 2**33 - 1, 2**40):
+            rng = np.random.default_rng([seed, 7919 + index])
+            rng.bit_generator.advance(skip)
+            want = rng.random(3).tolist()
+            got = [next(row) for row in _pcg64_rows([seed, 7919 + index], 1, [(skip, skip + 3)])]
+            assert got == want, (index, skip)
+            # rows of 5: rows skip + 2 and skip + 3 in full, then 10^6 rows on, in part
+            rng.bit_generator.advance(5 * (skip + 2) - (skip + 3))
+            want = rng.random((2, 5)).tolist()
+            rng.bit_generator.advance(5 * (10**6 - 4))
+            want += [row[:k] for k, row in enumerate(rng.random((3, 5)).tolist())]
+            far = skip + 10**6
+            rows = _pcg64_rows([seed, 7919 + index], 5, [(skip + 2, skip + 4), (far, far + 3)])
+            got = [list(row) for row in itertools.islice(rows, 2)]
+            got += [list(itertools.islice(row, k)) for k, row in enumerate(rows)]
+            assert got == want, (index, skip)
+
+
+# (mean, cap) from 1 ns to 10^15 ns, caps from 10 means to 2**63 - 1
+EXPONENTIALS = [(1, 10), (10**5, INT64_MAX), (10**10, 10**11), (10**15, INT64_MAX)]
+HANDED_OVER = {1: 0, 10**5: 0, 10**10: 1_125, 10**15: 999_580}
+
+
+def exponential_hand_offs(n: int) -> dict:
+    """Of n uniforms of stream 2015 and the 4,096 just below 1: per mean, the
+    draws _quantile hands over to numpy; every other draw must equal numpy's."""
+    u = np.concatenate([np.random.default_rng(2015).random(n),
+                        1.0 - np.arange(1, 4097) * 2.0**-53])
+    handed = {}
+    for mean, cap in EXPONENTIALS:
+        model = DelayModel.exponential(mean, cap)
+        with mock.patch.object(DelayModel, "quantile", lambda self, x: [-1]):
+            got = list(map(_quantile(model), u.tolist()))
+        want = model.quantile(u).tolist()
+        assert [w for g, w in zip(got, want) if g != -1] == [g for g in got if g != -1], mean
+        handed[mean] = got.count(-1)
+    return handed
+
+
+def test_exponential_quantile_in_python_is_numpys():
+    # the same check under numpy's baseline kernels, in a child meanwhile
+    child = None
+    if platform.machine().lower() in ("x86_64", "amd64"):
+        from test_golden import BASELINE_KERNELS
+
+        code = ("import json, sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from test_delays import exponential_hand_offs\n"
+                "print(json.dumps(exponential_hand_offs(10**6)))\n")
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env=child_env(NPY_DISABLE_CPU_FEATURES=BASELINE_KERNELS),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert exponential_hand_offs(10**6) == HANDED_OVER
+    # a draw handed over is numpy's own
+    model = DelayModel.exponential(10**15, INT64_MAX)
+    u = np.random.default_rng(2015).random(5)
+    assert list(map(_quantile(model), u.tolist())) == model.quantile(u).tolist()
+    if child is not None:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        assert {int(k): v for k, v in json.loads(out).items()} == HANDED_OVER

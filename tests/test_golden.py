@@ -234,6 +234,40 @@ def test_process_entry_draws_in_python_before_the_walk_loads_numpy(case, tmp_pat
         json.loads(GOLDEN.read_text())[case])
 
 
+def test_knob_exp_sweep_never_loads_numpy(tmp_path):
+    """The benchmark's knob-exp shape, python -m netupdate.cli sweep of
+    netrail_knob_exp at 1,000 pps, 2 seeds and 4 knob points: only the
+    packets a draw can change draw, all in Python, so numpy is never loaded;
+    the bytes are those of a process that imported numpy first, where numpy
+    draws them all. (At the shipped 5,000 pps the rows outgrow PY_UNIFORMS.)"""
+    from conftest import child_env
+
+    doc = json.loads((REPO / "configs" / "netrail_knob_exp.json").read_text())
+    for flow in doc["flows"]:
+        flow["rate_pps"] = 1000
+    (tmp_path / "topologies").mkdir()
+    (tmp_path / "topologies" / "netrail.json").write_bytes(
+        (REPO / "topologies" / "netrail.json").read_bytes())
+    (tmp_path / "configs").mkdir()
+    (config := tmp_path / "configs" / "knob_exp.json").write_text(json.dumps(doc))
+    code = ("import runpy, sys\n"
+            "try:\n    runpy.run_module('netupdate.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    code = exc.code\n"
+            "print('numpy' in sys.modules)\n"
+            "sys.exit(code)\n")
+    got = []
+    for first in ("", "import numpy\n"):
+        out = tmp_path / str(len(got))
+        proc = subprocess.run(
+            [sys.executable, "-c", first + code, "sweep", "--config", str(config),
+             "--seeds", "0,1", "--grid", "0ms,20ms,80ms,160ms", "--out", str(out)],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got.append((proc.stdout.splitlines()[-1], file_digests(out)))
+    assert [numpy for numpy, _ in got] == ["False", "True"]
+    assert got[0][1] == got[1][1] and set(got[0][1]) == {"sweep.csv", "inconsistency_sweep.csv"}
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         golden = {case: run_case(case, Path(tmp)) for case in CASES}

@@ -54,7 +54,8 @@ from netupdate.simulator import (
     default_flow_window,
 )
 from netupdate.model import lookup_rule
-from netupdate.topology import policy_initial_state, policy_update, stub_update
+from netupdate.topology import (label_change_update, path_link_bound_ns, policy_initial_state,
+                                 policy_update, stub_update)
 
 from conftest import (DC_NS, line_network, line_flow_setup, numpy_unloaded, per_packet,
                       testbed_params)
@@ -64,6 +65,8 @@ from test_properties import networks
 import numpy as np
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+KNOB_CONFIGS = [f"{name}_knob{kind}" for name in ("sprint", "netrail", "compuserve")
+                for kind in ("", "_exp")]
 
 
 def single_switch_setup():
@@ -352,7 +355,8 @@ class TestControlPlaneStream:
 
 def _table_walk_twin(net: Network) -> Network:
     """net with each constant link delay as a one-sample empirical pool: the
-    same delays, but walked by the table-driven walk."""
+    same delays, but random to the walks, which draw for every packet whose
+    envelope straddles a change."""
     return Network(net.switches, [link._replace(delay=DelayModel.empirical([link.delay.value]))
                                   for link in net.links], net.ingress_ports)
 
@@ -544,35 +548,40 @@ class TestRunFlows:
         assert packets.t_last.tolist() == [t.hops[-1].time_ns for t in want]
         assert list(packets) == want
 
-    def test_stored_state_is_per_packet_vectors(self, testbed_params):
+    def test_stored_state_is_the_runs(self, testbed_params):
         net, flow, path, init, proc = line_flow_setup(10_000_000)
         sched = worst_case_schedule(proc, 1_000_000_000, testbed_params)
-        windows, fast, blocked = (run_timed(net, TimedUpdateProcedure(proc, sched),
-                                            testbed_params, seed=3, initial_state=init)
-                                  for _ in range(3))
+        constant, drawn, blocked = (run_timed(net, TimedUpdateProcedure(proc, sched),
+                                              testbed_params, seed=3, initial_state=init)
+                                    for _ in range(3))
         twin = _table_walk_twin(net)
         with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
-            run_flows(net, windows, [flow])
-            assert not walk.called
-            run_flows(twin, fast, [flow])
+            run_flows(net, constant, [flow])
+            assert not walk.called   # constant delays: no packet draws
+            run_flows(twin, drawn, [flow])
             with mock.patch.object(simulator, "WALK_BLOCK", 7):
                 run_flows(twin, blocked, [flow])
+        # the twin's unsettled packets, and only they, were walked by tables
         assert walk.call_count == 2
-        for run in (windows, fast, blocked):
+        unsettled = walk.call_args.args[4]
+        assert 0 < sum(b - a for a, b in unsettled) < len(drawn.flow_traces[flow.flow_id])
+        for run in (constant, drawn, blocked):
             packets = run.flow_traces[flow.flow_id]
-            columns = {name: v for name, v in vars(packets).items()
-                       if isinstance(v, (array, np.ndarray))}
-            # runs of Python ints and one int64 column, whichever walk ran
-            assert list(columns) == ["t_last"] and columns["t_last"].typecode == "q"
-            assert len(packets.t_last) == len(packets) == sum(r[0] for r in packets.runs)
+            # runs of Python ints and nothing per packet, whichever walk ran
+            assert not [v for v in vars(packets).values() if isinstance(v, (array, np.ndarray))]
+            assert len(packets) == packets.n == sum(r[0] for r in packets.runs)
             assert all(type(r) is list and len(r) == 4 and {type(v) for v in r} == {int}
                        for r in packets.runs)
-        assert len(fast.flow_traces[flow.flow_id]) > 3 * 7
+        assert len(drawn.flow_traces[flow.flow_id]) > 3 * 7
         # a flow walked in blocks of 7 uniforms gives the runs of one block,
-        # and the windows walk those of the table-driven walk
-        assert ([run.flow_traces[flow.flow_id].runs for run in (blocked, fast)]
-                == [windows.flow_traces[flow.flow_id].runs] * 2)
-        assert blocked.flow_traces == fast.flow_traces == windows.flow_traces
+        # and constant delays those of random ones that draw the same values
+        assert ([run.flow_traces[flow.flow_id].runs for run in (blocked, drawn)]
+                == [constant.flow_traces[flow.flow_id].runs] * 2)
+        assert blocked.flow_traces == drawn.flow_traces == constant.flow_traces
+        # t_last, on first access, is the table-driven walk's, on every packet
+        t_last = [run.flow_traces[flow.flow_id].t_last for run in (constant, drawn, blocked)]
+        assert t_last[0].typecode == "q" and len(t_last[0]) == len(drawn.flow_traces[flow.flow_id])
+        assert t_last[0] == t_last[1] == t_last[2]
 
     def test_runs_do_not_grow_with_the_rate(self, testbed_params):
         # under constant delays a flow's runs are O(pieces), not O(packets):
@@ -592,8 +601,7 @@ class TestRunFlows:
 
     @staticmethod
     def _last_point_run(config: str):
-        """The config's last grid point and a timed run of it: sprint_knob's
-        flows are walked as windows, sprint_knob_exp's by the table-driven walk."""
+        """The config's last grid point and a timed run of it."""
         from netupdate.config import Experiment
 
         *_, (_, point) = Experiment.load(CONFIGS / f"{config}.json").points()
@@ -601,15 +609,17 @@ class TestRunFlows:
                                 point.params, point.delays, seed=3,
                                 initial_state=point.initial_state)
 
-    def test_stored_state_is_at_most_11_bytes_a_packet(self):
-        # t_in, hops as int64 and five boolean flags stored 29 B a packet
-        for config in ("sprint_knob", "sprint_knob_exp"):
+    def test_stored_state_is_at_most_5_bytes_a_packet(self):
+        # t_in, hops as int64 and five boolean flags stored 29 B a packet, and
+        # then t_last alone 8 B; a flow now stores its runs: each a list of
+        # four ints, counted with sys.getsizeof
+        for config in KNOB_CONFIGS:
             point, run = self._last_point_run(config)
             run_flows(point.net, run, point.flows)
             for packets in run.flow_traces.values():
-                stored = sum(memoryview(v).nbytes for v in vars(packets).values()
-                             if isinstance(v, (array, np.ndarray)))
-                assert len(packets) > 100 and stored <= 11 * len(packets)
+                stored = sys.getsizeof(packets.runs) + sum(
+                    sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in packets.runs)
+                assert len(packets) > 100 and stored <= 5 * len(packets), config
 
     def test_dense_flows_peak_at_most_55_bytes_a_packet(self):
         # the table-driven walk once kept all 11 columns of uniforms of a block
@@ -625,7 +635,7 @@ class TestRunFlows:
                 tracemalloc.stop()
             packets = sum(map(len, run.flow_traces.values()))
             assert peak <= 55 * packets
-        # the last config, sprint_knob_exp, takes the table walk, in many blocks
+        # the last config, sprint_knob_exp, draws for more packets than a block holds
         assert packets > 3 * (simulator.WALK_BLOCK // len(point.net.switches))
 
     def test_long_path_walk_peak_is_bounded_by_the_block(self):
@@ -642,10 +652,11 @@ class TestRunFlows:
         tracemalloc.start()
         try:
             run_flows(net, run, [TestFlow("f", first, 0, 1e9)], window=(0, 70_000))
+            packets = run.flow_traces["f"]
+            assert len(packets.t_last) == 70_000   # the table-driven walk of every packet
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        packets = run.flow_traces["f"]
         cols = per_packet(packets.runs)
         assert len(packets) == 70_000 and set(cols.hops) == {128}
         assert set(cols.end) == {END_KINDS.index("delivered")}
@@ -829,14 +840,16 @@ def _constant_delay_cases(draw):
 
 
 def _walk_both(net: Network, initial, updates, flows, window) -> list:
-    """Each flow's runs and t_last, by the windows walk and by the
-    table-driven walk."""
+    """Each flow's runs and t_last, by the windows walk (the envelope walk
+    under constant delays, which draws nothing) and by the envelope walk of
+    random delays that draw the same values; t_last is the table-driven
+    walk's, whose runs must be the envelope walk's."""
     got = []
-    for walked, by_tables in ((net, False), (_table_walk_twin(net), True)):
+    for walked in (net, _table_walk_twin(net)):
         run = _timed_run(walked, initial, updates)
         with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
             run_flows(walked, run, flows, window=window)
-        assert walk.called == by_tables
+        assert not walk.called or walked is not net
         packets = [run.flow_traces[f.flow_id] for f in flows]
         got.append([(p.t0, p.runs, p.t_last.typecode, p.t_last.tolist()) for p in packets])
     return got
@@ -847,6 +860,95 @@ def _walk_both(net: Network, initial, updates, flows, window) -> list:
 def test_windows_walk_matches_the_table_driven_walk(case):
     windows, tables = _walk_both(*case)
     assert windows == tables
+
+
+# -- the envelope walk of random delays against the table-driven walk --------
+
+_LINK_DELAYS = [
+    st.integers(0, 3).map(DelayModel.constant),
+    st.integers(0, 6).map(DelayModel.uniform),
+    st.tuples(st.integers(0, 3), st.integers(1, 12)).map(lambda mc: DelayModel.exponential(*mc)),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3).map(DelayModel.empirical),
+]
+
+
+@st.composite
+def _random_delay_cases(draw):
+    """(net, a maker of fresh runs on it, two flows spaced 1-3 ns, window): a
+    network of test_properties.networks whose links all take one kind of
+    _LINK_DELAYS, or each any kind. The run has random rule tables and 0-8
+    execs at 0-20 ns, with forwarding that loops and is truncated, drops and
+    strands, over 1-60 ns of entries; or it is a timed knob update of the
+    flows' paths at d = 0 or more, whose execs, GC included, miss their
+    schedule when t_su is short, over the default windows."""
+    net, neighbours, ingress = draw(networks(draw(st.sampled_from(
+        [st.one_of(_LINK_DELAYS), *_LINK_DELAYS]))))
+    seed, ids = draw(st.integers(0, 2**32)), ("f", "g")
+    if draw(st.booleans()):
+        flows = [TestFlow(fid, draw(st.sampled_from(ingress)), 0, 1e9 / draw(st.integers(1, 3)))
+                 for fid in ids]
+        initial, updates = draw(_states(net, flows, 8, 20))
+        t0 = draw(st.integers(-8, 8))
+        return (net, lambda: _timed_run(net, initial, updates, seed), flows,
+                (t0, t0 + draw(st.integers(1, 60))))
+    paths = []
+    for _ in ids:
+        paths.append([draw(st.sampled_from(ingress))])
+        for _ in range(draw(st.integers(1, len(net.switches) - 1))):
+            onward = [s for s in neighbours[paths[-1][-1]] if s not in paths[-1]]
+            if onward:
+                paths[-1].append(draw(st.sampled_from(onward)))
+    flows = [TestFlow(fid, path[0], 0, 1e9 / draw(st.integers(1, 3)))
+             for fid, path in zip(ids, paths)]
+    initial, proc = label_change_update(net, list(zip(flows, paths)))
+    d_c = draw(st.integers(1, 20))
+    params = SystemParameters(
+        d_c=d_c, d_n=max(path_link_bound_ns(net, path) for path in paths),
+        delta_msg=draw(st.integers(0, 5)), delta_sched=draw(st.integers(0, 5)),
+        t_su=draw(st.one_of(st.none(), st.integers(0, d_c))))
+    knob = TimedUpdateProcedure(proc, knob_schedule(100, draw(st.sampled_from(
+        [0, draw(st.integers(1, 30))])), params))
+    return (net, lambda: run_timed(net, knob, params, seed=seed, initial_state=initial),
+            flows, None)
+
+
+def _random_ring_loop():
+    """A ring of four switches with delays uniform on 0-2 ns, round which f
+    loops until it is truncated at its fourth hop; from 6 ns on, S2 delivers
+    it, so whether a packet entering at 2-6 ns is delivered or truncated
+    depends on its draws. g has no rule and is dropped."""
+    switches = [f"S{i}" for i in range(4)]
+    net = Network(switches, [Link((switches[i], 2), (switches[(i + 1) % 4], 1),
+                                  DelayModel.uniform(2)) for i in range(4)], {("S0", 0)})
+    loop = {sw: {("f", None, 1): Action.forward(2)} for sw in switches}
+    loop["S0"][("f", None, 0)] = Action.forward(2)
+    initial = ForwardingState.from_dict(net, loop)
+    updates = [(6, SingletonUpdate.install("S2", {("f", None, 1): DELIVER}))]
+    return (net, lambda: _timed_run(net, initial, updates, seed=7),
+            [TestFlow("f", "S0", 0, 1e9), TestFlow("g", "S0", 0, 1e9 / 2)], (0, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_random_delay_cases())
+@example(case=_random_ring_loop())
+def test_envelope_walk_matches_the_table_driven_walk(case):
+    """Runs drawn in Python, by numpy once the budget runs out midway, and by
+    numpy alone, each equal to the table-driven walk's of every packet."""
+    net, make_run, flows, window = case
+    got, budget = [], 2**62
+    for _ in range(3):
+        run = make_run()
+        with numpy_unloaded(budget) as delays:
+            run_flows(net, run, flows, window=window)
+            drawn = budget - delays._py_uniforms_left
+        budget = drawn // 2 if budget == 2**62 else 0
+        got.append([run.flow_traces[f.flow_id].runs for f in flows])
+        for i, flow in enumerate(sorted(flows, key=lambda f: f.flow_id)):
+            packets = run.flow_traces[flow.flow_id]
+            parts = simulator._walk_tables(net, run, flow, packets.t0, [(0, len(packets))],
+                                           simulator._flow_rng(run.seed, i))
+            assert simulator._runs(parts) == packets.runs
+    assert got[0] == got[1] == got[2]
 
 
 def _step_at(net: Network, run: RunResult, flow_id, switch, port, tag, t) -> tuple:
@@ -1022,9 +1124,7 @@ def test_runs_are_equal_on_both_sides_of_the_python_budget(
     budget = int(budget_runs * block)
     with numpy_unloaded(budget) as state:
         assert runs() == expect
-        in_python = 0 if "exponential" in (gap.kind, ctrl.kind) else min(
-            len(seeds), budget // block)
-        assert budget - state._py_uniforms_left == in_python * block
+        assert budget - state._py_uniforms_left == min(len(seeds), budget // block) * block
 
 
 # sha256 of every packet array of the exponential knob sweeps, two seeds per
@@ -1035,7 +1135,7 @@ DATA_PLANE_DIGEST = "32fdf8a152ff3b967edae4a2166237b1af6337b27d181cf8038dbffcb9e
 KNOB_EXP_CONFIGS = ("netrail_knob_exp", "sprint_knob_exp", "compuserve_knob_exp")
 
 
-def test_data_plane_pinned_to_digest():
+def _data_plane_digest() -> str:
     from netupdate.config import Experiment
 
     digest = hashlib.sha256()
@@ -1060,4 +1160,19 @@ def test_data_plane_pinned_to_digest():
                             ("agrees_new", (agrees >> 1).astype(bool))):
                         digest.update(f"{array}:{values.dtype}:{len(values)}".encode())
                         digest.update(values.tobytes())
-    assert digest.hexdigest() == DATA_PLANE_DIGEST
+    return digest.hexdigest()
+
+
+def test_data_plane_pinned_to_digest():
+    assert _data_plane_digest() == DATA_PLANE_DIGEST
+
+
+# the same digest with both planes drawn in Python, then with a budget that runs
+# out midway, so that numpy draws the blocks and flows that no longer fit
+def test_data_plane_drawn_in_python_pinned_to_digest():
+    with numpy_unloaded(2**62) as delays:
+        assert _data_plane_digest() == DATA_PLANE_DIGEST
+        drawn = 2**62 - delays._py_uniforms_left
+    with numpy_unloaded(drawn // 2) as delays:
+        assert _data_plane_digest() == DATA_PLANE_DIGEST
+        assert delays._py_uniforms_left < drawn // 2 < drawn
