@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -379,7 +380,10 @@ class TestRunJsonStreamedWriter:
         run.flow_traces = {"f": FlowPackets(f.net, f.run, f.flow, f.index, f.t0, runs, n)}
         return run, [measure_inconsistency(run, f.flow)]
 
-    # the writer holds one block's text at a time, whatever the flow's length
+    # the writer holds one block's text at a time, whatever the flow's length;
+    # each peak is taken with the free lists emptied by a full collection and
+    # no collection while tracing, so every allocation is counted and none of
+    # the json header's cyclic garbage is freed early, whatever ran before
     @pytest.mark.parametrize("alternating", [False, True], ids=["uniform", "alternating"])
     def test_writer_peak_memory_does_not_grow_with_the_flow(self, alternating):
         class Discard:
@@ -399,12 +403,15 @@ class TestRunJsonStreamedWriter:
         peaks = []
         for n in (2**16, 2**18):
             run, reports = self.run_of(n, alternating)
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 _write_run(Discard(), run, "h", reports)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+                gc.enable()
         assert max(peaks) <= 1.1 * min(peaks), peaks
         assert max(peaks) < 4 * block_bytes, (peaks, block_bytes)
 
