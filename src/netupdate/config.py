@@ -75,7 +75,6 @@ class Point(NamedTuple):
     schedule: Schedule | None
     start_time: int
     delays: RunDelays | None
-    gc_phases: frozenset   # proc.gc_phases(), which the planner and an untimed run read
 
     def plan(self):
         """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point; a timed
@@ -83,7 +82,7 @@ class Point(NamedTuple):
         worst-case schedule's."""
         from . import planner
 
-        timed, untimed, _ = planner.compare_timed_untimed(self.proc, self.params, self.gc_phases)
+        timed, untimed, _ = planner.compare_timed_untimed(self.proc, self.params)
         if (sched := self.schedule) is not None:
             timed = sched.last_time() + self.params.delta_sched - sched.first_time()
         return untimed, timed, timed < untimed
@@ -93,7 +92,7 @@ class Point(NamedTuple):
         if self.schedule is None:
             run = run_untimed(self.net, self.proc, self.params, self.delays,
                               seed=seed, initial_state=self.initial_state,
-                              start_time=self.start_time, gc_phases=self.gc_phases)
+                              start_time=self.start_time)
         else:
             run = run_timed(self.net, TimedUpdateProcedure(self.proc, self.schedule), self.params,
                             self.delays, seed=seed, initial_state=self.initial_state)
@@ -308,13 +307,13 @@ class Experiment:
                                gap=_delay_model(dspec, "gap", default.gap))
 
         start_time = field(self.doc, "start_time", "", "duration", default=10**9)
-        schedule, gc_phases = None, proc.gc_phases()
+        schedule = None
         if self.mode == "timed-worst-case":
             from . import planner
 
-            schedule = planner.worst_case_schedule(proc, start_time, params, gc_phases)
+            schedule = planner.worst_case_schedule(proc, start_time, params)
         elif self.mode == "timed-knob":
-            if proc.num_phases != 3 or gc_phases != frozenset({3}):
+            if proc.num_phases != 3 or proc.gc_phases() != frozenset({3}):
                 raise ConfigError(
                     "mode: timed-knob requires a two-phase + garbage-collection procedure")
             knob_d = read("d", self.doc, "knob_d", "", "duration")
@@ -323,7 +322,7 @@ class Experiment:
             schedule = consistency.simultaneous_schedule(start_time, proc.num_phases)
         return Point(net=net, params=params, proc=proc, initial_state=initial,
                      flows=flows, rate_fields=rate_fields, schedule=schedule,
-                     start_time=start_time, delays=delays, gc_phases=gc_phases)
+                     start_time=start_time, delays=delays)
 
     def points(self):
         """(axis_value_or_None, Point) for every sweep position."""

@@ -193,6 +193,9 @@ def _pcg64_rows(entropy, width: int, spans):
     squarings as advance() does, and outputs XSL-RR."""
     if min(entropy) < 0:
         raise ValueError(f"seed must be non-negative, got {entropy}")
+    for (a, b), at in zip(spans, [0, *(b for _, b in spans)]):
+        if not at <= a <= b:   # else the LCG would be stepped back, and never stop
+            raise ValueError(f"span {(a, b)} is not an ascending [a, b) range from row {at}")
     words = [s >> k & _M32 for s in entropy for k in range(0, max(s.bit_length(), 1), 32)]
 
     def hasher(h, mult):   # SeedSequence's hash, with its running constant

@@ -191,15 +191,14 @@ def timed_worst_duration(phase_counts, params: SystemParameters,
 # schedules and comparison
 
 
-def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters,
-                        gc_phases=None) -> Schedule:
+def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters) -> Schedule:
     """Tightest schedule that still guarantees consistency under the bounds.
 
-    Consecutive phases are delta_sched apart; a phase of gc_phases (by
-    default proc.gc_phases()) waits d_n more, so that en-route packets of the
-    superseded tag drain before their rules disappear.
+    Consecutive phases are delta_sched apart; a phase of proc.gc_phases()
+    waits d_n more, so that en-route packets of the superseded tag drain
+    before their rules disappear.
     """
-    gc_phases = proc.gc_phases() if gc_phases is None else gc_phases
+    gc_phases = proc.gc_phases()
     times = {1: t1}
     for j in range(2, proc.num_phases + 1):
         times[j] = times[j - 1] + params.delta_sched + (params.d_n if j in gc_phases else 0)

@@ -123,14 +123,6 @@ class StateTimeline:
             versions.append(table)
             self.times[update.target].append(time_ns)
 
-    def lookup(self, switch: str, time_ns: int, flow_id: str, tag, port: int):
-        """Action seen by a packet at this switch and instant; a rule change
-        at time t is visible to a packet arriving exactly at t."""
-        if switch not in self.tables:
-            raise ValueError(f"unknown switch {switch!r}")
-        table = self.tables[switch][bisect_right(self.times[switch], time_ns)]
-        return lookup_rule(table, flow_id, tag, port)
-
 
 class RunResult:
     """Everything observable about one simulated update.
@@ -191,7 +183,7 @@ class RunResult:
 
 
 def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
-                   first_send, schedule=None, gc_phases=()) -> RunResult:
+                   first_send, schedule=None) -> RunResult:
     """Send proc's messages phase by phase, in procedure order within a
     phase, the first at first_send, and fold the executions they cause into
     a RunResult. Message i is the i-th send.
@@ -200,12 +192,12 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
     (send to arrival) and jitter are the quantiles of delays.gap,
     delays.ctrl and uniform(delta_sched) at row i of one
     default_rng(seed).random((messages, 3)) draw (delays.quantile_block,
-    which draws it in Python while numpy is not loaded and no model is
-    exponential) or, under pin_worst_case, their bounds, but message 0's
+    which draws it in Python while numpy is not loaded and the block fits in
+    its budget) or, under pin_worst_case, their bounds, but message 0's
     jitter is 0. A gap or delay beyond its bound is a bound_violation fault.
 
     Without a schedule the first send of a phase also waits d_c (d_c + d_n
-    before a phase of gc_phases) after the send before it, each update
+    before a phase of proc.gc_phases()) after the send before it, each update
     takes effect on arrival, and a pinned message 0 arrives at once. With
     one, an update takes effect at its phase's scheduled time plus its
     jitter, or on arrival as a missed_schedule fault if that is later.
@@ -223,6 +215,7 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
     else:
         gaps, ctrls, jitters = quantile_block(seed, len(ordered), (
             delays.gap, delays.ctrl, DelayModel.uniform(params.delta_sched)))
+    gc_phases = proc.gc_phases() if schedule is None else ()
     execs, send_ns, faults = [], [], []
     t, prev_phase = first_send, None
     for idx, ((update, phase), gap, ctrl, jitter) in enumerate(
@@ -256,7 +249,7 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
 def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
                 delays: RunDelays | None = None, seed: int = 0,
                 initial_state: ForwardingState | None = None,
-                start_time: int = 0, pin_worst_case: bool = False, gc_phases=None) -> RunResult:
+                start_time: int = 0, pin_worst_case: bool = False) -> RunResult:
     """Greedy untimed execution: each message goes out at the earliest time
     that still guarantees phase ordering under the declared bounds.
 
@@ -269,10 +262,10 @@ def run_untimed(net: Network, proc: UpdateProcedure, params: SystemParameters,
     pin_worst_case realizes the worst-case corner exactly: every gap at its
     bound, every controller delay at its bound except the very first message,
     which takes the zero lower bound so the duration measurement starts at
-    the earliest possible instant. gc_phases, if given, is proc.gc_phases().
+    the earliest possible instant.
     """
     return _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_case,
-                          start_time, None, proc.gc_phases() if gc_phases is None else gc_phases)
+                          start_time)
 
 
 def run_timed(net: Network, tproc: TimedUpdateProcedure, params: SystemParameters,
@@ -331,8 +324,9 @@ def _packet_count(window, spacing_ns: int) -> int:
 def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
                    rng: np.random.Generator) -> PacketTrace:
     """The one-packet oracle of run_flows: walk one packet of a flow,
-    entering untagged at the flow's ingress at t_in, resolving each hop
-    against the switch state as of the packet's arrival there.
+    entering untagged at the flow's ingress at t_in, resolving each hop with
+    lookup_rule in the switch's table in force at the packet's arrival there;
+    a rule change at time t is visible to a packet arriving exactly at t.
 
     The packet draws one row of len(net.switches) uniforms up front; the
     link it leaves hop h by delays it by the link's inverse CDF at row[h].
@@ -345,7 +339,8 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
     hops = []
     delivered = truncated = stranded = False
     for h in range(len(net.switches)):
-        action = timeline.lookup(sw, t, flow_id, tag, port)
+        table = timeline.tables[sw][bisect_right(timeline.times[sw], t)]
+        action = lookup_rule(table, flow_id, tag, port)
         hops.append(Hop(t, sw, port, tag, action))
         if action.kind in ("deliver", "drop"):
             delivered = action.kind == "deliver"
@@ -371,7 +366,8 @@ class FlowPackets:
     ended, and bit 0 / bit 1 of agrees say whether every realized hop action
     equals the old / new configuration's action there. Packet k entered at
     t0 + k x the flow's spacing (t_in); t_last, which only tests read, gives
-    its arrival time at its last hop. Iterating re-walks the packets with
+    its arrival time at its last hop by a second walk, on a step memo of its
+    own. Iterating re-walks the packets with
     forward_packet on a fresh copy of the flow's generator (the run's seed,
     and index: the flow's position in flow-id order), yielding PacketTraces."""
 
@@ -390,8 +386,9 @@ class FlowPackets:
     def t_last(self) -> array:
         """By _walk_tables of all n packets, on first access; its runs must be the stored ones."""
         t_last = array("q", [0]) * self.n
+        steps = cache(lambda node: _steps(self.net, self.run, self.flow.flow_id, *node))
         parts = _walk_tables(self.net, self.run, self.flow, self.t0, [(0, self.n)],
-                             _flow_rng(self.run.seed, self.index), t_last)
+                             _flow_rng(self.run.seed, self.index), steps, t_last)
         if _runs(parts) != self.runs:
             raise AssertionError(f"flow {self.flow.flow_id}: the walks' runs differ")
         return t_last
@@ -449,7 +446,8 @@ def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -
     changes[i - 1] on, inclusive, and no two consecutive steps are equal. A
     step is (end code or None, next (switch, port, tag), DelayModel of the
     link crossed, agreement bits: 1 if the action is the old configuration's
-    there, 2 if the new one's), next and link None when the packet ends there."""
+    there, 2 if the new one's), next and link None when the packet ends there.
+    Changes cap at 2**63 - 1 (int64), past every packet time run_flows allows."""
     old = lookup_rule(run.old_config.tables[switch], flow_id, tag, port)
     new = lookup_rule(run.new_config.tables[switch], flow_id, tag, port)
     changes, steps = [], []
@@ -465,7 +463,7 @@ def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -
         if not steps or step != steps[-1]:
             changes.append(time)
             steps.append(step)
-    return changes[1:], steps
+    return [min(c, 2**63 - 1) for c in changes[1:]], steps
 
 
 def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
@@ -519,7 +517,8 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
     it where these envelopes start and stop straddling one. A part within one
     step is settled whatever the draws: it ends as a run or becomes the next
     hop's piece. Only the unsettled packets draw their rows: in Python
-    (_python_rows), each then walked alone, or else by _walk_tables."""
+    (_python_rows), each then walked alone, or else by _walk_tables, all on one
+    memo of _steps, so that no node is stepped twice."""
     spacing, n_hops = flow.spacing_ns, len(net.switches)
     steps = cache(lambda node: _steps(net, run, flow.flow_id, *node))
     quantile = cache(_quantile)   # each link's inverse CDF as a Python function
@@ -546,7 +545,7 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
                 parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree & bits))
     unsettled.sort()
     if (rows := _python_rows([run.seed, 7919 + index], n_hops, unsettled)) is None:
-        parts += _walk_tables(net, run, flow, t0, unsettled, _flow_rng(run.seed, index))
+        parts += _walk_tables(net, run, flow, t0, unsettled, _flow_rng(run.seed, index), steps)
         unsettled = []
     for k, row in zip((k for a, b in unsettled for k in range(a, b)), rows or ()):
         node, t, bits = ingress, t0 + k * spacing, 3
@@ -561,7 +560,7 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
     return _runs(parts)
 
 
-def _walk_tables(net: Network, run: RunResult, flow, t0: int, spans, rng,
+def _walk_tables(net: Network, run: RunResult, flow, t0: int, spans, rng, steps,
                  t_last: array | None = None) -> list:
     """The parts (first packet, count, hops, end, agrees) of a flow's packets
     in spans, ascending [a, b) ranges of packet indices, under random link
@@ -570,12 +569,12 @@ def _walk_tables(net: Network, run: RunResult, flow, t0: int, spans, rng,
     rng draws row k of len(net.switches) uniforms for packet k, as
     forward_packet does, skipping rows outside spans, about WALK_BLOCK a
     block. A group, a block's packets at one node that came by one path,
-    splits by the step each sees there (_steps); a part ends, or moves on
-    as the next hop's group, each packet delayed by the link's quantile of
-    its uniform. A block's outcomes are run-length encoded."""
+    splits by the step each sees there (steps(node), the caller's memo of _steps);
+    a part ends, or moves on as the next hop's group, each packet delayed by
+    the link's quantile of its uniform. A block's outcomes are run-length encoded."""
     import numpy as np
 
-    n_hops, steps, parts, drawn = len(net.switches), {}, [], 0
+    n_hops, parts, drawn = len(net.switches), [], 0
     rows = max(1, WALK_BLOCK // n_hops)
     u = np.empty((min(rows, max((b - a for a, b in spans), default=0)), n_hops))
     outcome = np.empty((3, len(u)), np.int32)   # a block's hops, end and agrees
@@ -588,11 +587,8 @@ def _walk_tables(net: Network, run: RunResult, flow, t0: int, spans, rng,
                    t0 + (a + k) * flow.spacing_ns, 1, 3)]
         while groups:
             pos, node, t, hop, bits = groups.pop()
-            if node not in steps:   # its changes as int64, a later one capped at 2**63 - 1
-                changes, step = _steps(net, run, flow.flow_id, *node)
-                steps[node] = np.array([min(c, 2**63 - 1) for c in changes], np.int64), step
-            changes, step = steps[node]
-            index = changes.searchsorted(t, side="right")
+            changes, step = steps(node)
+            index = np.searchsorted(np.array(changes, np.int64), t, side="right")
             seen = np.flatnonzero(np.bincount(index)).tolist()
             for v in seen:
                 kind, to, link, agree = step[v]

@@ -146,6 +146,17 @@ def test_python_stream_rejects_a_negative_seed_as_numpy_does():
         next(_pcg64_rows([5, -1], 3, [(0, 1)]))
 
 
+@pytest.mark.parametrize("spans", [[(5, 6), (2, 3)], [(2, 4), (3, 5)], [(-1, 2)], [(3, 2)]])
+def test_python_stream_rejects_spans_out_of_order(spans):
+    # in a child with a timeout: stepping the LCG back by a negative count never ends
+    code = ("from netupdate.delays import _pcg64_rows\n"
+            f"next(_pcg64_rows([0], 3, {spans!r}))")
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1
+    assert child.stderr.splitlines()[-1].startswith("ValueError: span ")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(model=PY_MODELS, u=st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
 @example(model=DelayModel.uniform(INT64_MAX), u=[])

@@ -379,8 +379,6 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
         for sw in net.switches:
             in_force = sum(time_ns <= t for time_ns in timeline.times[sw])
             assert timeline.tables[sw][in_force] == fold.tables[sw]
-            want = lookup_rule(fold.tables[sw], "f1", "A", 0)
-            assert timeline.lookup(sw, t, "f1", "A", 0) == want
 
 
 def test_apply_is_copy_on_write():

@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from functools import cache
 from pathlib import Path
 from unittest import mock
 
@@ -465,8 +466,9 @@ class TestForwardPacket:
         net = line_network([1_000])
         u = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
         tl = StateTimeline(net, ForwardingState.empty(net), [(500, u)])
-        assert tl.lookup("S1", 499, "f", None, 0).kind == "drop"
-        assert tl.lookup("S1", 500, "f", None, 0).kind == "deliver"
+        rng = np.random.default_rng(0)
+        assert [forward_packet(net, tl, self.flow, t, rng).hops[0].action.kind
+                for t in (499, 500)] == ["drop", "deliver"]
 
 
 def _walked(config: str, pick, seed: int = 3) -> dict:
@@ -945,10 +947,38 @@ def test_envelope_walk_matches_the_table_driven_walk(case):
         got.append([run.flow_traces[f.flow_id].runs for f in flows])
         for i, flow in enumerate(sorted(flows, key=lambda f: f.flow_id)):
             packets = run.flow_traces[flow.flow_id]
+            steps = cache(lambda node: simulator._steps(net, run, flow.flow_id, *node))
             parts = simulator._walk_tables(net, run, flow, packets.t0, [(0, len(packets))],
-                                           simulator._flow_rng(run.seed, i))
+                                           simulator._flow_rng(run.seed, i), steps)
             assert simulator._runs(parts) == packets.runs
     assert got[0] == got[1] == got[2]
+
+
+def _nodes_stepped(net: Network, run: RunResult, flows, window=None) -> tuple:
+    """(whether the table-driven walk ran, the most times run_flows stepped one
+    (run, flow, node)), its unsettled packets drawn by numpy, which is loaded."""
+    with mock.patch.object(simulator, "_steps", wraps=simulator._steps) as steps, \
+            mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
+        run_flows(net, run, flows, window=window)
+    stepped = Counter(call.args[1:] for call in steps.call_args_list)
+    return walk.called, max(stepped.values(), default=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_random_delay_cases())
+@example(case=_random_ring_loop())
+def test_each_node_is_stepped_once_a_flow_walk(case):
+    net, make_run, flows, window = case
+    assert _nodes_stepped(net, make_run(), flows, window)[1] <= 1
+
+
+def test_each_node_of_a_shipped_sweep_is_stepped_once():
+    from netupdate.config import Experiment
+
+    _, point = next(Experiment.load(CONFIGS / "netrail_knob_exp.json").points())
+    run = run_timed(point.net, TimedUpdateProcedure(point.proc, point.schedule), point.params,
+                    point.delays, seed=0, initial_state=point.initial_state)
+    assert _nodes_stepped(point.net, run, point.flows) == (True, 1)
 
 
 def _step_at(net: Network, run: RunResult, flow_id, switch, port, tag, t) -> tuple:
