@@ -16,15 +16,23 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
 from collections import Counter
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .delays import DelayModel
+try:  # the interpreter's own SHA-256, as random.py does: hashlib loads OpenSSL's libcrypto
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+if TYPE_CHECKING:
+    from .delays import DelayModel
 
 MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or traced duration
 
@@ -60,7 +68,7 @@ class ConfigError(ValueError):
 def config_hash(doc: dict) -> str:
     """The 12-hex-digit digest of doc that every output's metadata records."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return _sha256(blob).hexdigest()[:12]
 
 
 def parse_duration(value, field: str = "duration") -> int:

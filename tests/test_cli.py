@@ -1189,6 +1189,39 @@ def test_importing_the_package_layers_loads_no_numpy():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
+# command, config: each loaded OpenSSL's libcrypto (_hashlib), through hashlib, for one
+# config hash; and analyze-trace loaded delays, for model's one annotation. numpy.random
+# loads _hashlib itself (through secrets), so no case may load it
+OPENSSL_FREE_CASES = [
+    *((command, config) for config in ("sprint_knob", "leafspine_sweep")
+      for command in ("plan", "simulate", "sweep")),
+    ("simulate", "netrail_knob_exp"),
+    ("analyze-trace", None),
+]
+
+
+@pytest.mark.parametrize("command, config", OPENSSL_FREE_CASES)
+def test_commands_load_no_openssl(tmp_path, command, config):
+    code = ("import json, sys\n"
+            "from netupdate.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, '_hashlib' in sys.modules, 'numpy.random' in sys.modules,\n"
+            "                  sorted(m for m in sys.modules if m.startswith('netupdate.'))]))\n")
+    if command == "analyze-trace":
+        (tmp_path / "rtt.txt").write_text("1.5\n2\n40\n")
+        args = [str(tmp_path / "rtt.txt")]
+    else:
+        args = ["--config", str(CONFIGS / f"{config}.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, *args, "--out", str(tmp_path / "out")],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, openssl, numpy_random, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert (exit_code, openssl, numpy_random) == (0, False, False)
+    if command == "analyze-trace":
+        assert modules == ["netupdate.cli", "netupdate.model", "netupdate.stats"]
+
+
 def sprint_at_rate(**rate):
     """sprint_knob.json as one point (knob_d 20ms) with every flow at this rate."""
     doc = sprint_flow_config()

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import logging
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,11 +23,11 @@ from netupdate import (
     UpdateProcedure,
 )
 from netupdate.config import Experiment
-from netupdate.model import lookup_rule
+from netupdate.model import config_hash, lookup_rule
 from netupdate.simulator import StateTimeline
 from netupdate.topology import leaf_spine, load_topology
 
-from conftest import line_network
+from conftest import child_env, line_network
 
 TOPOLOGIES = Path(__file__).resolve().parents[1] / "topologies"
 
@@ -476,3 +480,40 @@ class TestSchedule:
         proc = proc_of((u, 1), (u, 2))
         with pytest.raises(ValueError, match="lacks times"):
             TimedUpdateProcedure(proc, Schedule.build({1: 0}))
+
+
+def _oracle_hash(doc):
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
+# config docs as JSON reads them: non-ASCII keys, nesting, floats and ints past 2^63
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20)
+_CONFIG_DOCS = st.dictionaries(st.text(), _DOCS, max_size=6)
+
+
+# config_hash takes the interpreter's own SHA-256, which loads no OpenSSL
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=_CONFIG_DOCS)
+@example(doc={"név": {"ключ": [2**63, -2**64, 1e308, -0.0, 0.1]}, "流": "ü"})
+def test_config_hash_is_hashlibs_sha256_of_the_sorted_compact_json(doc):
+    assert config_hash(doc) == _oracle_hash(doc)
+
+
+# with neither internal module, config_hash falls back to hashlib, and agrees
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(docs=st.lists(_CONFIG_DOCS, min_size=1, max_size=30))
+def test_config_hash_falls_back_to_hashlib_with_the_same_digests(docs):
+    code = ("import hashlib, json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from netupdate import model\n"
+            "assert model._sha256 is hashlib.sha256\n"
+            "print(json.dumps([model.config_hash(doc) for doc in json.load(sys.stdin)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(docs), env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [config_hash(doc) for doc in docs]

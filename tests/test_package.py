@@ -72,4 +72,4 @@ def test_importing_the_root_loads_no_module_until_a_name_is_used():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] []", "['netupdate.delays', 'netupdate.model', 'netupdate.stats']"]
+        "[] []", "['netupdate.model', 'netupdate.stats']"]
