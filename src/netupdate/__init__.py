@@ -16,8 +16,7 @@ from importlib import import_module
 
 _EXPORTS = {  # module -> the names the package re-exports from it
     "consistency": ("CONSISTENT_NEW", "CONSISTENT_OLD", "INCONSISTENT", "InconsistencyReport",
-                    "TestFlow", "classify_packet", "knob_schedule", "measure_inconsistency",
-                    "simultaneous_schedule"),
+                    "TestFlow", "knob_schedule", "measure_inconsistency", "simultaneous_schedule"),
     "delays": ("DelayModel",),
     "model": ("DELIVER", "DROP", "Action", "ForwardingState", "Link", "Network", "Schedule",
               "SingletonUpdate", "SystemParameters", "TimedUpdateProcedure", "UpdateProcedure"),

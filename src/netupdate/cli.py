@@ -67,6 +67,7 @@ def cmd_plan(exp: Experiment, out: Path) -> int:
 
 PACKET_BLOCK = 1024  # most packets of one run formatted per write when streaming run.json
 _PAD, _KEY = "\n" + " " * 8, "\n" + " " * 10  # a packet's and its keys' indent
+_SEP = _PAD + "},"   # what closes a packet before the next
 
 
 def _run_doc(run, exp_hash: str, reports) -> dict:
@@ -100,26 +101,13 @@ def _run_doc(run, exp_hash: str, reports) -> dict:
     }
 
 
-def _run_to_dict(run, exp_hash: str, reports) -> dict:
-    """run.json as one document with a dict per packet: the oracle of _write_run."""
-    from .consistency import CLASS_OF_AGREES
-
-    doc = _run_doc(run, exp_hash, reports)
-    for rep in reports:
-        packets = run.flow_traces[rep.flow_id]
-        values = (value for count, *value in packets.runs for _ in range(count))
-        doc["flows"][rep.flow_id]["packets"] = [
-            {"t_in": t_in, "result": CLASS_OF_AGREES[code], "hops": hops, "delivered": e == 0}
-            for t_in, (hops, e, code) in zip(packets.t_in, values, strict=True)]
-    return doc
-
-
 def _write_run(fh, run, exp_hash: str, reports) -> None:
-    """Stream run.json to fh, byte-equal to json.dumps(_run_to_dict(...), indent=2,
-    sort_keys=True), without a dict per packet or the whole text: json's text of
-    _run_doc, split at its "packets" (a quote in a JSON string is written \\"), each
-    gap filled in json's sorted flow order, a run's packets up to PACKET_BLOCK per
-    write, each one head (its text up to its t_in value) joined over their t_in."""
+    """Stream run.json to fh, byte-equal to json.dumps(indent=2, sort_keys=True) of
+    tests/oracles.py's run_to_dict, without a dict per packet or the whole text:
+    json's text of _run_doc, split at its "packets" (a quote in a JSON string is
+    written \\"), each gap filled in json's sorted flow order, a run's packets up to
+    PACKET_BLOCK per write, each one head (its text up to its t_in value, built once
+    a flow per (hops, end, agrees)) joined over their t_in."""
     from .consistency import CLASS_OF_AGREES
 
     head, *tails = json.dumps(_run_doc(run, exp_hash, reports), indent=2,
@@ -128,14 +116,18 @@ def _write_run(fh, run, exp_hash: str, reports) -> None:
     for rep, tail in zip(sorted(reports, key=lambda r: r.flow_id), tails, strict=True):
         packets = run.flow_traces[rep.flow_id]
         fh.write('"packets": [')
-        t_in, sep = map(str, packets.t_in), ""
+        t_in, sep, heads = map(str, packets.t_in), "", {}
         for count, hops, end, code in packets.runs:
-            head = (f'{_PAD}{{{_KEY}"delivered": {"false" if end else "true"},{_KEY}"hops": '
-                    f'{hops},{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": ')
+            if (key := (hops, end, code)) not in heads:
+                head = (f'{_PAD}{{{_KEY}"delivered": {"false" if end else "true"},{_KEY}"hops": '
+                        f'{hops},{_KEY}"result": "{CLASS_OF_AGREES[code]}",{_KEY}"t_in": ')
+                heads[key] = head, _SEP + head   # and the joiner of its packets' t_in
+            head, joiner = heads[key]
             for left in range(count, 0, -PACKET_BLOCK):   # the run's packets not yet written
-                text = (_PAD + "}," + head).join(islice(t_in, min(left, PACKET_BLOCK)))
-                fh.write(sep + head + text)
-                sep = _PAD + "},"
+                fh.write(sep)
+                fh.write(head)
+                fh.write(joiner.join(islice(t_in, min(left, PACKET_BLOCK))))
+                sep = _SEP
         fh.write((_PAD + "}\n      ]" if len(packets) else "]") + tail)
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import (MAX_DURATION_NS, ForwardingState, Schedule, SystemParameters, lookup_rule,
-                    validated)
+from .model import MAX_DURATION_NS, Schedule, SystemParameters, validated
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
 INCONSISTENT = "inconsistent"
 # by agreement code: bit 0 set if every hop agreed with the old configuration, bit
-# 1 if with the new one; old wins a tie, as in classify_packet
+# 1 if with the new one; old wins a tie
 CLASS_OF_AGREES = (INCONSISTENT, CONSISTENT_OLD, CONSISTENT_NEW, CONSISTENT_OLD)
 
 
@@ -70,35 +69,6 @@ class InconsistencyReport(NamedTuple):
         return f"{self.flow_id},{self.n_inconsistent},{rate},{self.inconsistency_ns}"
 
 
-def classify_packet(trace, old_config: ForwardingState,
-                    new_config: ForwardingState) -> str:
-    """Classify one packet trace against the two full configurations.
-
-    The comparison at each hop uses the packet as it actually arrived there
-    (tags may have been rewritten upstream), so a packet stamped with the
-    old tag is judged against what the old configuration does with an
-    old-tagged packet, and likewise for the new one.
-    """
-    for config in (old_config, new_config):
-        for hop in trace.hops:
-            if hop.switch not in config.tables:
-                raise ValueError(
-                    f"trace visits switch {hop.switch!r} absent from the configuration")
-
-    def matches(config):
-        for hop in trace.hops:
-            action = lookup_rule(config.tables[hop.switch], trace.flow_id, hop.tag, hop.in_port)
-            if action != hop.action:
-                return False
-        return True
-
-    if matches(old_config):
-        return CONSISTENT_OLD
-    if matches(new_config):
-        return CONSISTENT_NEW
-    return INCONSISTENT
-
-
 def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     """Count the flow's inconsistently forwarded packets and divide by its rate.
 
@@ -107,8 +77,7 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     margins; otherwise the count undershoots. Another flow of the same id is
     an error, since its rate would scale the count wrongly. The walk already
     compared every hop with both configurations, so this sums the runs of
-    packets that agreed with neither; classify_packet is the per-trace
-    oracle for the same classes.
+    packets that agreed with neither.
     """
     packets = run.flow_traces.get(flow.flow_id)
     if packets is None:

@@ -87,20 +87,6 @@ class DelayModel(NamedTuple):
             return self.cap
         return max(self.samples)
 
-    def mean_value(self) -> float:
-        """Analytic (or pool) mean of the model."""
-        if self.kind == "constant":
-            return float(self.value)
-        if self.kind == "uniform":
-            return self.hi / 2.0
-        if self.kind == "exponential":
-            if self.mean == 0:
-                return 0.0
-            r = self.cap / self.mean
-            # mean of an exponential conditioned on X <= cap
-            return self.mean * (1.0 - math.exp(-r) * (r + 1.0)) / (1.0 - math.exp(-r))
-        return sum(self.samples) / len(self.samples)
-
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF: the int64 delays for uniforms u in [0, 1), an array or list.
 

@@ -16,7 +16,6 @@ that to forward_packet, the one-packet oracle that alone builds PacketTraces.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -34,6 +33,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 # Uniforms the table-driven walk draws at a time, whole rows of one per switch:
@@ -364,12 +365,11 @@ class FlowPackets:
     agrees), each [count, hops, end, agrees], and nothing per packet or hop.
     hops counts a packet's hops, end indexes END_KINDS with how its walk
     ended, and bit 0 / bit 1 of agrees say whether every realized hop action
-    equals the old / new configuration's action there. Packet k entered at
-    t0 + k x the flow's spacing (t_in); t_last, which only tests read, gives
-    its arrival time at its last hop by a second walk, on a step memo of its
-    own. Iterating re-walks the packets with
-    forward_packet on a fresh copy of the flow's generator (the run's seed,
-    and index: the flow's position in flow-id order), yielding PacketTraces."""
+    equals the old / new configuration's action there (CLASS_OF_AGREES[agrees]
+    names its class). Packet k entered at t0 + k x the flow's spacing, as t_in
+    derives. Iterating re-walks the packets with forward_packet on a fresh copy
+    of the flow's generator (the run's seed, and index: the flow's position in
+    flow-id order), yielding PacketTraces."""
 
     def __init__(self, net: Network, run: RunResult, flow, index, t0, runs: list, n: int):
         self.net, self.run, self.flow, self.index, self.t0, self.runs, self.n = (
@@ -381,17 +381,6 @@ class FlowPackets:
 
     def __len__(self) -> int:
         return self.n
-
-    @cached_property
-    def t_last(self) -> array:
-        """By _walk_tables of all n packets, on first access; its runs must be the stored ones."""
-        t_last = array("q", [0]) * self.n
-        steps = cache(lambda node: _steps(self.net, self.run, self.flow.flow_id, *node))
-        parts = _walk_tables(self.net, self.run, self.flow, self.t0, [(0, self.n)],
-                             _flow_rng(self.run.seed, self.index), steps, t_last)
-        if _runs(parts) != self.runs:
-            raise AssertionError(f"flow {self.flow.flow_id}: the walks' runs differ")
-        return t_last
 
     def __iter__(self):
         rng = _flow_rng(self.run.seed, self.index)
@@ -407,11 +396,16 @@ class FlowPackets:
     __hash__ = None
 
 
+def _flow_entropy(seed: int, index: int) -> list:
+    """The stream entropy of the flow at this position in flow-id order."""
+    return [seed, 7919 + index]
+
+
 def _flow_rng(seed: int, index: int) -> np.random.Generator:
     """The generator of the flow at this position in flow-id order."""
     import numpy as np
 
-    return np.random.default_rng([seed, 7919 + index])
+    return np.random.default_rng(_flow_entropy(seed, index))
 
 
 def default_flow_window(run: RunResult, spacing_ns: int):
@@ -442,12 +436,13 @@ def _runs(parts) -> list:
 
 def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -> tuple:
     """The step function (changes, steps) of a packet of the flow arriving at
-    (switch, port) with tag: steps[0] holds before changes[0], steps[i] from
-    changes[i - 1] on, inclusive, and no two consecutive steps are equal. A
-    step is (end code or None, next (switch, port, tag), DelayModel of the
-    link crossed, agreement bits: 1 if the action is the old configuration's
-    there, 2 if the new one's), next and link None when the packet ends there.
-    Changes cap at 2**63 - 1 (int64), past every packet time run_flows allows."""
+    (switch, port) with tag, by one lookup_rule per table version and full
+    configuration: steps[0] holds before changes[0], steps[i] from changes[i - 1]
+    on, inclusive, and no two consecutive steps are equal. A step is (end code
+    or None, next (switch, port, tag), DelayModel of the link crossed, agreement
+    bits: 1 if the action is the old configuration's there, 2 if the new one's),
+    next and link None when the packet ends there. Changes cap at 2**63 - 1
+    (int64): run_flows' guard keeps every compared arrival time below that."""
     old = lookup_rule(run.old_config.tables[switch], flow_id, tag, port)
     new = lookup_rule(run.new_config.tables[switch], flow_id, tag, port)
     changes, steps = [], []
@@ -515,10 +510,13 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
     [lo, hi], lo and hi the links' least and greatest delays summed (a
     constant's value, else 0, and bound()). The node's changes (_steps) cut
     it where these envelopes start and stop straddling one. A part within one
-    step is settled whatever the draws: it ends as a run or becomes the next
-    hop's piece. Only the unsettled packets draw their rows: in Python
+    step is settled whatever the draws: it ends as a part or, lo and hi grown by
+    the link's, becomes the next hop's piece; a stack of disjoint pieces, so a
+    loop of any length walks in at most n. Under constant delays lo = hi and
+    nothing is drawn. Only the unsettled packets draw their rows: in Python
     (_python_rows), each then walked alone, or else by _walk_tables, all on one
-    memo of _steps, so that no node is stepped twice."""
+    memo of _steps, so that no node is stepped twice. The parts, sorted by
+    first packet, merge into runs in O(pieces)."""
     spacing, n_hops = flow.spacing_ns, len(net.switches)
     steps = cache(lambda node: _steps(net, run, flow.flow_id, *node))
     quantile = cache(_quantile)   # each link's inverse CDF as a Python function
@@ -544,7 +542,7 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
             else:
                 parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree & bits))
     unsettled.sort()
-    if (rows := _python_rows([run.seed, 7919 + index], n_hops, unsettled)) is None:
+    if (rows := _python_rows(_flow_entropy(run.seed, index), n_hops, unsettled)) is None:
         parts += _walk_tables(net, run, flow, t0, unsettled, _flow_rng(run.seed, index), steps)
         unsettled = []
     for k, row in zip((k for a, b in unsettled for k in range(a, b)), rows or ()):
@@ -567,11 +565,13 @@ def _walk_tables(net: Network, run: RunResult, flow, t0: int, spans, rng, steps,
     delays; t_last, if given, gets each one's arrival time at its last hop.
 
     rng draws row k of len(net.switches) uniforms for packet k, as
-    forward_packet does, skipping rows outside spans, about WALK_BLOCK a
-    block. A group, a block's packets at one node that came by one path,
-    splits by the step each sees there (steps(node), the caller's memo of _steps);
-    a part ends, or moves on as the next hop's group, each packet delayed by
-    the link's quantile of its uniform. A block's outcomes are run-length encoded."""
+    forward_packet does, advancing past rows outside spans, into one buffer
+    of about WALK_BLOCK a block. A group, a block's packets at one node that
+    came by one path (a stack of them, disjoint), splits by the step each
+    sees there, one searchsorted on steps(node)'s changes (the caller's memo
+    of _steps); a part ends, or moves on as the next hop's group, each packet
+    delayed by the link's quantile of its uniform. A block's outcomes are
+    run-length encoded; runs merge across blocks, so any WALK_BLOCK gives them."""
     import numpy as np
 
     n_hops, parts, drawn = len(net.switches), [], 0

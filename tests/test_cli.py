@@ -32,7 +32,7 @@ from netupdate import (
     run_flows,
     run_untimed,
 )
-from netupdate.cli import PACKET_BLOCK, _mean_ns, _run_to_dict, _write_run, main
+from netupdate.cli import PACKET_BLOCK, _mean_ns, _write_run, main
 from netupdate.config import ConfigError, Experiment, _check_routes, parse_duration
 from netupdate.consistency import CLASS_OF_AGREES
 from netupdate import config, simulator, topology
@@ -40,6 +40,7 @@ from netupdate.model import ENGINE_VERSION
 from netupdate.simulator import Fault, FlowPackets
 
 from conftest import child_env, line_network, per_packet
+from oracles import run_to_dict
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -232,7 +233,7 @@ class TestRunJsonOutcomeCounts:
         with mock.patch.object(simulator, "forward_packet",
                                side_effect=AssertionError("a PacketTrace was built")):
             run_flows(net, run, [flow], window=(0, 10_000))
-            return _run_to_dict(run, "cfg", [measure_inconsistency(run, flow)])["flows"]["f"]
+            return run_to_dict(run, "cfg", [measure_inconsistency(run, flow)])["flows"]["f"]
 
     def test_loop_counts_truncated(self):
         doc = self.flow_doc({
@@ -300,7 +301,7 @@ def _writer_cases(draw):
 
 
 class TestRunJsonStreamedWriter:
-    """cmd_simulate streams run.json; json.dump of _run_to_dict is its oracle."""
+    """cmd_simulate streams run.json; json.dump of oracles.run_to_dict is its oracle."""
 
     @staticmethod
     def case_run(case):
@@ -366,7 +367,7 @@ class TestRunJsonStreamedWriter:
         run, reports = self.case_run(case)
         buf = io.StringIO()
         _write_run(buf, run, case["hash"], reports)
-        assert buf.getvalue() == json.dumps(_run_to_dict(run, case["hash"], reports),
+        assert buf.getvalue() == json.dumps(run_to_dict(run, case["hash"], reports),
                                             indent=2, sort_keys=True)
 
     @staticmethod

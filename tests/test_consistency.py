@@ -15,7 +15,6 @@ from netupdate import (
     SystemParameters,
     TestFlow,
     TimedUpdateProcedure,
-    classify_packet,
     knob_schedule,
     measure_inconsistency,
     run_flows,
@@ -28,6 +27,7 @@ from netupdate.model import lookup_rule
 from netupdate.simulator import FlowPackets, Hop, PacketTrace
 
 from conftest import MS, line_network, line_flow_setup, per_packet
+from oracles import classify_packet
 
 
 def trace_of(flow_id, hops):

@@ -30,7 +30,6 @@ from netupdate import (
     TestFlow,
     TimedUpdateProcedure,
     UpdateProcedure,
-    classify_packet,
     forward_packet,
     knob_schedule,
     leaf_spine,
@@ -60,6 +59,7 @@ from netupdate.topology import (label_change_update, path_link_bound_ns, policy_
 
 from conftest import (DC_NS, line_network, line_flow_setup, numpy_unloaded, per_packet,
                       testbed_params)
+from oracles import classify_packet, t_last
 from test_model import _reference_fold
 from test_properties import networks
 
@@ -492,7 +492,7 @@ class TestRunFlows:
         assert all(before_f5[fid] == every[fid] for fid in before_f5)
         # without f1, the later flows move up a position and draw another stream
         after_f1 = _walked("sprint_knob_exp", lambda flows: flows[1:])
-        assert not np.array_equal(after_f1["f2"].t_last, every["f2"].t_last)
+        assert not np.array_equal(t_last(after_f1["f2"]), t_last(every["f2"]))
 
     @pytest.mark.parametrize("pick", [lambda flows: flows[:1], lambda flows: flows[1:],
                                       lambda flows: flows[::2], lambda flows: flows[3:4]])
@@ -547,7 +547,7 @@ class TestRunFlows:
             [CONSISTENT_OLD] + [INCONSISTENT] * 11 + [CONSISTENT_NEW] * 2)
         want = [forward_packet(net, run.timeline, flow, t, np.random.default_rng([0, 7919]))
                 for t in packets.t_in]
-        assert packets.t_last.tolist() == [t.hops[-1].time_ns for t in want]
+        assert t_last(packets).tolist() == [t.hops[-1].time_ns for t in want]
         assert list(packets) == want
 
     def test_stored_state_is_the_runs(self, testbed_params):
@@ -580,10 +580,10 @@ class TestRunFlows:
         assert ([run.flow_traces[flow.flow_id].runs for run in (blocked, drawn)]
                 == [constant.flow_traces[flow.flow_id].runs] * 2)
         assert blocked.flow_traces == drawn.flow_traces == constant.flow_traces
-        # t_last, on first access, is the table-driven walk's, on every packet
-        t_last = [run.flow_traces[flow.flow_id].t_last for run in (constant, drawn, blocked)]
-        assert t_last[0].typecode == "q" and len(t_last[0]) == len(drawn.flow_traces[flow.flow_id])
-        assert t_last[0] == t_last[1] == t_last[2]
+        # t_last is the table-driven walk's, on every packet
+        last = [t_last(run.flow_traces[flow.flow_id]) for run in (constant, drawn, blocked)]
+        assert last[0].typecode == "q" and len(last[0]) == len(drawn.flow_traces[flow.flow_id])
+        assert last[0] == last[1] == last[2]
 
     def test_runs_do_not_grow_with_the_rate(self, testbed_params):
         # under constant delays a flow's runs are O(pieces), not O(packets):
@@ -655,7 +655,7 @@ class TestRunFlows:
         try:
             run_flows(net, run, [TestFlow("f", first, 0, 1e9)], window=(0, 70_000))
             packets = run.flow_traces["f"]
-            assert len(packets.t_last) == 70_000   # the table-driven walk of every packet
+            assert len(t_last(packets)) == 70_000   # the table-driven walk of every packet
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -813,7 +813,7 @@ def test_run_flows_matches_forward_packet_oracle(case):
             cols = per_packet(got.runs)
             assert list(got.t_in) == [t.t_in for t in want]
             assert cols.hops == [len(t.hops) for t in want]
-            assert got.t_last.tolist() == [t.hops[-1].time_ns for t in want]
+            assert t_last(got).tolist() == [t.hops[-1].time_ns for t in want]
             assert [END_KINDS[e] for e in cols.end] == [
                 next((k for k in ("delivered", "truncated", "stranded") if getattr(t, k)),
                      "dropped") for t in want]
@@ -853,7 +853,7 @@ def _walk_both(net: Network, initial, updates, flows, window) -> list:
             run_flows(walked, run, flows, window=window)
         assert not walk.called or walked is not net
         packets = [run.flow_traces[f.flow_id] for f in flows]
-        got.append([(p.t0, p.runs, p.t_last.typecode, p.t_last.tolist()) for p in packets])
+        got.append([(p.t0, p.runs, t_last(p).typecode, t_last(p).tolist()) for p in packets])
     return got
 
 
@@ -1048,10 +1048,10 @@ def test_windows_walk_a_loop_longer_than_the_recursion_limit():
     windows, tables = _walk_both(net, ForwardingState.from_dict(net, loop), updates,
                                  [TestFlow("f", "S0", 0, 1e9)], (0, 10))
     assert windows == tables
-    _, runs, _, t_last = windows[0]
+    _, runs, _, last = windows[0]
     columns = per_packet(runs)
     assert columns.hops == [n] * 3 + [half + 1] * 7
-    assert t_last == [k + n - 1 for k in range(3)] + [k + half for k in range(3, 10)]
+    assert last == [k + n - 1 for k in range(3)] + [k + half for k in range(3, 10)]
     assert [END_KINDS[e] for e in columns.end] == ["truncated"] * 3 + ["delivered"] * 7
 
 
@@ -1182,7 +1182,7 @@ def _data_plane_digest() -> str:
                     for array, values in (
                             ("t_in", np.asarray(packets.t_in)),
                             ("hops", np.asarray(cols.hops).astype(np.int64)),
-                            ("t_last", np.asarray(packets.t_last)),
+                            ("t_last", np.asarray(t_last(packets))),
                             ("delivered", end == END_KINDS.index("delivered")),
                             ("truncated", end == END_KINDS.index("truncated")),
                             ("stranded", end == END_KINDS.index("stranded")),
