@@ -505,15 +505,17 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
 def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: int) -> list:
     """FlowPackets' runs of a flow's n packets, the flow at this index in flow-id order.
 
-    A piece is packets k0..k1-1 at one (switch, in_port, tag) node that all
-    came by the same links, so packet k arrives within t0 + k x spacing +
-    [lo, hi], lo and hi the links' least and greatest delays summed (a
-    constant's value, else 0, and bound()). The node's changes (_steps) cut
-    it where these envelopes start and stop straddling one. A part within one
-    step is settled whatever the draws: it ends as a part or, lo and hi grown by
-    the link's, becomes the next hop's piece; a stack of disjoint pieces, so a
-    loop of any length walks in at most n. Under constant delays lo = hi and
-    nothing is drawn. Only the unsettled packets draw their rows: in Python
+    A piece is the entries [e0, e1) at one (switch, in_port, tag) node that all
+    came by the same links, so an entry at e arrives within e + [lo, hi], lo and
+    hi the links' least and greatest delays summed (a constant's value, else 0,
+    and bound()). A change at c of the node (_steps) cuts the entries at c - hi
+    and c - lo: those in [c - hi, c - lo) straddle it. A part within one step is
+    settled whatever the draws: it ends as a part or, lo and hi grown by the
+    link's, becomes the next hop's piece; a stack of disjoint pieces. Under
+    constant delays lo = hi and nothing is drawn. Only then do entries meet
+    packets, packet k entering at t0 + k x spacing: an interval [a, b) holds
+    those from ceil((a - t0) / spacing) to ceil((b - t0) / spacing), and one
+    that holds none goes. Only the unsettled packets draw their rows: in Python
     (_python_rows), each then walked alone, or else by _walk_tables, all on one
     memo of _steps, so that no node is stepped twice. The parts, sorted by
     first packet, merge into runs in O(pieces)."""
@@ -521,18 +523,14 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
     steps = cache(lambda node: _steps(net, run, flow.flow_id, *node))
     quantile = cache(_quantile)   # each link's inverse CDF as a Python function
     ingress = (flow.ingress_switch, flow.ingress_port, None)
-    parts, unsettled, pieces = [], [], [(0, n, ingress, 0, 0, 1, 3)]
+    parts, unsettled, pieces = [], [], [(t0, t0 + n * spacing, ingress, 0, 0, 1, 3)]
     while pieces:
-        k0, k1, node, lo, hi, hop, bits = pieces.pop()
+        e0, e1, node, lo, hi, hop, bits = pieces.pop()
         changes, step = steps(node)
-        # packet k straddles change c for k in [ceil((c-t0-hi)/spacing), ceil((c-t0-lo)/spacing))
-        first = bisect_right(changes, t0 + k0 * spacing + lo)
-        last = bisect_right(changes, t0 + (k1 - 1) * spacing + hi)
-        cuts = sorted({k for c in changes[first:last] for k in (
-            -((t0 + hi - c) // spacing), -((t0 + lo - c) // spacing)) if k0 < k < k1})
-        for a, b in zip([k0, *cuts], [*cuts, k1]):
-            at = bisect_right(changes, t0 + a * spacing + lo)
-            if at != bisect_right(changes, t0 + a * spacing + hi):
+        cuts = sorted({e for c in changes for e in (c - hi, c - lo) if e0 < e < e1})
+        for a, b in zip([e0, *cuts], [*cuts, e1]):
+            at = bisect_right(changes, a + lo)
+            if at != bisect_right(changes, a + hi):
                 unsettled.append((a, b))
                 continue
             kind, to, link, agree = step[at]
@@ -540,8 +538,10 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
                 pieces.append((a, b, to, lo + link.value, hi + link.bound(), hop + 1,
                                agree & bits))
             else:
-                parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree & bits))
-    unsettled.sort()
+                parts.append((a, b, hop, _TRUNCATED if kind is None else kind, agree & bits))
+    first = lambda e: -((t0 - e) // spacing)   # the first packet entering at e or later
+    parts = [(first(a), first(b) - first(a), *v) for a, b, *v in parts if first(a) < first(b)]
+    unsettled = sorted((first(a), first(b)) for a, b in unsettled if first(a) < first(b))
     if (rows := _python_rows(_flow_entropy(run.seed, index), n_hops, unsettled)) is None:
         parts += _walk_tables(net, run, flow, t0, unsettled, _flow_rng(run.seed, index), steps)
         unsettled = []

@@ -8,18 +8,24 @@ import conftest.
 - mean_value: a DelayModel's analytic (or pool) mean, for the sampler's tests.
 - t_last: a flow's arrival time at the last hop of each packet, by the
   table-driven walk of every packet, whose runs must be the stored ones.
+- index_walk: the envelope walk cut at packet indices, not entry times, whose
+  runs the package's walk must equal.
 - run_to_dict: run.json as one document with a dict per packet, which the
   streamed writer (cli._write_run) must equal byte for byte once dumped.
 """
 
 import math
 from array import array
+from bisect import bisect_right
 from functools import cache
 
 from netupdate import simulator
 from netupdate.cli import _run_doc
 from netupdate.consistency import CLASS_OF_AGREES, CONSISTENT_NEW, CONSISTENT_OLD, INCONSISTENT
+from netupdate.delays import _python_rows, _quantile
 from netupdate.model import lookup_rule
+from netupdate.simulator import (
+    _TRUNCATED, _flow_entropy, _flow_rng, _runs, _steps, _walk_tables)
 
 
 def classify_packet(trace, old_config, new_config) -> str:
@@ -77,6 +83,56 @@ def t_last(packets) -> array:
     if simulator._runs(parts) != packets.runs:
         raise AssertionError(f"flow {flow.flow_id}: the walks' runs differ")
     return times
+
+
+def index_walk(net, run, flow, t0: int, n: int, index: int) -> list:
+    """simulator._walk_envelopes as it cut pieces at packet indices: the runs
+    of a flow's n packets from t0, the flow at this index in flow-id order.
+
+    A piece is packets k0..k1-1 at one node that came by the same links, so
+    packet k arrives within t0 + k x spacing + [lo, hi]; each change of the
+    node in their envelopes cuts it at the first packet to straddle it and the
+    first past it, a ceiling division per change. The walk the package keeps
+    cuts entry times instead and meets the packets only at the end."""
+    spacing, n_hops = flow.spacing_ns, len(net.switches)
+    steps = cache(lambda node: _steps(net, run, flow.flow_id, *node))
+    quantile = cache(_quantile)   # each link's inverse CDF as a Python function
+    ingress = (flow.ingress_switch, flow.ingress_port, None)
+    parts, unsettled, pieces = [], [], [(0, n, ingress, 0, 0, 1, 3)]
+    while pieces:
+        k0, k1, node, lo, hi, hop, bits = pieces.pop()
+        changes, step = steps(node)
+        # packet k straddles change c for k in [ceil((c-t0-hi)/spacing), ceil((c-t0-lo)/spacing))
+        first = bisect_right(changes, t0 + k0 * spacing + lo)
+        last = bisect_right(changes, t0 + (k1 - 1) * spacing + hi)
+        cuts = sorted({k for c in changes[first:last] for k in (
+            -((t0 + hi - c) // spacing), -((t0 + lo - c) // spacing)) if k0 < k < k1})
+        for a, b in zip([k0, *cuts], [*cuts, k1]):
+            at = bisect_right(changes, t0 + a * spacing + lo)
+            if at != bisect_right(changes, t0 + a * spacing + hi):
+                unsettled.append((a, b))
+                continue
+            kind, to, link, agree = step[at]
+            if kind is None and hop < n_hops:
+                pieces.append((a, b, to, lo + link.value, hi + link.bound(), hop + 1,
+                               agree & bits))
+            else:
+                parts.append((a, b - a, hop, _TRUNCATED if kind is None else kind, agree & bits))
+    unsettled.sort()
+    if (rows := _python_rows(_flow_entropy(run.seed, index), n_hops, unsettled)) is None:
+        parts += _walk_tables(net, run, flow, t0, unsettled, _flow_rng(run.seed, index), steps)
+        unsettled = []
+    for k, row in zip((k for a, b in unsettled for k in range(a, b)), rows or ()):
+        node, t, bits = ingress, t0 + k * spacing, 3
+        for hop in range(1, n_hops + 1):
+            changes, step = steps(node)
+            kind, node, link, agree = step[bisect_right(changes, t)]
+            bits &= agree
+            if kind is not None:
+                break
+            t += quantile(link)(next(row))
+        parts.append((k, 1, hop, _TRUNCATED if kind is None else kind, bits))
+    return _runs(parts)
 
 
 def run_to_dict(run, exp_hash: str, reports) -> dict:

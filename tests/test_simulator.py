@@ -59,7 +59,7 @@ from netupdate.topology import (label_change_update, path_link_bound_ns, policy_
 
 from conftest import (DC_NS, line_network, line_flow_setup, numpy_unloaded, per_packet,
                       testbed_params)
-from oracles import classify_packet, t_last
+from oracles import classify_packet, index_walk, t_last
 from test_model import _reference_fold
 from test_properties import networks
 
@@ -952,6 +952,57 @@ def test_envelope_walk_matches_the_table_driven_walk(case):
                                            simulator._flow_rng(run.seed, i), steps)
             assert simulator._runs(parts) == packets.runs
     assert got[0] == got[1] == got[2]
+
+
+# -- the entry-time cuts against the packet-index walk ----------------------
+
+@st.composite
+def _spaced_cases(draw):
+    """A case of _constant_delay_cases or _random_delay_cases, as (net, maker of
+    fresh runs, flows, window), with each flow spaced 1-100 ns: past an
+    explicit window's 1-60 ns of entries, or a packet at every cut."""
+    if draw(st.booleans()):
+        net, initial, updates, flows, window = draw(_constant_delay_cases())
+        case = net, lambda: _timed_run(net, initial, updates), flows, window
+    else:
+        case = draw(_random_delay_cases())
+    flows = [f._replace(rate_pps=1e9 / draw(st.integers(1, 100))) for f in case[2]]
+    return case[0], case[1], flows, case[3]
+
+
+def _cuts_on_packets():
+    """S1 - S2 - S3, 3 ns then uniform on 0-4 ns: S2 tags f from 13 ns on and S3
+    drops the tagged from 23 ns on, so the cuts fall at entries 10, 16 and 20,
+    each a packet's at 2 ns spacing, and packets entering at 16-18 ns draw."""
+    net = Network(("S1", "S2", "S3"), (
+        Link(("S1", 2), ("S2", 1), DelayModel.constant(3)),
+        Link(("S2", 2), ("S3", 1), DelayModel.uniform(4))), {("S1", 0)})
+    initial = ForwardingState.from_dict(net, {
+        "S1": {("f", None, 0): Action.forward(2)}, "S2": {("f", None, 1): Action.forward(2)},
+        "S3": {("f", None, 1): DELIVER}})
+    updates = [(13, SingletonUpdate.install("S2", {("f", None, 1): Action.forward_tagged(2, "A")})),
+               (23, SingletonUpdate.install("S3", {("f", "A", 1): DROP}))]
+    return (net, lambda: _timed_run(net, initial, updates, seed=3),
+            [TestFlow("f", "S1", 0, 1e9 / 2)], (0, 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_spaced_cases())
+@example(case=_random_ring_loop())
+@example(case=_cuts_on_packets())
+def test_entry_time_cuts_match_the_packet_index_walk(case):
+    """Each flow's runs equal oracles.index_walk's, with the unsettled rows
+    drawn in Python and by _walk_tables alike."""
+    net, make_run, flows, window = case
+    for budget in (2**62, None):
+        run = make_run()
+        with numpy_unloaded(budget) if budget else contextlib.nullcontext():
+            run_flows(net, run, flows, window=window)
+        for i, flow in enumerate(sorted(flows, key=lambda f: f.flow_id)):
+            packets = run.flow_traces[flow.flow_id]
+            with numpy_unloaded(budget) if budget else contextlib.nullcontext():
+                want = index_walk(net, run, flow, packets.t0, len(packets), i)
+            assert packets.runs == want, (budget, flow)
 
 
 def _nodes_stepped(net: Network, run: RunResult, flows, window=None) -> tuple:
