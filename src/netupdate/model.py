@@ -38,7 +38,7 @@ MAX_DURATION_NS = 10**18  # about 31.7 years: the cap on every configured or tra
 
 # Version of the simulation engine, written into every output. Bump it when
 # a change moves simulated outputs for an unchanged config and seeds.
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 
 _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ns|us|ms|s)\s*$")
 _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}

@@ -408,11 +408,14 @@ def _flow_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_flow_entropy(seed, index))
 
 
-def default_flow_window(run: RunResult, spacing_ns: int):
-    """Injection window covering the whole update plus drain margins."""
+def default_flow_window(run: RunResult, spacing_ns: int, bound_ns: int):
+    """Injection window over the whole update plus drain margins: from the first
+    exec (or schedule) less d_n and two spacings, moved back by the fewest whole
+    spacings that cover bound_ns, the flow's path delay bound in the old
+    configuration, so that no packet entering earlier meets a change."""
     anchor = min(t for t in (run.first_exec_ns, run.sched_first_ns) if t is not None)
-    margin = run.params.d_n + 2 * spacing_ns
-    return anchor - margin, run.last_exec_ns + margin
+    margin, early = run.params.d_n + 2 * spacing_ns, min(0, run.params.d_n - bound_ns)
+    return anchor - margin + early // spacing_ns * spacing_ns, run.last_exec_ns + margin
 
 
 # How a packet's walk ended, the end codes of FlowPackets.runs: _steps gives the first three,
@@ -480,11 +483,19 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
     flows = sorted(flows, key=lambda f: f.flow_id)
     if not flows:
         return
-    windows = [window or default_flow_window(run, f.spacing_ns) for f in flows]
-    bound = max((link.delay.bound() for link in net.links), default=0)
-    for flow, (t0, t1) in zip(flows, windows):
+    memos = [cache(lambda node, f=f: _steps(net, run, f.flow_id, *node)) for f in flows]
+    bound, windows = max((link.delay.bound() for link in net.links), default=0), []
+    for flow, steps in zip(flows, memos):
         if (flow.ingress_switch, flow.ingress_port) not in net.ingress_ports:
             raise ValueError(f"flow {flow.flow_id}: ingress is not an ingress port")
+        node, hi = (flow.ingress_switch, flow.ingress_port, None), 0
+        for _ in range(len(net.switches) - 1):   # the walk through each node's first step
+            kind, node, link, _ = steps(node)[1][0]
+            if kind is not None:
+                break
+            hi += link.bound()
+        t0, t1 = window or default_flow_window(run, flow.spacing_ns, hi)
+        windows.append((t0, t1))
         # hop times are int64 here, where the control plane's Python ints never overflow
         if max(-t0, t1 + len(net.switches) * bound) >= 2**63:
             raise TimeRangeError(
@@ -497,12 +508,12 @@ def run_flows(net: Network, run: RunResult, flows, window=None) -> None:
         raise PacketCapError(flows[most].flow_id, (
             f"flow {flows[most].flow_id} would inject {counts[most]} packets, and the run's "
             f"flows {sum(counts)} in all, more than the cap of {MAX_PACKETS}"))
-    for i, (flow, (t0, _), n) in enumerate(zip(flows, windows, counts)):
+    for i, (flow, (t0, _), n, steps) in enumerate(zip(flows, windows, counts, memos)):
         run.flow_traces[flow.flow_id] = FlowPackets(
-            net, run, flow, i, t0, _walk_envelopes(net, run, flow, t0, n, i), n)
+            net, run, flow, i, t0, _walk_envelopes(net, run, flow, t0, n, i, steps), n)
 
 
-def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: int) -> list:
+def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: int, steps) -> list:
     """FlowPackets' runs of a flow's n packets, the flow at this index in flow-id order.
 
     A piece is the entries [e0, e1) at one (switch, in_port, tag) node that all
@@ -516,11 +527,10 @@ def _walk_envelopes(net: Network, run: RunResult, flow, t0: int, n: int, index: 
     packets, packet k entering at t0 + k x spacing: an interval [a, b) holds
     those from ceil((a - t0) / spacing) to ceil((b - t0) / spacing), and one
     that holds none goes. Only the unsettled packets draw their rows: in Python
-    (_python_rows), each then walked alone, or else by _walk_tables, all on one
-    memo of _steps, so that no node is stepped twice. The parts, sorted by
+    (_python_rows), each then walked alone, or else by _walk_tables, all on steps,
+    the flow's memo of _steps, so that no node is stepped twice. The parts, sorted by
     first packet, merge into runs in O(pieces)."""
     spacing, n_hops = flow.spacing_ns, len(net.switches)
-    steps = cache(lambda node: _steps(net, run, flow.flow_id, *node))
     quantile = cache(_quantile)   # each link's inverse CDF as a Python function
     ingress = (flow.ingress_switch, flow.ingress_port, None)
     parts, unsettled, pieces = [], [], [(t0, t0 + n * spacing, ingress, 0, 0, 1, 3)]

@@ -6,10 +6,14 @@ import conftest.
 - classify_packet: one PacketTrace against both full configurations, the
   per-trace reference of the walks' agreement codes (CLASS_OF_AGREES).
 - mean_value: a DelayModel's analytic (or pool) mean, for the sampler's tests.
+- old_path_bound: a flow's path delay bound in the old configuration, by
+  lookup_rule, which the default injection window must cover.
 - t_last: a flow's arrival time at the last hop of each packet, by the
   table-driven walk of every packet, whose runs must be the stored ones.
 - index_walk: the envelope walk cut at packet indices, not entry times, whose
   runs the package's walk must equal.
+- predicted_inconsistency: a label-change flow's I from the exec log and its
+  path delays alone, which the walks' I must meet.
 - run_to_dict: run.json as one document with a dict per packet, which the
   streamed writer (cli._write_run) must equal byte for byte once dumped.
 """
@@ -69,6 +73,21 @@ def mean_value(model) -> float:
         # mean of an exponential conditioned on X <= cap
         return model.mean * (1.0 - math.exp(-r) * (r + 1.0)) / (1.0 - math.exp(-r))
     return sum(model.samples) / len(model.samples)
+
+
+def old_path_bound(net, old_config, flow) -> int:
+    """The bound() of each link the flow's packets cross in old_config summed,
+    by lookup_rule from its ingress, untagged, up to the walk's last hop of at
+    most len(net.switches)."""
+    switch, port, tag, bound = flow.ingress_switch, flow.ingress_port, None, 0
+    for _ in range(len(net.switches) - 1):
+        action = lookup_rule(old_config.tables[switch], flow.flow_id, tag, port)
+        peer = None if action.kind in ("deliver", "drop") else net.peer(switch, action.out_port)
+        if peer is None:
+            break
+        tag = action.new_tag if action.kind == "forward_tagged" else tag
+        switch, port, bound = peer[0], peer[1], bound + peer[2].bound()
+    return bound
 
 
 def t_last(packets) -> array:
@@ -133,6 +152,26 @@ def index_walk(net, run, flow, t0: int, n: int, index: int) -> list:
             t += quantile(link)(next(row))
         parts.append((k, 1, hop, _TRUNCATED if kind is None else kind, bits))
     return _runs(parts)
+
+
+def predicted_inconsistency(exec_log, delays, least=None) -> int:
+    """I_f of a flow of topology.label_change_update, in ns, from its run's exec
+    log: max(0, T - min_s(GC_s - D_s)) + max(0, max_{s != ingress}(P1_s - D_s) - T).
+
+    delays lists (s, D_s), each switch s of the flow's path and its delay from
+    the ingress, delays[0] the ingress at D = 0; T is the ingress's phase-2 exec
+    and GC_s / P1_s is s's phase-3 / phase-1 exec. An old-tagged packet (entering
+    before T) is inconsistent when it reaches some s at or after GC_s, a
+    new-tagged one when it reaches some s past the ingress before P1_s: under
+    constant delays the walk's I is within one spacing of I_f. least, if given,
+    lists the same switches at their least delays, for the P1 term: with delays
+    at their bounds and least at their least, I_f bounds the walk's I from above,
+    to a whole spacing, whatever the draws."""
+    execs = {(e.switch, e.phase): e.time_ns for e in exec_log}
+    t = execs[delays[0][0], 2]
+    gc = min((execs[s, 3] - d for s, d in delays[1:]), default=t)
+    p1 = max((execs[s, 1] - d for s, d in (least or delays)[1:]), default=t)
+    return max(0, t - gc) + max(0, p1 - t)
 
 
 def run_to_dict(run, exp_hash: str, reports) -> dict:

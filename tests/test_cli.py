@@ -215,8 +215,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("run.json", "inconsistency.csv", "messages.log")} == {
-            "run.json": "df2cd0e4383cbda2473bc0e93e374eea8e4c3f0d4464d7c063b3e3317c5ff02a",
-            "inconsistency.csv": "2db30eb6450a946ac2eec837e55abf245f7390a778b4e247d400a44b4ea002ba",
+            "run.json": "3ce6af8a80cd740b1b713a53f2074697949fa348fbb95b88c88c49580a64062a",
+            "inconsistency.csv": "d1c8858f3f5fdad35b7e1972b4be303be791f54c305dd69471b765d651f66077",
             "messages.log": "adf75e87133541ce9818ed78c66edfdb50fca07e309989de708e2596234284af"}
 
 
@@ -1032,7 +1032,7 @@ class TestDelayModelErrors:
             assert "config error: delays.ctrl: exponential cap" in capsys.readouterr().err
         else:
             assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
-                "5f9cb0b0e7ea49cb352d86c88066a5884c9adf819c17f76355dd3787069f0339")
+                "eb64cfbc2008b0899cec989584f84004deeb3ce0a754d8d0459a174888d381bf")
 
 
 def run_in_child(doc, tmp_path, command="simulate"):

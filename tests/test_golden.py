@@ -96,19 +96,19 @@ def test_large_fabric_sweep_is_byte_identical(tmp_path):
         assert main(["sweep", "--config", str(REPO / "configs" / "leafspine_sweep.json"),
                      "--grid", "192,384", "--seeds", "0,1", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
-        "63c950869520e4f8bd70ba9b719a62f23799ba155903fe0c9ca135a2d26ea10b")
+        "2bf2f41769f189623b75eaf08a0e8f088a4e2e32709e8319b88c02ab9148f80f")
 
 
 @pytest.mark.parametrize("mode, axis, grid, digests", [
     ("untimed-greedy", "dc", "2ms,4.865ms,9ms",
-     ("2f351dd4edd90274ff7c805b99b0e02806e72c6b55aad8bdf64ad3b41f75c327",
-      "e081c731825ac54c8a6aa638408d0554fc82dbc8087c48ef5774c372ce51ad70")),
+     ("cd742737edf40d013d25391811d2b688a0fb024d8602a35df4cfe0936f452f23",
+      "67671a1a27cccc281e47c4079aec17386439073d829fe11ba664df85e7a35c94")),
     ("timed-worst-case", "delta_sched", "0ms,1.297ms,4ms",
-     ("5c9c71529e260a2c3a34a2993fef320c8ede20e7c3bee5a2ba1950b698ba36ee",
-      "948763ddebffcb47c1bd6812251a0588c837540d863c807046c4c2ce435aa1e8")),
+     ("67671d66fe2ff6fe56f790b7a6f2838d5ffe481ca83be38c4606ef2f3c8f8443",
+      "1608a204b55d42e7ff9b6d1d5e1c292b1fc87beb9fe813807e40bc14fbfb6a4a")),
     ("timed-knob", "dn", "1ms,4ms,12ms",
-     ("f916b920242dcdbe0d23a7d78b556e837fb788235a769ee566bbb6680e941dff",
-      "db729d10a7d6787372856dfa1d7778cb6c39d3728ccc62b6f39dd597e99dc0fa")),
+     ("d08a4220ff487774e747b03aaf9e081a345101452f49e719ba02667339519829",
+      "1cb588cf372472cfecc346c5c4644bca0b8b8ad6a5c5b3e4bd22de22f83d3c94")),
 ])
 def test_params_axis_sweep_is_byte_identical(mode, axis, grid, digests, tmp_path):
     """sweep.csv and inconsistency_sweep.csv of sprint_knob's flows swept over a
@@ -154,7 +154,7 @@ def test_fabric_sweep_handing_the_draw_over_to_numpy_is_byte_identical(tmp_path)
         env=child_env(), capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr, proc.stdout.splitlines()[-1]) == (0, "", "True")
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
-        "6674f788e60be1e0f360d1b09b00eedc7d36852921fed19a7c560cc80b95c6b1")
+        "2c53d9c6a2f340b80d83e7602ce8d3c8a826db34fbdcef5a1e909dce06b01a87")
 
 
 # numpy's baseline kernels: np.log1p, which the exponential inverse CDF calls,

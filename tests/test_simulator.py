@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 import logging
 import random
 import sys
@@ -59,7 +60,7 @@ from netupdate.topology import (label_change_update, path_link_bound_ns, policy_
 
 from conftest import (DC_NS, line_network, line_flow_setup, numpy_unloaded, per_packet,
                       testbed_params)
-from oracles import classify_packet, index_walk, t_last
+from oracles import classify_packet, index_walk, old_path_bound, t_last
 from test_model import _reference_fold
 from test_properties import networks
 
@@ -665,6 +666,20 @@ class TestRunFlows:
         assert peak <= 12 * 2**20
 
 
+    def test_window_counts_the_packets_in_flight_at_garbage_collection(self):
+        """sprint_knob at knob d = 10 ms with d_n = 1 ms: f4's path bound is
+        14.9 ms, so a window starting d_n before the first exec missed 4 of
+        the packets that garbage collection drops, and counted 16."""
+        from netupdate.config import Experiment
+
+        doc = json.loads((CONFIGS / "sprint_knob.json").read_text())
+        doc["knob_d"], doc["params"]["dn"] = "10ms", "1ms"
+        del doc["sweep"]
+        _, point = next(Experiment(doc, base_dir=CONFIGS).points())
+        _, reports = point.run(0)
+        assert [r.n_inconsistent for r in reports] == [0, 0, 0, 20, 0]
+
+
 class TestPacketCap:
     def test_count_arithmetic_at_the_cap(self):
         assert _packet_count((0, MAX_PACKETS * 7), 7) == MAX_PACKETS
@@ -796,7 +811,8 @@ def test_run_flows_matches_forward_packet_oracle(case):
             run_flows(net, run, flows, window=window)
     for idx, flow in enumerate(flows):
         packets = runs[0].flow_traces[flow.flow_id]
-        flow_window = window or default_flow_window(runs[0], flow.spacing_ns)
+        flow_window = window or default_flow_window(
+            runs[0], flow.spacing_ns, old_path_bound(net, initial, flow))
         assert packets.t0 == flow_window[0]
         assert len(packets) == _packet_count(flow_window, flow.spacing_ns)
         rng = np.random.default_rng([seed, 7919 + idx])
