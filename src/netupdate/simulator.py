@@ -7,9 +7,9 @@ switch's rule table as a function of real time. Packets never influence
 switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
-The data-plane stage, run_flows, walks each test flow's packets through that
-timeline, read per node as a step function of time (_steps), as pieces whose
-arrival envelopes fit in one step; it draws only for the packets whose envelope
+The data-plane stage, run_flows, walks each test flow through that timeline
+(_steps per node) as entry-time intervals whose arrival envelopes fit in one
+step, meeting packets only at the end; it draws only for packets whose envelope
 straddles a change. Differential tests hold it to the table-driven walk, and
 that to forward_packet, the one-packet oracle that alone builds PacketTraces.
 """
