@@ -165,8 +165,7 @@ def cmd_sweep(exp: Experiment, out: Path) -> int:
                  "axis_value,flow_id,seed_count,i_mean_ns,i_min_ns,i_max_ns"]
     for axis_value, point in exp.points():
         cell = _axis_cell(exp.axis, axis_value)
-        untimed_worst, timed_worst, _ = point.plan()
-        plan_worst = untimed_worst if point.schedule is None else timed_worst
+        plan_worst = point.worst_ns()
         durations = []
         inconsistency = {}
         for seed in exp.seeds:

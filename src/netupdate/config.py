@@ -78,14 +78,20 @@ class Point(NamedTuple):
 
     def plan(self):
         """(untimed_worst_ns, timed_worst_ns, timed_wins) for this point; a timed
-        point plans its schedule's span plus delta_sched, an untimed one the
-        worst-case schedule's."""
+        point plans its own worst case, an untimed one the worst-case schedule's."""
         from . import planner
 
         timed, untimed, _ = planner.compare_timed_untimed(self.proc, self.params)
-        if (sched := self.schedule) is not None:
-            timed = sched.last_time() + self.params.delta_sched - sched.first_time()
+        if self.schedule is not None:
+            timed = self.worst_ns()
         return untimed, timed, timed < untimed
+
+    def worst_ns(self) -> int:
+        """The planned worst case of this point's own mode: a timed point's schedule
+        span plus delta_sched, which needs no planner, else plan()'s untimed one."""
+        if (sched := self.schedule) is None:
+            return self.plan()[0]
+        return sched.last_time() + self.params.delta_sched - sched.first_time()
 
     def run(self, seed: int):
         """Simulate this point under one seed; returns (RunResult, reports)."""

@@ -325,13 +325,13 @@ class ForwardingState(NamedTuple):
 
     def apply(self, *updates: SingletonUpdate) -> "ForwardingState":
         """Pure application of singleton updates in order, each through
-        apply_update; it warns of no absent rule (a run's StateTimeline does).
+        apply_update; it warns of no absent rule (a RunResult's fold does).
 
         Copy-on-write: the outer mapping and each changed table are copied
         once, however many updates target it, so folding a whole procedure
         in one call costs O(switches + entries). A call per update copies
         the whole mapping each time; a fold that keeps every intermediate
-        table copies only the target's table instead, as StateTimeline does.
+        table copies only the target's table instead, as RunResult's does.
         """
         tables = dict(self.tables)
         copied = set()

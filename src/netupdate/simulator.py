@@ -2,12 +2,12 @@
 
 A run is two stages. The control-plane stage executes the controller and
 switch behaviors (greedy untimed, or scheduled timed), orders the
-executions by (time, message index) and produces a state timeline: every
-switch's rule table as a function of real time. Packets never influence
-switch state, so the split loses nothing and keeps both stages
+executions by (time, message index) and folds them into a RunResult: every
+switch's rule table as a step function of real time. Packets never
+influence switch state, so the split loses nothing and keeps both stages
 reproducible from a single seed.
 
-The data-plane stage, run_flows, walks each test flow through that timeline
+The data-plane stage, run_flows, walks each test flow through those tables
 (_steps per node) as entry-time intervals whose arrival envelopes fit in one
 step, meeting packets only at the end; it draws only for packets whose envelope
 straddles a change. Differential tests hold it to the table-driven walk, and
@@ -99,40 +99,19 @@ class Fault(NamedTuple):
     detail: str
 
 
-class StateTimeline:
-    """Per-switch rule tables as a step function of real time.
-
-    tables[switch] lists the switch's table versions: version 0 is its initial
-    table, version v the table after its v-th executed update, which took effect
-    at times[switch][v - 1]. Each execution applies itself, through apply_update
-    (ForwardingState.apply's step), to a copy of its target's latest table only,
-    in the order given, and warns of each rule a remove finds absent: a run's
-    timeline is the one fold of it that warns.
-    """
-
-    def __init__(self, net: Network, initial: ForwardingState, execs):
-        self.times = {s: [] for s in net.switches}
-        self.tables = {s: [initial.tables[s]] for s in net.switches}
-        for time_ns, update in execs:
-            versions = self.tables.get(update.target)
-            if versions is None:
-                raise ValueError(f"update targets unknown switch {update.target!r}")
-            table = dict(versions[-1])
-            for key in apply_update(table, update):
-                _log("warning", "garbage collection: rule %r already absent on %s",
-                     key, update.target)
-            versions.append(table)
-            self.times[update.target].append(time_ns)
-
-
 class RunResult:
     """Everything observable about one simulated update.
 
     updates lists the procedure's updates in message order, send_ns their send
     times, exec_log the executions sorted by (time, message index) and schedule
-    the timed run's schedule, None if untimed. The state timeline is folded from
-    them here, warning of each absent rule; the new configuration and the message
-    log derive from them on first use, as a run without flows or a log reads neither.
+    the timed run's schedule, None if untimed. tables[switch] lists the switch's
+    table versions: version 0 is its initial table, version v the table after its
+    v-th execution, which took effect at times[switch][v - 1]. They are folded
+    here, each execution in exec_log order applied through apply_update
+    (ForwardingState.apply's step) to a copy of its target's latest table only,
+    warning of each rule a remove finds absent: the one fold that warns. The new
+    configuration and the message log derive from them on first use, as a run
+    without flows or a log reads neither.
     """
 
     def __init__(self, seed: int, params: SystemParameters, net: Network,
@@ -143,8 +122,19 @@ class RunResult:
             updates, exec_log, send_ns, schedule)
         self.mode = "untimed" if schedule is None else "timed"
         self.sched_first_ns = None if schedule is None else schedule.first_time()
-        self.timeline = StateTimeline(net, old_config, [
-            (e.time_ns, updates[e.msg_index]) for e in exec_log])
+        self.times = {s: [] for s in net.switches}
+        self.tables = {s: [old_config.tables[s]] for s in net.switches}
+        for e in exec_log:
+            update = updates[e.msg_index]
+            versions = self.tables.get(update.target)
+            if versions is None:
+                raise ValueError(f"update targets unknown switch {update.target!r}")
+            table = dict(versions[-1])
+            for key in apply_update(table, update):
+                _log("warning", "garbage collection: rule %r already absent on %s",
+                     key, update.target)
+            versions.append(table)
+            self.times[update.target].append(e.time_ns)
         self.flow_traces = {}   # flow_id -> FlowPackets, filled by run_flows
 
     @cached_property
@@ -204,7 +194,7 @@ def _control_plane(net, proc, params, delays, seed, initial_state, pin_worst_cas
     jitter, or on arrival as a missed_schedule fault if that is later.
 
     Executions at equal times take effect in message order, which pins down
-    the run; RunResult folds them in that order into its timeline.
+    the run; RunResult folds them in that order into its table versions.
     """
     delays = delays or RunDelays.default(params)
     initial = initial_state or ForwardingState.empty(net)
@@ -322,7 +312,7 @@ def _packet_count(window, spacing_ns: int) -> int:
     return max(1, -((t0 - t1) // spacing_ns))
 
 
-def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
+def forward_packet(net: Network, run: RunResult, flow, t_in: int,
                    rng: np.random.Generator) -> PacketTrace:
     """The one-packet oracle of run_flows: walk one packet of a flow,
     entering untagged at the flow's ingress at t_in, resolving each hop with
@@ -340,7 +330,7 @@ def forward_packet(net: Network, timeline: StateTimeline, flow, t_in: int,
     hops = []
     delivered = truncated = stranded = False
     for h in range(len(net.switches)):
-        table = timeline.tables[sw][bisect_right(timeline.times[sw], t)]
+        table = run.tables[sw][bisect_right(run.times[sw], t)]
         action = lookup_rule(table, flow_id, tag, port)
         hops.append(Hop(t, sw, port, tag, action))
         if action.kind in ("deliver", "drop"):
@@ -384,7 +374,7 @@ class FlowPackets:
 
     def __iter__(self):
         rng = _flow_rng(self.run.seed, self.index)
-        return (forward_packet(self.net, self.run.timeline, self.flow, t_in, rng)
+        return (forward_packet(self.net, self.run, self.flow, t_in, rng)
                 for t_in in self.t_in)
 
     def __eq__(self, other):
@@ -449,7 +439,7 @@ def _steps(net: Network, run: RunResult, flow_id, switch: str, port: int, tag) -
     old = lookup_rule(run.old_config.tables[switch], flow_id, tag, port)
     new = lookup_rule(run.new_config.tables[switch], flow_id, tag, port)
     changes, steps = [], []
-    for time, table in zip([None, *run.timeline.times[switch]], run.timeline.tables[switch]):
+    for time, table in zip([None, *run.times[switch]], run.tables[switch]):
         action = lookup_rule(table, flow_id, tag, port)
         agree = (action == old) | (action == new) << 1
         peer = None if action.kind in _SINK else net.peer(switch, action.out_port)

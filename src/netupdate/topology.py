@@ -256,6 +256,8 @@ def policy_update(net: Network, phase2_switches=None,
 
 
 def policy_initial_state(net: Network) -> ForwardingState:
-    """Pre-update state matching policy_update, so garbage collection has rules
-    to remove: the old-tag and the wildcard stub on every switch."""
-    return stub_update(net, [net.switches] * 2, {1, 2}, ["A", None])[1]
+    """Pre-update state matching policy_update, so garbage collection has rules to
+    remove: the "A" and the wildcard stub of every switch, as stub_update keys them."""
+    lowest = ((sw, min(net.ports[sw], default=0)) for sw in net.switches)
+    return ForwardingState({sw: {(POLICY_FLOW_ID, "A", port): DELIVER,
+                                 (POLICY_FLOW_ID, None, port): DELIVER} for sw, port in lowest})

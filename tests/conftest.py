@@ -13,10 +13,12 @@ from netupdate import (
     DelayModel,
     Link,
     Network,
+    RunResult,
     SystemParameters,
     TestFlow,
 )
 from netupdate import delays
+from netupdate.simulator import ExecRecord
 from netupdate.topology import label_change_update
 
 # testbed-style 99.9th percentile bounds used across duration experiments (ms)
@@ -50,6 +52,15 @@ def line_network(link_delays_ns, ingress_port=0):
         Link((switches[i], 2), (switches[i + 1], 1), DelayModel.constant(d))
         for i, d in enumerate(link_delays_ns))
     return Network(switches, links, frozenset({(switches[0], ingress_port)}))
+
+
+def exec_run(net: Network, initial, updates, seed: int = 0) -> RunResult:
+    """A run whose executions are the (time, update) pairs, in that order."""
+    return RunResult(seed=seed, params=SystemParameters(0, 0, 0, 0), net=net,
+                     old_config=initial, updates=[u for _, u in updates],
+                     exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
+                               for i, (t, u) in enumerate(updates)],
+                     send_ns=[0] * len(updates), faults=[])
 
 
 def line_flow_setup(total_delay_ns, hops=2, rate_pps=5000.0, flow_id="f1"):

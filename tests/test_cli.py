@@ -33,7 +33,7 @@ from netupdate import (
     run_untimed,
 )
 from netupdate.cli import PACKET_BLOCK, _mean_ns, _write_run, main
-from netupdate.config import ConfigError, Experiment, _check_routes, parse_duration
+from netupdate.config import MODES, ConfigError, Experiment, _check_routes, parse_duration
 from netupdate.consistency import CLASS_OF_AGREES
 from netupdate import config, simulator, topology
 from netupdate.model import ENGINE_VERSION
@@ -438,6 +438,18 @@ class TestSweepCommand:
             # sampled gaps average half their bound, so the untimed mean
             # sits visibly below the worst-case line
             assert int(r[3]) < int(r[6])
+
+    # a timed point took its plan_worst_ns from Point.plan, which loads the planner
+    @pytest.mark.parametrize("mode", MODES)
+    def test_plan_worst_is_plans_worst_case_of_the_points_mode(self, tmp_path, mode):
+        doc = base_config(mode=mode, knob_d="2ms",
+                          sweep={"axis": "dc", "grid": ["1ms", "4.865ms", "9ms"]})
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        want = [point.plan()[0 if point.schedule is None else 1]
+                for _, point in Experiment(doc).points()]
+        assert [int(row.split(",")[6]) for row in rows] == want
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -1115,6 +1127,8 @@ ENTRY_CASES = {
     "simulate-timed-worst-case": ("simulate", {"mode": "timed-worst-case"}, False, True),
     "sweep-exponential-ctrl": ("sweep", {"delays": {"ctrl": {"kind": "exponential",
                                                              "mean": "1ms"}}}, False, True),
+    "sweep-timed-knob": ("sweep", {"mode": "timed-knob", "knob_d": "2ms"}, False, False),
+    "sweep-simultaneous": ("sweep", {"mode": "simultaneous"}, False, False),
 }
 
 
@@ -1124,8 +1138,9 @@ ENTRY_CASES = {
 # random ones draw only for the packets a draw can change, and the Python twin
 # draws exponential delays too (without it, exponential links and an
 # exponential ctrl loaded numpy); np.unique in the table-driven walk loaded
-# numpy.ma, which no command uses, for 1.5 MB; and a simulate loaded the
-# planner, which only a worst-case schedule needs
+# numpy.ma, which no command uses, for 1.5 MB; and a simulate, or a sweep of a
+# timed-knob or simultaneous schedule, loaded the planner, which only a
+# worst-case schedule and an untimed point's worst case need
 @PROCESS_ENTRIES
 @pytest.mark.parametrize("case", ENTRY_CASES)
 def test_process_entries_load_only_the_commands_layers_before_the_freeze(

@@ -24,10 +24,9 @@ from netupdate import (
 )
 from netupdate.config import Experiment
 from netupdate.model import config_hash, lookup_rule
-from netupdate.simulator import StateTimeline
 from netupdate.topology import leaf_spine, load_topology
 
-from conftest import child_env, line_network
+from conftest import child_env, exec_run, line_network
 
 TOPOLOGIES = Path(__file__).resolve().parents[1] / "topologies"
 
@@ -241,7 +240,7 @@ class TestForwardingState:
         out = state.apply(SingletonUpdate.remove("S1", [key]))
         assert lookup_rule(out.tables["S1"], "f", "A", 0) == DROP
 
-    # apply is a silent no-op; a run's timeline is the fold that warns
+    # apply is a silent no-op; a run's fold of its executions is the one that warns
     def test_remove_missing_is_warned_noop(self, caplog):
         net = two_switch_net()
         state = ForwardingState.empty(net)
@@ -249,8 +248,8 @@ class TestForwardingState:
         with caplog.at_level(logging.WARNING, logger="netupdate.model"):
             out = state.apply(remove)
             assert out == state and caplog.records == []
-            timeline = StateTimeline(net, state, [(0, remove)])
-        assert timeline.tables["S1"] == [{}, {}]
+            run = exec_run(net, state, [(0, remove)])
+        assert run.tables["S1"] == [{}, {}]
         assert [r.getMessage() for r in caplog.records] == [
             "garbage collection: rule ('f', 'A', 0) already absent on S1"]
 
@@ -343,7 +342,7 @@ def test_apply_matches_reference_fold(rules, steps, caplog):
         with caplog.at_level(logging.WARNING, logger="netupdate.model"):
             out = fold()
         assert out.tables == want
-        assert caplog.records == []   # the timeline warns, not apply (see below)
+        assert caplog.records == []   # the run's fold warns, not apply (see below)
     assert state.tables == before
 
 
@@ -351,9 +350,9 @@ def test_apply_matches_reference_fold(rules, steps, caplog):
 @given(rules=st.dictionaries(st.sampled_from(["S1", "S2", "S3"]), _tables), steps=_steps,
        times=st.lists(st.integers(0, 3), min_size=8, max_size=8))
 def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
-    """StateTimeline folds per switch; the whole-state fold through
+    """A run folds its executions per switch; the whole-state fold through
     ForwardingState.apply, one update at a time, is its oracle: the same
-    table at every version and instant. The timeline warns as the reference
+    table at every version and instant. The run warns as the reference
     does; the fold warns of nothing."""
     net = line_network([10, 10])
     state = ForwardingState.from_dict(net, rules)
@@ -364,7 +363,7 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
     want, want_warnings = _reference_fold(state, updates)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="netupdate.model"):
-        timeline = StateTimeline(net, state, execs)
+        run = exec_run(net, state, execs)
         assert [r.getMessage() for r in caplog.records] == want_warnings
         folds = [state]
         for u in updates:
@@ -375,14 +374,14 @@ def test_timeline_matches_the_whole_state_fold(rules, steps, times, caplog):
     version = dict.fromkeys(net.switches, 0)
     for fold, u in zip(folds[1:], updates):
         version[u.target] += 1
-        assert timeline.tables[u.target][version[u.target]] == fold.tables[u.target]
-    assert {sw: len(versions) - 1 for sw, versions in timeline.tables.items()} == version
-    assert timeline.times == {sw: [t for t, u in execs if u.target == sw] for sw in net.switches}
+        assert run.tables[u.target][version[u.target]] == fold.tables[u.target]
+    assert {sw: len(versions) - 1 for sw, versions in run.tables.items()} == version
+    assert run.times == {sw: [t for t, u in execs if u.target == sw] for sw in net.switches}
     for t in range(5):
         fold = folds[sum(1 for time_ns, _ in execs if time_ns <= t)]
         for sw in net.switches:
-            in_force = sum(time_ns <= t for time_ns in timeline.times[sw])
-            assert timeline.tables[sw][in_force] == fold.tables[sw]
+            in_force = sum(time_ns <= t for time_ns in run.times[sw])
+            assert run.tables[sw][in_force] == fold.tables[sw]
 
 
 def test_apply_is_copy_on_write():

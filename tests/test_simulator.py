@@ -47,10 +47,8 @@ from netupdate.consistency import CLASS_OF_AGREES, CONSISTENT_NEW, CONSISTENT_OL
 from netupdate.simulator import (
     END_KINDS,
     MAX_PACKETS,
-    ExecRecord,
     FlowPackets,
     PacketCapError,
-    StateTimeline,
     _packet_count,
     default_flow_window,
 )
@@ -58,8 +56,8 @@ from netupdate.model import lookup_rule
 from netupdate.topology import (label_change_update, path_link_bound_ns, policy_initial_state,
                                  policy_update, stub_update)
 
-from conftest import (DC_NS, line_network, line_flow_setup, numpy_unloaded, per_packet,
-                      testbed_params)
+from conftest import (DC_NS, exec_run, line_network, line_flow_setup, numpy_unloaded,
+                      per_packet, testbed_params)
 from oracles import classify_packet, index_walk, old_path_bound, t_last
 from test_model import _reference_fold
 from test_properties import networks
@@ -106,7 +104,7 @@ class TestExecOrder:
         assert execs == [f"msg={i}" for i in range(16)]
 
 
-class TestStateTimeline:
+class TestRunFold:
     @pytest.mark.parametrize("mode", ["untimed", "timed"])
     def test_versions_fold_the_switch_updates_through_apply(self, testbed_params, mode):
         net = leaf_spine(6)
@@ -122,18 +120,18 @@ class TestStateTimeline:
         for sw in net.switches:
             mine = [by_msg[e.msg_index] for e in run.exec_log if e.switch == sw]
             assert mine
-            assert len(run.timeline.tables[sw]) == len(mine) + 1
+            assert len(run.tables[sw]) == len(mine) + 1
+            assert run.times[sw] == [e.time_ns for e in run.exec_log if e.switch == sw]
             for v in range(len(mine) + 1):
-                assert (run.timeline.tables[sw][v]
-                        == init.apply(*mine[:v]).tables[sw]), (sw, v)
-            assert run.timeline.tables[sw][-1] == run.new_config.tables[sw]
+                assert run.tables[sw][v] == init.apply(*mine[:v]).tables[sw], (sw, v)
+            assert run.tables[sw][-1] == run.new_config.tables[sw]
 
     def test_unknown_target_names_the_switch(self):
         net = line_network([10])
         known = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
         unknown = SingletonUpdate.install("S9", {("f", None, 0): DELIVER})
         with pytest.raises(ValueError, match="update targets unknown switch 'S9'"):
-            StateTimeline(net, ForwardingState.empty(net), [(0, known), (5, unknown)])
+            exec_run(net, ForwardingState.empty(net), [(0, known), (5, unknown)])
 
 
 class TestRunUntimed:
@@ -232,7 +230,7 @@ class TestRunUntimed:
                 run = run_once()
                 run_flows(net, run, [flow])
                 measure_inconsistency(run, flow)
-            # once per execution (the timeline), once per message (new_config)
+            # once per execution (the run's fold), once per message (new_config)
             assert calls == {id(u): 2 for u, _ in proc.items}
 
     def test_determinism(self, testbed_params):
@@ -365,9 +363,7 @@ def _table_walk_twin(net: Network) -> Network:
 
 def _static_run(net: Network) -> RunResult:
     """A run of no update on net, for run_flows over an explicit window."""
-    return RunResult(seed=0, params=SystemParameters(0, 0, 0, 0), net=net,
-                     old_config=ForwardingState.empty(net), updates=[], exec_log=[],
-                     send_ns=[], faults=[])
+    return exec_run(net, ForwardingState.empty(net), [])
 
 
 def _injected(net: Network, flow, window) -> FlowPackets:
@@ -412,8 +408,8 @@ class TestInjectFlow:
 class TestForwardPacket:
     flow = TestFlow("f", "S1", 0, 100.0)
 
-    def make_timeline(self, net, rules):
-        return StateTimeline(net, ForwardingState.from_dict(net, rules), [])
+    def make_run(self, net, rules):
+        return exec_run(net, ForwardingState.from_dict(net, rules), [])
 
     def test_static_path_prefix_sum_arrivals(self):
         net = line_network([2_000, 3_000])
@@ -422,8 +418,8 @@ class TestForwardPacket:
             "S2": {("f", "A", 1): Action.forward(2)},
             "S3": {("f", "A", 1): DELIVER},
         }
-        tl = self.make_timeline(net, rules)
-        trace = forward_packet(net, tl, self.flow, 100, np.random.default_rng(0))
+        run = self.make_run(net, rules)
+        trace = forward_packet(net, run, self.flow, 100, np.random.default_rng(0))
         assert [h.switch for h in trace.hops] == ["S1", "S2", "S3"]
         assert [h.time_ns for h in trace.hops] == [100, 2_100, 5_100]  # prefix sums
         assert [h.tag for h in trace.hops] == [None, "A", "A"]
@@ -438,10 +434,10 @@ class TestForwardPacket:
         # S1 changes at t=500 and S2 at t=2_000; the packet passes S1 at 600,
         # after its change, and S2 at 1_600, before its change
         new_s1 = Action.forward_tagged(2, "B")
-        tl = StateTimeline(net, initial, [
+        run = exec_run(net, initial, [
             (500, SingletonUpdate.install("S1", {("f", None, 0): new_s1})),
             (2_000, SingletonUpdate.install("S2", {("f", None, 1): Action.forward(1)}))])
-        trace = forward_packet(net, tl, self.flow, 600, np.random.default_rng(0))
+        trace = forward_packet(net, run, self.flow, 600, np.random.default_rng(0))
         assert [(h.switch, h.time_ns, h.action) for h in trace.hops] == [
             ("S1", 600, new_s1), ("S2", 1_600, DELIVER)]
 
@@ -451,24 +447,24 @@ class TestForwardPacket:
             "S1": {("f", None, 0): Action.forward(2), ("f", None, 2): Action.forward(2)},
             "S2": {("f", None, 1): Action.forward(1)},
         }
-        tl = self.make_timeline(net, rules)
-        trace = forward_packet(net, tl, self.flow, 0, np.random.default_rng(0))
+        run = self.make_run(net, rules)
+        trace = forward_packet(net, run, self.flow, 0, np.random.default_rng(0))
         assert trace.truncated
         assert len(trace.hops) == len(net.switches)
 
     def test_table_miss_drops(self):
         net = line_network([1_000])
-        tl = self.make_timeline(net, {})
-        trace = forward_packet(net, tl, self.flow, 0, np.random.default_rng(0))
+        run = self.make_run(net, {})
+        trace = forward_packet(net, run, self.flow, 0, np.random.default_rng(0))
         assert not trace.delivered
         assert trace.hops[0].action.kind == "drop"
 
     def test_rule_change_visible_at_same_instant(self):
         net = line_network([1_000])
         u = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
-        tl = StateTimeline(net, ForwardingState.empty(net), [(500, u)])
+        run = exec_run(net, ForwardingState.empty(net), [(500, u)])
         rng = np.random.default_rng(0)
-        assert [forward_packet(net, tl, self.flow, t, rng).hops[0].action.kind
+        assert [forward_packet(net, run, self.flow, t, rng).hops[0].action.kind
                 for t in (499, 500)] == ["drop", "deliver"]
 
 
@@ -534,7 +530,7 @@ class TestRunFlows:
         u1 = SingletonUpdate.install("S1", {("f", None, 0): DELIVER})
         u2 = SingletonUpdate.install("S2", {("f", None, 1): DELIVER})
         big, flow = 2**60, TestFlow("f", "S1", 0, 1e9)
-        run = _timed_run(net, initial, [(big, u2), (big + 1, u1), (big + 1, u2), (2**63, u1)])
+        run = exec_run(net, initial, [(big, u2), (big + 1, u1), (big + 1, u2), (2**63, u1)])
         with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
             run_flows(net, run, [flow], window=(big - 11, big + 3))
         assert walk.called
@@ -546,7 +542,7 @@ class TestRunFlows:
         assert [END_KINDS[e] for e in cols.end] == ["dropped"] + ["delivered"] * 13
         assert [CLASS_OF_AGREES[c] for c in cols.agrees] == (
             [CONSISTENT_OLD] + [INCONSISTENT] * 11 + [CONSISTENT_NEW] * 2)
-        want = [forward_packet(net, run.timeline, flow, t, np.random.default_rng([0, 7919]))
+        want = [forward_packet(net, run, flow, t, np.random.default_rng([0, 7919]))
                 for t in packets.t_in]
         assert t_last(packets).tolist() == [t.hops[-1].time_ns for t in want]
         assert list(packets) == want
@@ -648,7 +644,7 @@ class TestRunFlows:
         net = Network(net.switches, [link._replace(delay=DelayModel.exponential(1000))
                                      for link in net.links], net.ingress_ports)
         first, *middle, last = net.switches
-        run = _timed_run(net, ForwardingState.from_dict(net, {
+        run = exec_run(net, ForwardingState.from_dict(net, {
             first: {("f", None, 0): Action.forward(2)},
             **{sw: {("f", None, 1): Action.forward(2)} for sw in middle},
             last: {("f", None, 1): DELIVER}}), [])
@@ -757,15 +753,6 @@ def _states(draw, net, flows, max_updates, last_ns):
     return initial, updates
 
 
-def _timed_run(net: Network, initial, updates, seed: int = 0) -> RunResult:
-    """A run whose executions are the (time, update) pairs, in that order."""
-    return RunResult(seed=seed, params=SystemParameters(0, 0, 0, 0), net=net,
-                     old_config=initial, updates=[u for _, u in updates],
-                     exec_log=[ExecRecord(t, u.target, 1, u.mode, i)
-                               for i, (t, u) in enumerate(updates)],
-                     send_ns=[0] * len(updates), faults=[])
-
-
 @st.composite
 def _data_plane_cases(draw):
     """A random small network, old state, exec timeline and three flows.
@@ -803,7 +790,7 @@ def _data_plane_cases(draw):
 @given(case=_data_plane_cases())
 def test_run_flows_matches_forward_packet_oracle(case):
     net, initial, updates, flows, window, seed = case
-    runs = [_timed_run(net, initial, updates, seed) for _ in range(3)]
+    runs = [exec_run(net, initial, updates, seed) for _ in range(3)]
     # blocks of 1, 2 and all of a flow's packets: each block draws whole rows
     # of uniforms and goes on with its flow's stream
     for run, block in zip(runs, (1, 2 * len(net.switches), simulator.WALK_BLOCK)):
@@ -816,7 +803,7 @@ def test_run_flows_matches_forward_packet_oracle(case):
         assert packets.t0 == flow_window[0]
         assert len(packets) == _packet_count(flow_window, flow.spacing_ns)
         rng = np.random.default_rng([seed, 7919 + idx])
-        want = [forward_packet(net, runs[0].timeline, flow, t, rng)
+        want = [forward_packet(net, runs[0], flow, t, rng)
                 for t in packets.t_in]
         classes = [classify_packet(t, initial, runs[0].new_config) for t in want]
         for run in runs:
@@ -864,7 +851,7 @@ def _walk_both(net: Network, initial, updates, flows, window) -> list:
     walk's, whose runs must be the envelope walk's."""
     got = []
     for walked in (net, _table_walk_twin(net)):
-        run = _timed_run(walked, initial, updates)
+        run = exec_run(walked, initial, updates)
         with mock.patch.object(simulator, "_walk_tables", wraps=simulator._walk_tables) as walk:
             run_flows(walked, run, flows, window=window)
         assert not walk.called or walked is not net
@@ -907,7 +894,7 @@ def _random_delay_cases(draw):
                  for fid in ids]
         initial, updates = draw(_states(net, flows, 8, 20))
         t0 = draw(st.integers(-8, 8))
-        return (net, lambda: _timed_run(net, initial, updates, seed), flows,
+        return (net, lambda: exec_run(net, initial, updates, seed), flows,
                 (t0, t0 + draw(st.integers(1, 60))))
     paths = []
     for _ in ids:
@@ -942,7 +929,7 @@ def _random_ring_loop():
     loop["S0"][("f", None, 0)] = Action.forward(2)
     initial = ForwardingState.from_dict(net, loop)
     updates = [(6, SingletonUpdate.install("S2", {("f", None, 1): DELIVER}))]
-    return (net, lambda: _timed_run(net, initial, updates, seed=7),
+    return (net, lambda: exec_run(net, initial, updates, seed=7),
             [TestFlow("f", "S0", 0, 1e9), TestFlow("g", "S0", 0, 1e9 / 2)], (0, 12))
 
 
@@ -979,7 +966,7 @@ def _spaced_cases(draw):
     explicit window's 1-60 ns of entries, or a packet at every cut."""
     if draw(st.booleans()):
         net, initial, updates, flows, window = draw(_constant_delay_cases())
-        case = net, lambda: _timed_run(net, initial, updates), flows, window
+        case = net, lambda: exec_run(net, initial, updates), flows, window
     else:
         case = draw(_random_delay_cases())
     flows = [f._replace(rate_pps=1e9 / draw(st.integers(1, 100))) for f in case[2]]
@@ -998,7 +985,7 @@ def _cuts_on_packets():
         "S3": {("f", None, 1): DELIVER}})
     updates = [(13, SingletonUpdate.install("S2", {("f", None, 1): Action.forward_tagged(2, "A")})),
                (23, SingletonUpdate.install("S3", {("f", "A", 1): DROP}))]
-    return (net, lambda: _timed_run(net, initial, updates, seed=3),
+    return (net, lambda: exec_run(net, initial, updates, seed=3),
             [TestFlow("f", "S1", 0, 1e9 / 2)], (0, 40))
 
 
@@ -1051,9 +1038,9 @@ def test_each_node_of_a_shipped_sweep_is_stepped_once():
 def _step_at(net: Network, run: RunResult, flow_id, switch, port, tag, t) -> tuple:
     """What a packet of the flow arriving at (switch, port) with tag at t does,
     as a step of simulator._steps, from the table version in force at t."""
-    version = bisect_right(run.timeline.times[switch], t)
+    version = bisect_right(run.times[switch], t)
     action, old, new = (lookup_rule(table, flow_id, tag, port) for table in (
-        run.timeline.tables[switch][version], run.old_config.tables[switch],
+        run.tables[switch][version], run.old_config.tables[switch],
         run.new_config.tables[switch]))
     agree = (action == old) | (action == new) << 1
     ends = {"deliver": "delivered", "drop": "dropped"}
@@ -1083,14 +1070,14 @@ def _other_flows_update():
 def test_steps_is_the_step_function_of_every_node_a_walk_reaches(case):
     net, initial, updates, flows, window = case
     for walked in (net, _table_walk_twin(net)):
-        run = _timed_run(walked, initial, updates)
+        run = exec_run(walked, initial, updates)
         with mock.patch.object(simulator, "_steps", wraps=simulator._steps) as steps:
             run_flows(walked, run, flows, window=window)
         assert steps.called
         for call in steps.call_args_list:
             _, _, flow_id, switch, port, tag = call.args
             changes, got = simulator._steps(*call.args)
-            times = run.timeline.times[switch]
+            times = run.times[switch]
             # drawn from the switch's executions, and every change changes the step
             assert changes == sorted(changes) and not Counter(changes) - Counter(times)
             assert len(got) == len(changes) + 1

@@ -16,7 +16,8 @@ from netupdate import (
 )
 from netupdate.config import Experiment
 from netupdate.model import lookup_rule
-from netupdate.topology import INGRESS_PORT, label_change_update, leaf_switches
+from netupdate.topology import (INGRESS_PORT, label_change_update, leaf_switches,
+                                 policy_initial_state, stub_update)
 
 EARTH_RADIUS_KM = 6371.0
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -199,6 +200,19 @@ class TestPathHelpers:
         action = lookup_rule(initial.tables["leaf1"], "f1", None, INGRESS_PORT)
         assert action.kind == "forward_tagged"
         assert proc.num_phases == 3
+
+
+# policy_initial_state took the initial state of a two-phase stub_update whose
+# procedure it discarded; that expression is its oracle, key order included
+@pytest.mark.parametrize("topo", [3, 6, 192, 768, "sprint"])
+def test_policy_initial_state_is_the_stub_updates(topo):
+    net = (leaf_spine(topo) if isinstance(topo, int) else
+           load_topology(Path(__file__).resolve().parents[1] / "topologies" / f"{topo}.json"))
+    want = stub_update(net, [net.switches] * 2, {1, 2}, ["A", None])[1]
+    got = policy_initial_state(net)
+    assert got == want
+    assert [(sw, list(table.items())) for sw, table in got.tables.items()] == [
+        (sw, list(table.items())) for sw, table in want.tables.items()]
 
 
 # sha256 of what label_change_update returns for the cases below: every
