@@ -37,7 +37,7 @@ from .simulator import (
 
 MODES = ("untimed-greedy", "timed-worst-case", "timed-knob", "simultaneous")
 AXES = ("N", "dc", "dn", "delta_sched", "d")
-PROCEDURES = ("two-phase", "two-phase+gc", "ordered", "k-phase")
+PROCEDURES = ("two-phase", "two-phase+gc", "k-phase")
 
 
 def _delay_model(dspec: dict, key: str, default: DelayModel) -> DelayModel:
@@ -248,14 +248,14 @@ class Experiment:
     def _build_procedure(self, net, flows, paths):
         spec = field(self.doc, "procedure", "", "object", default={"kind": "two-phase+gc"})
         kind = field(spec, "kind", "procedure", PROCEDURES)
-        if kind in ("ordered", "k-phase"):
+        if kind == "k-phase":
             phases = field(spec, "phases", "procedure", "non-empty list")
             sets = [_switches(net, phases[j], f"procedure.phases[{j}]")
                     for j in range(len(phases))]
             gc = field(spec, "gc_phases", "procedure", "list", default=[])
             return (*topology.stub_update(net, sets, frozenset(
                 field(gc, i, "procedure.gc_phases", "int", lo=1, hi=len(sets))
-                for i in range(len(gc)))), f" ({kind} procedures install no flow rules)")
+                for i in range(len(gc)))), " (k-phase procedures install no flow rules)")
         if flows:
             old_tag = field(spec, "old_tag", "procedure", "string", default="A")
             new_tag = field(spec, "new_tag", "procedure", "string", default="B")
@@ -315,9 +315,7 @@ class Experiment:
         start_time = field(self.doc, "start_time", "", "duration", default=10**9)
         schedule = None
         if self.mode == "timed-worst-case":
-            from . import planner
-
-            schedule = planner.worst_case_schedule(proc, start_time, params)
+            schedule = consistency.worst_case_schedule(proc, start_time, params)
         elif self.mode == "timed-knob":
             if proc.num_phases != 3 or proc.gc_phases() != frozenset({3}):
                 raise ConfigError(

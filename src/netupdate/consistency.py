@@ -1,4 +1,4 @@
-"""Per-packet consistency classification and the inconsistency metric.
+"""Consistency classes, the inconsistency metric and the timed modes' schedules.
 
 A packet is consistently forwarded when every hop's realized action agrees
 with the full old configuration, or every hop agrees with the full new one.
@@ -12,9 +12,10 @@ walk's agreement code, and CLASS_OF_AGREES[code] names its class.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
-from .model import MAX_DURATION_NS, Schedule, SystemParameters, validated
+from .model import MAX_DURATION_NS, Schedule, SystemParameters, UpdateProcedure, validated
 
 CONSISTENT_OLD = "consistent_old"
 CONSISTENT_NEW = "consistent_new"
@@ -88,6 +89,23 @@ def measure_inconsistency(run, flow: TestFlow) -> InconsistencyReport:
     return InconsistencyReport(flow.flow_id, n, flow.rate_pps, n * flow.spacing_ns)
 
 
+def _chain(t1: int, gaps) -> Schedule:
+    """Phase 1 at t1 and each later phase one gap after the phase before."""
+    return Schedule.build(dict(enumerate(accumulate(gaps, initial=t1), start=1)))
+
+
+def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters) -> Schedule:
+    """Tightest schedule that still guarantees consistency under the bounds.
+
+    Consecutive phases are delta_sched apart; a phase of proc.gc_phases()
+    waits d_n more, so that en-route packets of the superseded tag drain
+    before their rules disappear.
+    """
+    gc_phases = proc.gc_phases()
+    return _chain(t1, (params.delta_sched + (params.d_n if j in gc_phases else 0)
+                       for j in range(2, proc.num_phases + 1)))
+
+
 def knob_schedule(t1: int, d: int, params: SystemParameters) -> Schedule:
     """Schedule for a two-phase + garbage-collection procedure where the gap
     between the ingress switchover and garbage collection is an explicit
@@ -98,9 +116,7 @@ def knob_schedule(t1: int, d: int, params: SystemParameters) -> Schedule:
     """
     if d < 0:
         raise ValueError("knob d must be >= 0")
-    t2 = t1 + params.delta_sched
-    tg = t2 + params.delta_sched + d
-    return Schedule.build({1: t1, 2: t2, 3: tg})
+    return _chain(t1, (params.delta_sched, params.delta_sched + d))
 
 
 def simultaneous_schedule(t: int, num_phases: int = 3) -> Schedule:
@@ -110,4 +126,4 @@ def simultaneous_schedule(t: int, num_phases: int = 3) -> Schedule:
     No rule duplication interval at all, at the cost of an inconsistency
     equal to the network traversal time.
     """
-    return Schedule.build(dict.fromkeys(range(1, num_phases + 1), t))
+    return _chain(t, [0] * (num_phases - 1))

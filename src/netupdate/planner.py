@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Schedule, SystemParameters, UpdateProcedure, validated
+from .model import SystemParameters, UpdateProcedure, validated
 
 C_START = "C_start"
 C_FIN = "C_fin"
@@ -185,24 +185,6 @@ def timed_worst_duration(phase_counts, params: SystemParameters,
     other than phase 1."""
     k = len(_phase_counts(phase_counts))
     return k * params.delta_sched + params.d_n * len(set(gc_phases) & set(range(2, k + 1)))
-
-
-# ---------------------------------------------------------------------------
-# schedules and comparison
-
-
-def worst_case_schedule(proc: UpdateProcedure, t1: int, params: SystemParameters) -> Schedule:
-    """Tightest schedule that still guarantees consistency under the bounds.
-
-    Consecutive phases are delta_sched apart; a phase of proc.gc_phases()
-    waits d_n more, so that en-route packets of the superseded tag drain
-    before their rules disappear.
-    """
-    gc_phases = proc.gc_phases()
-    times = {1: t1}
-    for j in range(2, proc.num_phases + 1):
-        times[j] = times[j - 1] + params.delta_sched + (params.d_n if j in gc_phases else 0)
-    return Schedule.build(times)
 
 
 class TimedUntimedComparison(NamedTuple):

@@ -110,8 +110,11 @@ class RunResult:
     here, each execution in exec_log order applied through apply_update
     (ForwardingState.apply's step) to a copy of its target's latest table only,
     warning of each rule a remove finds absent: the one fold that warns. The new
-    configuration and the message log derive from them on first use, as a run
-    without flows or a log reads neither.
+    configuration, which walks compare each hop with, folds the updates again in
+    message order: a schedule may run a later phase's update on a switch before an
+    earlier phase's, and then the switch's last version is not the procedure's end
+    state. It and the message log are built on first use, as a run without flows or
+    a log reads neither.
     """
 
     def __init__(self, seed: int, params: SystemParameters, net: Network,

@@ -631,7 +631,9 @@ class TestConfigErrors:
         ("topology.propagation_us_per_km", -1), ("topology.delay_mode", "x"),
         # this one exited 0: new_tag equal to the default old_tag "A" made
         # phase 3 remove the flows' only rules
-        ("procedure.new_tag", "A")])
+        ("procedure.new_tag", "A"),
+        # an alias that built exactly what k-phase builds
+        ("procedure.kind", "ordered")])
     def test_field_of_the_wrong_type_names_it(self, tmp_path, capsys, path, value):
         doc = sprint_flow_config(rate_pps=5000)
         doc["topology"]["delay_mode"] = "exponential"
@@ -698,7 +700,7 @@ class TestProcedureErrors:
     @pytest.mark.parametrize("procedure, error", [
         ({"kind": "k-phase", "phases": [["leaf1", "leaf1"], ["spine1"]], "gc_phases": [1]},
          "procedure.phases[0][1]: duplicate switch 'leaf1'"),
-        ({"kind": "ordered", "phases": [["spine1"], ["leaf2", "leaf1", "leaf2"]]},
+        ({"kind": "k-phase", "phases": [["spine1"], ["leaf2", "leaf1", "leaf2"]]},
          "procedure.phases[1][2]: duplicate switch 'leaf2'"),
         ({"kind": "two-phase+gc", "phase2_switches": ["leaf1", "leaf2", "leaf1"]},
          "procedure.phase2_switches[2]: duplicate switch 'leaf1'")])
@@ -780,15 +782,15 @@ class TestFlowRoutes:
             self.check(*rules)
         assert str(info.value) == f"flows[0].path: the new configuration {error}"
 
-    # both exited 0: a k-phase or ordered procedure installs no rule for any
+    # both exited 0: a k-phase procedure installs no rule for any
     # flow, so every packet was dropped at hop 1 and counted consistent; a
     # path through one link twice in one direction lost a rule to the other pass
     @pytest.mark.parametrize("doc, error", [
         ({"procedure": {"kind": "k-phase", "phases": [["SEA"], ["NYC", "CHI"]],
                         "gc_phases": [2]}},
          "the old configuration drops f1 at 'SEA' (k-phase procedures install no flow rules)"),
-        ({"procedure": {"kind": "ordered", "phases": [["SEA"], ["NYC"]]}},
-         "the old configuration drops f1 at 'SEA' (ordered procedures install no flow rules)"),
+        ({"procedure": {"kind": "k-phase", "phases": [["SEA"], ["NYC"]]}},
+         "the old configuration drops f1 at 'SEA' (k-phase procedures install no flow rules)"),
         ({"flows": [{"flow_id": "f1", "ingress": "SEA", "rate_pps": 5000,
                      "path": ["SEA", "SAC", "SEA", "SAC", "ANA"]}]},
          "the old configuration misroutes f1 at 'SAC'")])
@@ -1124,7 +1126,8 @@ ENTRY_CASES = {
                      "delay_mode": "exponential"},
         "flows": [{"flow_id": "f1", "ingress": "ATL", "rate_pps": 5000,
                    "path": ["ATL", "CHI"]}]}, False, False),
-    "simulate-timed-worst-case": ("simulate", {"mode": "timed-worst-case"}, False, True),
+    "simulate-timed-worst-case": ("simulate", {"mode": "timed-worst-case"}, False, False),
+    "sweep-timed-worst-case": ("sweep", {"mode": "timed-worst-case"}, False, False),
     "sweep-exponential-ctrl": ("sweep", {"delays": {"ctrl": {"kind": "exponential",
                                                              "mean": "1ms"}}}, False, True),
     "sweep-timed-knob": ("sweep", {"mode": "timed-knob", "knob_d": "2ms"}, False, False),
@@ -1139,8 +1142,8 @@ ENTRY_CASES = {
 # draws exponential delays too (without it, exponential links and an
 # exponential ctrl loaded numpy); np.unique in the table-driven walk loaded
 # numpy.ma, which no command uses, for 1.5 MB; and a simulate, or a sweep of a
-# timed-knob or simultaneous schedule, loaded the planner, which only a
-# worst-case schedule and an untimed point's worst case need
+# timed schedule, loaded the planner, which only an untimed point's worst case
+# needs
 @PROCESS_ENTRIES
 @pytest.mark.parametrize("case", ENTRY_CASES)
 def test_process_entries_load_only_the_commands_layers_before_the_freeze(

@@ -13,13 +13,14 @@ from conftest import child_env
 # every name the package root re-exports, and the module that defines it
 EXPORTS = {
     "consistency": ["CONSISTENT_NEW", "CONSISTENT_OLD", "INCONSISTENT", "InconsistencyReport",
-                    "TestFlow", "knob_schedule", "measure_inconsistency", "simultaneous_schedule"],
+                    "TestFlow", "knob_schedule", "measure_inconsistency", "simultaneous_schedule",
+                    "worst_case_schedule"],
     "delays": ["DelayModel"],
     "model": ["DELIVER", "DROP", "Action", "ForwardingState", "Link", "Network", "Schedule",
               "SingletonUpdate", "SystemParameters", "TimedUpdateProcedure", "UpdateProcedure"],
     "planner": ["PertGraph", "build_pert_counts", "build_pert_timed_counts",
                 "compare_timed_untimed", "longest_path", "timed_worst_duration",
-                "untimed_worst_duration", "worst_case_schedule"],
+                "untimed_worst_duration"],
     "simulator": ["RunDelays", "RunResult", "forward_packet", "run_flows", "run_timed",
                   "run_untimed"],
     "stats": ["DelayTrace", "read_trace", "tail_ratio"],

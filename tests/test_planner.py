@@ -12,6 +12,7 @@ from netupdate import (
     build_pert_counts,
     build_pert_timed_counts,
     compare_timed_untimed,
+    knob_schedule,
     longest_path,
     timed_worst_duration,
     untimed_worst_duration,
@@ -197,16 +198,25 @@ class TestWorstCaseSchedule:
         for _ in range(50):
             k = rng.randint(1, 5)
             gc = {j for j in range(2, k + 1) if rng.random() < 0.3}
-            proc = synth_proc([rng.randint(1, 4) for _ in range(k)], gc)
+            counts = [rng.randint(1, 4) for _ in range(k)]
+            proc = synth_proc(counts, gc)
             p = params(dc=rng.randint(0, 10**7), dn=rng.randint(0, 10**7),
                        delta=rng.randint(0, 10**7), dsched=rng.randint(0, 10**7))
-            sched = worst_case_schedule(proc, rng.randint(0, 10**9), p)
+            t1 = rng.randint(0, 10**9)
+            sched = worst_case_schedule(proc, t1, p)
             times = dict(sched.times)
             for j in range(2, k + 1):
                 if j in gc:
                     assert times[j] == times[j - 1] + p.delta_sched + p.d_n
                 else:
                     assert times[j] == times[j - 1] + p.delta_sched
+            # a timed-worst-case point's planned worst case is its span plus delta_sched
+            assert (sched.last_time() + p.delta_sched - sched.first_time()
+                    == timed_worst_duration(counts, p, gc))
+            # the knob schedule is the worst-case one with d in place of d_n
+            d = rng.randint(0, 10**7)
+            knob_proc = synth_proc([rng.randint(1, 4) for _ in range(3)], {3})
+            assert knob_schedule(t1, d, p) == worst_case_schedule(knob_proc, t1, p._replace(d_n=d))
 
 
 class TestCompareTimedUntimed:

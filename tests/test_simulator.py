@@ -295,6 +295,10 @@ class TestRunTimed:
             order = [updates[e.msg_index] for e in run.exec_log]
             assert warned == _reference_fold(run.old_config, order)[1]
             orders.add(tuple(u.mode for u in order))
+            # the switch's last version keeps the key if the remove ran first, and
+            # the new configuration, folded in message order, never does
+            assert (key in run.tables["S1"][-1]) == (order[0].mode == "remove")
+            assert key not in run.new_config.tables["S1"]
         assert orders == {("install", "remove"), ("remove", "install")}
 
     def test_missed_schedule_fault_when_tsu_too_small(self, testbed_params):
